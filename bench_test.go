@@ -86,8 +86,10 @@ func benchSolve(b *testing.B, method Method, workers int) {
 		xTrue[i] = 1
 	}
 	rhs := plan.RHSFor(xTrue)
-	x, err := plan.SolveWith(rhs, WithWorkers(workers))
-	if err != nil {
+	solver := plan.NewSolver(WithWorkers(workers))
+	defer solver.Close()
+	x := make([]float64, plan.N())
+	if err := solver.SolveInto(x, rhs); err != nil {
 		b.Fatal(err)
 	}
 	if r := plan.Residual(x, rhs); r > 1e-9 {
@@ -97,7 +99,7 @@ func benchSolve(b *testing.B, method Method, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.SolveWith(rhs, WithWorkers(workers)); err != nil {
+		if err := solver.SolveInto(x, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,15 +115,13 @@ func BenchmarkSolveSTS3Sequential(b *testing.B) { benchSolve(b, STS3, 1) }
 // --- Multi-RHS engine comparison (the batched-solve acceptance bench) ---
 //
 // BenchmarkMultiRHSGrid3D drives 32 right-hand sides through one STS-3
-// plan on a grid3d matrix three ways: the historical one-shot path
-// (goroutines spawned per solve), the pooled Solver (persistent workers,
-// pack-parallel per RHS), and the batched Solver path (one worker sweeps
-// each RHS start to finish, RHSs pipelined through the pack levels).
-// b.ReportMetric publishes solves/sec so the acceptance check — pooled or
-// batched throughput ≥1.5× one-shot — reads straight off
-// `go test -bench MultiRHS`. On a 1-core container batched lands at
-// ~1.5-1.6× and pooled ~1.3-1.4×; with real parallelism both rise, since
-// one-shot spawn cost scales with the worker count.
+// plan on a grid3d matrix four ways: the paper's barrier reference runner
+// (goroutines spawned per solve, CSR kernel), the pooled Solver
+// (persistent workers sweeping the task DAG per RHS), the batched path
+// (one worker sweeps each RHS start to finish, RHSs pipelined through the
+// pack levels), and the panel kernels. b.ReportMetric publishes
+// solves/sec, so the comparison reads straight off
+// `go test -bench MultiRHS`.
 func BenchmarkMultiRHSGrid3D(b *testing.B) {
 	mat, err := Generate("grid3d", 10000)
 	if err != nil {
@@ -132,7 +132,7 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		b.Fatal(err)
 	}
 	const nrhs = 32
-	// At least 4 workers so the one-shot path really pays per-solve
+	// At least 4 workers so the barrier runner really pays per-solve
 	// goroutine spawn even on small CI boxes (Workers==1 short-circuits to
 	// an inline sequential sweep and would hide the comparison).
 	workers := runtime.GOMAXPROCS(0)
@@ -150,48 +150,42 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 	perRHS := func(b *testing.B, d time.Duration) {
 		b.ReportMetric(float64(nrhs*b.N)/d.Seconds(), "solves/s")
 	}
-	b.Run("one-shot", func(b *testing.B) {
-		// SolveWith is always one-shot: this measures spawn-per-solve.
+	b.Run("barrier", func(b *testing.B) {
+		// The reference runner spawns its goroutines per solve.
+		st := plan.structure()
+		opts := solve.DefaultsFor(true, workers)
+		x := make([]float64, plan.N())
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, rhs := range B {
-				if _, err := plan.SolveWith(rhs, WithWorkers(workers)); err != nil {
+				if err := solve.Barrier(x, st, rhs, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 		perRHS(b, time.Since(start))
 	})
-	// The barrier/graph pair is the tentpole acceptance comparison: same
-	// pool, same packed kernels, only the inter-pack synchronisation
-	// differs — condition-variable barriers vs dependency-driven
-	// point-to-point counters.
-	for _, sched := range []struct {
-		name   string
-		choice ScheduleChoice
-	}{
-		{"pooled-barrier", GuidedSchedule},
-		{"pooled-graph", GraphSchedule},
-	} {
-		solver := plan.NewSolver(WithWorkers(workers), WithSchedule(sched.choice))
-		b.Run(sched.name, func(b *testing.B) {
-			x := make([]float64, plan.N())
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for _, rhs := range B {
-					if err := solver.SolveInto(x, rhs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			perRHS(b, time.Since(start))
-		})
-		solver.Close()
-	}
+	ctx := context.Background()
 	solver := plan.NewSolver(WithWorkers(workers))
 	defer solver.Close()
+	b.Run("pooled", func(b *testing.B) {
+		x := make([]float64, plan.N())
+		b.ReportAllocs()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			for _, rhs := range B {
+				if err := solver.SolveInto(x, rhs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		perRHS(b, time.Since(start))
+	})
+	// batched: width-1 panels, so each RHS is one whole-panel job swept
+	// start to finish by one worker.
+	batchSolver := plan.NewSolver(WithWorkers(workers), WithBlockWidth(1))
+	defer batchSolver.Close()
 	b.Run("batched", func(b *testing.B) {
 		X := make([][]float64, nrhs)
 		for r := range X {
@@ -200,7 +194,7 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if err := solver.SolveBatchInto(X, B); err != nil {
+			if err := batchSolver.SolveBlockInto(ctx, X, B); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -214,7 +208,6 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 	blockSolver := plan.NewSolver(WithWorkers(workers), WithBlockWidth(8))
 	defer blockSolver.Close()
 	b.Run("pooled-block", func(b *testing.B) {
-		ctx := context.Background()
 		X := make([][]float64, nrhs)
 		for r := range X {
 			X[r] = make([]float64, plan.N())
@@ -232,10 +225,11 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 
 // BenchmarkWideDAGSchedules is the wide-DAG acceptance benchmark: a
 // block-diagonal matrix of independent grid blocks, where every pack
-// mixes super-rows from blocks that share no data. The barrier schedule
-// still synchronises all workers after every pack; the graph schedule
-// lets each block's chain of tasks flow through the workers untouched by
-// the others. Reported as solves/s like the MultiRHS benchmark.
+// mixes super-rows from blocks that share no data. The barrier reference
+// runner still synchronises all workers after every pack; the Solver's
+// graph schedule lets each block's chain of tasks flow through the
+// workers untouched by the others. Reported as solves/s like the MultiRHS
+// benchmark.
 func BenchmarkWideDAGSchedules(b *testing.B) {
 	mat := blockDiagMatrix(8, gen.Grid2D(50, 50))
 	plan, err := Build(mat, STS3)
@@ -255,25 +249,28 @@ func BenchmarkWideDAGSchedules(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sched := range []struct {
-		name   string
-		choice ScheduleChoice
+	st := plan.structure()
+	barrier := solve.BarrierOptions{Workers: workers, Schedule: solve.Guided, Chunk: 1}
+	for _, lane := range []struct {
+		name    string
+		workers int // Solver pool size; 0 runs the barrier reference runner
 	}{
-		{"sequential", DefaultSchedule}, // workers=1 short-circuits to the packed sequential sweep
-		{"barrier", GuidedSchedule},
-		{"graph", GraphSchedule},
+		{"sequential", 1}, // one worker: the inline packed sweep
+		{"barrier", 0},
+		{"graph", workers},
 	} {
-		w := workers
-		if sched.name == "sequential" {
-			w = 1
+		solveInto := func(x, b []float64) error { return solve.Barrier(x, st, b, barrier) }
+		if lane.workers > 0 {
+			solver := plan.NewSolver(WithWorkers(lane.workers))
+			defer solver.Close()
+			solveInto = solver.SolveInto
 		}
-		solver := plan.NewSolver(WithWorkers(w), WithSchedule(sched.choice))
-		b.Run(sched.name, func(b *testing.B) {
+		b.Run(lane.name, func(b *testing.B) {
 			x := make([]float64, plan.N())
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if err := solver.SolveInto(x, rhs); err != nil {
+				if err := solveInto(x, rhs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,11 +278,10 @@ func BenchmarkWideDAGSchedules(b *testing.B) {
 			b.ReportMetric(perSolve, "solves/s")
 			for i := range x {
 				if x[i] != want[i] {
-					b.Fatalf("%s: result differs from Sequential at %d", sched.name, i)
+					b.Fatalf("%s: result differs from Sequential at %d", lane.name, i)
 				}
 			}
 		})
-		solver.Close()
 	}
 }
 
@@ -308,8 +304,9 @@ func BenchmarkOrderingPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedules compares the OpenMP-style loop schedules on STS-3 —
-// the §4.1 schedule-selection ablation.
+// BenchmarkSchedules compares the OpenMP-style loop schedules of the
+// barrier reference runner on STS-3 — the §4.1 schedule-selection
+// ablation — against the Solver's graph schedule.
 func BenchmarkSchedules(b *testing.B) {
 	mat, err := Generate("grid3d", 50000)
 	if err != nil {
@@ -320,24 +317,36 @@ func BenchmarkSchedules(b *testing.B) {
 		b.Fatal(err)
 	}
 	rhs := plan.RHSFor(make([]float64, plan.N()))
+	st := plan.structure()
 	for _, sc := range []struct {
 		name string
-		opts []Option
+		opts solve.BarrierOptions
 	}{
-		{"static", []Option{WithSchedule(StaticSchedule)}},
-		{"dynamic32", []Option{WithSchedule(DynamicSchedule), WithChunk(32)}},
-		{"guided1", []Option{WithSchedule(GuidedSchedule), WithChunk(1)}},
-		{"graph", []Option{WithSchedule(GraphSchedule)}},
+		{"static", solve.BarrierOptions{Schedule: solve.Static}},
+		{"dynamic32", solve.BarrierOptions{Schedule: solve.Dynamic, Chunk: 32}},
+		{"guided1", solve.BarrierOptions{Schedule: solve.Guided, Chunk: 1}},
 	} {
 		b.Run(sc.name, func(b *testing.B) {
+			x := make([]float64, plan.N())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.SolveWith(rhs, sc.opts...); err != nil {
+				if err := solve.Barrier(x, st, rhs, sc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	solver := plan.NewSolver()
+	defer solver.Close()
+	b.Run("graph", func(b *testing.B) {
+		x := make([]float64, plan.N())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := solver.SolveInto(x, rhs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkInPackSchedulers compares the §3.3 In-Pack heuristics on a line
@@ -386,7 +395,7 @@ func BenchmarkAblationInPackRCM(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := solve.ParallelInto(x, p.S, rhs, opts); err != nil {
+				if err := solve.Barrier(x, p.S, rhs, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,8 +2,8 @@ package stsk
 
 // Facade tests of the blocked multi-vector (panel) solve path: bitwise
 // equality of every panel column against the sequential baseline across
-// the whole corpus, both schedules, and every batch size around the
-// kernel widths; table-driven validation of the ErrDimension/ErrClosed
+// the whole corpus, one and several workers, and every batch size around
+// the kernel widths; table-driven validation of the ErrDimension/ErrClosed
 // contract; concurrency under -race; and the zero-allocation fast path.
 
 import (
@@ -32,8 +32,9 @@ func corpusMatrices() []struct {
 }
 
 // TestSolveBlockBitwiseCorpus is the facade acceptance gate of the panel
-// path: for every corpus matrix, all four methods, both schedules and
-// batch sizes 1..9 (straddling every kernel width and remainder shape),
+// path: for every corpus matrix, all four methods, one and four workers
+// and batch sizes 1..9 (straddling every kernel width and remainder
+// shape, so both single cooperative panels and whole-panel splits run),
 // each SolveBlock column must equal Plan.SolveSequential bit for bit.
 func TestSolveBlockBitwiseCorpus(t *testing.T) {
 	ctx := context.Background()
@@ -44,24 +45,18 @@ func TestSolveBlockBitwiseCorpus(t *testing.T) {
 				t.Fatalf("%s/%v: %v", ent.Name, m, err)
 			}
 			B, want := manufacturedRHS(p, 9)
-			for _, sched := range []struct {
-				name   string
-				choice ScheduleChoice
-			}{
-				{"barrier", GuidedSchedule},
-				{"graph", GraphSchedule},
-			} {
-				s := p.NewSolver(WithWorkers(4), WithSchedule(sched.choice))
+			for _, workers := range []int{1, 4} {
+				s := p.NewSolver(WithWorkers(workers))
 				for k := 1; k <= len(B); k++ {
 					X, err := s.SolveBlock(ctx, B[:k])
 					if err != nil {
-						t.Fatalf("%s/%v/%s/k=%d: %v", ent.Name, m, sched.name, k, err)
+						t.Fatalf("%s/%v/w%d/k=%d: %v", ent.Name, m, workers, k, err)
 					}
 					for r := 0; r < k; r++ {
 						for i := range X[r] {
 							if X[r][i] != want[r][i] {
-								t.Fatalf("%s/%v/%s/k=%d: column %d differs from Sequential at %d",
-									ent.Name, m, sched.name, k, r, i)
+								t.Fatalf("%s/%v/w%d/k=%d: column %d differs from Sequential at %d",
+									ent.Name, m, workers, k, r, i)
 							}
 						}
 					}
@@ -121,9 +116,9 @@ func TestSolveBlockWidthOption(t *testing.T) {
 
 // TestSolveBlockValidation is the facade half of the validation
 // satellite: ragged or wrong-length right-hand sides must fail every
-// block and batch entry point with ErrDimension before any work is
-// dispatched, and every entry point must fail with ErrClosed after Close
-// — all matched through errors.Is.
+// block entry point with ErrDimension before any work is dispatched, and
+// every entry point must fail with ErrClosed after Close — all matched
+// through errors.Is.
 func TestSolveBlockValidation(t *testing.T) {
 	ctx := context.Background()
 	mat := &Matrix{a: testmat.Grid3D(4)}
@@ -163,11 +158,6 @@ func TestSolveBlockValidation(t *testing.T) {
 			{"SolveBlockInto", func(B [][]float64) error { return s.SolveBlockInto(ctx, good(), B) }},
 			{"SolveUpperBlock", func(B [][]float64) error { _, err := s.SolveUpperBlock(ctx, B); return err }},
 			{"SolveUpperBlockInto", func(B [][]float64) error { return s.SolveUpperBlockInto(ctx, good(), B) }},
-			{"SolveBatch", func(B [][]float64) error { _, err := s.SolveBatch(B); return err }},
-			{"SolveBatchCtx", func(B [][]float64) error { _, err := s.SolveBatchCtx(ctx, B); return err }},
-			{"SolveBatchInto", func(B [][]float64) error { return s.SolveBatchInto(good(), B) }},
-			{"SolveUpperBatchInto", func(B [][]float64) error { return s.SolveUpperBatchInto(good(), B) }},
-			{"ApplySGSBatch", func(B [][]float64) error { _, err := s.ApplySGSBatch(B); return err }},
 		} {
 			if err := path.call(tc.B); !errors.Is(err, ErrDimension) {
 				t.Errorf("%s/%s: err = %v, want ErrDimension", path.name, tc.name, err)
@@ -180,7 +170,7 @@ func TestSolveBlockValidation(t *testing.T) {
 		call func(X [][]float64) error
 	}{
 		{"SolveBlockInto", func(X [][]float64) error { return s.SolveBlockInto(ctx, X, good()) }},
-		{"SolveBatchInto", func(X [][]float64) error { return s.SolveBatchInto(X, good()) }},
+		{"SolveUpperBlockInto", func(X [][]float64) error { return s.SolveUpperBlockInto(ctx, X, good()) }},
 	} {
 		if err := path.call(ragged(func(v [][]float64) { v[1] = v[1][:1] })); !errors.Is(err, ErrDimension) {
 			t.Errorf("%s/short solution: err = %v, want ErrDimension", path.name, err)
@@ -197,7 +187,7 @@ func TestSolveBlockValidation(t *testing.T) {
 		{"SolveBlock", func() error { _, err := s.SolveBlock(ctx, good()); return err }},
 		{"SolveBlockInto", func() error { return s.SolveBlockInto(ctx, good(), good()) }},
 		{"SolveUpperBlock", func() error { _, err := s.SolveUpperBlock(ctx, good()); return err }},
-		{"SolveBatch", func() error { _, err := s.SolveBatch(good()); return err }},
+		{"SolveUpperBlockInto", func() error { return s.SolveUpperBlockInto(ctx, good(), good()) }},
 		{"Solve", func() error { _, err := s.Solve(make([]float64, n)); return err }},
 	} {
 		if err := path.call(); !errors.Is(err, ErrClosed) {
@@ -208,7 +198,8 @@ func TestSolveBlockValidation(t *testing.T) {
 
 // TestSolveBlockConcurrent hammers one Solver with concurrent panel
 // batches from many goroutines — the -race gate for the shared panel
-// scratch pool and the serialised cooperative sweeps.
+// scratch pool and the serialised cooperative sweeps — at 8 and 1
+// columns per panel.
 func TestSolveBlockConcurrent(t *testing.T) {
 	ctx := context.Background()
 	mat := &Matrix{a: testmat.TriMesh(14)}
@@ -217,8 +208,8 @@ func TestSolveBlockConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 9)
-	for _, sched := range []ScheduleChoice{GuidedSchedule, GraphSchedule} {
-		s := p.NewSolver(WithWorkers(4), WithSchedule(sched))
+	for _, width := range []int{8, 1} {
+		s := p.NewSolver(WithWorkers(4), WithBlockWidth(width))
 		var wg sync.WaitGroup
 		for g := 0; g < 6; g++ {
 			wg.Add(1)
@@ -248,8 +239,9 @@ func TestSolveBlockConcurrent(t *testing.T) {
 }
 
 // TestSolveBlockSteadyStateAllocs asserts the acceptance criterion that
-// the facade panel fast path allocates nothing once warm, under both
-// schedules.
+// the facade panel fast path allocates nothing once warm — one
+// cooperative panel (8 columns) and a whole-panel split (12 columns as
+// panels of 8 and 4), at one worker and on the pool.
 func TestSolveBlockSteadyStateAllocs(t *testing.T) {
 	testmat.SkipIfRace(t)
 	ctx := context.Background()
@@ -258,30 +250,26 @@ func TestSolveBlockSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	B, _ := manufacturedRHS(p, 8)
+	B, _ := manufacturedRHS(p, 12)
 	X := make([][]float64, len(B))
 	for i := range X {
 		X[i] = make([]float64, p.N())
 	}
-	for _, sched := range []struct {
-		name   string
-		choice ScheduleChoice
-	}{
-		{"barrier", GuidedSchedule},
-		{"graph", GraphSchedule},
-	} {
-		s := p.NewSolver(WithWorkers(4), WithSchedule(sched.choice))
-		for i := 0; i < 3; i++ { // warm pools and panel scratch
-			if err := s.SolveBlockInto(ctx, X, B); err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		s := p.NewSolver(WithWorkers(workers))
+		for _, k := range []int{8, 12} {
+			for i := 0; i < 3; i++ { // warm pools and panel scratch
+				if err := s.SolveBlockInto(ctx, X[:k], B[:k]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := s.SolveBlockInto(ctx, X, B); err != nil {
-				t.Fatal(err)
+			if n := testing.AllocsPerRun(50, func() {
+				if err := s.SolveBlockInto(ctx, X[:k], B[:k]); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("w%d/k=%d: SolveBlockInto allocates %.1f/op, want 0", workers, k, n)
 			}
-		}); n != 0 {
-			t.Errorf("%s: SolveBlockInto allocates %.1f/op, want 0", sched.name, n)
 		}
 		s.Close()
 	}

@@ -4,16 +4,15 @@
 // residual, wall-clock timing over repeats, and the modeled NUMA cycles.
 //
 // With -rhs N it instead streams N right-hand sides through the same plan
-// and compares the five solve paths: one-shot (fresh goroutines per
-// solve), pooled (persistent Solver, pack-parallel per RHS), batched
-// (persistent Solver, one worker pipelining each RHS through the packs),
-// streamed (the SolveSeq iterator, results in input order), and blocked
-// (panel kernels sweeping the matrix once per RHS panel).
+// and compares three solve paths on one persistent Solver: pooled (one
+// cooperative solve per RHS), streamed (the SolveSeq iterator, results in
+// input order), and blocked (panel kernels sweeping the matrix once per
+// RHS panel, checked bitwise against the pooled solutions).
 //
 // -timeout bounds the whole run with a context deadline: an expired
-// deadline cancels the in-flight batch or stream, which reports
-// context.DeadlineExceeded and exits — the cancellation path a service
-// embedding this library would take.
+// deadline cancels the in-flight solve loop, block call or stream, which
+// reports context.DeadlineExceeded and exits — the cancellation path a
+// service embedding this library would take.
 //
 // -dump-rhs and -dump-solution write the manufactured b and computed x
 // (plan order, %.17g — exact float64 round-trip) for external
@@ -31,8 +30,6 @@
 //	stssolve -class trimesh -n 100000 -method sts3 -workers 8
 //	stssolve -file matrix.mtx -method csr-col -repeats 20
 //	stssolve -class grid3d -n 100000 -rhs 256 -timeout 30s
-//	stssolve -class grid3d -n 100000 -schedule graph   # force the P2P schedule
-//	                                                   # (barrier: -schedule guided)
 package main
 
 import (
@@ -57,7 +54,6 @@ func main() {
 		file     = flag.String("file", "", "Matrix Market file (overrides -class)")
 		n        = flag.Int("n", 50000, "target rows for generated matrices")
 		method   = flag.String("method", "sts3", "csr-ls | csr-3-ls | csr-col | sts3")
-		sched    = flag.String("schedule", "default", "default | static | dynamic | guided | graph")
 		workers  = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 		repeats  = flag.Int("repeats", 10, "timed solve repetitions (averaged, as in §4.1)")
 		rhs      = flag.Int("rhs", 0, "stream this many right-hand sides through the solve engines instead of the single-RHS run")
@@ -80,10 +76,6 @@ func main() {
 	}
 
 	m, err := stsk.ParseMethod(*method)
-	if err != nil {
-		fatal(err)
-	}
-	schedule, err := parseSchedule(*sched)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,7 +114,7 @@ func main() {
 		plan.Method(), plan.NumPacks(), time.Since(buildStart).Round(time.Microsecond))
 
 	if *rhs > 0 {
-		runMultiRHS(ctx, plan, *rhs, *workers, schedule)
+		runMultiRHS(ctx, plan, *rhs, *workers)
 		return
 	}
 
@@ -142,15 +134,15 @@ func main() {
 		b = plan.RHSFor(xTrue)
 	}
 
+	solver := plan.NewSolver(stsk.WithWorkers(*workers))
+	defer solver.Close()
 	// Warm-up + correctness.
-	x, err := plan.SolveWith(b, stsk.WithWorkers(*workers), stsk.WithSchedule(schedule))
-	if err != nil {
+	x := make([]float64, plan.N())
+	if err := solver.SolveIntoCtx(ctx, x, b); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("residual: %.3g\n", plan.Residual(x, b))
 
-	solver := plan.NewSolver(stsk.WithWorkers(*workers), stsk.WithSchedule(schedule))
-	defer solver.Close()
 	start := time.Now()
 	for i := 0; i < *repeats; i++ {
 		if err = solver.SolveIntoCtx(ctx, x, b); err != nil {
@@ -181,14 +173,14 @@ func main() {
 		sim.Cycles, sim.Machine, sim.Cores, sim.SyncCycles, sim.HitRate*100)
 }
 
-// runMultiRHS streams n manufactured right-hand sides through the plan
-// five ways and reports throughput: the one-shot path (goroutines spawned
-// per solve), the pooled path (persistent Solver, whole pool per RHS),
-// the batched path (persistent Solver, RHSs pipelined one per worker),
-// the streamed path (the SolveSeq iterator, results in input order), and
-// the blocked path (panel kernels, one matrix sweep per RHS panel).
-// All paths run under ctx, so a -timeout deadline cancels them mid-batch.
-func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int, schedule stsk.ScheduleChoice) {
+// runMultiRHS streams n manufactured right-hand sides through one
+// persistent Solver three ways and reports throughput: pooled (one
+// cooperative solve per RHS over the task DAG), streamed (the SolveSeq
+// iterator, results in input order), and blocked (panel kernels, one
+// matrix sweep per RHS panel). The blocked solutions must equal the
+// pooled ones bit for bit. All paths run under ctx, so a -timeout
+// deadline cancels them mid-run.
+func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int) {
 	w := workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -203,39 +195,24 @@ func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int, schedule 
 	}
 	fmt.Printf("streaming %d right-hand sides, %d workers\n", n, w)
 
-	solver := plan.NewSolver(stsk.WithWorkers(w), stsk.WithSchedule(schedule))
+	solver := plan.NewSolver(stsk.WithWorkers(w))
 	defer solver.Close()
 
-	// One-shot: the Plan.SolveWith path, fresh goroutines per solve.
-	start := time.Now()
-	for _, b := range B {
-		if _, err := plan.SolveWith(b, stsk.WithWorkers(w), stsk.WithSchedule(schedule)); err != nil {
-			fatal(err)
-		}
+	// Pooled: one cooperative solve per RHS, parked workers reused.
+	X := make([][]float64, n)
+	for r := range X {
+		X[r] = make([]float64, plan.N())
 	}
-	oneShot := time.Since(start)
-
-	// Pooled: same pack-parallel solve per RHS, parked workers reused and
-	// the solution buffer too — no per-solve allocation in the timed loop.
-	x := make([]float64, plan.N())
-	start = time.Now()
-	for _, b := range B {
-		if err := solver.SolveIntoCtx(ctx, x, b); err != nil {
+	start := time.Now()
+	for r, b := range B {
+		if err := solver.SolveIntoCtx(ctx, X[r], b); err != nil {
 			fatal(err)
 		}
 	}
 	pooled := time.Since(start)
 
-	// Batched: each RHS swept by one worker, no barriers, RHSs pipelined.
-	start = time.Now()
-	X, err := solver.SolveBatchCtx(ctx, B)
-	if err != nil {
-		fatal(err)
-	}
-	batched := time.Since(start)
-
-	// Streamed: the SolveSeq iterator — batch semantics, results ranged
-	// over in input order with no channel boilerplate.
+	// Streamed: the SolveSeq iterator — each vector solved and yielded
+	// before the next is drawn, results in input order.
 	start = time.Now()
 	for _, res := range solver.SolveSeq(ctx, slices.Values(B)) {
 		if res.Err != nil {
@@ -248,7 +225,7 @@ func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int, schedule 
 	// the matrix swept once per panel instead of once per vector. One
 	// untimed pass first: the pooled n×8 panel scratch is faulted in on
 	// first touch, which would otherwise dominate a single cold pass at
-	// large n (the other solver lanes inherit a warm pool the same way).
+	// large n.
 	if _, err := solver.SolveBlock(ctx, B); err != nil {
 		fatal(err)
 	}
@@ -266,36 +243,18 @@ func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int, schedule 
 		}
 		for i := range P[r] {
 			if P[r][i] != X[r][i] {
-				fatal(fmt.Errorf("blocked solve differs from batched at rhs %d index %d", r, i))
+				fatal(fmt.Errorf("blocked solve differs from pooled at rhs %d index %d", r, i))
 			}
 		}
 	}
-	fmt.Printf("worst batched residual: %.3g (blocked bitwise equal)\n", worst)
+	fmt.Printf("worst pooled residual: %.3g (blocked bitwise equal)\n", worst)
 	report := func(name string, d time.Duration) {
-		fmt.Printf("%-9s %10.1f solves/s  (%v total, %.2fx vs one-shot)\n",
-			name, float64(n)/d.Seconds(), d.Round(time.Millisecond), oneShot.Seconds()/d.Seconds())
+		fmt.Printf("%-9s %10.1f solves/s  (%v total, %.2fx vs pooled)\n",
+			name, float64(n)/d.Seconds(), d.Round(time.Millisecond), pooled.Seconds()/d.Seconds())
 	}
-	report("one-shot", oneShot)
 	report("pooled", pooled)
-	report("batched", batched)
 	report("streamed", streamed)
 	report("blocked", blocked)
-}
-
-func parseSchedule(s string) (stsk.ScheduleChoice, error) {
-	switch strings.ToLower(s) {
-	case "default", "":
-		return stsk.DefaultSchedule, nil
-	case "static":
-		return stsk.StaticSchedule, nil
-	case "dynamic":
-		return stsk.DynamicSchedule, nil
-	case "guided":
-		return stsk.GuidedSchedule, nil
-	case "graph":
-		return stsk.GraphSchedule, nil
-	}
-	return 0, fmt.Errorf("unknown schedule %q", s)
 }
 
 // loadVector reads one float per line, the format dumpVector writes.

@@ -1,13 +1,14 @@
 package stsk
 
 // Context-cancellation and sentinel-error tests for the v2 facade: a
-// cancelled batch returns context.Canceled and leaves the Solver
-// reusable, SolveSeq streams in order and survives early breaks, and
-// every failure mode matches its sentinel via errors.Is.
+// cancelled block call returns context.Canceled and leaves the Solver
+// reusable, SolveSeq streams in order, survives early breaks, cancels
+// and Close, and every failure mode matches its sentinel via errors.Is.
 
 import (
 	"context"
 	"errors"
+	"iter"
 	"slices"
 	"testing"
 	"time"
@@ -27,19 +28,21 @@ func testPlan(t *testing.T, class string, n, rowsPerSuper int) *Plan {
 }
 
 // TestSolveBatchCtxCancelledLeavesSolverReusable is the acceptance test:
-// a cancelled SolveBatchCtx returns context.Canceled and the Solver keeps
-// serving solves afterwards. The pre-cancelled case is deterministic; the
-// mid-batch case cancels while a large batch is in flight.
+// a cancelled block call of many whole panels returns context.Canceled
+// and the Solver keeps serving solves afterwards. The pre-cancelled case
+// is deterministic; the mid-batch case cancels while a large batch is in
+// flight.
 func TestSolveBatchCtxCancelledLeavesSolverReusable(t *testing.T) {
 	plan := testPlan(t, "grid2d", 500, 8)
 	B, want := manufactured(t, plan, 8, 71)
-	solver := plan.NewSolver(WithWorkers(2))
+	// Width-1 panels: every right-hand side is its own dispatch.
+	solver := plan.NewSolver(WithWorkers(2), WithBlockWidth(1))
 	defer solver.Close()
 
 	// Deterministic: the context is dead before dispatch begins.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := solver.SolveBatchCtx(ctx, B); !errors.Is(err, context.Canceled) {
+	if _, err := solver.SolveBlock(ctx, B); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled batch: err = %v, want context.Canceled", err)
 	}
 
@@ -58,7 +61,7 @@ func TestSolveBatchCtxCancelledLeavesSolverReusable(t *testing.T) {
 			time.Sleep(delay)
 			cancel()
 		}()
-		_, err := solver.SolveBatchCtx(ctx, big)
+		_, err := solver.SolveBlock(ctx, big)
 		switch {
 		case errors.Is(err, context.Canceled):
 			cancelled = true
@@ -81,7 +84,7 @@ func TestSolveBatchCtxCancelledLeavesSolverReusable(t *testing.T) {
 		t.Fatalf("solver unusable after cancelled batch: %v", err)
 	}
 	assertExact(t, "post-cancel solve", x, want[0])
-	X, err := solver.SolveBatch(B)
+	X, err := solver.SolveBlock(context.Background(), B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +100,21 @@ func TestSolveCtxAndSolveUpperCtxHonorDeadline(t *testing.T) {
 	defer solver.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := solver.SolveCtx(ctx, b); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SolveCtx: err = %v, want DeadlineExceeded", err)
+	x := make([]float64, plan.N())
+	if err := solver.SolveIntoCtx(ctx, x, b); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SolveIntoCtx: err = %v, want DeadlineExceeded", err)
 	}
-	if _, err := solver.SolveUpperCtx(ctx, b); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SolveUpperCtx: err = %v, want DeadlineExceeded", err)
+	if err := solver.SolveUpperIntoCtx(ctx, x, b); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SolveUpperIntoCtx: err = %v, want DeadlineExceeded", err)
 	}
 	if _, err := solver.Solve(b); err != nil {
 		t.Fatalf("solver unusable after expired-deadline solves: %v", err)
 	}
 }
 
+// TestSolveManyCtxMidStreamCancel: cancelling the context of a SolveSeq
+// stream over an endless iterator ends it with a final context.Canceled
+// result, and the Solver stays usable.
 func TestSolveManyCtxMidStreamCancel(t *testing.T) {
 	plan := testPlan(t, "grid3d", 800, 8)
 	B, want := manufactured(t, plan, 3, 37)
@@ -116,28 +123,24 @@ func TestSolveManyCtxMidStreamCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	bs := make(chan []float64)
-	go func() {
-		// An endless producer: only cancellation ends this stream.
-		for i := 0; ; i++ {
-			select {
-			case bs <- B[i%len(B)]:
-			case <-ctx.Done():
-				return
-			}
+	endless := func(yield func([]float64) bool) {
+		for i := 0; yield(B[i%len(B)]); i++ {
 		}
-	}()
-	out := solver.SolveManyCtx(ctx, bs)
-	first, ok := <-out
-	if !ok || first.Err != nil {
-		t.Fatalf("first result: %+v ok=%v", first, ok)
 	}
-	assertExact(t, "first streamed", first.X, want[0])
-	cancel()
-
 	var last SolveResult
-	for r := range out {
-		last = r
+	n := 0
+	for i, res := range solver.SolveSeq(ctx, endless) {
+		if i == 0 {
+			if res.Err != nil {
+				t.Fatalf("first result: %v", res.Err)
+			}
+			assertExact(t, "first streamed", res.X, want[0])
+			cancel()
+		}
+		last = res
+		if n++; n > 3 {
+			t.Fatal("stream did not end after cancellation")
+		}
 	}
 	if !errors.Is(last.Err, context.Canceled) {
 		t.Fatalf("stream ended with %v, want context.Canceled", last.Err)
@@ -149,54 +152,117 @@ func TestSolveManyCtxMidStreamCancel(t *testing.T) {
 	assertExact(t, "post-cancel solve", x, want[1])
 }
 
-// TestSolveManyCloseDrainsProducer guards the stream's abandonment
-// semantics: when the Solver is closed mid-stream (no context involved),
-// the dispatch loop must keep draining the input channel — reporting
-// ErrClosed per vector — so a producer that never watches a context is
-// not stranded blocked on a send.
+// TestSolveManyCloseDrainsProducer: when the Solver is closed mid-stream
+// (no context involved), SolveSeq keeps drawing — reporting ErrClosed per
+// vector — so the iterator runs to completion and the stream terminates.
 func TestSolveManyCloseDrainsProducer(t *testing.T) {
 	plan := testPlan(t, "grid2d", 400, 8)
 	B, _ := manufactured(t, plan, 2, 53)
 	solver := plan.NewSolver(WithWorkers(2))
 
 	const total = 50
-	bs := make(chan []float64) // unbuffered: a stranded producer would hang
-	produced := make(chan struct{})
-	go func() {
-		defer close(produced)
+	produced := false
+	bs := func(yield func([]float64) bool) {
 		for i := 0; i < total; i++ {
-			bs <- B[i%len(B)]
+			if !yield(B[i%len(B)]) {
+				return
+			}
 		}
-		close(bs)
-	}()
-	out := solver.SolveMany(bs)
-	first, ok := <-out
-	if !ok || first.Err != nil {
-		t.Fatalf("first result: %+v ok=%v", first, ok)
+		produced = true
 	}
-	solver.Close()
-
-	// Every produced vector still gets a result (later ones ErrClosed),
-	// the producer runs to completion, and the stream terminates.
-	got, closedErrs := 1, 0
-	for r := range out {
+	got, closedErrs := 0, 0
+	for i, res := range solver.SolveSeq(context.Background(), bs) {
 		got++
-		if errors.Is(r.Err, ErrClosed) {
+		switch {
+		case i == 0:
+			if res.Err != nil {
+				t.Fatalf("first result: %v", res.Err)
+			}
+			solver.Close()
+		case errors.Is(res.Err, ErrClosed):
 			closedErrs++
-		} else if r.Err != nil {
-			t.Fatalf("unexpected error: %v", r.Err)
+		default:
+			t.Fatalf("result %d after Close: %v, want ErrClosed", i, res.Err)
 		}
 	}
-	if got != total {
-		t.Fatalf("received %d results, want %d", got, total)
+	if got != total || closedErrs != total-1 {
+		t.Fatalf("received %d results (%d ErrClosed), want %d (%d)", got, closedErrs, total, total-1)
 	}
-	if closedErrs == 0 {
-		t.Fatal("expected at least one ErrClosed result after Close")
+	if !produced {
+		t.Fatal("iterator not drained to completion")
 	}
-	select {
-	case <-produced:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer stranded: input channel no longer drained")
+}
+
+// TestSolveSeqIteratorPanicAndFeedback: SolveSeq runs the caller's
+// iterator on the caller's goroutine, one vector at a time. A panic in
+// the iterator therefore reaches the caller after the results already
+// drawn, instead of silently ending the stream; and a stream whose next
+// vector is computed from the previous result works, because each result
+// is yielded before the next vector is drawn.
+func TestSolveSeqIteratorPanicAndFeedback(t *testing.T) {
+	plan := testPlan(t, "grid2d", 400, 8)
+	B, want := manufactured(t, plan, 2, 61)
+	solver := plan.NewSolver(WithWorkers(2))
+	defer solver.Close()
+
+	panicky := func(yield func([]float64) bool) {
+		for _, b := range B {
+			if !yield(b) {
+				return
+			}
+		}
+		panic("iterator failed")
+	}
+	got := 0
+	recovered := func() (p any) {
+		defer func() { p = recover() }()
+		for i, res := range solver.SolveSeq(context.Background(), panicky) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			assertExact(t, "before panic", res.X, want[i])
+			got++
+		}
+		return nil
+	}()
+	if recovered != "iterator failed" || got != len(B) {
+		t.Fatalf("got %d results and panic %v, want %d results and the iterator's panic", got, recovered, len(B))
+	}
+
+	// Feedback: each right-hand side is the previous solution.
+	var prev []float64
+	const steps = 4
+	feedback := iter.Seq[[]float64](func(yield func([]float64) bool) {
+		b := B[0]
+		for k := 0; k < steps; k++ {
+			if k > 0 {
+				if prev == nil {
+					t.Errorf("vector %d drawn before result %d was delivered", k, k-1)
+					return
+				}
+				b, prev = prev, nil
+			}
+			if !yield(b) {
+				return
+			}
+		}
+	})
+	b := B[0]
+	n := 0
+	for _, res := range solver.SolveSeq(context.Background(), feedback) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		seq, err := plan.SolveSequential(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertExact(t, "feedback", res.X, seq)
+		prev, b = res.X, res.X
+		n++
+	}
+	if n != steps {
+		t.Fatalf("feedback stream gave %d results, want %d", n, steps)
 	}
 }
 
@@ -252,12 +318,6 @@ func TestDimensionSentinelAcrossFacade(t *testing.T) {
 	if _, err := plan.SolveUpper(short); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Plan.SolveUpper: %v", err)
 	}
-	if _, err := plan.SolveWith(short, WithWorkers(2)); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Plan.SolveWith: %v", err)
-	}
-	if _, err := plan.SolveUpperWith(short); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Plan.SolveUpperWith: %v", err)
-	}
 	if _, err := plan.SolveSequential(short); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Plan.SolveSequential: %v", err)
 	}
@@ -269,18 +329,16 @@ func TestDimensionSentinelAcrossFacade(t *testing.T) {
 	if _, err := solver.SolveUpper(short); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Solver.SolveUpper: %v", err)
 	}
-	if _, err := solver.ApplySGS(short); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Solver.ApplySGS: %v", err)
-	}
 	// One bad vector fails the whole batch before any dispatch.
-	if _, err := solver.SolveBatch([][]float64{full, short, full}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Solver.SolveBatch: %v", err)
+	ctx := context.Background()
+	if _, err := solver.SolveBlock(ctx, [][]float64{full, short, full}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("Solver.SolveBlock: %v", err)
 	}
 	// The Into-variants validate the same way, including solution vectors.
 	if err := solver.SolveInto(short, full); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Solver.SolveInto: %v", err)
 	}
-	if err := solver.SolveIntoCtx(context.Background(), full, short); !errors.Is(err, ErrDimension) {
+	if err := solver.SolveIntoCtx(ctx, full, short); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Solver.SolveIntoCtx: %v", err)
 	}
 	if err := solver.SolveUpperInto(full, short); !errors.Is(err, ErrDimension) {
@@ -290,17 +348,17 @@ func TestDimensionSentinelAcrossFacade(t *testing.T) {
 		t.Fatalf("Solver.ApplySGSInto: %v", err)
 	}
 	other := make([]float64, plan.N())
-	if err := solver.SolveBatchInto([][]float64{other, short}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Solver.SolveBatchInto short solution: %v", err)
+	if err := solver.SolveBlockInto(ctx, [][]float64{other, short}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("Solver.SolveBlockInto short solution: %v", err)
 	}
 	// Untouched: validation failed before any dispatch.
 	for i := range other {
 		if other[i] != 0 {
-			t.Fatal("SolveBatchInto wrote output despite failed validation")
+			t.Fatal("SolveBlockInto wrote output despite failed validation")
 		}
 	}
-	if err := solver.SolveUpperBatchInto([][]float64{full}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Solver.SolveUpperBatchInto length mismatch: %v", err)
+	if err := solver.SolveUpperBlockInto(ctx, [][]float64{full}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("Solver.SolveUpperBlockInto length mismatch: %v", err)
 	}
 	// Preconditioners validate too.
 	if err := NewJacobi(plan).Apply(full, short); !errors.Is(err, ErrDimension) {
@@ -319,11 +377,11 @@ func TestClosedSentinelAcrossFacade(t *testing.T) {
 	if _, err := solver.Solve(b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Solve after Close: %v", err)
 	}
-	if _, err := solver.SolveCtx(context.Background(), b); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SolveCtx after Close: %v", err)
+	if err := solver.SolveIntoCtx(context.Background(), b, b); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SolveIntoCtx after Close: %v", err)
 	}
-	if _, err := solver.SolveBatchCtx(context.Background(), [][]float64{b}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SolveBatchCtx after Close: %v", err)
+	if _, err := solver.SolveBlock(context.Background(), [][]float64{b, b}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SolveBlock after Close: %v", err)
 	}
 }
 
@@ -350,8 +408,15 @@ func TestPreconditionersMatchManualApplications(t *testing.T) {
 		}
 	}
 
-	// SGS: must equal Solver.ApplySGS bitwise.
-	want, err := solver.ApplySGS(r)
+	// SGS: forward sweep, diagonal scale, backward sweep, bitwise.
+	y, err := plan.SolveSequential(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range y {
+		y[i] *= d[i]
+	}
+	want, err := solver.SolveUpper(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +431,7 @@ func TestPreconditionersMatchManualApplications(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ic.Close()
-	y, err := ic.Factor().SolveSequential(r)
+	y, err = ic.Factor().SolveSequential(r)
 	if err != nil {
 		t.Fatal(err)
 	}

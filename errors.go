@@ -6,6 +6,7 @@ import (
 
 	"stsk/internal/panicsafe"
 	"stsk/internal/solve"
+	"stsk/internal/sparse"
 )
 
 // Sentinel errors of the v2 API. All of them are stable values matched
@@ -34,6 +35,12 @@ var (
 	// Refactor reuses every piece of symbolic work, so it can only accept
 	// new values for exactly the pattern the plan was built from.
 	ErrSparsityMismatch = errors.New("stsk: sparsity mismatch")
+
+	// ErrTooLarge reports a factor whose dimension or stored-entry count
+	// does not fit the 32-bit indices of the packed solve kernels. Build
+	// and ReadSnapshot refuse such a factor up front, so every Plan can be
+	// solved.
+	ErrTooLarge = sparse.ErrTooLarge
 
 	// ErrInternal reports a panic contained at an engine job boundary: a
 	// kernel (or anything it called) panicked and the recover barrier

@@ -38,7 +38,8 @@ func manufacturedRHS(p *Plan, nrhs int) ([][]float64, [][]float64) {
 
 // TestGraphScheduleBitwiseAllMethods is the facade acceptance gate: for
 // all four methods on grid3d and trimesh, graph-scheduled solves — single
-// and batched — must equal Plan.SolveSequential bit for bit.
+// and as width-1 whole panels — must equal Plan.SolveSequential bit for
+// bit.
 func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 	for _, class := range []string{"grid3d", "trimesh"} {
 		mat, err := Generate(class, 3000)
@@ -51,7 +52,7 @@ func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 				t.Fatalf("%s/%v: %v", class, m, err)
 			}
 			B, want := manufacturedRHS(p, 4)
-			s := p.NewSolver(WithWorkers(4), WithSchedule(GraphSchedule))
+			s := p.NewSolver(WithWorkers(4), WithBlockWidth(1))
 			for r := range B {
 				x, err := s.Solve(B[r])
 				if err != nil {
@@ -63,7 +64,7 @@ func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 					}
 				}
 			}
-			X, err := s.SolveBatch(B)
+			X, err := s.SolveBlock(context.Background(), B)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +81,8 @@ func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 }
 
 // TestGraphScheduleConcurrentBatches hammers one graph-scheduled Solver
-// with concurrent batches from many goroutines — the facade race gate.
+// with concurrent multi-panel calls and single solves from many
+// goroutines — the facade race gate.
 func TestGraphScheduleConcurrentBatches(t *testing.T) {
 	mat, err := Generate("trimesh", 1500)
 	if err != nil {
@@ -91,7 +93,7 @@ func TestGraphScheduleConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 6)
-	s := p.NewSolver(WithWorkers(4), WithSchedule(GraphSchedule))
+	s := p.NewSolver(WithWorkers(4), WithBlockWidth(2))
 	defer s.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -100,7 +102,7 @@ func TestGraphScheduleConcurrentBatches(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 4; it++ {
 				if g%2 == 0 {
-					X, err := s.SolveBatchCtx(context.Background(), B)
+					X, err := s.SolveBlock(context.Background(), B)
 					if err != nil {
 						t.Error(err)
 						return
@@ -132,40 +134,34 @@ func TestGraphScheduleConcurrentBatches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDefaultScheduleResolvesToGraph checks the "default when it wins"
-// rule on a matrix whose DAG is unmistakably wide (independent diagonal
-// blocks): with several workers the default must pick the graph schedule,
-// and with one worker it must not.
+// TestDefaultScheduleResolvesToGraph: every solver of more than one
+// worker schedules over the plan's one task DAG — built lazily and shared
+// — and a one-worker solver needs none, so building it leaves the DAG
+// unbuilt.
 func TestDefaultScheduleResolvesToGraph(t *testing.T) {
 	mat := blockDiagMatrix(8, gen.Grid2D(30, 30))
 	p, err := Build(mat, STS3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi := p.taskDAG().Parallelism(); pi < 1.5 {
+	if opts := p.solveOptions(applyOptions([]Option{WithWorkers(1)})); opts.Graph != nil || p.dag != nil {
+		t.Fatal("one-worker solver built the task DAG")
+	}
+	opts := p.solveOptions(applyOptions([]Option{WithWorkers(4)}))
+	if opts.Graph == nil || opts.Graph != p.taskDAG() {
+		t.Fatal("4-worker solver does not get the plan's task DAG")
+	}
+	if again := p.solveOptions(applyOptions([]Option{WithWorkers(2)})); again.Graph != opts.Graph {
+		t.Fatal("solvers do not share one task DAG")
+	}
+	if pi := opts.Graph.Parallelism(); pi < 1.5 {
 		t.Fatalf("block-diagonal DAG parallelism %.2f, want >= 1.5", pi)
-	}
-	if !p.graphWins() {
-		t.Fatal("graphWins false on a block-diagonal DAG")
-	}
-	if opts := p.lowerSolve(applyOptions([]Option{WithWorkers(4)})); opts.Schedule.String() != "graph" {
-		t.Fatalf("default schedule %v with 4 workers, want graph", opts.Schedule)
-	}
-	if opts := p.lowerSolve(applyOptions([]Option{WithWorkers(1)})); opts.Schedule.String() == "graph" {
-		t.Fatal("graph schedule chosen for a single worker")
-	}
-	// Explicit choices always pass through.
-	if opts := p.lowerSolve(applyOptions([]Option{WithWorkers(1), WithSchedule(GraphSchedule)})); opts.Schedule.String() != "graph" {
-		t.Fatalf("explicit GraphSchedule ignored: %v", opts.Schedule)
-	}
-	if opts := p.lowerSolve(applyOptions([]Option{WithWorkers(4), WithSchedule(GuidedSchedule)})); opts.Schedule.String() != "guided" {
-		t.Fatalf("explicit GuidedSchedule ignored: %v", opts.Schedule)
 	}
 }
 
 // TestSolverSteadyStateAllocs asserts the facade satellite: warm solvers
-// run Into-style solves — cooperative and batched, barrier and graph —
-// without allocating.
+// run Into-style solves — single, whole-panel batches and the SGS
+// application, at one worker and on the pool — without allocating.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	testmat.SkipIfRace(t)
 	mat, err := Generate("grid3d", 2000)
@@ -183,18 +179,19 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	}
 	x := make([]float64, p.N())
 	z := make([]float64, p.N())
+	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
 		s    *Solver
 	}{
-		{"barrier", p.NewSolver(WithWorkers(4), WithSchedule(GuidedSchedule))},
-		{"graph", p.NewSolver(WithWorkers(4), WithSchedule(GraphSchedule))},
+		{"one-worker", p.NewSolver(WithWorkers(1), WithBlockWidth(1))},
+		{"graph", p.NewSolver(WithWorkers(4), WithBlockWidth(1))},
 	} {
 		for i := 0; i < 3; i++ { // warm pools, scratch, lazy transpose
 			if err := tc.s.SolveInto(x, B[0]); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.s.SolveBatchInto(X, B); err != nil {
+			if err := tc.s.SolveBlockInto(ctx, X, B); err != nil {
 				t.Fatal(err)
 			}
 			if err := tc.s.ApplySGSInto(z, B[0]); err != nil {
@@ -209,11 +206,11 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: SolveInto allocates %.1f/op, want 0", tc.name, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if err := tc.s.SolveBatchInto(X, B); err != nil {
+			if err := tc.s.SolveBlockInto(ctx, X, B); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s: SolveBatchInto allocates %.1f/op, want 0", tc.name, n)
+			t.Errorf("%s: SolveBlockInto allocates %.1f/op, want 0", tc.name, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
 			if err := tc.s.ApplySGSInto(z, B[0]); err != nil {

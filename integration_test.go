@@ -40,7 +40,7 @@ func TestEndToEndMatrixMarketPipeline(t *testing.T) {
 			xTrue[i] = math.Cos(float64(i))
 		}
 		b := plan.RHSFor(xTrue)
-		x, err := plan.SolveWith(b, WithWorkers(4))
+		x, err := solveWith(plan, b, WithWorkers(4))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}

@@ -13,8 +13,8 @@
 //     installs such a defer (e.g. the engine's workerLoop).
 //  3. It launches a function from the panicsafe package itself.
 //  4. It is annotated `//stsk:allow-bare-go` — reserved for bounded
-//     build-time fan-outs (graph coloring, SpMV workers) whose panics
-//     must surface to the caller rather than be contained.
+//     fan-outs (graph coloring, the Barrier reference runner) whose
+//     panics must surface to the caller rather than be contained.
 //
 // Everything else is a diagnostic: the goroutine would crash the daemon
 // on the first kernel or plumbing panic it meets.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,12 +78,13 @@ func solveBenchMatrix(class string, n int) (*sparse.CSR, error) {
 }
 
 // SolveBench measures wall-clock forward solves for every method on the
-// standard benchmark matrices under three schedules — sequential (one
-// worker), the paper's barrier pairing, and the dependency-driven graph
-// schedule — plus the multi-RHS blocksolve cells: a 32-RHS batch driven
-// through the scalar batched path (width 1) and the blocked panel
-// kernels at widths 2, 4 and 8, reported as per-RHS throughput and
-// steady-state allocations. A human-readable table goes to r.Out; the
+// standard benchmark matrices in three lanes — sequential (a one-worker
+// engine), the paper's barrier pairing (the solve.Barrier reference
+// runner: fresh goroutines and the CSR kernel per solve), and the
+// engine's cooperative sweep over the task DAG ("graph") — plus the
+// multi-RHS blocksolve cells: a 32-RHS batch driven through whole-panel
+// jobs of width 1 ("batched") and the blocked panel kernels at widths 2,
+// 4 and 8, reported as per-RHS throughput and steady-state allocations. A human-readable table goes to r.Out; the
 // returned report is what stsbench serialises to BENCH_stsk.json.
 func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 	workers := runtime.GOMAXPROCS(0)
@@ -109,31 +111,24 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 			}
 			dag := order.BuildTaskDAG(p.S, order.TaskDAGOptions{})
 			rhs := sparse.RHSForSolution(p.S.L, make([]float64, p.S.L.N))
-			for _, sc := range []struct {
-				name string
-				opts solve.Options
-			}{
-				{"sequential", solve.Options{Workers: 1}},
-				{"barrier", solve.DefaultsFor(m.UsesSuperRows(), workers)},
-				{"graph", solve.Options{Workers: workers, Schedule: solve.Graph, Graph: dag}},
-			} {
-				res, err := measureSolve(p.S, rhs, sc.opts)
+			for _, lane := range []string{"sequential", "barrier", "graph"} {
+				res, err := measureLane(p, dag, rhs, lane, workers)
 				if err != nil {
 					return nil, err
 				}
 				res.Matrix, res.N, res.NNZ = class, mat.N, mat.NNZ()
-				res.Method, res.Schedule = m.String(), sc.name
-				if sc.name == "graph" {
+				res.Method, res.Schedule = m.String(), lane
+				if lane == "graph" {
 					res.Tasks = dag.NumTasks()
 					res.Edges = dag.NumEdges()
 					res.Parallelism = dag.Parallelism()
 				}
 				report.Results = append(report.Results, res)
 				fmt.Fprintf(r.Out, "%-8s %-9s %-10s %12.0f %14.0f %10.2f\n",
-					class, m, sc.name, res.NsPerOp, res.SolvesPerSec, res.AllocsPerOp)
+					class, m, lane, res.NsPerOp, res.SolvesPerSec, res.AllocsPerOp)
 			}
 			for _, width := range []int{1, 2, 4, 8} {
-				res, err := measureBlockSolve(p.S, workers, width)
+				res, err := measureBlockSolve(p.S, dag, workers, width)
 				if err != nil {
 					return nil, err
 				}
@@ -150,12 +145,15 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 }
 
 // measureBlockSolve times a 32-RHS batch through the block path at the
-// given panel width on a persistent engine (width 1 measures the scalar
-// batched path as the baseline the panels amortise against). Reported
-// ns/op and solves/s are per right-hand side.
-func measureBlockSolve(st *csrk.Structure, workers, width int) (SolveBenchResult, error) {
+// given panel width on a persistent engine (width 1 measures whole-panel
+// jobs of one vector each, the baseline the panels amortise against).
+// Reported ns/op and solves/s are per right-hand side.
+func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int) (SolveBenchResult, error) {
 	const nrhs = 32
-	e := solve.NewEngine(st, solve.Options{Workers: workers, BlockWidth: width})
+	e, err := solve.NewEngine(solve.NewValues(st), solve.Options{Workers: workers, Graph: dag, BlockWidth: width})
+	if err != nil {
+		return SolveBenchResult{}, err
+	}
 	defer e.Close()
 	n := st.L.N
 	B := make([][]float64, nrhs)
@@ -168,12 +166,9 @@ func measureBlockSolve(st *csrk.Structure, workers, width int) (SolveBenchResult
 		B[i] = sparse.RHSForSolution(st.L, x)
 		X[i] = make([]float64, n)
 	}
-	run := func() error {
-		if width == 1 {
-			return e.SolveBatchInto(X, B)
-		}
-		return e.SolveBlockInto(X, B, width)
-	}
+	//stsk:allow-background (benchmark loop: there is no caller request to inherit from)
+	ctx := context.Background()
+	run := func() error { return e.SolveBlockIntoCtx(ctx, X, B, width) }
 	for i := 0; i < 3; i++ { // warm pools and panel scratch
 		if err := run(); err != nil {
 			return SolveBenchResult{}, err
@@ -210,16 +205,41 @@ func measureBlockSolve(st *csrk.Structure, workers, width int) (SolveBenchResult
 	}, nil
 }
 
-// measureSolve times repeated cooperative solves on a persistent engine
-// until enough samples accumulate, and reads steady-state allocations
-// from the runtime's malloc counter (warm-up solves are excluded, so a
-// healthy engine reports ~0).
-func measureSolve(st *csrk.Structure, rhs []float64, opts solve.Options) (SolveBenchResult, error) {
-	e := solve.NewEngine(st, opts)
+// measureLane times one single-vector solve lane: "sequential" and
+// "graph" on a persistent engine of one and of workers goroutines, and
+// "barrier" on the solve.Barrier reference runner with the paper's
+// schedule pairing for the plan's method.
+func measureLane(p *order.Plan, dag *csrk.TaskDAG, rhs []float64, lane string, workers int) (SolveBenchResult, error) {
+	if lane == "barrier" {
+		opts := solve.DefaultsFor(p.Method.UsesSuperRows(), workers)
+		return measureSolve(p.S.L.N, workers, rhs, func(x, b []float64) error {
+			return solve.Barrier(x, p.S, b, opts)
+		})
+	}
+	opts := solve.Options{Workers: 1}
+	if lane == "graph" {
+		opts = solve.Options{Workers: workers, Graph: dag}
+	}
+	e, err := solve.NewEngine(solve.NewValues(p.S), opts)
+	if err != nil {
+		return SolveBenchResult{}, err
+	}
 	defer e.Close()
-	x := make([]float64, st.L.N)
-	for i := 0; i < 3; i++ { // warm pools and per-worker scratch
-		if err := e.SolveInto(x, rhs); err != nil {
+	//stsk:allow-background (benchmark loop: there is no caller request to inherit from)
+	ctx := context.Background()
+	return measureSolve(p.S.L.N, e.Workers(), rhs, func(x, b []float64) error {
+		return e.SolveIntoCtx(ctx, x, b)
+	})
+}
+
+// measureSolve times repeated single-vector solves until enough samples
+// accumulate, and reads steady-state allocations from the runtime's
+// malloc counter (warm-up solves are excluded, so a pooled engine reports
+// ~0).
+func measureSolve(n, workers int, rhs []float64, solveInto func(x, b []float64) error) (SolveBenchResult, error) {
+	x := make([]float64, n)
+	for i := 0; i < 3; i++ { // warm pools and packed layouts
+		if err := solveInto(x, rhs); err != nil {
 			return SolveBenchResult{}, err
 		}
 	}
@@ -229,7 +249,7 @@ func measureSolve(st *csrk.Structure, rhs []float64, opts solve.Options) (SolveB
 	start := time.Now()
 	ops := 0
 	for ops == 0 || (time.Since(start) < benchMinDuration && ops < maxOps) {
-		if err := e.SolveInto(x, rhs); err != nil {
+		if err := solveInto(x, rhs); err != nil {
 			return SolveBenchResult{}, err
 		}
 		ops++
@@ -238,7 +258,7 @@ func measureSolve(st *csrk.Structure, rhs []float64, opts solve.Options) (SolveB
 	runtime.ReadMemStats(&after)
 	ns := float64(elapsed.Nanoseconds()) / float64(ops)
 	return SolveBenchResult{
-		Workers:      e.Workers(),
+		Workers:      workers,
 		NsPerOp:      ns,
 		SolvesPerSec: 1e9 / ns,
 		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(ops),

@@ -10,7 +10,8 @@ import (
 	"stsk/internal/sparse"
 )
 
-// Wallclock times the real goroutine solver over the suite — the
+// Wallclock times the paper's goroutine solver — the solve.Barrier
+// reference runner, fresh goroutines per solve — over the suite: the
 // secondary, unpinned signal (DESIGN.md §2). Times are the mean of
 // `repeats` solves after one warm-up, mirroring the paper's average of 10
 // repetitions with pre-processing excluded (§4.1).
@@ -53,7 +54,7 @@ func timeSolve(p *order.Plan, workers, repeats int) (time.Duration, error) {
 	}
 	x := make([]float64, p.S.L.N)
 	// Warm-up and correctness gate.
-	if err := solve.ParallelInto(x, p.S, b, opts); err != nil {
+	if err := solve.Barrier(x, p.S, b, opts); err != nil {
 		return 0, err
 	}
 	if res := sparse.Residual(p.S.L, x, b); res > 1e-6 {
@@ -61,7 +62,7 @@ func timeSolve(p *order.Plan, workers, repeats int) (time.Duration, error) {
 	}
 	start := time.Now()
 	for i := 0; i < repeats; i++ {
-		if err := solve.ParallelInto(x, p.S, b, opts); err != nil {
+		if err := solve.Barrier(x, p.S, b, opts); err != nil {
 			return 0, err
 		}
 	}

@@ -75,8 +75,8 @@ func (d *TaskDAG) CriticalPath() int {
 
 // Parallelism returns tasks / critical path — the average number of tasks
 // runnable concurrently under an ideal point-to-point schedule. A plain
-// chain scores 1; the graph schedule is worth switching to when this
-// comfortably exceeds 1.
+// chain scores 1; the wider the DAG, the more workers a cooperative solve
+// can keep busy.
 func (d *TaskDAG) Parallelism() float64 {
 	if d.NumTasks() == 0 {
 		return 0

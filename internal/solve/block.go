@@ -197,56 +197,3 @@ func solvePackedUpperRowsBlock(p *sparse.Packed, X, B []float64, kw, lo, hi int)
 		}
 	}
 }
-
-// solveRowsBlock is the CSR fallback of solvePackedRowsBlock, for factors
-// whose indices overflow the packed 32-bit layout. The diagonal entry is
-// last in each row (the csrk invariant).
-//
-//stsk:noalloc
-func solveRowsBlock(rowPtr, col []int, val, X, B []float64, kw, lo, hi int) {
-	var s [maxBlockWidth]float64
-	for i := lo; i < hi; i++ {
-		for j := 0; j < kw; j++ {
-			s[j] = 0
-		}
-		end := rowPtr[i+1] - 1
-		for k := rowPtr[i]; k < end; k++ {
-			v := val[k]
-			c := col[k] * kw
-			for j := 0; j < kw; j++ {
-				s[j] += v * X[c+j]
-			}
-		}
-		d := val[end]
-		o := i * kw
-		for j := 0; j < kw; j++ {
-			X[o+j] = (B[o+j] - s[j]) / d
-		}
-	}
-}
-
-// solveUpperRowsBlock is the CSR fallback of solvePackedUpperRowsBlock.
-// The diagonal entry leads each row of the transposed factor.
-//
-//stsk:noalloc
-func solveUpperRowsBlock(rowPtr, col []int, val, X, B []float64, kw, lo, hi int) {
-	var s [maxBlockWidth]float64
-	for i := hi - 1; i >= lo; i-- {
-		for j := 0; j < kw; j++ {
-			s[j] = 0
-		}
-		first := rowPtr[i]
-		for k := first + 1; k < rowPtr[i+1]; k++ {
-			v := val[k]
-			c := col[k] * kw
-			for j := 0; j < kw; j++ {
-				s[j] += v * X[c+j]
-			}
-		}
-		d := val[first]
-		o := i * kw
-		for j := 0; j < kw; j++ {
-			X[o+j] = (B[o+j] - s[j]) / d
-		}
-	}
-}

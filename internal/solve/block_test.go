@@ -9,45 +9,27 @@ import (
 	"stsk/internal/testmat"
 )
 
-// blockEngines returns one engine per schedule the panel path must thread
-// through: the paper's barrier pairing and the dependency-driven graph
-// schedule (a fine-grained DAG so small corpus matrices still exercise
-// real task graphs).
-func blockEngines(p *order.Plan, workers int) []struct {
-	name string
-	e    *Engine
-} {
-	return []struct {
-		name string
-		e    *Engine
-	}{
-		{"barrier", NewEngine(p.S, Options{Workers: workers, Schedule: Guided})},
-		{"graph", graphEngine(p, workers)},
-	}
-}
-
 // TestEngineSolveBlockBitwise is the engine-level panel acceptance gate:
-// for every corpus matrix, method, schedule and batch size 1..9, each
-// column of SolveBlockInto must equal Sequential bit for bit.
+// for every corpus matrix, method, worker count and batch size 1..9 —
+// cooperative single panels and whole-panel splits alike — each column
+// of SolveBlockIntoCtx must equal Sequential bit for bit.
 func TestEngineSolveBlockBitwise(t *testing.T) {
 	for _, ent := range testmat.Corpus() {
 		for _, m := range order.Methods() {
 			p := planFor(t, ent.A, m)
 			B, want := randomRHS(p, 9, 77)
-			for _, sched := range blockEngines(p, 4) {
+			for _, workers := range []int{1, 4} {
+				e := newEngine(t, p, workers)
 				for k := 1; k <= len(B); k++ {
-					X := make([][]float64, k)
-					for i := range X {
-						X[i] = make([]float64, ent.A.N)
-					}
-					if err := sched.e.SolveBlockInto(X, B[:k], 0); err != nil {
-						t.Fatalf("%s/%v/%s/k=%d: %v", ent.Name, m, sched.name, k, err)
+					X := make2d(k, ent.A.N)
+					if err := e.SolveBlockIntoCtx(context.Background(), X, B[:k], 0); err != nil {
+						t.Fatalf("%s/%v/w%d/k=%d: %v", ent.Name, m, workers, k, err)
 					}
 					for r := 0; r < k; r++ {
-						assertBitwise(t, ent.Name+"/"+m.String()+"/"+sched.name, X[r], want[r])
+						assertBitwise(t, ent.Name+"/"+m.String(), X[r], want[r])
 					}
 				}
-				sched.e.Close()
+				e.Close()
 			}
 		}
 	}
@@ -61,19 +43,16 @@ func TestEngineSolveBlockWidths(t *testing.T) {
 	a := testmat.TriMesh(12)
 	p := planFor(t, a, order.STS3)
 	B, want := randomRHS(p, 9, 5)
-	e := NewEngine(p.S, Options{Workers: 3})
+	e := newEngine(t, p, 3)
 	defer e.Close()
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, a.N)
-	}
+	X := make2d(len(B), a.N)
 	for _, width := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64} {
 		for i := range X {
 			for j := range X[i] {
 				X[i][j] = 0
 			}
 		}
-		if err := e.SolveBlockInto(X, B, width); err != nil {
+		if err := e.SolveBlockIntoCtx(context.Background(), X, B, width); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		for r := range X {
@@ -82,34 +61,29 @@ func TestEngineSolveBlockWidths(t *testing.T) {
 	}
 }
 
-// TestEngineSolveUpperBlockBitwise checks the blocked backward sweep
-// against the scalar one-worker backward solve, both schedules.
+// TestEngineSolveUpperBlockBitwise checks the blocked backward sweep —
+// cooperative panels of every kernel width and whole-panel splits —
+// against the backward-substitution oracle bit for bit.
 func TestEngineSolveUpperBlockBitwise(t *testing.T) {
 	for _, ent := range testmat.Corpus() {
 		p := planFor(t, ent.A, order.STS3)
-		us, err := NewUpperSolver(p.S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		B, _ := randomRHS(p, 5, 19)
+		B, _ := randomRHS(p, 9, 19)
 		want := make([][]float64, len(B))
 		for r := range B {
-			if want[r], err = us.Solve(B[r], Options{Workers: 1}); err != nil {
-				t.Fatal(err)
-			}
+			want[r] = upperRef(t, p.S, B[r])
 		}
-		for _, sched := range blockEngines(p, 4) {
-			X := make([][]float64, len(B))
-			for i := range X {
-				X[i] = make([]float64, ent.A.N)
+		for _, workers := range []int{1, 4} {
+			e := newEngine(t, p, workers)
+			for _, k := range []int{2, 4, 5, 8, 9} {
+				X := make2d(k, ent.A.N)
+				if err := e.SolveUpperBlockIntoCtx(context.Background(), X, B[:k], 0); err != nil {
+					t.Fatalf("%s/w%d/k=%d: %v", ent.Name, workers, k, err)
+				}
+				for r := range X {
+					assertBitwise(t, ent.Name+"/upper", X[r], want[r])
+				}
 			}
-			if err := sched.e.SolveUpperBlockInto(X, B, 0); err != nil {
-				t.Fatalf("%s/%s: %v", ent.Name, sched.name, err)
-			}
-			for r := range X {
-				assertBitwise(t, ent.Name+"/upper/"+sched.name, X[r], want[r])
-			}
-			sched.e.Close()
+			e.Close()
 		}
 	}
 }
@@ -120,13 +94,13 @@ func TestEngineSolveBlockInPlace(t *testing.T) {
 	a := testmat.Grid3D(5)
 	p := planFor(t, a, order.STS3)
 	B, want := randomRHS(p, 8, 3)
-	e := NewEngine(p.S, Options{Workers: 3})
+	e := newEngine(t, p, 3)
 	defer e.Close()
 	aliased := make([][]float64, len(B))
 	for r := range B {
 		aliased[r] = append([]float64(nil), B[r]...)
 	}
-	if err := e.SolveBlockInto(aliased, aliased, 0); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased, 0); err != nil {
 		t.Fatal(err)
 	}
 	for r := range aliased {
@@ -141,7 +115,8 @@ func TestEngineSolveBlockInPlace(t *testing.T) {
 func TestEngineBlockValidation(t *testing.T) {
 	a := testmat.Grid3D(4)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
+	ctx := context.Background()
 	n := a.N
 	good := func() [][]float64 {
 		v := make([][]float64, 3)
@@ -164,10 +139,10 @@ func TestEngineBlockValidation(t *testing.T) {
 			name string
 			call func(X, B [][]float64) error
 		}{
-			{"block", func(X, B [][]float64) error { return e.SolveBlockInto(X, B, 0) }},
-			{"upper-block", func(X, B [][]float64) error { return e.SolveUpperBlockInto(X, B, 0) }},
-			{"batch", e.SolveBatchInto},
-			{"upper-batch", e.SolveUpperBatchInto},
+			{"block", func(X, B [][]float64) error { return e.SolveBlockIntoCtx(ctx, X, B, 0) }},
+			{"upper-block", func(X, B [][]float64) error { return e.SolveUpperBlockIntoCtx(ctx, X, B, 0) }},
+			{"batch", func(X, B [][]float64) error { return e.SolveBlockIntoCtx(ctx, X, B, 1) }},
+			{"upper-batch", func(X, B [][]float64) error { return e.SolveUpperBlockIntoCtx(ctx, X, B, 1) }},
 		} {
 			err := path.call(tc.X, tc.B)
 			if !errors.Is(err, ErrDimension) {
@@ -176,11 +151,11 @@ func TestEngineBlockValidation(t *testing.T) {
 		}
 	}
 	e.Close()
-	if err := e.SolveBlockInto(good(), good(), 0); !errors.Is(err, ErrClosed) {
+	if err := e.SolveBlockIntoCtx(ctx, good(), good(), 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("block after close: %v, want ErrClosed", err)
 	}
-	if err := e.SolveBlockIntoCtx(context.Background(), good(), good(), 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("block ctx after close: %v, want ErrClosed", err)
+	if err := e.SolveBlockIntoCtx(ctx, good(), good(), 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("whole-panel block after close: %v, want ErrClosed", err)
 	}
 }
 
@@ -189,13 +164,10 @@ func TestEngineBlockValidation(t *testing.T) {
 func TestEngineBlockCtxCancelled(t *testing.T) {
 	a := testmat.Grid3D(4)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	defer e.Close()
 	B, want := randomRHS(p, 3, 9)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, a.N)
-	}
+	X := make2d(len(B), a.N)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := e.SolveBlockIntoCtx(ctx, X, B, 0); !errors.Is(err, context.Canceled) {
@@ -215,25 +187,26 @@ func TestEngineBlockSteadyStateAllocs(t *testing.T) {
 	testmat.SkipIfRace(t)
 	a := testmat.Grid3D(6)
 	p := planFor(t, a, order.STS3)
-	B, _ := randomRHS(p, 8, 13)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, a.N)
-	}
-	for _, sched := range blockEngines(p, 3) {
+	B, _ := randomRHS(p, 12, 13)
+	X := make2d(len(B), a.N)
+	ctx := context.Background()
+	e := newEngine(t, p, 3)
+	defer e.Close()
+	// 8 columns form one cooperative panel; 12 split into whole panels of
+	// 8 and 4, each swept by one worker.
+	for _, k := range []int{8, 12} {
 		for i := 0; i < 3; i++ { // warm panel scratch and the pool
-			if err := sched.e.SolveBlockInto(X, B, 0); err != nil {
+			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if err := sched.e.SolveBlockInto(X, B, 0); err != nil {
+			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k], 0); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s: SolveBlockInto allocates %.1f/op, want 0", sched.name, n)
+			t.Errorf("k=%d: SolveBlockIntoCtx allocates %.1f/op, want 0", k, n)
 		}
-		sched.e.Close()
 	}
 }
 

@@ -14,18 +14,17 @@ import (
 	"stsk/internal/order"
 )
 
+// TestEngineBatchCtxPreCancelled: a multi-panel call under a dead
+// context dispatches nothing and leaves the engine usable.
 func TestEngineBatchCtxPreCancelled(t *testing.T) {
 	p := planFor(t, gen.Grid2D(20, 20), order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	defer e.Close()
 	B, want := randomRHS(p, 4, 5)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, p.S.L.N)
-	}
+	X := make2d(len(B), p.S.L.N)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.SolveBatchIntoCtx(ctx, X, B); !errors.Is(err, context.Canceled) {
+	if err := e.SolveBlockIntoCtx(ctx, X, B, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// No job was dispatched, so no solution vector may have been touched.
@@ -37,7 +36,7 @@ func TestEngineBatchCtxPreCancelled(t *testing.T) {
 		}
 	}
 	// The engine stays fully usable.
-	if err := e.SolveBatchInto(X, B); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), X, B, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range X {
@@ -47,7 +46,7 @@ func TestEngineBatchCtxPreCancelled(t *testing.T) {
 
 func TestEngineCoopCtxDeadline(t *testing.T) {
 	p := planFor(t, gen.Grid2D(20, 20), order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	defer e.Close()
 	b := make([]float64, p.S.L.N)
 	x := make([]float64, p.S.L.N)
@@ -59,76 +58,29 @@ func TestEngineCoopCtxDeadline(t *testing.T) {
 	if err := e.SolveUpperIntoCtx(ctx, x, b); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("backward: err = %v, want DeadlineExceeded", err)
 	}
-	if err := e.SolveInto(x, b); err != nil {
+	if err := e.SolveIntoCtx(context.Background(), x, b); err != nil {
 		t.Fatalf("engine unusable after expired-deadline solves: %v", err)
 	}
 }
 
-func TestEngineSolveManyCtxMidStreamCancel(t *testing.T) {
-	p := planFor(t, gen.Grid3D(6, 6, 6), order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
-	defer e.Close()
-	B, want := randomRHS(p, 3, 23)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	bs := make(chan []float64)
-	go func() {
-		// Feed forever; only cancellation ends this stream.
-		for i := 0; ; i++ {
-			select {
-			case bs <- B[i%len(B)]:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	out := e.SolveManyCtx(ctx, bs)
-	first, ok := <-out
-	if !ok || first.Err != nil {
-		t.Fatalf("first result: %+v ok=%v", first, ok)
-	}
-	assertBitwise(t, "first streamed", first.X, want[0])
-	cancel()
-
-	// The in-flight tail drains, then a final result carries ctx.Err()
-	// and the channel closes — even though bs never closes.
-	var last Result
-	n := 0
-	for r := range out {
-		last = r
-		n++
-		if n > 4*e.Workers()+4 {
-			t.Fatal("stream did not terminate after cancellation")
-		}
-	}
-	if !errors.Is(last.Err, context.Canceled) {
-		t.Fatalf("last result err = %v, want context.Canceled", last.Err)
-	}
-
-	// The pool is unaffected: a fresh solve still works.
-	x := make([]float64, p.S.L.N)
-	if err := e.SolveInto(x, B[1]); err != nil {
-		t.Fatal(err)
-	}
-	assertBitwise(t, "post-cancel solve", x, want[1])
-}
-
 func TestEngineDimensionSentinel(t *testing.T) {
 	p := planFor(t, gen.Grid2D(12, 12), order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	defer e.Close()
+	ctx := context.Background()
 	n := p.S.L.N
 	short := make([]float64, n-1)
 	full := make([]float64, n)
-	if err := e.SolveInto(full, short); !errors.Is(err, ErrDimension) {
+	if err := e.SolveIntoCtx(ctx, full, short); !errors.Is(err, ErrDimension) {
 		t.Fatalf("coop short rhs: %v", err)
 	}
-	if err := e.SolveBatchInto([][]float64{full}, [][]float64{short}); !errors.Is(err, ErrDimension) {
+	if err := e.SolveUpperIntoCtx(ctx, short, full); !errors.Is(err, ErrDimension) {
+		t.Fatalf("upper short x: %v", err)
+	}
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{short}, 0); !errors.Is(err, ErrDimension) {
 		t.Fatalf("batch short rhs: %v", err)
 	}
-	if err := e.SolveBatchInto([][]float64{full}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{full, full}, 0); !errors.Is(err, ErrDimension) {
 		t.Fatalf("batch length mismatch: %v", err)
 	}
 	if _, err := Sequential(p.S, short); !errors.Is(err, ErrDimension) {
@@ -138,14 +90,15 @@ func TestEngineDimensionSentinel(t *testing.T) {
 
 func TestEngineClosedSentinel(t *testing.T) {
 	p := planFor(t, gen.Grid2D(12, 12), order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	e.Close()
+	ctx := context.Background()
 	b := make([]float64, p.S.L.N)
 	x := make([]float64, p.S.L.N)
-	if err := e.SolveInto(x, b); !errors.Is(err, ErrClosed) {
+	if err := e.SolveIntoCtx(ctx, x, b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("coop after close: %v", err)
 	}
-	if err := e.SolveBatchInto([][]float64{x}, [][]float64{b}); !errors.Is(err, ErrClosed) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{x, x}, [][]float64{b, b}, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after close: %v", err)
 	}
 }

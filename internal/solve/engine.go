@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,44 +26,50 @@ var (
 	ErrDimension = errors.New("solve: dimension mismatch")
 )
 
-// Engine is a reusable pack-parallel triangular solver bound to one
-// csrk.Structure. Where Parallel spins up fresh goroutines for every
-// right-hand side, an Engine starts its worker pool once and parks the
-// workers on a job channel between solves, so the per-solve cost is a
-// handful of channel operations instead of goroutine creation — the
-// "preprocessing amortised over many right-hand sides" setting of the
-// paper (§4.1) applied to the runtime as well as the ordering.
+// Options configures an Engine.
+type Options struct {
+	// Workers is the number of pool goroutines; defaults to GOMAXPROCS.
+	Workers int
+	// Graph is the structure's dependency DAG, built once at plan time by
+	// order.BuildTaskDAG. Cooperative solves schedule its tasks point to
+	// point; an engine with more than one worker requires it.
+	Graph *csrk.TaskDAG
+	// BlockWidth is the default panel width of the blocked multi-vector
+	// solves (SolveBlockIntoCtx and SolveUpperBlockIntoCtx): right-hand
+	// sides are grouped into row-major panels of up to this many columns
+	// and the matrix is traversed once per panel instead of once per
+	// vector. 0 selects the widest unrolled kernel (8); widths round down
+	// to {8, 4, 2}; 1 disables panelling.
+	BlockWidth int
+}
+
+// Engine is the one executor of the solve layer: a persistent worker pool
+// bound to one value-epoch sequence, started once and parked on a job
+// channel between solves — the "preprocessing amortised over many
+// right-hand sides" setting of the paper (§4.1) applied to the runtime as
+// well as the ordering.
 //
-// An Engine supports three solve shapes:
+// Every solve is a row-major panel of k right-hand sides (k = 1 is one
+// vector). A call that forms a single panel is swept cooperatively: all
+// workers claim tasks of the plan's TaskDAG as their predecessors finish
+// (graphRun), so independent subtrees never synchronise. Cooperative
+// solves are serialised internally; callers may issue them concurrently.
+// A call that carves into several panels hands each panel whole to one
+// worker, which sweeps it start to finish in row order, so distinct
+// panels pipeline through the pack levels side by side. Every row's dot
+// product runs in Sequential's order on either path, so all results are
+// bitwise identical to Sequential.
 //
-//   - Cooperative solves (SolveInto, SolveUpperInto): one right-hand side,
-//     all workers sweep the packs together under the configured OpenMP-style
-//     schedule, exactly like Parallel. Cooperative solves are serialised
-//     internally; callers may invoke them concurrently.
-//   - Batch solves (SolveBatch, SolveBatchInto, ApplySGSBatch): many
-//     independent right-hand sides. Each RHS becomes one job that a single
-//     worker sweeps sequentially with no barriers, so distinct vectors
-//     pipeline through the pack levels concurrently — while worker 0 is in
-//     the last pack of RHS 3, worker 1 is in the first pack of RHS 4.
-//   - Streaming solves (SolveMany): batch semantics over a channel of
-//     right-hand sides, with results delivered in input order and a bounded
-//     number of solves in flight.
-//
-// Every shape performs each row's dot product in the same order, so all
-// results are bitwise identical to Sequential.
-//
-// The numeric side of the factor lives in a Values epoch sequence
-// (NewEngineVals): each dispatch loads the current epoch exactly once and
-// threads it through the sweep, so Values.Swap (a numeric
-// refactorization) never tears an in-flight solve — old dispatches finish
-// on the old values, new dispatches see the new ones, and the hot path
-// takes no locks for it.
+// Each dispatch pins the current value epoch exactly once and threads it
+// through the sweep, so Values.Swap (a numeric refactorization) never
+// tears an in-flight solve — old dispatches finish on the old values, new
+// dispatches see the new ones, and the hot path takes no locks for it.
 //
 // Engines are safe for concurrent use, including Close racing in-flight
 // solves: solves already dispatched complete, later ones return
 // ErrClosed.
 type Engine struct {
-	s    *csrk.Structure // epoch-0 structure: the pack/super-row geometry, shared by every epoch
+	s    *csrk.Structure // the pack/super-row geometry, shared by every epoch
 	vals *Values         // the value-epoch sequence the kernels sweep
 	n    int             // system dimension
 	opts Options
@@ -72,60 +79,41 @@ type Engine struct {
 	closeMu  sync.RWMutex
 	closed   bool
 
-	// Steady-state allocation elimination: whole-RHS jobs, batch
-	// completion trackers, stream completion channels and panel scratch
-	// are pooled per engine, so batch, stream and block solves stop
-	// allocating once warm. The pools are typed wrappers (pool.go) so the
+	// Steady-state allocation elimination: panel jobs, call completion
+	// trackers and panel scratch are pooled per engine, so warm solves stop
+	// allocating. The pools are typed wrappers (pool.go) so the
 	// //stsk:noalloc dispatch paths never convert through `any`.
 	jobPool   wholeJobPool
 	runPool   batchRunPool
-	errcPool  errcPool
 	panelPool panelPool
 
 	// Cooperative-solve state, reused across solves under solveMu.
 	solveMu sync.Mutex
-	run     coopRun
-	graph   graphRun // dependency-driven schedule state; valid when opts.Graph != nil
+	graph   graphRun
 }
 
-// job is one unit handed to a parked worker: a share of a barrier-style
-// cooperative solve, a share of a graph-scheduled solve, or a whole
-// independent right-hand side.
+// job is one unit handed to a parked worker: a share of a cooperative
+// graph solve, or one whole panel.
 type job struct {
-	coop  *coopRun
-	id    int // worker index within the cooperative solve
 	graph *graphRun
 	whole *wholeJob
 }
 
-// wholeJob is an independent full sweep of one right-hand side, or — when
-// kw > 1 — of one row-major panel of kw right-hand sides (xs/bs set
-// instead of x/b): the worker packs the panel into pooled scratch, sweeps
-// it with the blocked kernel in sequential row order, and scatters the
-// solutions back. Exactly one of run (batch member) and errc (stream
-// member) is set. ep is the value epoch the dispatcher pinned for this
-// job, so a whole batch (or one stream member) sweeps one consistent
-// snapshot no matter when a concurrent refactorization lands.
+// wholeJob is one panel of a multi-panel call, swept start to finish by
+// one worker: the columns xs/bs, the packed factor of the epoch the
+// dispatcher pinned (so every panel of a call sweeps one snapshot no
+// matter when a refactorization lands), and the call's completion
+// tracker.
 type wholeJob struct {
-	kind   sweepKind
-	ep     *epoch
-	x, b   []float64
-	xs, bs [][]float64
-	kw     int
-	run    *batchRun
-	errc   chan<- error
+	pk      *sparse.Packed
+	reverse bool
+	xs, bs  [][]float64
+	run     *batchRun
 }
 
-// reset clears every reference and the panel width before the job returns
-// to the pool; all recycle sites use it so a pooled job can never carry a
-// stale panel configuration (or pin a dead value epoch) into its next use.
-func (w *wholeJob) reset() {
-	w.ep, w.x, w.b, w.xs, w.bs, w.kw, w.run, w.errc = nil, nil, nil, nil, nil, 0, nil, nil
-}
-
-// batchRun tracks one batch's completion without allocating a channel per
-// call: workers decrement remaining, record the first error, and the last
-// one signals done (capacity 1, reused across batches via runPool).
+// batchRun tracks one multi-panel call's completion without allocating a
+// channel per call: workers decrement remaining, record the first error,
+// and the last one signals done (capacity 1, reused via runPool).
 type batchRun struct {
 	remaining atomic.Int32
 	mu        sync.Mutex
@@ -133,9 +121,9 @@ type batchRun struct {
 	done      chan struct{}
 }
 
-// finish records one completed batch member. The error write is sequenced
-// before the decrement, so whoever observes remaining hit zero (the done
-// receiver or the dispatcher folding in undispatched members) sees every
+// finish records one completed panel. The error write is sequenced before
+// the decrement, so whoever observes remaining hit zero (the done
+// receiver or the dispatcher folding in undispatched panels) sees every
 // error.
 func (r *batchRun) finish(err error) {
 	if err != nil {
@@ -150,53 +138,38 @@ func (r *batchRun) finish(err error) {
 	}
 }
 
-type sweepKind int
-
-const (
-	sweepForward  sweepKind = iota // L′x = b
-	sweepBackward                  // L′ᵀx = b
-	sweepSGS                       // x = (L′ D⁻¹ L′ᵀ)⁻¹ b, fused, per-worker scratch
-)
-
-// NewEngine starts a persistent pool of opts.Workers goroutines over the
-// structure, wrapping it in a private value-epoch sequence. The pool
-// idles on a channel between solves; call Close (or drop every reference
-// — the stsk facade attaches a GC cleanup) to release it.
-func NewEngine(s *csrk.Structure, opts Options) *Engine {
-	return newEngine(NewValues(s), nil, opts)
-}
-
-// NewEngineVals starts a persistent pool over a shared value-epoch
-// sequence: every engine created over the same Values sees each
-// Values.Swap, and per-epoch derived state (packed layout, transpose,
-// diagonal) is built once and shared among them.
-func NewEngineVals(v *Values, opts Options) *Engine {
-	return newEngine(v, nil, opts)
-}
-
-// newEngine optionally adopts a pre-built validated transpose u into the
-// current epoch, so the UpperSolver compatibility path does not
-// re-transpose per solve.
-func newEngine(v *Values, u *sparse.CSR, opts Options) *Engine {
-	cur := v.Current()
-	s := cur.s
-	// A DAG built for a different structure cannot schedule this one: its
-	// task boundaries would not respect this structure's independence
-	// guarantees, silently racing dependent rows. A mismatched DAG is
-	// dropped and the schedule falls back to Guided (withDefaults).
-	// Persistent engines run the full structural validation once; one-shot
-	// wrappers (an engine per solve) only pay the O(1) span check — their
-	// DAGs come from the facade, which always pairs a plan with its own.
-	if opts.Graph != nil {
-		if opts.oneShot {
-			if int(opts.Graph.RowPtr[opts.Graph.NumTasks()]) != s.L.N {
-				opts.Graph = nil
-			}
-		} else if opts.Graph.Validate(s) != nil {
-			opts.Graph = nil
+// NewEngine starts a persistent pool of opts.Workers goroutines over a
+// value-epoch sequence: every engine over the same Values sees each
+// Values.Swap, and the per-epoch packed layouts are built once and shared
+// among them. The pool idles on a channel between solves; call Close (or
+// drop every reference — the stsk facade attaches a GC cleanup) to
+// release it.
+//
+// The factor must fit the packed layout's 32-bit indices (an error
+// wrapping sparse.ErrTooLarge otherwise), and an engine of more than one
+// worker needs opts.Graph built for this structure: a missing or foreign
+// DAG is an error, never a silent change of schedule.
+func NewEngine(v *Values, opts Options) (*Engine, error) {
+	s := v.Structure()
+	if err := sparse.CheckPackable(s.L); err != nil {
+		return nil, err
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.BlockWidth <= 0 {
+		opts.BlockWidth = maxBlockWidth
+	}
+	if opts.Workers > 1 {
+		if opts.Graph == nil {
+			return nil, fmt.Errorf("solve: %d workers need the structure's task DAG", opts.Workers)
+		}
+		// A DAG built for another structure would not respect this one's
+		// dependencies and would silently race dependent rows.
+		if err := opts.Graph.Validate(s); err != nil {
+			return nil, fmt.Errorf("solve: task DAG does not fit the structure: %w", err)
 		}
 	}
-	opts = opts.withDefaults()
 	e := &Engine{
 		s:    s,
 		vals: v,
@@ -204,31 +177,15 @@ func newEngine(v *Values, u *sparse.CSR, opts Options) *Engine {
 		opts: opts,
 		jobs: make(chan job),
 	}
-	if !opts.oneShot {
-		// The packed conversion costs an O(nnz) copy — worth it once per
-		// epoch of a persistent engine, pure overhead for a single-solve
-		// wrapper. packWanted makes future Swap calls pack their new epoch
-		// eagerly instead of leaving post-swap solves on the CSR fallback.
-		v.packWanted.Store(true)
-		cur.ensurePacked()
-	}
-	if u != nil {
-		cur.adoptUpper(u, !opts.oneShot)
-	}
 	e.panelPool.size = s.L.N * maxBlockWidth
-	e.run.e = e
-	e.run.barrier.size = opts.Workers
-	e.run.barrier.cond = sync.NewCond(&e.run.barrier.mu)
-	e.run.counters = make([]atomic.Int64, s.NumPacks())
-	if e.opts.Graph != nil {
-		e.graph.init(e, e.opts.Graph)
+	if opts.Graph != nil {
+		e.graph.init(opts.Graph)
 	}
-	e.run.passed = make([]int32, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		e.workerWG.Add(1)
 		go e.workerLoop()
 	}
-	return e
+	return e, nil
 }
 
 // Workers returns the fixed pool size.
@@ -236,6 +193,11 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Values returns the engine's value-epoch sequence.
 func (e *Engine) Values() *Values { return e.vals }
+
+// Diagonal returns (building once per epoch) the diagonal of L′ at the
+// current value epoch. The slice is epoch state: callers must treat it as
+// read-only.
+func (e *Engine) Diagonal() []float64 { return e.vals.Current().packed().Diag }
 
 // Close drains the pool and waits for every worker to exit. Solves issued
 // after Close return ErrClosed; Close is idempotent.
@@ -249,23 +211,11 @@ func (e *Engine) Close() {
 	e.workerWG.Wait()
 }
 
-// submit enqueues a job unless the engine is closed. The read lock only
-// covers the send, so Close can proceed while callers wait on results.
-//
-//stsk:noalloc
-func (e *Engine) submit(j job) error {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.jobs <- j
-	return nil
-}
-
-// submitCtx is submit racing the context: when every worker is busy and
-// the caller is cancelled while waiting for a pool slot, it gives up and
-// returns ctx.Err() instead of blocking until a worker frees up.
+// submitCtx enqueues a job unless the engine is closed, racing the
+// context: when every worker is busy and the caller is cancelled while
+// waiting for a pool slot, it gives up and returns ctx.Err(). The read
+// lock only covers the send, so Close can proceed while callers wait on
+// results.
 //
 //stsk:noalloc
 func (e *Engine) submitCtx(ctx context.Context, j job) error {
@@ -283,11 +233,9 @@ func (e *Engine) submitCtx(ctx context.Context, j job) error {
 }
 
 // workerLoop is worker plus a last-resort respawn barrier. Contained
-// panics never reach it — runWhole and the runShare methods recover at
-// the job boundary — but if the loop machinery itself ever panics the
-// pool replaces the goroutine instead of silently shrinking: cooperative
-// dispatch hands out exactly Workers tokens per solve, so a lost worker
-// would strand every later cooperative solve.
+// panics never reach it — runWhole and graphRun.runShare recover at the
+// job boundary — but if the loop machinery itself ever panics the pool
+// replaces the goroutine instead of silently shrinking.
 func (e *Engine) workerLoop() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -305,45 +253,31 @@ func (e *Engine) workerLoop() {
 }
 
 // worker is the parked pool goroutine: it sleeps on the job channel and
-// runs whatever share of work arrives. scratch is the worker's lazily
-// allocated private vector for fused two-sweep jobs.
+// runs whatever share of work arrives.
 func (e *Engine) worker() {
-	var scratch []float64
 	for j := range e.jobs {
-		switch {
-		case j.whole != nil:
-			w := j.whole
-			if w.kind == sweepSGS && scratch == nil {
-				scratch = make([]float64, e.n)
-			}
-			err := e.runWhole(w, scratch)
+		if w := j.whole; w != nil {
+			err := e.runWhole(w)
 			// Recycle the job before signalling: once the completion is
 			// visible the dispatcher may return, and the pooled job must
 			// already be free of references.
-			run, errc := w.run, w.errc
-			w.reset()
+			run := w.run
+			*w = wholeJob{}
 			e.jobPool.Put(w)
-			if run != nil {
-				run.finish(err)
-			} else {
-				errc <- err
-			}
-		case j.graph != nil:
-			j.graph.runShare()
-			j.graph.wg.Done()
-		case j.coop != nil:
-			j.coop.runShare(j.id)
-			j.coop.wg.Done()
+			run.finish(err)
+			continue
 		}
+		j.graph.runShare()
+		j.graph.wg.Done()
 	}
 }
 
-// runWhole is the panic-containment boundary for one whole-RHS job: a
+// runWhole is the panic-containment boundary for one whole-panel job: a
 // kernel panic (or an injected engine.job fault) becomes a wrapped
-// panicsafe.ErrInternal flowing through the job's normal completion path,
-// so batch counters and stream done channels always fire and batch-mates
-// on other workers are unharmed.
-func (e *Engine) runWhole(w *wholeJob, scratch []float64) (err error) {
+// panicsafe.ErrInternal flowing through the call's normal completion
+// path, so the completion counter always fires and panels on other
+// workers are unharmed.
+func (e *Engine) runWhole(w *wholeJob) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = panicsafe.AsError(p)
@@ -352,141 +286,74 @@ func (e *Engine) runWhole(w *wholeJob, scratch []float64) (err error) {
 	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
 		return err
 	}
-	return e.sweepWhole(w, scratch)
-}
-
-// sweepWhole runs one independent right-hand side start to finish on the
-// calling worker — no barriers, sequential row order, bitwise identical to
-// Sequential — against the value epoch the dispatcher pinned in the job.
-func (e *Engine) sweepWhole(w *wholeJob, scratch []float64) error {
-	n := e.n
-	ep := w.ep
-	if w.kw > 1 {
-		// Panel job: lengths were validated eagerly by the block dispatcher.
-		e.sweepPanel(w)
-		return nil
-	}
-	if len(w.b) != n || len(w.x) != n {
-		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(w.x), len(w.b), n)
-	}
-	switch w.kind {
-	case sweepForward:
-		ep.forwardRows(w.x, w.b, 0, n)
-	case sweepBackward:
-		ep.backwardRows(w.x, w.b, 0, n)
-	case sweepSGS:
-		d := ep.diagonal()
-		ep.forwardRows(scratch, w.b, 0, n)
-		for i := 0; i < n; i++ {
-			scratch[i] *= d[i]
-		}
-		ep.backwardRows(w.x, scratch, 0, n)
-	}
+	e.sweepPanel(w.pk, w.xs, w.bs, w.reverse)
 	return nil
 }
 
-// ensureUpper builds and validates ep's transposed matrix for backward
-// sweeps on first use. The transpose is packed whenever any persistent
-// engine shares these values, so one-shot wrappers never strand a
-// persistent engine's epoch on the CSR fallback.
-func (e *Engine) ensureUpper(ep *epoch) error {
-	return ep.ensureUpper(e.vals.packWanted.Load())
-}
-
-// Diagonal returns (building once per epoch) the diagonal of L′ at the
-// current value epoch. The slice is epoch state: callers must treat it as
-// read-only.
-func (e *Engine) Diagonal() []float64 { return e.vals.Current().diagonal() }
-
-// Solve solves L′x = b cooperatively and returns x.
-func (e *Engine) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, e.n)
-	if err := e.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto solves L′x = b into a caller-provided vector: all pool workers
-// sweep the packs together under the engine's schedule.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveIntoCtx threads a caller ctx)
-func (e *Engine) SolveInto(x, b []float64) error {
-	return e.coopSolve(context.Background(), x, b, false)
-}
-
-// SolveIntoCtx is SolveInto honoring a context: the deadline/cancellation
-// is checked before the solve is dispatched (and again after any wait for
-// an earlier cooperative solve), returning ctx.Err() instead of starting.
-// A sweep already dispatched always runs to completion — the pack loop is
-// not preempted mid-solve.
+// SolveIntoCtx solves L′x = b into a caller-provided vector, all pool
+// workers sweeping the task DAG together. The deadline/cancellation is
+// checked before the solve is dispatched (and again after any wait for an
+// earlier cooperative solve), returning ctx.Err() instead of starting. A
+// sweep already dispatched always runs to completion — it is not
+// preempted mid-solve.
 func (e *Engine) SolveIntoCtx(ctx context.Context, x, b []float64) error {
-	return e.coopSolve(ctx, x, b, false)
+	return e.solveOne(ctx, x, b, false)
 }
 
-// SolveUpper solves L′ᵀx = b cooperatively and returns x.
-func (e *Engine) SolveUpper(b []float64) ([]float64, error) {
-	x := make([]float64, e.n)
-	if err := e.SolveUpperInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveUpperInto solves L′ᵀx = b into a caller-provided vector, sweeping
-// the packs in reverse order.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveUpperIntoCtx threads a caller ctx)
-func (e *Engine) SolveUpperInto(x, b []float64) error {
-	return e.coopSolve(context.Background(), x, b, true)
-}
-
-// SolveUpperIntoCtx is SolveUpperInto honoring a context, with the same
-// dispatch-boundary semantics as SolveIntoCtx.
+// SolveUpperIntoCtx solves L′ᵀx = b into a caller-provided vector,
+// sweeping the task DAG in reverse, with the same dispatch-boundary
+// semantics as SolveIntoCtx.
 func (e *Engine) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
-	return e.coopSolve(ctx, x, b, true)
+	return e.solveOne(ctx, x, b, true)
 }
 
-// coopSolve runs one cooperative pack-parallel solve. Cooperative solves
-// are serialised on solveMu; batch jobs interleave freely with them. The
-// context is only consulted before dispatch: a cooperative sweep needs
-// every worker at the barrier, so once the job tokens are out the solve
-// always completes.
-func (e *Engine) coopSolve(ctx context.Context, x, b []float64, reverse bool) error {
-	n := e.n
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(x), len(b), n)
+// solveOne is the one-vector call: a width-1 panel swept cooperatively.
+func (e *Engine) solveOne(ctx context.Context, x, b []float64, reverse bool) error {
+	if len(b) != e.n || len(x) != e.n {
+		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(x), len(b), e.n)
 	}
+	pk, err := e.pin(ctx, reverse)
+	if err != nil {
+		return err
+	}
+	return e.panelSolve(ctx, pk, x, b, 1, reverse)
+}
+
+// pin loads the live value epoch — once per call — and returns the packed
+// layout the sweep needs (L′, or L′ᵀ when reverse), building it on the
+// epoch's first use.
+//
+//stsk:noalloc
+func (e *Engine) pin(ctx context.Context, reverse bool) (*sparse.Packed, error) {
 	tr := trace.FromContext(ctx)
 	p0 := trace.Now()
 	ep := e.vals.Current()
+	var pk *sparse.Packed
+	var err error
+	if reverse {
+		pk, err = ep.packedUpper()
+	} else {
+		pk = ep.packed()
+	}
 	tr.Observe(trace.StageEpochPin, p0, trace.Now())
-	return e.panelSolve(ctx, ep, x, b, 1, reverse)
+	return pk, err
 }
 
-// panelSolve runs one cooperative sweep of epoch ep under the engine's
-// schedule — scalar when kw == 1, a row-major n×kw panel otherwise. Rows
-// are claimed exactly as in the scalar sweep (same packs, same super-row
-// schedule, same task DAG); the only difference is that each claimed row
-// applies its (col, val) entries across all kw panel columns, so the
-// matrix is traversed once per panel instead of once per vector. X may
-// alias B. Callers validate lengths (n·kw each) and pin the epoch.
+// panelSolve runs one cooperative sweep of the packed factor pk — scalar
+// when kw == 1, a row-major n×kw panel otherwise — over the task DAG.
+// Each task's rows apply their (col, val) entries across all kw panel
+// columns, so the matrix is traversed once per panel instead of once per
+// vector. X may alias B. Callers validate lengths (n·kw each) and pin the
+// epoch.
 //
 //stsk:noalloc
-func (e *Engine) panelSolve(ctx context.Context, ep *epoch, X, B []float64, kw int, reverse bool) error {
+func (e *Engine) panelSolve(ctx context.Context, pk *sparse.Packed, X, B []float64, kw int, reverse bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	tr := trace.FromContext(ctx)
-	if reverse {
-		u0 := trace.Now()
-		if err := e.ensureUpper(ep); err != nil {
-			return err
-		}
-		tr.Observe(trace.StageEpochPin, u0, trace.Now())
-	}
 	if e.opts.Workers == 1 || e.s.NumSuperRows() == 1 {
-		// Degenerate layouts skip the pool entirely, like Parallel.
+		// Degenerate layouts skip the pool entirely.
 		e.closeMu.RLock()
 		closed := e.closed
 		e.closeMu.RUnlock()
@@ -494,7 +361,7 @@ func (e *Engine) panelSolve(ctx context.Context, ep *epoch, X, B []float64, kw i
 			return ErrClosed
 		}
 		s0 := trace.Now()
-		err := e.localSweep(ep, X, B, kw, reverse)
+		err := e.localSweep(pk, X, B, kw, reverse)
 		tr.Observe(trace.StageSweep, s0, trace.Now())
 		return err
 	}
@@ -505,58 +372,17 @@ func (e *Engine) panelSolve(ctx context.Context, ep *epoch, X, B []float64, kw i
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if e.opts.Schedule == Graph {
-		s0 := trace.Now()
-		err := e.graphSolve(ep, X, B, kw, reverse)
-		tr.Observe(trace.StageSweep, s0, trace.Now())
-		return err
-	}
-	d0 := trace.Now()
-	r := &e.run
-	r.ep, r.x, r.b, r.kw, r.reverse = ep, X, B, kw, reverse
-	r.failErr = nil
-	for w := range r.passed {
-		r.passed[w] = 0
-	}
-	for p := range r.counters {
-		if reverse {
-			r.counters[p].Store(int64(e.s.PackPtr[p+1]))
-		} else {
-			r.counters[p].Store(int64(e.s.PackPtr[p]))
-		}
-	}
-	// All shares are dispatched under one read-lock so Close cannot land
-	// between them: a cooperative solve needs every worker at the barrier,
-	// so a partially dispatched solve could never finish. Close taken
-	// after dispatch merely waits — the workers finish this solve before
-	// they observe the closed channel.
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return ErrClosed
-	}
-	for w := 0; w < e.opts.Workers; w++ {
-		r.wg.Add(1)
-		e.jobs <- job{coop: r, id: w}
-	}
-	e.closeMu.RUnlock()
 	s0 := trace.Now()
-	tr.Observe(trace.StageDispatch, d0, s0)
-	r.wg.Wait()
+	err := e.graphSolve(pk, X, B, kw, reverse)
 	tr.Observe(trace.StageSweep, s0, trace.Now())
-	// Wait orders every worker's fail() before this read; no lock needed.
-	err := r.failErr
-	r.failErr = nil
-	r.ep, r.x, r.b = nil, nil, nil
 	return err
 }
 
 // localSweep runs the degenerate (single worker or single super-row)
 // cooperative sweep on the caller's goroutine. It is the containment
 // boundary for that path — panelSolve is //stsk:noalloc and cannot hold
-// the recover closure itself. The caller already ensured the transpose
-// when reverse is set.
-func (e *Engine) localSweep(ep *epoch, X, B []float64, kw int, reverse bool) (err error) {
+// the recover closure itself.
+func (e *Engine) localSweep(pk *sparse.Packed, X, B []float64, kw int, reverse bool) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = panicsafe.AsError(p)
@@ -565,32 +391,20 @@ func (e *Engine) localSweep(ep *epoch, X, B []float64, kw int, reverse bool) (er
 	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
 		return err
 	}
-	n := e.n
-	switch {
-	case kw > 1 && reverse:
-		ep.backwardRowsBlock(X, B, kw, 0, n)
-	case kw > 1:
-		ep.forwardRowsBlock(X, B, kw, 0, n)
-	case reverse:
-		ep.backwardRows(X, B, 0, n)
-	default:
-		ep.forwardRows(X, B, 0, n)
-	}
+	sweepRows(pk, X, B, kw, 0, e.n, reverse)
 	return nil
 }
 
 // graphSolve runs one dependency-driven cooperative solve (see graphRun),
-// scalar or panel. Called under solveMu; the dispatch discipline mirrors
-// the barrier path: workers claim ready tasks point-to-point instead of
-// meeting at a barrier, but the job tokens go out under one read-lock all
-// the same. Unlike the barrier path the graph loop tolerates fewer live
-// workers than tokens — any subset of workers drains the ready queue —
-// but dispatch is still all-or-nothing for simplicity.
+// scalar or panel. Called under solveMu. All shares are dispatched under
+// one read-lock so Close cannot land between them; Close taken after
+// dispatch merely waits — the workers finish this solve before they
+// observe the closed channel.
 //
 //stsk:noalloc
-func (e *Engine) graphSolve(ep *epoch, x, b []float64, kw int, reverse bool) error {
+func (e *Engine) graphSolve(pk *sparse.Packed, x, b []float64, kw int, reverse bool) error {
 	g := &e.graph
-	g.reset(ep, x, b, kw, reverse)
+	g.reset(pk, x, b, kw, reverse)
 	e.closeMu.RLock()
 	if e.closed {
 		e.closeMu.RUnlock()
@@ -604,114 +418,12 @@ func (e *Engine) graphSolve(ep *epoch, x, b []float64, kw int, reverse bool) err
 	g.wg.Wait()
 	err := g.failErr
 	g.failErr = nil
-	g.ep, g.x, g.b = nil, nil, nil
+	g.pk, g.x, g.b = nil, nil, nil
 	return err
 }
 
-// SolveBatch solves L′xᵢ = bᵢ for every right-hand side of B and returns
-// the solutions. Each RHS is swept sequentially by one worker, so up to
-// Workers vectors travel the pack levels concurrently with no barriers.
-func (e *Engine) SolveBatch(B [][]float64) ([][]float64, error) {
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, e.n)
-	}
-	if err := e.SolveBatchInto(X, B); err != nil {
-		return nil, err
-	}
-	return X, nil
-}
-
-// SolveBatchInto is SolveBatch writing into caller-provided solution
-// vectors; X[i] may alias B[i] for an in-place solve.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveBatchIntoCtx threads a caller ctx)
-func (e *Engine) SolveBatchInto(X, B [][]float64) error {
-	return e.batch(context.Background(), X, B, sweepForward)
-}
-
-// SolveBatchIntoCtx is SolveBatchInto honoring a context: a cancelled or
-// expired context stops the dispatch loop — no further right-hand sides
-// are handed to the pool — and the call returns ctx.Err() once the
-// already-dispatched solves drain. The engine stays fully usable.
-func (e *Engine) SolveBatchIntoCtx(ctx context.Context, X, B [][]float64) error {
-	return e.batch(ctx, X, B, sweepForward)
-}
-
-// SolveUpperBatchInto solves L′ᵀxᵢ = bᵢ for every right-hand side.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveUpperBatchIntoCtx threads a caller ctx)
-func (e *Engine) SolveUpperBatchInto(X, B [][]float64) error {
-	return e.batch(context.Background(), X, B, sweepBackward)
-}
-
-// SolveUpperBatchIntoCtx is SolveUpperBatchInto honoring a context, with
-// the same stop-dispatching semantics as SolveBatchIntoCtx.
-func (e *Engine) SolveUpperBatchIntoCtx(ctx context.Context, X, B [][]float64) error {
-	return e.batch(ctx, X, B, sweepBackward)
-}
-
-// ApplySGSBatch applies the symmetric Gauss–Seidel preconditioner
-// M⁻¹ = (L′ D⁻¹ L′ᵀ)⁻¹ to every vector of R: forward sweep into the
-// worker's private scratch, diagonal scale, backward sweep into X[i].
-// One worker performs both sweeps of a vector back to back, keeping the
-// intermediate entirely in its own preallocated scratch.
-//
-//stsk:allow-background (non-context convenience wrapper over the batch path)
-func (e *Engine) ApplySGSBatch(X, R [][]float64) error {
-	return e.batch(context.Background(), X, R, sweepSGS)
-}
-
-// batch fans the (X[i], B[i]) pairs out as independent whole-RHS jobs and
-// gathers the first error. Every pair is validated before anything is
-// dispatched, so a ragged or wrong-length member fails the whole batch
-// with ErrDimension and no work reaches the pool. The value epoch is
-// loaded once, so the whole batch sweeps one consistent snapshot even
-// when a refactorization lands mid-batch. Cancellation wins over
-// per-solve errors: a dead context stops dispatch immediately and the
-// batch reports ctx.Err(). Completion is tracked by a pooled batchRun
-// counter instead of a per-call channel, so a warm engine runs batches
-// without allocating.
-//
-//stsk:noalloc
-func (e *Engine) batch(ctx context.Context, X, B [][]float64, kind sweepKind) error {
-	if err := e.checkPanelDims(X, B); err != nil {
-		return err
-	}
-	if len(B) == 0 {
-		return nil
-	}
-	ep := e.vals.Current()
-	if kind != sweepForward {
-		if err := e.ensureUpper(ep); err != nil {
-			return err
-		}
-	}
-	run := e.runPool.Get()
-	run.err = nil
-	run.remaining.Store(int32(len(B)))
-	issued := 0
-	var first error
-	for i := range B {
-		if err := ctx.Err(); err != nil {
-			first = err
-			break
-		}
-		j := e.jobPool.Get()
-		j.kind, j.ep, j.x, j.b, j.run, j.errc = kind, ep, X[i], B[i], run, nil
-		if err := e.submitCtx(ctx, job{whole: j}); err != nil {
-			j.reset()
-			e.jobPool.Put(j)
-			first = err
-			break
-		}
-		issued++
-	}
-	return e.finishRun(run, len(B), issued, first)
-}
-
 // finishRun completes a pooled batchRun after a dispatch loop: fold the
-// undispatched members into the counter — whoever takes it to zero owns
+// undispatched panels into the counter — whoever takes it to zero owns
 // the completion signal; if that is a worker it signals done, if it is
 // this Add no signal was (or will be) sent, because in-flight workers
 // only ever saw a positive count — then wait, collect the first worker
@@ -729,300 +441,4 @@ func (e *Engine) finishRun(run *batchRun, total, issued int, first error) error 
 		first = err
 	}
 	return first
-}
-
-// Result is one solved right-hand side from SolveMany.
-type Result struct {
-	X   []float64
-	Err error
-}
-
-// SolveMany streams right-hand sides through the pool: vectors read from
-// bs are solved as batch jobs (pipelined across workers) and the results
-// are delivered on the returned channel in input order. At most
-// 2×Workers solves are in flight at once, bounding memory for unbounded
-// streams. The output channel closes after bs closes and every pending
-// solve has been delivered.
-//
-// The caller owns the stream's lifecycle: close bs when done producing
-// and receive until the output channel closes. The output buffer lets a
-// short tail (up to 2×Workers results) flush without a consumer — enough
-// for the stop-on-first-error pattern — but a stream abandoned with more
-// work outstanding blocks the internal goroutines, and the producer,
-// until the output is drained.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveManyCtx threads a caller ctx)
-func (e *Engine) SolveMany(bs <-chan []float64) <-chan Result {
-	return e.SolveManyCtx(context.Background(), bs)
-}
-
-// SolveManyCtx is SolveMany honoring a context: when ctx is cancelled the
-// stream stops reading bs and dispatching solves, the in-flight tail
-// drains in order, a final Result carrying ctx.Err() is delivered, and
-// the output channel closes — even if bs is never closed. The engine
-// stays fully usable afterwards. Each streamed vector pins the value
-// epoch current at its dispatch, so a refactorization mid-stream splits
-// the results cleanly between the two snapshots — never within one.
-func (e *Engine) SolveManyCtx(ctx context.Context, bs <-chan []float64) <-chan Result {
-	type pending struct {
-		x    []float64
-		errc chan error
-	}
-	out := make(chan Result, 2*e.opts.Workers)
-	inflight := make(chan pending, 2*e.opts.Workers)
-	fail := func(err error) pending {
-		ec := e.errcPool.Get()
-		ec <- err
-		return pending{errc: ec}
-	}
-	go func() {
-		defer close(inflight)
-		// Registered after close(inflight), so it runs first: a panic in
-		// the dispatch plumbing becomes the stream's final, ordered error
-		// result instead of taking the process down.
-		defer func() {
-			if p := recover(); p != nil {
-				inflight <- fail(panicsafe.AsError(p))
-			}
-		}()
-		for {
-			select {
-			case <-ctx.Done():
-				inflight <- fail(ctx.Err())
-				return
-			case b, ok := <-bs:
-				if !ok {
-					return
-				}
-				// The result vector is handed to the consumer and cannot be
-				// pooled; the completion channel comes from (and returns to)
-				// the engine pool.
-				p := pending{x: make([]float64, e.n), errc: e.errcPool.Get()}
-				inflight <- p // bound the pipeline before enqueueing work
-				j := e.jobPool.Get()
-				// Each streamed vector deliberately pins the epoch current at
-				// its own dispatch (see the method comment): a refactorization
-				// mid-stream splits results between snapshots, never within one.
-				//stsk:allow-epoch-repin
-				j.kind, j.ep, j.x, j.b, j.run, j.errc = sweepForward, e.vals.Current(), p.x, b, nil, p.errc
-				if err := e.submitCtx(ctx, job{whole: j}); err != nil {
-					// Report the failure in order but keep draining bs, so a
-					// producer that never watches ctx (plain SolveMany racing
-					// Close) is not stranded blocked on a send; each further
-					// vector yields its own error result until bs closes. A
-					// cancelled ctx instead exits through the Done case above,
-					// where producers are documented to select on ctx.
-					j.reset()
-					e.jobPool.Put(j)
-					p.errc <- err
-				}
-			}
-		}
-	}()
-	go func() {
-		defer close(out)
-		defer func() {
-			if p := recover(); p != nil {
-				out <- Result{Err: panicsafe.AsError(p)}
-			}
-		}()
-		for p := range inflight {
-			err := <-p.errc
-			e.errcPool.Put(p.errc)
-			if err != nil {
-				out <- Result{Err: err}
-			} else {
-				out <- Result{X: p.x}
-			}
-		}
-	}()
-	return out
-}
-
-// coopRun is the shared state of one cooperative solve over the pool. For
-// panel solves x and b hold row-major n×kw panels; kw == 1 is a scalar
-// solve. ep is the value epoch pinned at dispatch.
-type coopRun struct {
-	e        *Engine
-	ep       *epoch
-	x, b     []float64
-	kw       int
-	reverse  bool
-	counters []atomic.Int64 // per-pack next super-row claim
-	barrier  barrier
-	wg       sync.WaitGroup
-
-	// Containment state: the first failure of the solve, and per worker
-	// the number of barrier generations attended (each generation is
-	// written only by its owning worker; panelSolve reads after wg.Wait).
-	failMu  sync.Mutex
-	failErr error
-	passed  []int32
-}
-
-// fail records the first failure of this cooperative solve.
-func (r *coopRun) fail(err error) {
-	r.failMu.Lock()
-	if r.failErr == nil {
-		r.failErr = err
-	}
-	r.failMu.Unlock()
-}
-
-// runShare is the panic-containment boundary for one worker's share of a
-// barrier-scheduled cooperative solve. A kernel panic (or an injected
-// engine.job fault) is recorded on the run, and the worker then attends
-// every remaining barrier generation before returning: the cyclic
-// barrier needs all Workers arrivals per pack, so a silently vanishing
-// worker would strand its panel-mates forever. passed[id] counts the
-// generations already attended (work increments it after each wait), so
-// the drain loop knows exactly how many remain.
-func (r *coopRun) runShare(id int) {
-	nPacks := r.e.s.NumPacks()
-	defer func() {
-		if p := recover(); p != nil {
-			r.fail(panicsafe.AsError(p))
-			for int(r.passed[id]) < nPacks {
-				r.barrier.wait()
-				r.passed[id]++
-			}
-		}
-	}()
-	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
-		// An injected error skips this worker's share. Dynamic and
-		// Guided mates absorb the unclaimed rows; either way the solve
-		// reports failure, so the numeric result is never trusted.
-		r.fail(err)
-		for int(r.passed[id]) < nPacks {
-			r.barrier.wait()
-			r.passed[id]++
-		}
-		return
-	}
-	r.work(id)
-}
-
-// work is one worker's share of a cooperative solve: packs in order
-// (reverse order for the transposed sweep), super-rows claimed by the
-// engine's schedule, a barrier between packs.
-//
-//stsk:noalloc
-func (r *coopRun) work(id int) {
-	e := r.e
-	s := e.s
-	nPacks := s.NumPacks()
-	for step := 0; step < nPacks; step++ {
-		p := step
-		if r.reverse {
-			p = nPacks - 1 - step
-		}
-		lo, hi := s.PackSuperRows(p)
-		switch {
-		case e.opts.Schedule == Static:
-			span := hi - lo
-			per := (span + e.opts.Workers - 1) / e.opts.Workers
-			start := lo + id*per
-			end := start + per
-			if start > hi {
-				start = hi
-			}
-			if end > hi {
-				end = hi
-			}
-			if r.reverse {
-				for sr := end - 1; sr >= start; sr-- {
-					r.solveSuper(sr)
-				}
-			} else {
-				for sr := start; sr < end; sr++ {
-					r.solveSuper(sr)
-				}
-			}
-		case r.reverse:
-			// Dynamic and Guided both count down in chunks on the
-			// transposed sweep.
-			c := int64(e.opts.Chunk)
-			for {
-				to := r.counters[p].Add(-c) + c
-				if to <= int64(lo) {
-					break
-				}
-				from := to - c
-				if from < int64(lo) {
-					from = int64(lo)
-				}
-				for sr := int(to) - 1; sr >= int(from); sr-- {
-					r.solveSuper(sr)
-				}
-			}
-		case e.opts.Schedule == Dynamic:
-			c := int64(e.opts.Chunk)
-			for {
-				from := r.counters[p].Add(c) - c
-				if from >= int64(hi) {
-					break
-				}
-				to := from + c
-				if to > int64(hi) {
-					to = int64(hi)
-				}
-				for sr := int(from); sr < int(to); sr++ {
-					r.solveSuper(sr)
-				}
-			}
-		default: // Guided
-			for {
-				from, to, ok := r.grabGuided(p, hi)
-				if !ok {
-					break
-				}
-				for sr := from; sr < to; sr++ {
-					r.solveSuper(sr)
-				}
-			}
-		}
-		// All workers must finish pack p before any starts the next;
-		// the barrier's mutex also publishes the x writes.
-		r.barrier.wait()
-		r.passed[id]++
-	}
-}
-
-// grabGuided claims the next guided chunk of pack p: remaining/workers
-// super-rows, floored at the chunk option.
-//
-//stsk:noalloc
-func (r *coopRun) grabGuided(p, hi int) (from, to int, ok bool) {
-	for {
-		cur := r.counters[p].Load()
-		if cur >= int64(hi) {
-			return 0, 0, false
-		}
-		remaining := int(int64(hi) - cur)
-		take := remaining / r.e.opts.Workers
-		if take < r.e.opts.Chunk {
-			take = r.e.opts.Chunk
-		}
-		if take > remaining {
-			take = remaining
-		}
-		if r.counters[p].CompareAndSwap(cur, cur+int64(take)) {
-			return int(cur), int(cur) + take, true
-		}
-	}
-}
-
-//stsk:noalloc
-func (r *coopRun) solveSuper(sr int) {
-	lo, hi := r.e.s.SuperRowRows(sr)
-	switch {
-	case r.kw > 1 && r.reverse:
-		r.ep.backwardRowsBlock(r.x, r.b, r.kw, lo, hi)
-	case r.kw > 1:
-		r.ep.forwardRowsBlock(r.x, r.b, r.kw, lo, hi)
-	case r.reverse:
-		r.ep.backwardRows(r.x, r.b, lo, hi)
-	default:
-		r.ep.forwardRows(r.x, r.b, lo, hi)
-	}
 }

@@ -12,55 +12,37 @@ import (
 // the size the pooled panel scratch is provisioned at.
 const maxBlockWidth = 8
 
-// SolveBlockInto solves L′xᵢ = bᵢ for every right-hand side of B with the
-// blocked multi-vector kernels: the right-hand sides are grouped into
+// SolveBlockIntoCtx solves L′xᵢ = bᵢ for every right-hand side of B with
+// the blocked multi-vector kernels: the right-hand sides are grouped into
 // row-major panels of up to width columns and the matrix is traversed
 // once per panel — each (col, val) pair loaded once and applied across
-// all panel columns — instead of once per vector. A batch that forms a
-// single panel is swept cooperatively under the engine's schedule
-// (barrier packs or the graph scheduler's task chunks), so the whole pool
-// shares one panel; a batch that forms several panels pipelines them
-// through the pool like SolveBatch, one worker sweeping each panel start
-// to finish with no barriers. Either way each panel column is bitwise
-// identical to a scalar solve of that column. X[i] may alias B[i].
+// all panel columns — instead of once per vector. A call that forms a
+// single panel is swept cooperatively by the whole pool over the task
+// DAG; a call that forms several panels pipelines them through the pool,
+// one worker sweeping each panel start to finish. Either way each panel
+// column is bitwise identical to a scalar solve of that column. X[i] may
+// alias B[i].
 //
 // width 0 selects the engine's configured BlockWidth; widths are rounded
 // down to the unrolled kernel widths {8, 4, 2}, with remainder columns
-// falling back to the scalar kernel.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveBlockIntoCtx threads a caller ctx)
-func (e *Engine) SolveBlockInto(X, B [][]float64, width int) error {
-	return e.block(context.Background(), X, B, width, false)
-}
-
-// SolveBlockIntoCtx is SolveBlockInto honoring a context: cancellation is
-// checked between panels (and before each panel is dispatched), returning
-// ctx.Err() with the remaining panels unsolved. The engine stays fully
-// usable.
+// falling back to the scalar kernel. Cancellation is checked before each
+// panel is dispatched, returning ctx.Err() with the remaining panels
+// unsolved; the engine stays fully usable.
 func (e *Engine) SolveBlockIntoCtx(ctx context.Context, X, B [][]float64, width int) error {
 	return e.block(ctx, X, B, width, false)
 }
 
-// SolveUpperBlockInto solves L′ᵀxᵢ = bᵢ for every right-hand side with the
-// blocked backward-substitution kernels, panels swept in reverse pack
-// order.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveUpperBlockIntoCtx threads a caller ctx)
-func (e *Engine) SolveUpperBlockInto(X, B [][]float64, width int) error {
-	return e.block(context.Background(), X, B, width, true)
-}
-
-// SolveUpperBlockIntoCtx is SolveUpperBlockInto honoring a context, with
-// the same between-panel semantics as SolveBlockIntoCtx.
+// SolveUpperBlockIntoCtx solves L′ᵀxᵢ = bᵢ for every right-hand side with
+// the blocked backward-substitution kernels, with the same panel and
+// cancellation semantics as SolveBlockIntoCtx.
 func (e *Engine) SolveUpperBlockIntoCtx(ctx context.Context, X, B [][]float64, width int) error {
 	return e.block(ctx, X, B, width, true)
 }
 
 // checkPanelDims validates a solution/right-hand-side batch eagerly: the
 // batch lengths must agree and every vector must match the system
-// dimension, reported with the offending index. Shared by the batch and
-// block paths so ragged input fails with ErrDimension before any work is
-// dispatched.
+// dimension, reported with the offending index, so ragged input fails
+// with ErrDimension before any work is dispatched.
 func (e *Engine) checkPanelDims(X, B [][]float64) error {
 	if len(X) != len(B) {
 		return fmt.Errorf("%w: batch lengths %d/%d differ", ErrDimension, len(X), len(B))
@@ -74,16 +56,14 @@ func (e *Engine) checkPanelDims(X, B [][]float64) error {
 	return nil
 }
 
-// block gathers right-hand sides into panels and solves them. A batch
-// that fits one panel (or one scalar column) runs cooperatively under the
-// engine's schedule so every worker shares it; a batch that carves into
-// several groups fans them out as independent whole-panel jobs through
-// the same pooled machinery as batch — each panel swept start-to-finish
-// by one worker, distinct panels pipelining through the pack levels with
-// no barriers. The value epoch is pinned once per call, so every panel of
-// a block solve sweeps the same snapshot even when a refactorization
-// lands mid-call. All scratch is pooled, so warm block solves allocate
-// nothing.
+// block carves the right-hand sides into panels and solves them. A call
+// that fits one panel (or one scalar column) runs cooperatively so every
+// worker shares it; a call that carves into several panels fans them out
+// as whole-panel jobs — each swept start-to-finish by one worker,
+// distinct panels pipelining through the pack levels with no barriers.
+// The value epoch is pinned once per call, so every panel sweeps the same
+// snapshot even when a refactorization lands mid-call. All scratch is
+// pooled, so warm block solves allocate nothing.
 //
 //stsk:noalloc
 func (e *Engine) block(ctx context.Context, X, B [][]float64, width int, reverse bool) error {
@@ -93,30 +73,22 @@ func (e *Engine) block(ctx context.Context, X, B [][]float64, width int, reverse
 	if len(B) == 0 {
 		return nil
 	}
-	tr := trace.FromContext(ctx)
-	p0 := trace.Now()
-	ep := e.vals.Current()
-	if reverse {
-		if err := e.ensureUpper(ep); err != nil {
-			return err
-		}
+	pk, err := e.pin(ctx, reverse)
+	if err != nil {
+		return err
 	}
-	tr.Observe(trace.StageEpochPin, p0, trace.Now())
 	width = normalizeBlockWidth(width, e.opts.BlockWidth)
 	if len(B) == 1 {
-		return e.panelSolve(ctx, ep, X[0], B[0], 1, reverse)
+		return e.panelSolve(ctx, pk, X[0], B[0], 1, reverse)
 	}
 	if kw := panelWidth(len(B), width); kw == len(B) {
-		return e.coopPanel(ctx, ep, X, B, kw, reverse)
-	}
-	kind := sweepForward
-	if reverse {
-		kind = sweepBackward
+		return e.coopPanel(ctx, pk, X, B, reverse)
 	}
 	jobs := 0
 	for rem := len(B); rem > 0; jobs++ {
 		rem -= panelWidth(rem, width)
 	}
+	tr := trace.FromContext(ctx)
 	run := e.runPool.Get()
 	run.err = nil
 	run.remaining.Store(int32(jobs))
@@ -130,13 +102,9 @@ func (e *Engine) block(ctx context.Context, X, B [][]float64, width int, reverse
 		}
 		kw := panelWidth(len(B)-i, width)
 		j := e.jobPool.Get()
-		if kw == 1 {
-			j.kind, j.ep, j.x, j.b, j.run, j.errc = kind, ep, X[i], B[i], run, nil
-		} else {
-			j.kind, j.ep, j.kw, j.xs, j.bs, j.run, j.errc = kind, ep, kw, X[i:i+kw], B[i:i+kw], run, nil
-		}
+		j.pk, j.reverse, j.xs, j.bs, j.run = pk, reverse, X[i:i+kw], B[i:i+kw], run
 		if err := e.submitCtx(ctx, job{whole: j}); err != nil {
-			j.reset()
+			*j = wholeJob{}
 			e.jobPool.Put(j)
 			first = err
 			break
@@ -146,48 +114,49 @@ func (e *Engine) block(ctx context.Context, X, B [][]float64, width int, reverse
 	}
 	s0 := trace.Now()
 	tr.Observe(trace.StageDispatch, d0, s0)
-	err := e.finishRun(run, jobs, issued, first)
+	err = e.finishRun(run, jobs, issued, first)
 	tr.Observe(trace.StageSweep, s0, trace.Now())
 	return err
 }
 
-// coopPanel runs one panel cooperatively: pack the columns into the
-// pooled row-major scratch, sweep it in place under the engine's schedule
+// coopPanel runs one multi-column panel cooperatively: pack the columns
+// into the pooled row-major scratch, sweep it in place over the task DAG
 // (in-place is safe — a row's B entries are read before its X entries are
 // written, and every other access is to already-solved rows), scatter the
 // solutions back out.
 //
 //stsk:noalloc
-func (e *Engine) coopPanel(ctx context.Context, ep *epoch, X, B [][]float64, kw int, reverse bool) error {
-	n := e.n
+func (e *Engine) coopPanel(ctx context.Context, pk *sparse.Packed, X, B [][]float64, reverse bool) error {
+	kw := len(B)
 	bufp := e.panelPool.Get()
-	buf := (*bufp)[:n*kw]
-	sparse.PackPanel(buf, B[:kw])
-	err := e.panelSolve(ctx, ep, buf, buf, kw, reverse)
+	buf := (*bufp)[:e.n*kw]
+	sparse.PackPanel(buf, B)
+	err := e.panelSolve(ctx, pk, buf, buf, kw, reverse)
 	if err == nil {
-		sparse.UnpackPanel(X[:kw], buf)
+		sparse.UnpackPanel(X, buf)
 	}
 	e.panelPool.Put(bufp)
 	return err
 }
 
-// sweepPanel is the worker side of a pipelined whole-panel job: pack,
-// one sequential blocked sweep over all rows, scatter. Row order is
-// Sequential's, so every column stays bitwise identical.
+// sweepPanel is the worker side of a whole-panel job: one sequential
+// sweep over all rows — straight through the vectors for a single
+// column, packed into pooled row-major scratch and scattered back for a
+// wider panel. Row order is Sequential's, so every column stays bitwise
+// identical.
 //
 //stsk:noalloc
-func (e *Engine) sweepPanel(w *wholeJob) {
-	n := e.n
-	kw := w.kw
+func (e *Engine) sweepPanel(pk *sparse.Packed, xs, bs [][]float64, reverse bool) {
+	n, kw := e.n, len(bs)
+	if kw == 1 {
+		sweepRows(pk, xs[0], bs[0], 1, 0, n, reverse)
+		return
+	}
 	bufp := e.panelPool.Get()
 	buf := (*bufp)[:n*kw]
-	sparse.PackPanel(buf, w.bs)
-	if w.kind == sweepBackward {
-		w.ep.backwardRowsBlock(buf, buf, kw, 0, n)
-	} else {
-		w.ep.forwardRowsBlock(buf, buf, kw, 0, n)
-	}
-	sparse.UnpackPanel(w.xs, buf)
+	sparse.PackPanel(buf, bs)
+	sweepRows(pk, buf, buf, kw, 0, n, reverse)
+	sparse.UnpackPanel(xs, buf)
 	e.panelPool.Put(bufp)
 }
 

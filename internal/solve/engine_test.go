@@ -1,16 +1,76 @@
 package solve
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"stsk/internal/csrk"
 	"stsk/internal/gen"
 	"stsk/internal/order"
 	"stsk/internal/sparse"
 	"stsk/internal/testmat"
 )
+
+// newEngine starts an engine over p's structure with a fine-grained task
+// DAG, so even small test matrices exercise real task graphs.
+func newEngine(t testing.TB, p *order.Plan, workers int) *Engine {
+	t.Helper()
+	return newEngineVals(t, NewValues(p.S), workers)
+}
+
+// newEngineVals is newEngine over a shared value-epoch sequence.
+func newEngineVals(t testing.TB, v *Values, workers int) *Engine {
+	t.Helper()
+	dag := order.BuildTaskDAG(v.Structure(), order.TaskDAGOptions{SplitPerPack: 4, MinTaskNNZ: 16})
+	e, err := NewEngine(v, Options{Workers: workers, Graph: dag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// solveVec solves L′x = b cooperatively into a fresh vector.
+func solveVec(e *Engine, b []float64) ([]float64, error) {
+	x := make([]float64, e.n)
+	if err := e.SolveIntoCtx(context.Background(), x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// solveUpperVec solves L′ᵀx = b cooperatively into a fresh vector.
+func solveUpperVec(e *Engine, b []float64) ([]float64, error) {
+	x := make([]float64, e.n)
+	if err := e.SolveUpperIntoCtx(context.Background(), x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// solveBatch solves every right-hand side of B as its own width-1 panel:
+// with more than one vector that is the whole-panel path, one worker
+// sweeping each vector start to finish.
+func solveBatch(e *Engine, B [][]float64) ([][]float64, error) {
+	X := make2d(len(B), e.n)
+	if err := e.SolveBlockIntoCtx(context.Background(), X, B, 1); err != nil {
+		return nil, err
+	}
+	return X, nil
+}
+
+// upperRef is the backward-substitution oracle for L′ᵀx = b.
+func upperRef(t testing.TB, s *csrk.Structure, b []float64) []float64 {
+	t.Helper()
+	x, err := sparse.BackwardSubstitution(s.L.Transpose(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
 
 // randomRHS manufactures nrhs right-hand sides with known solutions.
 func randomRHS(p *order.Plan, nrhs int, seed int64) (B [][]float64, want [][]float64) {
@@ -55,9 +115,9 @@ func TestEngineSolveMatchesSequentialBitwise(t *testing.T) {
 			p := planFor(t, a, m)
 			B, want := randomRHS(p, 3, 11)
 			for _, workers := range []int{1, 3, 8} {
-				e := NewEngine(p.S, Options{Workers: workers})
+				e := newEngine(t, p, workers)
 				for r := range B {
-					x, err := e.Solve(B[r])
+					x, err := solveVec(e, B[r])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -69,14 +129,16 @@ func TestEngineSolveMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// TestEngineSolveBatchBitwise drives the whole-panel path with width-1
+// panels — one worker per vector — including X[i] aliasing B[i].
 func TestEngineSolveBatchBitwise(t *testing.T) {
 	for _, m := range order.Methods() {
 		a := gen.Grid3D(7, 7, 7)
 		p := planFor(t, a, m)
 		B, want := randomRHS(p, 16, 23)
-		e := NewEngine(p.S, Options{Workers: 4})
+		e := newEngine(t, p, 4)
 		defer e.Close()
-		X, err := e.SolveBatch(B)
+		X, err := solveBatch(e, B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +150,7 @@ func TestEngineSolveBatchBitwise(t *testing.T) {
 		for r := range B {
 			aliased[r] = append([]float64(nil), B[r]...)
 		}
-		if err := e.SolveBatchInto(aliased, aliased); err != nil {
+		if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased, 1); err != nil {
 			t.Fatal(err)
 		}
 		for r := range aliased {
@@ -97,123 +159,44 @@ func TestEngineSolveBatchBitwise(t *testing.T) {
 	}
 }
 
-func TestEngineSolveManyOrderedBitwise(t *testing.T) {
-	a := gen.TriMesh(16, 16, 3)
-	p := planFor(t, a, order.STS3)
-	B, want := randomRHS(p, 40, 31)
-	e := NewEngine(p.S, Options{Workers: 4})
-	defer e.Close()
-	bs := make(chan []float64)
-	go func() {
-		for _, b := range B {
-			bs <- b
-		}
-		close(bs)
-	}()
-	r := 0
-	for res := range e.SolveMany(bs) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		assertBitwise(t, "stream", res.X, want[r])
-		r++
-	}
-	if r != len(B) {
-		t.Fatalf("streamed %d results, want %d", r, len(B))
-	}
-}
-
+// TestEngineUpperMatchesUpperSolver checks the engine's backward sweeps —
+// cooperative and whole-panel — against the backward-substitution oracle
+// bit for bit.
 func TestEngineUpperMatchesUpperSolver(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	for _, m := range order.Methods() {
 		p := planFor(t, a, m)
-		us, err := NewUpperSolver(p.S)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(7))
 		b := make([]float64, a.N)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want, err := us.Solve(b, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := us.NewEngine(Options{Workers: 4})
-		x, err := e.SolveUpper(b)
+		want := upperRef(t, p.S, b)
+		e := newEngine(t, p, 4)
+		x, err := solveUpperVec(e, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitwise(t, m.String()+"/coop", x, want)
-		X := [][]float64{make([]float64, a.N), make([]float64, a.N)}
-		if err := e.SolveUpperBatchInto(X, [][]float64{b, b}); err != nil {
+		X := make2d(2, a.N)
+		if err := e.SolveUpperBlockIntoCtx(context.Background(), X, [][]float64{b, b}, 1); err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, m.String()+"/batch", X[0], want)
-		assertBitwise(t, m.String()+"/batch", X[1], want)
+		assertBitwise(t, m.String()+"/whole", X[0], want)
+		assertBitwise(t, m.String()+"/whole", X[1], want)
 		e.Close()
 	}
 }
 
-func TestEngineApplySGSBatchMatchesLoop(t *testing.T) {
-	a := gen.Grid3D(6, 6, 6)
-	p := planFor(t, a, order.STS3)
-	us, err := NewUpperSolver(p.S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	const nrhs = 8
-	R := make([][]float64, nrhs)
-	want := make([][]float64, nrhs)
-	d := make([]float64, a.N)
-	l := p.S.L
-	for i := 0; i < l.N; i++ {
-		d[i] = l.Val[l.RowPtr[i+1]-1]
-	}
-	for r := range R {
-		R[r] = make([]float64, a.N)
-		for i := range R[r] {
-			R[r][i] = rng.NormFloat64()
-		}
-		y, err := Sequential(p.S, R[r])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range y {
-			y[i] *= d[i]
-		}
-		if want[r], err = us.Solve(y, Options{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := NewEngine(p.S, Options{Workers: 3})
-	defer e.Close()
-	Z := make([][]float64, nrhs)
-	for r := range Z {
-		Z[r] = make([]float64, a.N)
-	}
-	if err := e.ApplySGSBatch(Z, R); err != nil {
-		t.Fatal(err)
-	}
-	for r := range Z {
-		assertBitwise(t, "sgs", Z[r], want[r])
-	}
-}
-
 // TestEngineConcurrentSolves hammers one engine from many goroutines with
-// a mix of cooperative, upper, and batch solves — the race-detector test
-// for the shared pool.
+// a mix of cooperative, upper, and multi-panel solves — the race-detector
+// test for the shared pool.
 func TestEngineConcurrentSolves(t *testing.T) {
 	a := gen.TriMesh(12, 12, 3)
 	p := planFor(t, a, order.STS3)
 	B, want := randomRHS(p, 6, 43)
-	e := NewEngine(p.S, Options{Workers: 4})
+	e := newEngine(t, p, 4)
 	defer e.Close()
-	if err := e.ensureUpper(e.vals.Current()); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -223,7 +206,7 @@ func TestEngineConcurrentSolves(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				switch g % 3 {
 				case 0:
-					x, err := e.Solve(B[it%len(B)])
+					x, err := solveVec(e, B[it%len(B)])
 					if err != nil {
 						errs <- err
 						return
@@ -235,12 +218,12 @@ func TestEngineConcurrentSolves(t *testing.T) {
 						}
 					}
 				case 1:
-					if _, err := e.SolveUpper(B[it%len(B)]); err != nil {
+					if _, err := solveUpperVec(e, B[it%len(B)]); err != nil {
 						errs <- err
 						return
 					}
 				default:
-					X, err := e.SolveBatch(B)
+					X, err := solveBatch(e, B)
 					if err != nil {
 						errs <- err
 						return
@@ -272,7 +255,7 @@ func TestEngineCloseRacingSolves(t *testing.T) {
 	p := planFor(t, a, order.STS3)
 	B, _ := randomRHS(p, 2, 3)
 	for trial := 0; trial < 20; trial++ {
-		e := NewEngine(p.S, Options{Workers: 4})
+		e := newEngine(t, p, 4)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -281,9 +264,9 @@ func TestEngineCloseRacingSolves(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					var err error
 					if g%2 == 0 {
-						_, err = e.Solve(B[i%2])
+						_, err = solveVec(e, B[i%2])
 					} else {
-						_, err = e.SolveBatch(B)
+						_, err = solveBatch(e, B)
 					}
 					if err != nil {
 						if !errors.Is(err, ErrClosed) {
@@ -302,40 +285,42 @@ func TestEngineCloseRacingSolves(t *testing.T) {
 func TestEngineClosed(t *testing.T) {
 	a := gen.Grid2D(8, 8)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	b := make([]float64, a.N)
-	if _, err := e.Solve(b); err != nil {
+	if _, err := solveVec(e, b); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Solve(b); !errors.Is(err, ErrClosed) {
+	if _, err := solveVec(e, b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("solve after close: %v, want ErrClosed", err)
 	}
-	if _, err := e.SolveBatch([][]float64{b}); !errors.Is(err, ErrClosed) {
+	if _, err := solveBatch(e, [][]float64{b, b}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after close: %v, want ErrClosed", err)
-	}
-	bs := make(chan []float64, 1)
-	bs <- b
-	close(bs)
-	res := <-e.SolveMany(bs)
-	if !errors.Is(res.Err, ErrClosed) {
-		t.Fatalf("stream after close: %v, want ErrClosed", res.Err)
 	}
 }
 
 func TestEngineBadLengths(t *testing.T) {
 	a := gen.Grid2D(8, 8)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
+	e := newEngine(t, p, 2)
 	defer e.Close()
-	if _, err := e.Solve(make([]float64, 3)); err == nil {
+	if _, err := solveVec(e, make([]float64, 3)); err == nil {
 		t.Fatal("short rhs accepted")
 	}
-	if err := e.SolveBatchInto([][]float64{make([]float64, a.N)}, nil); err == nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), [][]float64{make([]float64, a.N)}, nil, 0); err == nil {
 		t.Fatal("mismatched batch lengths accepted")
 	}
-	if _, err := e.SolveBatch([][]float64{make([]float64, 2)}); err == nil {
+	if _, err := solveBatch(e, [][]float64{make([]float64, 2)}); err == nil {
 		t.Fatal("short batch rhs accepted")
+	}
+}
+
+// TestNewEngineRefusesOversizeFactor: a factor the packed layout cannot
+// index is refused at construction with sparse.ErrTooLarge.
+func TestNewEngineRefusesOversizeFactor(t *testing.T) {
+	s := &csrk.Structure{L: &sparse.CSR{N: math.MaxInt32}}
+	if _, err := NewEngine(NewValues(s), Options{Workers: 1}); !errors.Is(err, sparse.ErrTooLarge) {
+		t.Fatalf("oversize factor: err = %v, want ErrTooLarge", err)
 	}
 }

@@ -20,16 +20,11 @@ import (
 // epoch pointer exactly once and threads it through the sweep, so a solve
 // already in flight finishes on the snapshot it started with while later
 // dispatches see the new values. One Values is shared by all engines of a
-// plan, so per-epoch derived state (the packed SoA layout, the validated
-// transpose, the diagonal) is built at most once per epoch no matter how
-// many engines solve it.
+// plan, so per-epoch derived state (the packed layouts of the factor and
+// of its transpose) is built at most once per epoch no matter how many
+// engines solve it.
 type Values struct {
 	cur atomic.Pointer[epoch]
-
-	// packWanted records that at least one persistent engine solves these
-	// values, so new epochs eagerly rebuild the packed layout at Swap time
-	// instead of leaving the first post-swap solves on the CSR fallback.
-	packWanted atomic.Bool
 }
 
 // NewValues wraps a structure as epoch 0 of a value sequence.
@@ -43,7 +38,7 @@ func NewValues(s *csrk.Structure) *Values {
 // stays monotone across a warm restart.
 func NewValuesVersion(s *csrk.Structure, seq uint64) *Values {
 	v := &Values{}
-	v.cur.Store(newEpoch(seq, s))
+	v.cur.Store(&epoch{seq: seq, s: s})
 	return v
 }
 
@@ -70,7 +65,8 @@ func (v *Values) Snapshot() (*csrk.Structure, uint64) {
 // Swap validates val as a complete value array for the factor's fixed
 // sparsity and publishes it as a new epoch. The check is all-or-nothing:
 // on a length mismatch (wrapped ErrDimension) or a zero diagonal nothing
-// is published and in-flight and future solves keep the old values.
+// is published and in-flight and future solves keep the old values. The
+// new epoch packs lazily, on the first solve that pins it.
 //
 // Swap takes ownership of val; the caller must not modify it afterwards.
 // Concurrent Swap calls must be serialised by the caller (the stsk facade
@@ -93,71 +89,46 @@ func (v *Values) Swap(val []float64) error {
 	}
 	l2 := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: val}
 	s2 := &csrk.Structure{L: l2, SuperPtr: old.s.SuperPtr, PackPtr: old.s.PackPtr}
-	ep := newEpoch(old.seq+1, s2)
-	if v.packWanted.Load() {
-		ep.ensurePacked()
-	}
-	v.cur.Store(ep)
+	v.cur.Store(&epoch{seq: old.seq + 1, s: s2})
 	return nil
 }
 
 // epoch is one immutable numeric snapshot of the factor: the structure
-// (shared symbolic arrays + this epoch's values) and derived state built
-// lazily at most once. The pk/u/upk pointers are atomic because kernels
-// read them on worker goroutines without passing through the sync.Once
-// that built them; a kernel observing nil simply takes the bitwise-
-// identical CSR fallback.
+// (shared symbolic arrays + this epoch's values) and the packed layouts
+// the kernels sweep, each built at most once. Dispatchers build them
+// before handing work to the pool, and the hand-off (a channel send)
+// publishes them to the workers.
 type epoch struct {
 	seq uint64
 	s   *csrk.Structure
 
 	packOnce sync.Once
-	pk       atomic.Pointer[sparse.Packed] // compact SoA layout of s.L (nil on int32 overflow)
-
-	diagOnce sync.Once
-	diag     []float64 // diagonal of L′
+	pk       *sparse.Packed // L′, built on the first pin
 
 	upperOnce sync.Once
-	u         atomic.Pointer[sparse.CSR]    // L′ᵀ, diagonal first in each row
-	upk       atomic.Pointer[sparse.Packed] // compact layout of u (nil on overflow)
+	upk       *sparse.Packed // L′ᵀ, built on the first backward sweep
 	upperErr  error
 }
 
-func newEpoch(seq uint64, s *csrk.Structure) *epoch {
-	return &epoch{seq: seq, s: s}
-}
-
-// ensurePacked builds the epoch's packed SoA layout once. The O(nnz)
-// conversion amortises over the epoch's lifetime on persistent engines;
-// one-shot wrappers never ask for it.
-func (ep *epoch) ensurePacked() {
+// packed returns the epoch's packed lower factor, building it on first
+// use. Engines refuse structures whose indices overflow 32 bits and
+// csrk.Structure guarantees a trailing diagonal per row, so packing
+// cannot fail here.
+func (ep *epoch) packed() *sparse.Packed {
 	ep.packOnce.Do(func() {
-		if pk, ok := sparse.PackLower(ep.s.L); ok {
-			ep.pk.Store(pk)
+		pk, ok := sparse.PackLower(ep.s.L)
+		if !ok {
+			panic("solve: factor cannot be packed")
 		}
+		ep.pk = pk
 	})
+	return ep.pk
 }
 
-// diagonal returns (building once) the diagonal of L′.
-func (ep *epoch) diagonal() []float64 {
-	ep.diagOnce.Do(func() {
-		if pk := ep.pk.Load(); pk != nil {
-			ep.diag = pk.Diag
-			return
-		}
-		l := ep.s.L
-		d := make([]float64, l.N)
-		for i := 0; i < l.N; i++ {
-			d[i] = l.Val[l.RowPtr[i+1]-1]
-		}
-		ep.diag = d
-	})
-	return ep.diag
-}
-
-// ensureUpper builds and validates the epoch's transpose L′ᵀ for backward
-// sweeps on first use, packing it too when pack is set.
-func (ep *epoch) ensureUpper(pack bool) error {
+// packedUpper returns the epoch's packed transpose L′ᵀ for backward
+// sweeps, building and validating it on first use. The CSR transpose is
+// only a stepping stone and is not kept.
+func (ep *epoch) packedUpper() (*sparse.Packed, error) {
 	ep.upperOnce.Do(func() {
 		u := ep.s.L.Transpose()
 		for i := 0; i < u.N; i++ {
@@ -171,78 +142,7 @@ func (ep *epoch) ensureUpper(pack bool) error {
 				return
 			}
 		}
-		if pack {
-			if upk, ok := sparse.PackUpper(u); ok {
-				ep.upk.Store(upk)
-			}
-		}
-		ep.u.Store(u)
+		ep.upk, _ = sparse.PackUpper(u) // leading diagonals checked above
 	})
-	return ep.upperErr
-}
-
-// adoptUpper installs a pre-built validated transpose (the UpperSolver
-// path), so the epoch never re-transposes.
-func (ep *epoch) adoptUpper(u *sparse.CSR, pack bool) {
-	ep.upperOnce.Do(func() {
-		if pack {
-			if upk, ok := sparse.PackUpper(u); ok {
-				ep.upk.Store(upk)
-			}
-		}
-		ep.u.Store(u)
-	})
-}
-
-// forwardRows sweeps rows [lo, hi) of this epoch's L′, preferring the
-// packed layout.
-//
-//stsk:noalloc
-func (ep *epoch) forwardRows(x, b []float64, lo, hi int) {
-	if pk := ep.pk.Load(); pk != nil {
-		solvePackedRows(pk, x, b, lo, hi)
-		return
-	}
-	l := ep.s.L
-	solveRows(l.RowPtr, l.Col, l.Val, x, b, lo, hi)
-}
-
-// backwardRows sweeps rows [lo, hi) of this epoch's L′ᵀ in reverse,
-// preferring the packed layout. ensureUpper must have succeeded.
-//
-//stsk:noalloc
-func (ep *epoch) backwardRows(x, b []float64, lo, hi int) {
-	if upk := ep.upk.Load(); upk != nil {
-		solvePackedUpperRows(upk, x, b, lo, hi)
-		return
-	}
-	u := ep.u.Load()
-	solveUpperRows(u.RowPtr, u.Col, u.Val, x, b, lo, hi)
-}
-
-// forwardRowsBlock sweeps rows [lo, hi) of L′ across a width-kw panel,
-// preferring the packed layout.
-//
-//stsk:noalloc
-func (ep *epoch) forwardRowsBlock(X, B []float64, kw, lo, hi int) {
-	if pk := ep.pk.Load(); pk != nil {
-		solvePackedRowsBlock(pk, X, B, kw, lo, hi)
-		return
-	}
-	l := ep.s.L
-	solveRowsBlock(l.RowPtr, l.Col, l.Val, X, B, kw, lo, hi)
-}
-
-// backwardRowsBlock sweeps rows [lo, hi) of L′ᵀ in reverse across a
-// width-kw panel, preferring the packed layout. ensureUpper must have
-// succeeded.
-//
-//stsk:noalloc
-func (ep *epoch) backwardRowsBlock(X, B []float64, kw, lo, hi int) {
-	if upk := ep.upk.Load(); upk != nil {
-		solvePackedUpperRowsBlock(upk, X, B, kw, lo, hi)
-		return
-	}
-	u := ep.u.Load()
-	solveUpperRowsBlock(u.RowPtr, u.Col, u.Val, X, B, kw, lo, hi)
+	return ep.upk, ep.upperErr
 }

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -54,20 +55,24 @@ func TestValuesSwapContract(t *testing.T) {
 
 // TestEngineSeesSwappedValues: an engine bound to a shared Values must
 // solve on the new epoch after a swap, bitwise equal to Sequential over
-// the swapped structure — on the cooperative, batch, and upper paths.
+// the swapped structure — on the cooperative, whole-panel, and upper
+// paths.
 func TestEngineSeesSwappedValues(t *testing.T) {
 	a := testmat.TriMesh(10)
 	p := planFor(t, a, order.STS3)
 	v := NewValues(p.S)
-	e := NewEngineVals(v, Options{Workers: 3})
+	e := newEngineVals(t, v, 3)
 	defer e.Close()
 
 	B, want := randomRHS(p, 2, 13)
-	x, err := e.Solve(B[0])
+	x, err := solveVec(e, B[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwise(t, "pre-swap", x, want[0])
+	if _, err := solveUpperVec(e, B[0]); err != nil { // builds epoch 0's transpose
+		t.Fatal(err)
+	}
 
 	scaled := make([]float64, len(p.S.L.Val))
 	for k, val := range p.S.L.Val {
@@ -81,78 +86,60 @@ func TestEngineSeesSwappedValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := e.Solve(B[r])
+		x, err := solveVec(e, B[r])
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitwise(t, "post-swap coop", x, wantNew)
-		X, err := e.SolveBatch(B[r : r+1])
+		X, err := solveBatch(e, [][]float64{B[r], B[r]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, "post-swap batch", X[0], wantNew)
+		assertBitwise(t, "post-swap whole panel", X[1], wantNew)
 	}
 	// The upper path re-derives the transpose for the new epoch.
-	us, err := NewUpperSolver(v.Structure())
+	gotU, err := solveUpperVec(e, B[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantU, err := us.Solve(B[0], Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotU, err := e.SolveUpper(B[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitwise(t, "post-swap upper", gotU, wantU)
-	if tr := us.Transposed(); tr == nil || tr.N != p.S.L.N {
-		t.Fatal("upper solver does not expose its validated transpose")
-	}
+	assertBitwise(t, "post-swap upper", gotU, upperRef(t, v.Structure(), B[0]))
 }
 
 // TestEpochAccessorsAndOneShot covers the epoch-threaded read paths: the
-// engine exposes its Values handle and per-epoch diagonal, and
-// SolveOnceVals (the one-shot path over a shared epoch sequence) matches
-// Sequential on both sweeps and rejects bad lengths.
+// engine exposes its Values handle and the live epoch's diagonal, and a
+// one-shot Barrier solve over the live epoch's structure (fresh
+// goroutines, CSR kernel) agrees bitwise with the engine's pooled solve.
 func TestEpochAccessorsAndOneShot(t *testing.T) {
 	a := testmat.Grid3D(4)
 	p := planFor(t, a, order.STS3)
 	v := NewValues(p.S)
-	e := NewEngineVals(v, Options{Workers: 2})
+	e := newEngineVals(t, v, 2)
 	defer e.Close()
 	if e.Values() != v {
 		t.Fatal("engine does not expose its Values handle")
 	}
+	l := p.S.L
 	diag := e.Diagonal()
-	if len(diag) != p.S.L.N {
-		t.Fatalf("diagonal has %d entries, want %d", len(diag), p.S.L.N)
+	if len(diag) != l.N {
+		t.Fatalf("diagonal has %d entries, want %d", len(diag), l.N)
 	}
 	for i, d := range diag {
-		if d == 0 {
-			t.Fatalf("zero diagonal at row %d", i)
+		if d != l.Val[l.RowPtr[i+1]-1] {
+			t.Fatalf("diagonal[%d] = %v, want %v", i, d, l.Val[l.RowPtr[i+1]-1])
 		}
 	}
 
 	B, want := randomRHS(p, 1, 7)
-	x := make([]float64, p.S.L.N)
-	if err := SolveOnceVals(v, x, B[0], false, Options{Workers: 2}); err != nil {
+	x := make([]float64, l.N)
+	if err := Barrier(x, v.Structure(), B[0], BarrierOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	assertBitwise(t, "one-shot forward", x, want[0])
-	us, err := NewUpperSolver(p.S)
-	if err != nil {
+	assertBitwise(t, "one-shot barrier", x, want[0])
+	if err := e.SolveIntoCtx(context.Background(), x, B[0]); err != nil {
 		t.Fatal(err)
 	}
-	wantU, err := us.Solve(B[0], Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SolveOnceVals(v, x, B[0], true, Options{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	assertBitwise(t, "one-shot upper", x, wantU)
-	if err := SolveOnceVals(v, x, B[0][:2], false, Options{}); !errors.Is(err, ErrDimension) {
+	assertBitwise(t, "pooled", x, want[0])
+	if err := Barrier(x, v.Structure(), B[0][:2], BarrierOptions{}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("short b: %v, want ErrDimension", err)
 	}
 }

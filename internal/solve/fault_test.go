@@ -31,25 +31,26 @@ func afterFaults(t *testing.T, e *Engine, p *order.Plan) {
 	t.Helper()
 	faultinject.Disable()
 	B, want := randomRHS(p, 1, 99)
-	x, err := e.Solve(B[0])
+	x, err := solveVec(e, B[0])
 	if err != nil {
 		t.Fatalf("engine unusable after contained fault: %v", err)
 	}
 	assertBitwise(t, "post-fault", x, want[0])
 }
 
+// TestCoopSolveContainsPanic: a panic in every worker's share of a
+// cooperative panel solve fails that solve with ErrInternal.
 func TestCoopSolveContainsPanic(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 4})
+	e := newEngine(t, p, 4)
 	defer e.Close()
-	B, _ := randomRHS(p, 1, 5)
+	B, _ := randomRHS(p, 4, 5)
 
 	withFaults(t, "engine.job:panic", 1)
-	x := make([]float64, a.N)
-	err := e.SolveInto(x, B[0])
+	err := e.SolveBlockIntoCtx(context.Background(), make2d(len(B), a.N), B, 0)
 	if !errors.Is(err, panicsafe.ErrInternal) {
-		t.Fatalf("want ErrInternal from panicking coop solve, got %v", err)
+		t.Fatalf("want ErrInternal from panicking coop panel solve, got %v", err)
 	}
 	afterFaults(t, e, p)
 }
@@ -57,12 +58,12 @@ func TestCoopSolveContainsPanic(t *testing.T) {
 func TestCoopSolveReportsInjectedError(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 3})
+	e := newEngine(t, p, 3)
 	defer e.Close()
 	B, _ := randomRHS(p, 1, 5)
 
 	withFaults(t, "engine.job:error", 1)
-	err := e.SolveInto(make([]float64, a.N), B[0])
+	err := e.SolveIntoCtx(context.Background(), make([]float64, a.N), B[0])
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
@@ -72,12 +73,12 @@ func TestCoopSolveReportsInjectedError(t *testing.T) {
 func TestGraphSolveContainsPanic(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	p := planFor(t, a, order.STS3)
-	e := graphEngine(p, 4)
+	e := newEngine(t, p, 4)
 	defer e.Close()
 	B, _ := randomRHS(p, 1, 7)
 
 	withFaults(t, "engine.job:panic", 1)
-	err := e.SolveInto(make([]float64, a.N), B[0])
+	err := e.SolveUpperIntoCtx(context.Background(), make([]float64, a.N), B[0])
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from panicking graph solve, got %v", err)
 	}
@@ -87,18 +88,15 @@ func TestGraphSolveContainsPanic(t *testing.T) {
 func TestBatchSolveContainsPanicPerMember(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 4})
+	e := newEngine(t, p, 4)
 	defer e.Close()
 	B, _ := randomRHS(p, 8, 11)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, a.N)
-	}
+	X := make2d(len(B), a.N)
 
-	// Panic on every job: the batch must complete (counters fire) and
-	// report ErrInternal instead of deadlocking on a dead member.
+	// Panic on every whole-panel job: the call must complete (counters
+	// fire) and report ErrInternal instead of deadlocking on a dead member.
 	withFaults(t, "engine.job:panic", 1)
-	err := e.SolveBatchInto(X, B)
+	err := e.SolveBlockIntoCtx(context.Background(), X, B, 1)
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from panicking batch, got %v", err)
 	}
@@ -108,50 +106,28 @@ func TestBatchSolveContainsPanicPerMember(t *testing.T) {
 func TestBatchSolvePartialPanicSparesMates(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 4})
+	e := newEngine(t, p, 4)
 	defer e.Close()
-	B, _ := randomRHS(p, 16, 13)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, a.N)
-	}
+	B, want := randomRHS(p, 16, 13)
+	X := make2d(len(B), a.N)
 
-	// Exactly one member panics; the batch reports the failure but every
-	// other member's completion still fires.
+	// Exactly one of the eight 2-wide panels panics; the call reports the
+	// failure, every other panel's completion still fires, and exactly
+	// the failed panel's two columns are left unsolved.
 	withFaults(t, "engine.job:panic:after=3,count=1", 1)
-	err := e.SolveBatchInto(X, B)
+	err := e.SolveBlockIntoCtx(context.Background(), X, B, 2)
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from partially panicking batch, got %v", err)
 	}
-	afterFaults(t, e, p)
-}
-
-func TestSolveManyContainsPanic(t *testing.T) {
-	a := gen.Grid2D(10, 10)
-	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 2})
-	defer e.Close()
-	B, _ := randomRHS(p, 6, 17)
-
-	withFaults(t, "engine.job:panic:every=2", 1)
-	in := make(chan []float64, len(B))
-	for _, b := range B {
-		in <- b
-	}
-	close(in)
-	nerr, nok := 0, 0
-	for r := range e.SolveManyCtx(context.Background(), in) {
-		if r.Err != nil {
-			if !errors.Is(r.Err, panicsafe.ErrInternal) {
-				t.Fatalf("stream error is not ErrInternal: %v", r.Err)
-			}
-			nerr++
-		} else {
-			nok++
+	solved := 0
+	for r := range X {
+		if X[r][0] == want[r][0] {
+			assertBitwise(t, "surviving panel column", X[r], want[r])
+			solved++
 		}
 	}
-	if nerr == 0 || nok == 0 {
-		t.Fatalf("every=2 stream: %d errors, %d ok — want a mix", nerr, nok)
+	if solved != len(B)-2 {
+		t.Fatalf("%d of %d columns solved, want all but the failed panel's 2", solved, len(B))
 	}
 	afterFaults(t, e, p)
 }
@@ -160,7 +136,7 @@ func TestSwapInjectedFaultLeavesOldEpoch(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
 	v := NewValues(p.S)
-	e := NewEngineVals(v, Options{Workers: 2})
+	e := newEngineVals(t, v, 2)
 	defer e.Close()
 	seqBefore := v.Version()
 
@@ -185,12 +161,12 @@ func TestSwapInjectedFaultLeavesOldEpoch(t *testing.T) {
 func TestDegenerateSolveContainsPanic(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 1}) // degenerate localSweep path
+	e := newEngine(t, p, 1) // degenerate localSweep path
 	defer e.Close()
 	B, _ := randomRHS(p, 1, 23)
 
 	withFaults(t, "engine.job:panic", 1)
-	err := e.SolveInto(make([]float64, a.N), B[0])
+	err := e.SolveIntoCtx(context.Background(), make([]float64, a.N), B[0])
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from degenerate path, got %v", err)
 	}

@@ -1,6 +1,8 @@
 package solve
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -98,9 +100,9 @@ func FuzzTriangularSolve(f *testing.F) {
 				t.Fatalf("Sequential vs dense reference: x[%d] differs by %g", i, d)
 			}
 		}
-		e := graphEngine(p, 1+int(data[0])%4)
+		e := newEngine(t, p, 1+int(data[0])%4)
 		defer e.Close()
-		x, err := e.Solve(b)
+		x, err := solveVec(e, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +118,7 @@ func FuzzTriangularSolve(f *testing.F) {
 		for i := range X {
 			X[i] = make([]float64, a.N)
 		}
-		if err := e.SolveBlockInto(X, B, 0); err != nil {
+		if err := e.SolveBlockIntoCtx(context.Background(), X, B, 0); err != nil {
 			t.Fatal(err)
 		}
 		for r := range B {
@@ -157,7 +159,8 @@ func lowerFromBytes(data []byte) *sparse.CSR {
 // FuzzPackedRoundTrip converts fuzzed lower-triangular factors to the
 // compact 32-bit layout and back through the kernels: PackLower/PackUpper
 // must preserve every entry, and the packed scalar and block kernels must
-// match their CSR counterparts bit for bit.
+// match the oracles — solveRows forward, sparse.BackwardSubstitution
+// backward — bit for bit.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add([]byte{5})
 	f.Add([]byte{17, 0, 1, 2, 0, 3, 9, 9, 1, 4})
@@ -187,14 +190,16 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatalf("PackUpper rejected an in-range factor")
 		}
-		wantU := make([]float64, n)
-		solveUpperRows(u.RowPtr, u.Col, u.Val, wantU, b, 0, n)
+		wantU, err := sparse.BackwardSubstitution(u, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gotU := make([]float64, n)
 		solvePackedUpperRows(upk, gotU, b, 0, n)
 		assertBitwise(t, "packed-backward", gotU, wantU)
 
-		// Block kernels against their own CSR fallbacks and against the
-		// scalar per-column results, on a width-4 panel.
+		// Block kernels against the scalar per-column oracle results, on a
+		// width-4 panel, forward and backward.
 		const kw = 4
 		panelB := make([]float64, n*kw)
 		for j := 0; j < kw; j++ {
@@ -204,9 +209,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		}
 		packedX := make([]float64, n*kw)
 		solvePackedRowsBlock(pk, packedX, panelB, kw, 0, n)
-		csrX := make([]float64, n*kw)
-		solveRowsBlock(l.RowPtr, l.Col, l.Val, csrX, panelB, kw, 0, n)
-		assertBitwise(t, "block-packed-vs-csr", packedX, csrX)
+		packedU := make([]float64, n*kw)
+		solvePackedUpperRowsBlock(upk, packedU, panelB, kw, 0, n)
 		for j := 0; j < kw; j++ {
 			colB := make([]float64, n)
 			for i := 0; i < n; i++ {
@@ -214,9 +218,16 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			}
 			colX := make([]float64, n)
 			solveRows(l.RowPtr, l.Col, l.Val, colX, colB, 0, n)
+			colU, err := sparse.BackwardSubstitution(u, colB)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < n; i++ {
 				if packedX[i*kw+j] != colX[i] {
 					t.Fatalf("panel column %d row %d: %v, want bitwise %v", j, i, packedX[i*kw+j], colX[i])
+				}
+				if packedU[i*kw+j] != colU[i] {
+					t.Fatalf("upper panel column %d row %d: %v, want bitwise %v", j, i, packedU[i*kw+j], colU[i])
 				}
 			}
 		}
@@ -224,11 +235,14 @@ func FuzzPackedRoundTrip(f *testing.F) {
 }
 
 // TestPackedOverflowFallback is the size-capped synthetic check of the
-// int32-overflow fallback: a factor whose dimension cannot be indexed in
-// 32 bits must be rejected before any array is touched (the caller keeps
-// the CSR kernels), and a row missing its trailing diagonal must be
-// rejected too.
+// int32 limit: a factor whose dimension cannot be indexed in 32 bits must
+// be rejected before any array is touched — by PackLower/PackUpper and by
+// CheckPackable with sparse.ErrTooLarge — and a row missing its trailing
+// diagonal must be rejected too.
 func TestPackedOverflowFallback(t *testing.T) {
+	if err := sparse.CheckPackable(&sparse.CSR{N: math.MaxInt32}); !errors.Is(err, sparse.ErrTooLarge) {
+		t.Fatalf("CheckPackable: %v, want ErrTooLarge", err)
+	}
 	if _, ok := sparse.PackLower(&sparse.CSR{N: math.MaxInt32}); ok {
 		t.Fatal("PackLower accepted an int32-overflowing dimension")
 	}

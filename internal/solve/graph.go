@@ -8,11 +8,12 @@ import (
 	"stsk/internal/csrk"
 	"stsk/internal/faultinject"
 	"stsk/internal/panicsafe"
+	"stsk/internal/sparse"
 )
 
-// graphRun is the shared state of one dependency-driven cooperative solve:
-// the point-to-point replacement for the barrier schedule. Instead of all
-// workers meeting at a condition-variable barrier after every pack, each
+// graphRun is the shared state of one cooperative solve: the
+// point-to-point replacement for the paper's barrier schedule (Barrier).
+// Instead of all workers meeting at a barrier after every pack, each
 // task (a contiguous super-row chunk of one pack, csrk.TaskDAG) carries an
 // atomic counter of unfinished direct predecessors. A worker finishing a
 // task decrements its successors' counters and publishes any task that
@@ -30,15 +31,14 @@ import (
 // parks on a condition variable so an over-subscribed machine is not
 // burned by busy polling.
 //
-// Like the barrier path, each row is computed by exactly one worker with
-// the sequential kernel's operation order, so results stay bitwise
+// Each row is computed by exactly one worker with the sequential kernel's
+// operation order, so results stay bitwise
 // identical to Sequential. The run's arrays are allocated once per engine
 // and reset per solve — steady-state solves allocate nothing.
 type graphRun struct {
-	e       *Engine
 	dag     *csrk.TaskDAG
-	ep      *epoch    // value epoch pinned at dispatch
-	x, b    []float64 // row-major n×kw panels when kw > 1
+	pk      *sparse.Packed // factor of the epoch pinned at dispatch (L′ᵀ when reverse)
+	x, b    []float64      // row-major n×kw panels when kw > 1
 	kw      int
 	reverse bool
 
@@ -69,8 +69,7 @@ func (g *graphRun) fail(err error) {
 	g.failMu.Unlock()
 }
 
-func (g *graphRun) init(e *Engine, dag *csrk.TaskDAG) {
-	g.e = e
+func (g *graphRun) init(dag *csrk.TaskDAG) {
 	g.dag = dag
 	g.remaining = make([]atomic.Int32, dag.NumTasks())
 	g.slots = make([]atomic.Int32, dag.NumTasks())
@@ -79,8 +78,8 @@ func (g *graphRun) init(e *Engine, dag *csrk.TaskDAG) {
 
 // reset prepares the run for one solve. Called with no workers active
 // (under the engine's solveMu, before dispatch), so plain stores suffice.
-func (g *graphRun) reset(ep *epoch, x, b []float64, kw int, reverse bool) {
-	g.ep, g.x, g.b, g.kw, g.reverse = ep, x, b, kw, reverse
+func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool) {
+	g.pk, g.x, g.b, g.kw, g.reverse = pk, x, b, kw, reverse
 	g.failErr = nil
 	g.head.Store(0)
 	nt := g.dag.NumTasks()
@@ -150,16 +149,7 @@ func (g *graphRun) runTask(t int32) {
 		}
 	}()
 	lo, hi := g.dag.TaskRows(int(t))
-	switch {
-	case g.kw > 1 && g.reverse:
-		g.ep.backwardRowsBlock(g.x, g.b, g.kw, lo, hi)
-	case g.kw > 1:
-		g.ep.forwardRowsBlock(g.x, g.b, g.kw, lo, hi)
-	case g.reverse:
-		g.ep.backwardRows(g.x, g.b, lo, hi)
-	default:
-		g.ep.forwardRows(g.x, g.b, lo, hi)
-	}
+	sweepRows(g.pk, g.x, g.b, g.kw, lo, hi, g.reverse)
 }
 
 // await returns the task published to slot h, spinning briefly and then

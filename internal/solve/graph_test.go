@@ -11,13 +11,6 @@ import (
 	"stsk/internal/testmat"
 )
 
-// graphEngine builds an engine on the dependency-driven schedule with a
-// fine-grained DAG so even small test matrices exercise real task graphs.
-func graphEngine(p *order.Plan, workers int) *Engine {
-	dag := order.BuildTaskDAG(p.S, order.TaskDAGOptions{SplitPerPack: 4, MinTaskNNZ: 16})
-	return NewEngine(p.S, Options{Workers: workers, Schedule: Graph, Graph: dag})
-}
-
 // TestGraphSolveMatchesSequentialBitwise is the core correctness gate of
 // the point-to-point scheduler: for every method and several worker
 // counts, graph-scheduled solves must equal Sequential bit for bit.
@@ -28,9 +21,9 @@ func TestGraphSolveMatchesSequentialBitwise(t *testing.T) {
 			p := planFor(t, a, m)
 			B, want := randomRHS(p, 3, 17)
 			for _, workers := range []int{2, 3, 8} {
-				e := graphEngine(p, workers)
+				e := newEngine(t, p, workers)
 				for r := range B {
-					x, err := e.Solve(B[r])
+					x, err := solveVec(e, B[r])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -44,26 +37,19 @@ func TestGraphSolveMatchesSequentialBitwise(t *testing.T) {
 
 // TestGraphSolveUpperBitwise checks the reverse sweep: the graph schedule
 // runs the DAG backwards (successors become prerequisites) and must match
-// the single-worker backward solve bitwise.
+// the backward-substitution oracle bitwise.
 func TestGraphSolveUpperBitwise(t *testing.T) {
 	a := gen.Grid2D(12, 12)
 	for _, m := range order.Methods() {
 		p := planFor(t, a, m)
-		us, err := NewUpperSolver(p.S)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(3))
 		b := make([]float64, a.N)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want, err := us.Solve(b, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := graphEngine(p, 4)
-		x, err := e.SolveUpper(b)
+		want := upperRef(t, p.S, b)
+		e := newEngine(t, p, 4)
+		x, err := solveUpperVec(e, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,49 +58,53 @@ func TestGraphSolveUpperBitwise(t *testing.T) {
 	}
 }
 
-// TestGraphScheduleFallsBackWithoutDAG: the Graph schedule without a DAG
-// must demote itself to the barrier Guided schedule and still solve.
+// TestGraphScheduleFallsBackWithoutDAG: without a DAG only the one-worker
+// engine is built, and it falls back to the sequential sweep in both
+// directions; more workers are refused rather than silently demoted to
+// another schedule.
 func TestGraphScheduleFallsBackWithoutDAG(t *testing.T) {
-	a := gen.Grid2D(10, 10)
-	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 3, Schedule: Graph})
-	defer e.Close()
-	if e.opts.Schedule != Guided {
-		t.Fatalf("schedule %v, want fallback to Guided", e.opts.Schedule)
+	p := planFor(t, gen.Grid2D(10, 10), order.STS3)
+	if _, err := NewEngine(NewValues(p.S), Options{Workers: 3}); err == nil {
+		t.Fatal("multi-worker engine without a DAG accepted")
 	}
+	e, err := NewEngine(NewValues(p.S), Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("one-worker engine without a DAG: %v", err)
+	}
+	defer e.Close()
 	B, want := randomRHS(p, 1, 9)
-	x, err := e.Solve(B[0])
+	x, err := solveVec(e, B[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwise(t, "fallback", x, want[0])
+	x, err = solveUpperVec(e, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "fallback-upper", x, upperRef(t, p.S, B[0]))
 }
 
 // TestGraphScheduleRejectsForeignDAG: a DAG built for another structure
-// must be dropped rather than drive an out-of-bounds schedule.
+// is refused rather than drive an out-of-bounds or racing schedule.
 func TestGraphScheduleRejectsForeignDAG(t *testing.T) {
 	small := planFor(t, gen.Grid2D(8, 8), order.STS3)
 	big := planFor(t, gen.Grid2D(12, 12), order.STS3)
 	dag := order.BuildTaskDAG(big.S, order.TaskDAGOptions{})
-	e := NewEngine(small.S, Options{Workers: 2, Schedule: Graph, Graph: dag})
-	defer e.Close()
-	if e.opts.Graph != nil || e.opts.Schedule != Guided {
-		t.Fatalf("foreign DAG accepted: schedule %v", e.opts.Schedule)
+	if _, err := NewEngine(NewValues(small.S), Options{Workers: 2, Graph: dag}); err == nil {
+		t.Fatal("foreign DAG accepted")
 	}
 }
 
 // TestGraphConcurrentSolves hammers one graph-scheduled engine with a mix
-// of cooperative forward/backward solves and batches from many
+// of cooperative forward/backward solves and multi-panel calls from many
 // goroutines — the race-detector gate for the P2P scheduler state.
 func TestGraphConcurrentSolves(t *testing.T) {
 	a := gen.TriMesh(12, 12, 3)
 	p := planFor(t, a, order.STS3)
 	B, want := randomRHS(p, 6, 29)
-	e := graphEngine(p, 4)
+	e := newEngine(t, p, 4)
 	defer e.Close()
-	if err := e.ensureUpper(e.vals.Current()); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -123,7 +113,7 @@ func TestGraphConcurrentSolves(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				switch g % 3 {
 				case 0:
-					x, err := e.Solve(B[it%len(B)])
+					x, err := solveVec(e, B[it%len(B)])
 					if err != nil {
 						t.Error(err)
 						return
@@ -135,12 +125,12 @@ func TestGraphConcurrentSolves(t *testing.T) {
 						}
 					}
 				case 1:
-					if _, err := e.SolveUpper(B[it%len(B)]); err != nil {
+					if _, err := solveUpperVec(e, B[it%len(B)]); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					X, err := e.SolveBatch(B)
+					X, err := solveBatch(e, B)
 					if err != nil {
 						t.Error(err)
 						return
@@ -167,7 +157,7 @@ func TestGraphCloseRacingSolves(t *testing.T) {
 	p := planFor(t, a, order.STS3)
 	B, _ := randomRHS(p, 2, 3)
 	for trial := 0; trial < 20; trial++ {
-		e := graphEngine(p, 4)
+		e := newEngine(t, p, 4)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -176,9 +166,9 @@ func TestGraphCloseRacingSolves(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					var err error
 					if g%2 == 0 {
-						_, err = e.Solve(B[i%2])
+						_, err = solveVec(e, B[i%2])
 					} else {
-						_, err = e.SolveBatch(B)
+						_, err = solveBatch(e, B)
 					}
 					if err != nil {
 						if !errors.Is(err, ErrClosed) {
@@ -194,57 +184,45 @@ func TestGraphCloseRacingSolves(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocs asserts the satellite acceptance: once the
-// pools are warm, Into-style solves — cooperative barrier, cooperative
-// graph, and batches — allocate nothing per call.
+// TestEngineSteadyStateAllocs: once the pools and the epoch's packed
+// layouts are warm, cooperative forward and backward solves and
+// multi-panel calls allocate nothing per call — at one worker (the inline
+// path) and on the pool.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	testmat.SkipIfRace(t)
 	a := gen.Grid3D(6, 6, 6)
 	p := planFor(t, a, order.STS3)
 	B, _ := randomRHS(p, 8, 41)
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, p.S.L.N)
-	}
+	X := make2d(len(B), p.S.L.N)
 	x := make([]float64, p.S.L.N)
+	ctx := t.Context()
 
-	check := func(name string, e *Engine) {
-		t.Helper()
-		defer e.Close()
-		// Warm the worker scratch, pools, and lazy transpose.
-		for i := 0; i < 3; i++ {
-			if err := e.SolveInto(x, B[0]); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.SolveBatchInto(X, B); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.SolveUpperInto(x, B[0]); err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		e := newEngine(t, p, workers)
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"SolveIntoCtx", func() error { return e.SolveIntoCtx(ctx, x, B[0]) }},
+			{"SolveUpperIntoCtx", func() error { return e.SolveUpperIntoCtx(ctx, x, B[0]) }},
+			{"SolveBlockIntoCtx/width-1", func() error { return e.SolveBlockIntoCtx(ctx, X, B, 1) }},
+		}
+		for i := 0; i < 3; i++ { // warm the pools and packed layouts
+			for _, c := range calls {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := e.SolveInto(x, B[0]); err != nil {
-				t.Fatal(err)
+		for _, c := range calls {
+			if n := testing.AllocsPerRun(50, func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("workers=%d: %s allocates %.1f/op, want 0", workers, c.name, n)
 			}
-		}); n != 0 {
-			t.Errorf("%s: SolveInto allocates %.1f/op, want 0", name, n)
 		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := e.SolveBatchInto(X, B); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s: SolveBatchInto allocates %.1f/op, want 0", name, n)
-		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := e.SolveUpperInto(x, B[0]); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s: SolveUpperInto allocates %.1f/op, want 0", name, n)
-		}
+		e.Close()
 	}
-	check("barrier", NewEngine(p.S, Options{Workers: 4}))
-	check("graph", graphEngine(p, 4))
 }

@@ -12,9 +12,9 @@ import (
 
 // TestEngineLifecycleAfterClose is the consolidated audit of the Close
 // contract the serve registry leans on: after Close, EVERY entry point —
-// cooperative, context, batch, block, stream, fused SGS — fails with
-// ErrClosed (matched via errors.Is), and Close itself is idempotent,
-// sequentially and concurrently.
+// forward and upper, one vector, one cooperative panel, several whole
+// panels — fails with ErrClosed (matched via errors.Is), and Close itself
+// is idempotent, sequentially and concurrently.
 func TestEngineLifecycleAfterClose(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
@@ -23,9 +23,10 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 	batch := func() [][]float64 { return [][]float64{vec(), vec()} }
 	ctx := context.Background()
 
-	e := NewEngine(p.S, Options{Workers: 2})
-	// Warm the upper path before Close so ensureUpper is not the error.
-	if _, err := e.SolveUpper(vec()); err != nil {
+	e := newEngine(t, p, 2)
+	// Warm the upper path before Close so building the transpose is not
+	// the error.
+	if _, err := solveUpperVec(e, vec()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,28 +45,13 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"Solve", func() error { _, err := e.Solve(vec()); return err }},
-		{"SolveInto", func() error { return e.SolveInto(vec(), vec()) }},
 		{"SolveIntoCtx", func() error { return e.SolveIntoCtx(ctx, vec(), vec()) }},
-		{"SolveUpper", func() error { _, err := e.SolveUpper(vec()); return err }},
-		{"SolveUpperInto", func() error { return e.SolveUpperInto(vec(), vec()) }},
 		{"SolveUpperIntoCtx", func() error { return e.SolveUpperIntoCtx(ctx, vec(), vec()) }},
-		{"SolveBatch", func() error { _, err := e.SolveBatch(batch()); return err }},
-		{"SolveBatchInto", func() error { return e.SolveBatchInto(batch(), batch()) }},
-		{"SolveBatchIntoCtx", func() error { return e.SolveBatchIntoCtx(ctx, batch(), batch()) }},
-		{"SolveUpperBatchInto", func() error { return e.SolveUpperBatchInto(batch(), batch()) }},
-		{"SolveUpperBatchIntoCtx", func() error { return e.SolveUpperBatchIntoCtx(ctx, batch(), batch()) }},
-		{"SolveBlockInto", func() error { return e.SolveBlockInto(batch(), batch(), 0) }},
-		{"SolveBlockIntoCtx", func() error { return e.SolveBlockIntoCtx(ctx, batch(), batch(), 0) }},
-		{"SolveUpperBlockInto", func() error { return e.SolveUpperBlockInto(batch(), batch(), 0) }},
-		{"SolveUpperBlockIntoCtx", func() error { return e.SolveUpperBlockIntoCtx(ctx, batch(), batch(), 0) }},
-		{"ApplySGSBatch", func() error { return e.ApplySGSBatch(batch(), batch()) }},
-		{"SolveMany", func() error {
-			bs := make(chan []float64, 1)
-			bs <- vec()
-			close(bs)
-			return (<-e.SolveMany(bs)).Err
-		}},
+		{"SolveBlockIntoCtx/one", func() error { return e.SolveBlockIntoCtx(ctx, [][]float64{vec()}, [][]float64{vec()}, 0) }},
+		{"SolveBlockIntoCtx/panel", func() error { return e.SolveBlockIntoCtx(ctx, batch(), batch(), 0) }},
+		{"SolveBlockIntoCtx/whole", func() error { return e.SolveBlockIntoCtx(ctx, batch(), batch(), 1) }},
+		{"SolveUpperBlockIntoCtx/panel", func() error { return e.SolveUpperBlockIntoCtx(ctx, batch(), batch(), 0) }},
+		{"SolveUpperBlockIntoCtx/whole", func() error { return e.SolveUpperBlockIntoCtx(ctx, batch(), batch(), 1) }},
 	}
 	for _, path := range paths {
 		if err := path.call(); !errors.Is(err, ErrClosed) {
@@ -80,35 +66,34 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 func TestEngineLifecycleWorkerOneAfterClose(t *testing.T) {
 	a := gen.Grid2D(8, 8)
 	p := planFor(t, a, order.STS3)
-	e := NewEngine(p.S, Options{Workers: 1})
+	e := newEngine(t, p, 1)
 	b := make([]float64, a.N)
 	e.Close()
-	if err := e.SolveInto(b, b); !errors.Is(err, ErrClosed) {
-		t.Errorf("one-worker SolveInto after Close: err = %v, want ErrClosed", err)
+	ctx := context.Background()
+	if err := e.SolveIntoCtx(ctx, b, b); !errors.Is(err, ErrClosed) {
+		t.Errorf("one-worker SolveIntoCtx after Close: err = %v, want ErrClosed", err)
 	}
-	if err := e.SolveBlockInto([][]float64{b, b}, [][]float64{b, b}, 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("one-worker SolveBlockInto after Close: err = %v, want ErrClosed", err)
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{b, b}, [][]float64{b, b}, 0); !errors.Is(err, ErrClosed) {
+		t.Errorf("one-worker SolveBlockIntoCtx after Close: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestEngineCloseVsInFlightBatch races Close against a large dispatched
-// batch: the batch must either complete fully (all solutions bitwise
-// correct) or report ErrClosed — never deadlock, never a partial success
-// disguised as a full one. Solves already handed to the pool finish;
-// block solves race the same way.
+// TestEngineCloseVsInFlightBatch races Close against large dispatched
+// multi-panel calls — width-1 and width-8 whole panels: each must either
+// complete fully (all solutions bitwise correct) or report ErrClosed —
+// never deadlock, never a partial success disguised as a full one.
+// Panels already handed to the pool finish.
 func TestEngineCloseVsInFlightBatch(t *testing.T) {
 	a := gen.Grid2D(14, 14)
 	p := planFor(t, a, order.STS3)
 	B, want := randomRHS(p, 24, 11)
 	for trial := 0; trial < 25; trial++ {
-		e := NewEngine(p.S, Options{Workers: 3})
-		X := make([][]float64, len(B))
-		for i := range X {
-			X[i] = make([]float64, a.N)
-		}
+		e := newEngine(t, p, 3)
+		X := make2d(len(B), a.N)
+		ctx := context.Background()
 		errc := make(chan error, 2)
-		go func() { errc <- e.SolveBatchInto(X, B) }()
-		go func() { errc <- e.SolveBlockInto(make2d(len(B), a.N), B, 0) }()
+		go func() { errc <- e.SolveBlockIntoCtx(ctx, X, B, 1) }()
+		go func() { errc <- e.SolveBlockIntoCtx(ctx, make2d(len(B), a.N), B, 0) }()
 		e.Close() // races the dispatch loops
 		err1, err2 := <-errc, <-errc
 		for _, err := range []error{err1, err2} {

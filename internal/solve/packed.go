@@ -39,3 +39,23 @@ func solvePackedUpperRows(p *sparse.Packed, x, b []float64, lo, hi int) {
 		x[i] = (b[i] - s) / diag[i]
 	}
 }
+
+// sweepRows solves rows [lo, hi) of the packed factor p across a
+// row-major panel of width kw (kw == 1 is one vector): forward
+// substitution over L′, or — when reverse is set and p holds L′ᵀ —
+// backward substitution, highest row first. It is the one dispatch point
+// between the executor's paths and the kernels.
+//
+//stsk:noalloc
+func sweepRows(p *sparse.Packed, X, B []float64, kw, lo, hi int, reverse bool) {
+	switch {
+	case kw > 1 && reverse:
+		solvePackedUpperRowsBlock(p, X, B, kw, lo, hi)
+	case kw > 1:
+		solvePackedRowsBlock(p, X, B, kw, lo, hi)
+	case reverse:
+		solvePackedUpperRows(p, X, B, lo, hi)
+	default:
+		solvePackedRows(p, X, B, lo, hi)
+	}
+}

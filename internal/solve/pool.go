@@ -11,7 +11,7 @@ import "sync"
 // fresh value when the pool is empty (or when the race detector has
 // dropped the puts), so no New closure is needed.
 
-// wholeJobPool recycles whole-RHS/panel job descriptors.
+// wholeJobPool recycles whole-panel job descriptors.
 type wholeJobPool struct{ p sync.Pool }
 
 func (pl *wholeJobPool) Get() *wholeJob {
@@ -23,7 +23,7 @@ func (pl *wholeJobPool) Get() *wholeJob {
 
 func (pl *wholeJobPool) Put(j *wholeJob) { pl.p.Put(j) }
 
-// batchRunPool recycles batch completion trackers.
+// batchRunPool recycles multi-panel call completion trackers.
 type batchRunPool struct{ p sync.Pool }
 
 func (pl *batchRunPool) Get() *batchRun {
@@ -34,18 +34,6 @@ func (pl *batchRunPool) Get() *batchRun {
 }
 
 func (pl *batchRunPool) Put(r *batchRun) { pl.p.Put(r) }
-
-// errcPool recycles capacity-1 stream completion channels.
-type errcPool struct{ p sync.Pool }
-
-func (pl *errcPool) Get() chan error {
-	if c, ok := pl.p.Get().(chan error); ok {
-		return c
-	}
-	return make(chan error, 1)
-}
-
-func (pl *errcPool) Put(c chan error) { pl.p.Put(c) }
 
 // panelPool recycles row-major n×maxBlockWidth panel scratch. size is the
 // element count of a full panel, fixed at engine construction.

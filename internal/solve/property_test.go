@@ -2,6 +2,7 @@ package solve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,8 +34,9 @@ func randomSPDSystem(rng *rand.Rand, maxN int) *sparse.CSR {
 }
 
 // TestParallelEqualsSequentialProperty: for random systems, methods,
-// schedules and worker counts, the parallel solver must agree bit-for-bit
-// goal-wise (within round-off) with sequential forward substitution.
+// schedules and worker counts, the Barrier reference runner and the
+// engine must agree with textbook forward substitution (within
+// round-off) and with each other bit for bit.
 func TestParallelEqualsSequentialProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(59))}
 	f := func(seed int64) bool {
@@ -53,15 +55,19 @@ func TestParallelEqualsSequentialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x, err := Parallel(p.S, b, Options{
-			Workers:  1 + rng.Intn(6),
+		workers := 1 + rng.Intn(6)
+		x, err := barrierSolve(p.S, b, BarrierOptions{
+			Workers:  workers,
 			Schedule: Schedule(rng.Intn(3)),
 			Chunk:    1 + rng.Intn(4),
 		})
-		if err != nil {
+		if err != nil || sparse.MaxAbsDiff(x, ref) >= 1e-10 {
 			return false
 		}
-		return sparse.MaxAbsDiff(x, ref) < 1e-10
+		e := newEngine(t, p, workers)
+		defer e.Close()
+		y, err := solveVec(e, b)
+		return err == nil && slices.Equal(x, y)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -69,17 +75,14 @@ func TestParallelEqualsSequentialProperty(t *testing.T) {
 }
 
 // TestUpperEqualsSequentialProperty mirrors the forward property for the
-// pack-parallel backward solver.
+// engine's backward sweep, which must equal the backward-substitution
+// oracle bit for bit.
 func TestUpperEqualsSequentialProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(67))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomSPDSystem(rng, 60)
 		p, err := order.Build(a, order.Options{Method: order.STS3, RowsPerSuper: 1 + rng.Intn(8)})
-		if err != nil {
-			return false
-		}
-		us, err := NewUpperSolver(p.S)
 		if err != nil {
 			return false
 		}
@@ -92,15 +95,10 @@ func TestUpperEqualsSequentialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x, err := us.Solve(b, Options{
-			Workers:  1 + rng.Intn(6),
-			Schedule: Schedule(rng.Intn(3)),
-			Chunk:    1 + rng.Intn(4),
-		})
-		if err != nil {
-			return false
-		}
-		return sparse.MaxAbsDiff(x, ref) < 1e-10
+		e := newEngine(t, p, 1+rng.Intn(6))
+		defer e.Close()
+		x, err := solveUpperVec(e, b)
+		return err == nil && slices.Equal(x, ref)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

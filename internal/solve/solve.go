@@ -1,107 +1,32 @@
 // Package solve provides the triangular-solution kernels of the STS-k
-// reproduction: a sequential reference and a pack-parallel solver over the
-// csrk.Structure, with OpenMP-style static, dynamic(chunk) and
-// guided(chunk) loop schedules standing in for the paper's
-// `#pragma omp parallel for schedule(runtime, chunk)` (Algorithm 1).
+// reproduction and the one executor that runs them.
 //
-// The paper runs CSR-LS/CSR-COL with schedule(dynamic,32) and the CSR-3-*
-// schemes with schedule(guided,1) (§4.1); DefaultsFor reproduces that
-// pairing.
+// Engine is that executor: a persistent worker pool over a csrk.Structure
+// in which every solve is a row-major panel of k right-hand sides (k = 1
+// is one vector). A call that forms a single panel is swept cooperatively
+// by the whole pool over the plan's csrk.TaskDAG — point-to-point, no
+// barriers; a call that carves into several panels hands each panel whole
+// to one worker. Its entry points all take a context: SolveIntoCtx,
+// SolveUpperIntoCtx, SolveBlockIntoCtx and SolveUpperBlockIntoCtx.
+//
+// Beside it sit two references. Sequential is the single-core oracle
+// every parallel path must equal bit for bit. Barrier is the paper's
+// Algorithm 1 — packs one after another, a barrier between packs, the
+// super-rows of a pack handed out under the OpenMP-style static,
+// dynamic(chunk) or guided(chunk) schedules standing in for
+// `#pragma omp parallel for schedule(runtime, chunk)` — kept as the
+// wall-clock baseline. DefaultsFor reproduces the paper's pairing of
+// schedule and method (§4.1).
 package solve
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"stsk/internal/csrk"
 )
-
-// Schedule selects how super-rows of a pack are handed to workers.
-type Schedule int
-
-const (
-	// Static splits each pack into equal contiguous blocks, one per worker.
-	Static Schedule = iota
-	// Dynamic hands out fixed chunks of super-rows first-come-first-served.
-	Dynamic
-	// Guided hands out shrinking chunks (remaining / workers, floored at
-	// the chunk size), the OpenMP guided policy.
-	Guided
-	// Graph replaces the barrier between packs with dependency-driven
-	// point-to-point scheduling over a csrk.TaskDAG: tasks carry atomic
-	// completion counters and a worker finishing a task immediately claims
-	// any task it makes ready, so independent subtrees never synchronise.
-	// Requires Options.Graph; falls back to Guided without one.
-	Graph
-)
-
-func (s Schedule) String() string {
-	switch s {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	case Graph:
-		return "graph"
-	}
-	return fmt.Sprintf("Schedule(%d)", int(s))
-}
-
-// Options configures the parallel solver.
-type Options struct {
-	// Workers is the number of solver goroutines; defaults to GOMAXPROCS.
-	Workers int
-	// Schedule is the loop schedule; defaults to Guided.
-	Schedule Schedule
-	// Chunk is the schedule granularity in super-rows; defaults to 1.
-	// Ignored by the Graph schedule (granularity is fixed in the DAG).
-	Chunk int
-	// Graph is the dependency DAG driving the Graph schedule, built once
-	// at plan time by order.BuildTaskDAG over the same structure.
-	Graph *csrk.TaskDAG
-
-	// BlockWidth is the default panel width of the blocked multi-vector
-	// solves (SolveBlockInto and friends): right-hand sides are grouped
-	// into row-major panels of up to this many columns and the matrix is
-	// traversed once per panel instead of once per vector. 0 selects the
-	// widest unrolled kernel (8); widths round down to {8, 4, 2}; 1
-	// disables panelling.
-	BlockWidth int
-
-	// oneShot marks an engine that lives for a single solve (the
-	// Parallel/UpperSolver compatibility wrappers): such engines skip the
-	// O(nnz) packed-layout conversion, whose cost only amortises across
-	// repeated solves on a persistent engine.
-	oneShot bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Chunk <= 0 {
-		o.Chunk = 1
-	}
-	if o.BlockWidth <= 0 {
-		o.BlockWidth = maxBlockWidth
-	}
-	if o.Schedule == Graph && o.Graph == nil {
-		o.Schedule = Guided
-	}
-	return o
-}
-
-// DefaultsFor returns the paper's schedule pairing: dynamic,32 for the
-// row-level schemes and guided,1 for the k-level schemes (§4.1).
-func DefaultsFor(usesSuperRows bool, workers int) Options {
-	if usesSuperRows {
-		return Options{Workers: workers, Schedule: Guided, Chunk: 1}
-	}
-	return Options{Workers: workers, Schedule: Dynamic, Chunk: 32}
-}
 
 // Sequential solves S.L x = b by rows in order and returns x. It is the
 // single-core baseline T(mat, method, 1) of the evaluation.
@@ -130,99 +55,171 @@ func solveRows(rowPtr, col []int, val, x, b []float64, lo, hi int) {
 	}
 }
 
-// Parallel solves S.L x = b with the pack-parallel scheme of Algorithm 1:
-// packs run one after another; the super-rows of a pack are distributed
-// over workers by the configured schedule; rows inside a super-row are
-// solved sequentially by one worker.
-func Parallel(s *csrk.Structure, b []float64, opts Options) ([]float64, error) {
-	x := make([]float64, s.L.N)
-	if err := ParallelInto(x, s, b, opts); err != nil {
-		return nil, err
+// Schedule selects how the Barrier reference runner hands the super-rows
+// of a pack to its workers.
+type Schedule int
+
+const (
+	// Static splits each pack into equal contiguous blocks, one per worker.
+	Static Schedule = iota
+	// Dynamic hands out fixed chunks of super-rows first-come-first-served.
+	Dynamic
+	// Guided hands out shrinking chunks (remaining / workers, floored at
+	// the chunk size), the OpenMP guided policy.
+	Guided
+)
+
+func (s Schedule) String() string {
+	switch s {
+	case Static:
+		return "static"
+	case Dynamic:
+		return "dynamic"
+	case Guided:
+		return "guided"
 	}
-	return x, nil
+	return fmt.Sprintf("Schedule(%d)", int(s))
 }
 
-// ParallelInto is Parallel writing into a caller-provided solution vector,
-// for benchmark loops that avoid per-solve allocation.
-//
-// Both functions are one-shot compatibility wrappers over Engine: they
-// spin the worker pool up and down around a single cooperative solve,
-// matching the historical cost of spawning fresh goroutines per call.
-// Callers solving the same structure repeatedly should hold an Engine (or
-// the stsk.Solver facade) instead.
-func ParallelInto(x []float64, s *csrk.Structure, b []float64, opts Options) error {
+// BarrierOptions configures the Barrier reference runner.
+type BarrierOptions struct {
+	// Workers is the number of goroutines started per call; defaults to
+	// GOMAXPROCS.
+	Workers int
+	// Schedule is the loop schedule over each pack's super-rows.
+	Schedule Schedule
+	// Chunk is the schedule granularity in super-rows; defaults to 1.
+	Chunk int
+}
+
+// DefaultsFor returns the paper's schedule pairing: dynamic,32 for the
+// row-level schemes and guided,1 for the k-level schemes (§4.1).
+func DefaultsFor(usesSuperRows bool, workers int) BarrierOptions {
+	if usesSuperRows {
+		return BarrierOptions{Workers: workers, Schedule: Guided, Chunk: 1}
+	}
+	return BarrierOptions{Workers: workers, Schedule: Dynamic, Chunk: 32}
+}
+
+// Barrier solves S.L x = b into x with the pack-parallel scheme of the
+// paper's Algorithm 1: packs run one after another with a barrier between
+// them, the super-rows of a pack are distributed over workers by the
+// configured schedule, and rows inside a super-row are solved in order by
+// one worker. Each call starts fresh goroutines and sweeps the CSR kernel
+// of Sequential, so it costs what a one-shot OpenMP region costs and its
+// result is bitwise identical to Sequential. It is the reference the
+// Engine is measured against, not a serving path.
+func Barrier(x []float64, s *csrk.Structure, b []float64, opts BarrierOptions) error {
 	l := s.L
 	if len(b) != l.N || len(x) != l.N {
 		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(x), len(b), l.N)
 	}
-	opts = opts.withDefaults()
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.Chunk <= 0 {
+		opts.Chunk = 1
+	}
 	if opts.Workers == 1 || s.NumSuperRows() == 1 {
 		solveRows(l.RowPtr, l.Col, l.Val, x, b, 0, l.N)
 		return nil
 	}
-	opts.oneShot = true
-	e := NewEngine(s, opts)
-	defer e.Close()
-	return e.SolveInto(x, b)
+	r := &barrierRun{s: s, x: x, b: b, opts: opts, next: make([]atomic.Int64, s.NumPacks())}
+	r.cond = sync.NewCond(&r.mu)
+	for p := range r.next {
+		lo, _ := s.PackSuperRows(p)
+		r.next[p].Store(int64(lo))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		// A reference fan-out bounded by the call: a kernel panic on a
+		// validated structure is a bug that must surface, not be contained.
+		//stsk:allow-bare-go
+		go func(id int) {
+			defer wg.Done()
+			r.work(id)
+		}(w)
+	}
+	wg.Wait()
+	return nil
 }
 
-// SolveOnceVals runs one one-shot cooperative solve over a shared
-// value-epoch sequence — forward (L′x = b) or, when upper is set, the
-// transposed system L′ᵀx = b. Unlike ParallelInto it reuses v's per-epoch
-// derived state (the packed layout and the validated transpose), so
-// one-shot solves against a plan that also holds persistent engines pay
-// no per-call transpose.
-func SolveOnceVals(v *Values, x, b []float64, upper bool, opts Options) error {
-	ep := v.Current()
-	n := ep.s.L.N
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(x), len(b), n)
-	}
-	opts = opts.withDefaults()
-	if upper {
-		if err := ep.ensureUpper(v.packWanted.Load()); err != nil {
-			return err
-		}
-	}
-	if opts.Workers == 1 || ep.s.NumSuperRows() == 1 {
-		if upper {
-			ep.backwardRows(x, b, 0, n)
+// barrierRun is the shared state of one Barrier call: per-pack claim
+// counters and a cyclic barrier every worker meets after each pack.
+type barrierRun struct {
+	s    *csrk.Structure
+	x, b []float64
+	opts BarrierOptions
+	next []atomic.Int64 // per pack: next unclaimed super-row
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	arrived int
+	gen     int
+}
+
+// work is one worker's share: every pack in order, its super-rows claimed
+// under the schedule, a barrier after each pack.
+func (r *barrierRun) work(id int) {
+	s, workers := r.s, r.opts.Workers
+	for p := 0; p < s.NumPacks(); p++ {
+		lo, hi := s.PackSuperRows(p)
+		if r.opts.Schedule == Static {
+			per := (hi - lo + workers - 1) / workers
+			r.solveSupers(min(lo+id*per, hi), min(lo+(id+1)*per, hi))
 		} else {
-			ep.forwardRows(x, b, 0, n)
+			for {
+				from, to, ok := r.claim(p, hi)
+				if !ok {
+					break
+				}
+				r.solveSupers(from, to)
+			}
 		}
-		return nil
+		r.wait()
 	}
-	opts.oneShot = true
-	e := newEngine(v, nil, opts)
-	defer e.Close()
-	if upper {
-		return e.SolveUpperInto(x, b)
-	}
-	return e.SolveInto(x, b)
 }
 
-// barrier is a reusable counting barrier; waiters of one generation block
-// until all workers arrive, then the next generation begins.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	size  int
-	gen   int
+// claim takes the next chunk of pack p: Chunk super-rows under Dynamic,
+// remaining/Workers (at least Chunk) under Guided.
+func (r *barrierRun) claim(p, hi int) (from, to int, ok bool) {
+	for {
+		cur := int(r.next[p].Load())
+		if cur >= hi {
+			return 0, 0, false
+		}
+		take := r.opts.Chunk
+		if r.opts.Schedule == Guided {
+			take = max(take, (hi-cur)/r.opts.Workers)
+		}
+		take = min(take, hi-cur)
+		if r.next[p].CompareAndSwap(int64(cur), int64(cur+take)) {
+			return cur, cur + take, true
+		}
+	}
 }
 
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
+// solveSupers solves super-rows [from, to) — contiguous rows — in order.
+func (r *barrierRun) solveSupers(from, to int) {
+	l := r.s.L
+	solveRows(l.RowPtr, l.Col, l.Val, r.x, r.b, r.s.SuperPtr[from], r.s.SuperPtr[to])
+}
+
+// wait blocks until every worker has finished the current pack; the
+// mutex also publishes each pack's x writes to the next.
+func (r *barrierRun) wait() {
+	r.mu.Lock()
+	gen := r.gen
+	r.arrived++
+	if r.arrived == r.opts.Workers {
+		r.arrived = 0
+		r.gen++
+		r.cond.Broadcast()
 	} else {
-		for gen == b.gen {
-			b.cond.Wait()
+		for gen == r.gen {
+			r.cond.Wait()
 		}
 	}
-	b.mu.Unlock()
+	r.mu.Unlock()
 }

@@ -40,6 +40,18 @@ func TestSequentialMatchesReference(t *testing.T) {
 	}
 }
 
+// barrierSolve runs the Barrier reference runner into a fresh vector.
+func barrierSolve(s *csrk.Structure, b []float64, opts BarrierOptions) ([]float64, error) {
+	x := make([]float64, s.L.N)
+	if err := Barrier(x, s, b, opts); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// TestParallelAllMethodsSchedulesWorkers: the Barrier reference runner is
+// correct and bitwise equal to Sequential for every method, schedule and
+// worker count.
 func TestParallelAllMethodsSchedulesWorkers(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"trimesh": gen.TriMesh(18, 18, 3),
@@ -55,15 +67,20 @@ func TestParallelAllMethodsSchedulesWorkers(t *testing.T) {
 				xTrue[i] = rng.NormFloat64()
 			}
 			b := sparse.RHSForSolution(p.S.L, xTrue)
+			want, err := Sequential(p.S, b)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, sched := range []Schedule{Static, Dynamic, Guided} {
 				for _, workers := range []int{1, 2, 3, 8} {
-					x, err := Parallel(p.S, b, Options{Workers: workers, Schedule: sched, Chunk: 2})
+					x, err := barrierSolve(p.S, b, BarrierOptions{Workers: workers, Schedule: sched, Chunk: 2})
 					if err != nil {
 						t.Fatalf("%s/%v/%v/w%d: %v", name, m, sched, workers, err)
 					}
 					if d := sparse.MaxAbsDiff(x, xTrue); d > 1e-9 {
 						t.Fatalf("%s/%v/%v/w%d: error %g", name, m, sched, workers, d)
 					}
+					assertBitwise(t, name+"/"+m.String()+"/"+sched.String(), x, want)
 				}
 			}
 		}
@@ -77,17 +94,17 @@ func TestParallelIntoReusesBuffer(t *testing.T) {
 	b := sparse.RHSForSolution(p.S.L, xTrue)
 	x := make([]float64, a.N)
 	for rep := 0; rep < 3; rep++ {
-		if err := ParallelInto(x, p.S, b, Options{Workers: 4}); err != nil {
+		if err := Barrier(x, p.S, b, BarrierOptions{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 		if d := sparse.MaxAbsDiff(x, xTrue); d > 1e-10 {
 			t.Fatalf("rep %d: error %g", rep, d)
 		}
 	}
-	if err := ParallelInto(x[:2], p.S, b, Options{}); err == nil {
+	if err := Barrier(x[:2], p.S, b, BarrierOptions{}); err == nil {
 		t.Fatal("short x accepted")
 	}
-	if err := ParallelInto(x, p.S, b[:2], Options{}); err == nil {
+	if err := Barrier(x, p.S, b[:2], BarrierOptions{}); err == nil {
 		t.Fatal("short b accepted")
 	}
 }
@@ -100,7 +117,7 @@ func TestParallelManyMoreWorkersThanWork(t *testing.T) {
 	xTrue := sparse.Ones(a.N)
 	b := sparse.RHSForSolution(p.S.L, xTrue)
 	for _, sched := range []Schedule{Static, Dynamic, Guided} {
-		x, err := Parallel(p.S, b, Options{Workers: 16, Schedule: sched})
+		x, err := barrierSolve(p.S, b, BarrierOptions{Workers: 16, Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +140,12 @@ func TestParallelRandomizedStress(t *testing.T) {
 			xTrue[i] = rng.Float64()*4 - 2
 		}
 		b := sparse.RHSForSolution(p.S.L, xTrue)
-		opts := Options{
+		opts := BarrierOptions{
 			Workers:  1 + rng.Intn(8),
 			Schedule: Schedule(rng.Intn(3)),
 			Chunk:    1 + rng.Intn(5),
 		}
-		x, err := Parallel(p.S, b, opts)
+		x, err := barrierSolve(p.S, b, opts)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", spec.ID, m, err)
 		}
@@ -139,19 +156,27 @@ func TestParallelRandomizedStress(t *testing.T) {
 }
 
 func TestFlatStructureSolve(t *testing.T) {
-	// A Flat structure has one pack: everything sequential in one chunk.
+	// A Flat structure has one pack: everything sequential in one chunk,
+	// on the reference runner and on a multi-worker engine alike.
 	a := gen.Grid2D(8, 8)
 	l := a.Lower()
 	s := csrk.Flat(l)
 	xTrue := sparse.Ones(a.N)
 	b := sparse.RHSForSolution(l, xTrue)
-	x, err := Parallel(s, b, Options{Workers: 4})
+	x, err := barrierSolve(s, b, BarrierOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := sparse.MaxAbsDiff(x, xTrue); d > 1e-10 {
 		t.Fatalf("flat solve error %g", d)
 	}
+	e := newEngineVals(t, NewValues(s), 4)
+	defer e.Close()
+	y, err := solveVec(e, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "flat engine", y, x)
 }
 
 func TestDefaultsFor(t *testing.T) {

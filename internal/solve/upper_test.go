@@ -1,14 +1,20 @@
 package solve
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"stsk/internal/csrk"
 	"stsk/internal/gen"
 	"stsk/internal/order"
 	"stsk/internal/sparse"
 )
 
+// TestUpperSolverMatchesSequentialBackward: the engine's backward sweep
+// solves L′ᵀx = b correctly at every worker count, bitwise equal to the
+// backward-substitution oracle.
 func TestUpperSolverMatchesSequentialBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	mats := map[string]*sparse.CSR{
@@ -22,10 +28,6 @@ func TestUpperSolverMatchesSequentialBackward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			us, err := NewUpperSolver(p.S)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, m, err)
-			}
 			xTrue := make([]float64, a.N)
 			for i := range xTrue {
 				xTrue[i] = rng.NormFloat64()
@@ -33,44 +35,53 @@ func TestUpperSolverMatchesSequentialBackward(t *testing.T) {
 			u := p.S.L.Transpose()
 			b := make([]float64, a.N)
 			u.MatVec(b, xTrue)
+			ref, err := sparse.BackwardSubstitution(u, b)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 3, 8} {
-				for _, sched := range []Schedule{Static, Dynamic, Guided} {
-					x, err := us.Solve(b, Options{Workers: workers, Schedule: sched, Chunk: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := sparse.MaxAbsDiff(x, xTrue); d > 1e-9 {
-						t.Fatalf("%s/%v/w%d/%v: error %g", name, m, workers, sched, d)
-					}
-					ref, err := sparse.BackwardSubstitution(u, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := sparse.MaxAbsDiff(x, ref); d > 1e-12 {
-						t.Fatalf("%s/%v: parallel differs from sequential backward by %g", name, m, d)
-					}
+				e := newEngine(t, p, workers)
+				x, err := solveUpperVec(e, b)
+				e.Close()
+				if err != nil {
+					t.Fatal(err)
 				}
+				if d := sparse.MaxAbsDiff(x, xTrue); d > 1e-9 {
+					t.Fatalf("%s/%v/w%d: error %g", name, m, workers, d)
+				}
+				assertBitwise(t, name+"/"+m.String()+"/upper", x, ref)
 			}
 		}
 	}
 }
 
+// TestUpperSolverErrors: backward sweeps reject bad lengths with
+// ErrDimension, and a factor with a zero diagonal is refused when its
+// transpose is built, before any worker runs.
 func TestUpperSolverErrors(t *testing.T) {
 	a := gen.Grid2D(6, 6)
 	p, err := order.Build(a, order.Options{Method: order.STS3, RowsPerSuper: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := NewUpperSolver(p.S)
+	e := newEngine(t, p, 2)
+	defer e.Close()
+	if _, err := solveUpperVec(e, make([]float64, 3)); !errors.Is(err, ErrDimension) {
+		t.Fatalf("short rhs: %v, want ErrDimension", err)
+	}
+	x := make([]float64, 2)
+	if err := e.SolveUpperIntoCtx(context.Background(), x, make([]float64, a.N)); !errors.Is(err, ErrDimension) {
+		t.Fatalf("short x: %v, want ErrDimension", err)
+	}
+
+	l := &sparse.CSR{N: 2, RowPtr: []int{0, 1, 3}, Col: []int{0, 0, 1}, Val: []float64{0, 1, 1}}
+	bad, err := NewEngine(NewValues(&csrk.Structure{L: l, SuperPtr: []int{0, 2}, PackPtr: []int{0, 1}}), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := us.Solve(make([]float64, 3), Options{}); err == nil {
-		t.Fatal("short rhs accepted")
-	}
-	x := make([]float64, 2)
-	if err := us.SolveInto(x, make([]float64, a.N), Options{}); err == nil {
-		t.Fatal("short x accepted")
+	defer bad.Close()
+	if _, err := solveUpperVec(bad, []float64{1, 1}); err == nil {
+		t.Fatal("zero diagonal accepted by the backward sweep")
 	}
 }
 
@@ -83,16 +94,14 @@ func TestForwardBackwardSGSParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := p.S.L
-	us, err := NewUpperSolver(p.S)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, p, 4)
+	defer e.Close()
 	rng := rand.New(rand.NewSource(23))
 	r := make([]float64, a.N)
 	for i := range r {
 		r[i] = rng.NormFloat64()
 	}
-	y, err := Parallel(p.S, r, Options{Workers: 4})
+	y, err := solveVec(e, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func TestForwardBackwardSGSParallel(t *testing.T) {
 	for i := 0; i < a.N; i++ {
 		dy[i] = l.Val[l.RowPtr[i+1]-1] * y[i]
 	}
-	z, err := us.Solve(dy, Options{Workers: 4})
+	z, err := solveUpperVec(e, dy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package sparse
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Packed is the compact structure-of-arrays layout the solve kernels
 // stream: 32-bit row offsets and column indices over the off-diagonal
@@ -29,12 +33,26 @@ type Packed struct {
 // NNZ returns the number of stored entries including the diagonal.
 func (p *Packed) NNZ() int { return len(p.Col) + p.N }
 
+// ErrTooLarge is wrapped by CheckPackable: the matrix's dimension or entry
+// count does not fit the packed layout's 32-bit indices.
+var ErrTooLarge = errors.New("sparse: matrix too large for 32-bit indices")
+
+// CheckPackable reports, with an error wrapping ErrTooLarge, a matrix
+// whose dimension or entry count the packed layout cannot index. It reads
+// only N and the length of Col, so a header-only CSR can be checked.
+func CheckPackable(m *CSR) error {
+	if m.N >= math.MaxInt32 || len(m.Col) >= math.MaxInt32 {
+		return fmt.Errorf("%w: n=%d, %d stored entries", ErrTooLarge, m.N, len(m.Col))
+	}
+	return nil
+}
+
 // PackLower converts a lower-triangular CSR whose rows each end with the
 // diagonal entry (the csrk invariant) into the packed layout. ok is false
-// when the matrix is too large for 32-bit indexing or a row is missing
-// its trailing diagonal, in which case callers keep the CSR kernels.
+// when the matrix is too large for 32-bit indexing (see CheckPackable) or
+// a row is missing its trailing diagonal.
 func PackLower(l *CSR) (p *Packed, ok bool) {
-	if !packable(l) {
+	if CheckPackable(l) != nil {
 		return nil, false
 	}
 	p = newPacked(l)
@@ -57,7 +75,7 @@ func PackLower(l *CSR) (p *Packed, ok bool) {
 // the diagonal entry (the transposed-factor invariant) into the packed
 // layout.
 func PackUpper(u *CSR) (p *Packed, ok bool) {
-	if !packable(u) {
+	if CheckPackable(u) != nil {
 		return nil, false
 	}
 	p = newPacked(u)
@@ -74,11 +92,6 @@ func PackUpper(u *CSR) (p *Packed, ok bool) {
 		p.RowPtr[i+1] = int32(len(p.Col))
 	}
 	return p, true
-}
-
-// packable reports whether every index of m fits 32-bit storage.
-func packable(m *CSR) bool {
-	return m.N < math.MaxInt32 && len(m.Col) < math.MaxInt32
 }
 
 func newPacked(m *CSR) *Packed {

@@ -8,10 +8,10 @@ import (
 
 // Option configures the v2 facade entry points. One option vocabulary
 // serves the whole API: Build reads the ordering options (WithRowsPerSuper,
-// WithLevels, WithSloanInPack), while NewSolver, SolveWith and
-// SolveUpperWith read the scheduling options (WithWorkers, WithSchedule,
-// WithChunk). Options irrelevant to an entry point are ignored, so a
-// single options slice can be threaded through an entire pipeline.
+// WithLevels, WithSloanInPack), while NewSolver and NewIC0 read the solver
+// options (WithWorkers, WithBlockWidth). Options irrelevant to an entry
+// point are ignored, so a single options slice can be threaded through an
+// entire pipeline.
 type Option func(*config)
 
 // config is the merged option state; the zero value means "paper
@@ -22,10 +22,8 @@ type config struct {
 	levels       int
 	sloanInPack  bool
 
-	// Solve scheduling (NewSolver, SolveWith, SolveUpperWith).
+	// Solver (NewSolver, NewIC0).
 	workers    int
-	schedule   ScheduleChoice
-	chunk      int
 	blockWidth int
 }
 
@@ -66,20 +64,6 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithSchedule selects the solve schedule; DefaultSchedule (the zero
-// value) picks the graph schedule when the plan's dependency DAG offers
-// real concurrency, and the paper's barrier pairing otherwise.
-func WithSchedule(s ScheduleChoice) Option {
-	return func(c *config) { c.schedule = s }
-}
-
-// WithChunk sets the barrier-schedule granularity in super-rows; 0
-// selects the paper default for the chosen schedule. The graph schedule
-// ignores it (task granularity is fixed in the plan's DAG).
-func WithChunk(n int) Option {
-	return func(c *config) { c.chunk = n }
-}
-
 // WithBlockWidth sets the panel width of the blocked multi-vector solves
 // (Solver.SolveBlock): right-hand sides are grouped into row-major panels
 // of up to k columns and the matrix is traversed once per panel instead of
@@ -90,54 +74,12 @@ func WithBlockWidth(k int) Option {
 	return func(c *config) { c.blockWidth = k }
 }
 
-// ScheduleChoice selects how packs are handed to workers during a
-// cooperative solve. Static/Dynamic/Guided are the OpenMP-style barrier
-// schedules of the paper: every pack ends at a global barrier.
-// GraphSchedule replaces the barriers with dependency-driven
-// point-to-point scheduling over the plan's task DAG. DefaultSchedule
-// picks GraphSchedule when the DAG offers real concurrency (see
-// Plan.NewSolver) and otherwise the paper's pairing for the plan's
-// method (dynamic,32 for row-level schemes, guided,1 for k-level
-// schemes).
-type ScheduleChoice int
-
-const (
-	DefaultSchedule ScheduleChoice = iota
-	StaticSchedule
-	DynamicSchedule
-	GuidedSchedule
-	GraphSchedule
-)
-
-// lowerSolve maps the facade's scheduling options onto the internal
-// solver options: the explicit schedule choices pass through, and
-// DefaultSchedule resolves to the graph schedule when it wins — more than
-// one effective worker and a dependency DAG with enough parallel slack to
-// beat the barrier pairing. The plan's lazily built task DAG is attached
-// whenever the graph schedule is selected.
-func (p *Plan) lowerSolve(c config) solve.Options {
-	opts := solve.DefaultsFor(p.inner.Method.UsesSuperRows(), c.workers)
-	if c.chunk > 0 {
-		opts.Chunk = c.chunk
-	}
-	if c.blockWidth > 0 {
-		opts.BlockWidth = c.blockWidth
-	}
-	switch c.schedule {
-	case StaticSchedule:
-		opts.Schedule = solve.Static
-	case DynamicSchedule:
-		opts.Schedule = solve.Dynamic
-	case GuidedSchedule:
-		opts.Schedule = solve.Guided
-	case GraphSchedule:
-		opts.Schedule = solve.Graph
-	case DefaultSchedule:
-		if effectiveWorkers(c.workers) > 1 && p.graphWins() {
-			opts.Schedule = solve.Graph
-		}
-	}
-	if opts.Schedule == solve.Graph {
+// solveOptions maps the facade's solver options onto the engine's: a
+// solver with more than one worker sweeps the plan's task DAG, built
+// lazily on the first such solver and shared by all of them.
+func (p *Plan) solveOptions(c config) solve.Options {
+	opts := solve.Options{Workers: c.workers, BlockWidth: c.blockWidth}
+	if effectiveWorkers(c.workers) > 1 {
 		opts.Graph = p.taskDAG()
 	}
 	return opts

@@ -91,7 +91,7 @@ func FuzzRefactor(f *testing.F) {
 		}
 
 		b := manufacturedB(p, 5)
-		x, err := p.SolveWith(b, WithWorkers(3))
+		x, err := solveWith(p, b, WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}

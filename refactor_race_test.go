@@ -200,7 +200,7 @@ func TestRefactorRacingClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.SolveWith(b, WithWorkers(2))
+		got, err := solveWith(p, b, WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestRefactorConcurrentCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.SolveWith(b, WithWorkers(4), WithSchedule(GraphSchedule))
+	got, err := solveWith(p, b, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,12 @@ func assertVecBitwise(t *testing.T, label string, got, want []float64) {
 }
 
 // TestRefactorMatchesRebuildBitwise is the tentpole property: for every
-// corpus matrix, method, schedule, and panel width, a chain of three
+// corpus matrix, method, worker count, and panel width, a chain of three
 // Refactor steps must leave the plan bitwise interchangeable with a plan
 // freshly built on the same values — across cooperative solves, blocked
 // panel solves, and the backward sweep.
 func TestRefactorMatchesRebuildBitwise(t *testing.T) {
-	schedules := []ScheduleChoice{GuidedSchedule, GraphSchedule}
+	workerCounts := []int{1, 3}
 	widths := []int{1, 4, 8}
 	for _, ent := range testmat.Corpus() {
 		m := &Matrix{a: ent.A}
@@ -85,11 +85,11 @@ func TestRefactorMatchesRebuildBitwise(t *testing.T) {
 				}
 				assertVecBitwise(t, ent.Name+"/seq", gotSeq, wantSeq)
 
-				for _, sched := range schedules {
+				for _, workers := range workerCounts {
 					for _, kw := range widths {
 						label := ent.Name + "/" + method.String()
-						sr := p.NewSolver(WithWorkers(3), WithSchedule(sched), WithBlockWidth(kw))
-						sf := fresh.NewSolver(WithWorkers(3), WithSchedule(sched), WithBlockWidth(kw))
+						sr := p.NewSolver(WithWorkers(workers), WithBlockWidth(kw))
+						sf := fresh.NewSolver(WithWorkers(workers), WithBlockWidth(kw))
 						B := make([][]float64, kw)
 						want := make([][]float64, kw)
 						got := make([][]float64, kw)
@@ -197,12 +197,11 @@ func TestRefactorDerivedState(t *testing.T) {
 	defer sp.Close()
 	sf := fresh.NewSolver(WithWorkers(2))
 	defer sf.Close()
-	zp, err := sp.ApplySGS(b)
-	if err != nil {
+	zp, zf := make([]float64, p.N()), make([]float64, p.N())
+	if err := sp.ApplySGSInto(zp, b); err != nil {
 		t.Fatal(err)
 	}
-	zf, err := sf.ApplySGS(b)
-	if err != nil {
+	if err := sf.ApplySGSInto(zf, b); err != nil {
 		t.Fatal(err)
 	}
 	assertVecBitwise(t, "sgs", zp, zf)
@@ -238,7 +237,7 @@ func TestRefactorSharedSolverSeesNewValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantU, err := p.SolveUpperWith(b, WithWorkers(1))
+	wantU, err := solveUpperWith(p, b, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,14 @@ func solveTraced(t *testing.T, ts *httptest.Server, reg *Registry, req SolveRequ
 	if id == "" {
 		t.Fatal("solve response carries no X-STS-Trace-Id header")
 	}
-	for _, rec := range reg.TraceRing().Snapshot(0) {
-		if rec.ID == id {
-			return resp, rec
+	// The handler finishes its trace in a deferred call after the response
+	// is written, so the client can read the response first: wait for the
+	// record to land.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, rec := range reg.TraceRing().Snapshot(0) {
+			if rec.ID == id {
+				return resp, rec
+			}
 		}
 	}
 	t.Fatalf("trace %s not retained in the ring", id)

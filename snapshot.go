@@ -164,6 +164,9 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 		return bad("dimension %d", n)
 	}
 	l := &sparse.CSR{N: n, RowPtr: img.RowPtr, Col: img.Col, Val: img.Val}
+	if err := checkFactorSize(l); err != nil {
+		return nil, err
+	}
 	s, err := csrk.Build(l, img.SuperPtr, img.PackPtr)
 	if err != nil {
 		return bad("factor fails validation: %v", err)
@@ -205,7 +208,6 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 	// Adopt the serialized DAG so the graph schedule is warm immediately —
 	// rebuilding it would forfeit a chunk of the warm-restart win.
 	p.dag = img.DAG
-	p.dagPar = img.DAG.Parallelism()
 	return p, nil
 }
 

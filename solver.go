@@ -7,36 +7,34 @@ import (
 	"runtime"
 	"sync"
 
-	"stsk/internal/panicsafe"
 	"stsk/internal/solve"
 )
 
 // Solver is a reusable solve engine over one Plan: a persistent pool of
 // worker goroutines started once and parked between solves, with the
-// pack-schedule bookkeeping preallocated. Where Plan.SolveWith pays
-// goroutine spawn on every call, a Solver amortises that setup across an
-// arbitrary stream of right-hand sides — the "many solves per ordering"
-// traffic shape that motivates the paper (§4.1).
+// scheduling state preallocated — the "many solves per ordering" traffic
+// shape that motivates the paper (§4.1), amortised at runtime as well.
 //
-// A Solver offers three solve shapes:
+// Every solve is a panel of right-hand sides (one vector is a panel of
+// width 1):
 //
-//   - Single solves (Solve, SolveInto, SolveUpper, SolveUpperInto,
-//     ApplySGS): one right-hand side swept pack-parallel by the whole pool
-//     under the plan's default schedule.
-//   - Batched solves (SolveBatch, SolveBatchInto, ApplySGSBatch): many
-//     independent right-hand sides pipelined through the pack levels, one
-//     vector per worker with no barriers.
-//   - Streaming solves (SolveMany, SolveSeq): batch semantics over a
-//     channel or iterator, with results in input order and bounded
-//     in-flight memory.
+//   - Single solves (Solve, SolveInto, SolveIntoCtx, SolveUpper,
+//     SolveUpperInto, SolveUpperIntoCtx, ApplySGSInto): one right-hand
+//     side swept by the whole pool over the plan's task DAG.
+//   - Block solves (SolveBlock, SolveBlockInto, SolveUpperBlock,
+//     SolveUpperBlockInto): many right-hand sides grouped into panels of
+//     up to WithBlockWidth columns, each panel swept in one matrix
+//     traversal — cooperatively when the call is a single panel, one
+//     worker per panel when it carves into several.
+//   - Streaming solves (SolveSeq): vectors drawn one at a time from an
+//     iterator, each solved before the next is drawn.
 //
-// Each shape has a context-aware form (SolveCtx, SolveUpperCtx,
-// SolveBatchCtx, SolveManyCtx, SolveSeq) that honors cancellation and
-// deadlines: a dead context stops new work from being dispatched and the
-// call returns ctx.Err(), leaving the Solver fully usable. Right-hand
-// sides of the wrong length are rejected with ErrDimension before any
-// work is dispatched, and solves issued after Close return ErrClosed;
-// both match with errors.Is.
+// The context-aware forms honor cancellation and deadlines: a dead
+// context stops new work from being dispatched and the call returns
+// ctx.Err(), leaving the Solver fully usable. Right-hand sides of the
+// wrong length are rejected with ErrDimension before any work is
+// dispatched, and solves issued after Close return ErrClosed; both match
+// with errors.Is.
 //
 // All shapes produce results bitwise identical to Plan.SolveSequential.
 // A Solver is safe for concurrent use from multiple goroutines. Close
@@ -45,27 +43,31 @@ import (
 type Solver struct {
 	plan      *Plan
 	eng       *solve.Engine
-	scratch   sync.Pool // intermediate vectors for the fused sweeps
+	scratch   sync.Pool // intermediate vectors for ApplySGSInto
 	cleanup   runtime.Cleanup
 	closeOnce sync.Once
 }
 
-// NewSolver starts a persistent solve engine for the plan. The scheduling
-// options (WithWorkers, WithSchedule, WithChunk) fix the pool size and
-// schedule for the solver's lifetime; when omitted, the paper's
-// per-method defaults apply (dynamic,32 for the row-level schemes,
-// guided,1 for the k-level schemes, GOMAXPROCS workers). Callers should
-// Close the solver when done with it, though an unreferenced Solver
-// cleans up after itself at the next GC.
+// NewSolver starts a persistent solve engine for the plan. WithWorkers
+// fixes the pool size (GOMAXPROCS by default) and WithBlockWidth the
+// panel width of block solves for the solver's lifetime; a solver with
+// more than one worker schedules its cooperative sweeps over the plan's
+// task DAG. Callers should Close the solver when done with it, though an
+// unreferenced Solver cleans up after itself at the next GC.
 func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// Every solver of this plan binds to the plan's shared value-epoch
-	// sequence, so per-epoch derived state (the packed layout, the O(nnz)
-	// validated transpose, the diagonal) is built once and shared by all
-	// of them — and a Plan.Refactor is picked up by every solver's next
-	// dispatch. The engine references only the Values, never the Plan:
-	// a path back to the Plan would reach the shared Solver through
-	// p.shared and keep the AddCleanup below from ever firing.
-	eng := solve.NewEngineVals(p.vals, p.lowerSolve(applyOptions(opts)))
+	// sequence, so per-epoch derived state (the packed layouts of the
+	// factor and its transpose) is built once and shared by all of them —
+	// and a Plan.Refactor is picked up by every solver's next dispatch.
+	// The engine references only the Values, never the Plan: a path back
+	// to the Plan would reach the shared Solver through p.shared and keep
+	// the AddCleanup below from ever firing.
+	eng, err := solve.NewEngine(p.vals, p.solveOptions(applyOptions(opts)))
+	if err != nil {
+		// Build and ReadSnapshot refuse factors the packed kernels cannot
+		// index, and the DAG is the plan's own: this cannot fail.
+		panic(err)
+	}
 	s := &Solver{plan: p, eng: eng}
 	// Pool *[]float64, not []float64: boxing a slice header into the pool's
 	// interface allocates, which would cost one allocation per ApplySGSInto.
@@ -93,43 +95,28 @@ func (s *Solver) Close() {
 	})
 }
 
-// Solve solves L′x = b (both in plan order) pack-parallel on the pooled
-// workers and returns x.
+// Solve solves L′x = b (both in plan order) on the pooled workers and
+// returns x.
 func (s *Solver) Solve(b []float64) ([]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.plan.checkDim(b); err != nil {
-		return nil, err
-	}
-	return s.eng.Solve(b)
-}
-
-// SolveCtx is Solve honoring a context: cancellation and deadline are
-// checked before the sweep is dispatched (a sweep already running is
-// never preempted), returning ctx.Err() without touching the pool.
-func (s *Solver) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.plan.checkDim(b); err != nil {
-		return nil, err
-	}
 	x := make([]float64, s.plan.N())
-	if err := s.eng.SolveIntoCtx(ctx, x, b); err != nil {
+	if err := s.SolveInto(x, b); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
 // SolveInto is Solve writing into a caller-provided vector.
+//
+//stsk:allow-background (non-context convenience wrapper; SolveIntoCtx threads a caller ctx)
 func (s *Solver) SolveInto(x, b []float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkDims(x, b); err != nil {
-		return err
-	}
-	return s.eng.SolveInto(x, b)
+	return s.SolveIntoCtx(context.Background(), x, b)
 }
 
-// SolveIntoCtx is SolveInto honoring a context, with the same
-// dispatch-boundary semantics as SolveCtx — the allocation-free form for
-// context-aware solve loops over a reused solution buffer.
+// SolveIntoCtx is SolveInto honoring a context: cancellation and
+// deadline are checked before the sweep is dispatched (a sweep already
+// running is never preempted), returning ctx.Err() without touching the
+// pool — the allocation-free form for context-aware solve loops over a
+// reused solution buffer.
 func (s *Solver) SolveIntoCtx(ctx context.Context, x, b []float64) error {
 	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(x, b); err != nil {
@@ -138,42 +125,26 @@ func (s *Solver) SolveIntoCtx(ctx context.Context, x, b []float64) error {
 	return s.eng.SolveIntoCtx(ctx, x, b)
 }
 
-// SolveUpper solves the transposed system L′ᵀx = b pack-parallel, packs
-// in reverse order — the second sweep of a symmetric Gauss–Seidel or
+// SolveUpper solves the transposed system L′ᵀx = b, the task DAG swept
+// in reverse — the second sweep of a symmetric Gauss–Seidel or
 // incomplete-Cholesky preconditioner.
 func (s *Solver) SolveUpper(b []float64) ([]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.plan.checkDim(b); err != nil {
-		return nil, err
-	}
-	return s.eng.SolveUpper(b)
-}
-
-// SolveUpperCtx is SolveUpper honoring a context, with the same
-// dispatch-boundary semantics as SolveCtx.
-func (s *Solver) SolveUpperCtx(ctx context.Context, b []float64) ([]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.plan.checkDim(b); err != nil {
-		return nil, err
-	}
 	x := make([]float64, s.plan.N())
-	if err := s.eng.SolveUpperIntoCtx(ctx, x, b); err != nil {
+	if err := s.SolveUpperInto(x, b); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
 // SolveUpperInto is SolveUpper writing into a caller-provided vector.
+//
+//stsk:allow-background (non-context convenience wrapper; SolveUpperIntoCtx threads a caller ctx)
 func (s *Solver) SolveUpperInto(x, b []float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkDims(x, b); err != nil {
-		return err
-	}
-	return s.eng.SolveUpperInto(x, b)
+	return s.SolveUpperIntoCtx(context.Background(), x, b)
 }
 
 // SolveUpperIntoCtx is SolveUpperInto honoring a context, with the same
-// dispatch-boundary semantics as SolveCtx.
+// dispatch-boundary semantics as SolveIntoCtx.
 func (s *Solver) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
 	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(x, b); err != nil {
@@ -182,69 +153,17 @@ func (s *Solver) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
 	return s.eng.SolveUpperIntoCtx(ctx, x, b)
 }
 
-// SolveBatch solves L′xᵢ = bᵢ for every right-hand side of B and returns
-// the solutions in order. Each vector is swept start-to-finish by one
-// pooled worker with no inter-pack barriers, so up to Workers independent
-// right-hand sides travel the pack levels concurrently — the highest-
-// throughput path for iterative-solver and multi-scenario traffic.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveBatchCtx threads a caller ctx)
-func (s *Solver) SolveBatch(B [][]float64) ([][]float64, error) {
-	return s.SolveBatchCtx(context.Background(), B)
-}
-
-// SolveBatchCtx is SolveBatch honoring a context: a cancelled or expired
-// context stops the dispatch loop — no further right-hand sides are
-// handed to the pool — and the call returns ctx.Err() once the solves
-// already in flight drain. The Solver stays fully usable afterwards.
-// Every right-hand side is validated up front, so a single short vector
-// fails the whole batch with ErrDimension before any work is dispatched.
-func (s *Solver) SolveBatchCtx(ctx context.Context, B [][]float64) ([][]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkBatchDims(B); err != nil {
-		return nil, err
-	}
-	X := make([][]float64, len(B))
-	for i := range X {
-		X[i] = make([]float64, s.plan.N())
-	}
-	if err := s.eng.SolveBatchIntoCtx(ctx, X, B); err != nil {
-		return nil, err
-	}
-	return X, nil
-}
-
-// SolveBatchInto is SolveBatch writing into caller-provided solution
-// vectors; X[i] may alias B[i] for in-place solves. Like SolveBatchCtx,
-// the whole batch is validated before any work is dispatched.
-func (s *Solver) SolveBatchInto(X, B [][]float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkBatchPairs(X, B); err != nil {
-		return err
-	}
-	return s.eng.SolveBatchInto(X, B)
-}
-
-// SolveUpperBatchInto solves L′ᵀxᵢ = bᵢ for every right-hand side,
-// pipelined like SolveBatch.
-func (s *Solver) SolveUpperBatchInto(X, B [][]float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkBatchPairs(X, B); err != nil {
-		return err
-	}
-	return s.eng.SolveUpperBatchInto(X, B)
-}
-
 // SolveBlock solves L′xᵢ = bᵢ for every right-hand side of xs with the
 // blocked multi-vector (panel) kernels and returns the solutions in
-// order. Where SolveBatch walks the full matrix once per right-hand side,
+// order. Where Solve walks the full matrix once per right-hand side,
 // SolveBlock groups the vectors into row-major panels of up to
 // WithBlockWidth columns (default 8) and sweeps each panel in a single
-// matrix traversal under the solver's schedule — barrier packs or the
-// graph scheduler's task chunks — loading each (col, val) pair once and
-// applying it across all panel columns. Index and value traffic per
-// right-hand side drops by the panel width, which is what bounds a
-// cache-resident solve.
+// matrix traversal, loading each (col, val) pair once and applying it
+// across all panel columns. Index and value traffic per right-hand side
+// drops by the panel width, which is what bounds a cache-resident solve.
+// A call that is a single panel is swept by the whole pool over the task
+// DAG; a call of several panels hands each to one worker, so the panels
+// pipeline through the pack levels side by side.
 //
 // Every panel column is bitwise identical to Solve on that right-hand
 // side (and so to Plan.SolveSequential). Cancellation is honored between
@@ -280,7 +199,7 @@ func (s *Solver) SolveBlockInto(ctx context.Context, X, B [][]float64) error {
 
 // SolveUpperBlock solves the transposed system L′ᵀxᵢ = bᵢ for every
 // right-hand side with the blocked backward-substitution kernels, panels
-// swept in reverse pack order — the multi-vector form of SolveUpper.
+// swept in reverse — the multi-vector form of SolveUpper.
 func (s *Solver) SolveUpperBlock(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkBatchDims(xs); err != nil {
@@ -339,89 +258,43 @@ func (s *Solver) checkBatchPairs(X, B [][]float64) error {
 	return s.checkBatchDims(X)
 }
 
-// SolveResult is one solved right-hand side from SolveMany and SolveSeq.
+// SolveResult is one solved right-hand side from SolveSeq.
 type SolveResult struct {
 	X   []float64
 	Err error
 }
 
-// SolveMany streams right-hand sides through the pool: vectors read from
-// bs are solved concurrently (one worker per vector) and delivered on the
-// returned channel in input order. At most 2×Workers solves are in flight
-// at once, so unbounded streams run in bounded memory. The output channel
-// closes once bs is closed and drained.
-//
-// The caller owns the stream's lifecycle: close bs when done producing
-// and receive until the output channel closes. The output buffer lets a
-// short tail (up to 2×Workers results) flush without a consumer — enough
-// for the stop-on-first-error pattern — but a stream abandoned with more
-// work outstanding blocks the internal goroutines, and the producer,
-// until the output is drained. SolveManyCtx and SolveSeq tie the stream
-// to a context instead, which is the easier lifecycle to get right.
-//
-//stsk:allow-background (non-context convenience wrapper; SolveManyCtx threads a caller ctx)
-func (s *Solver) SolveMany(bs <-chan []float64) <-chan SolveResult {
-	return s.SolveManyCtx(context.Background(), bs)
-}
-
-// SolveManyCtx is SolveMany honoring a context: when ctx is cancelled the
-// stream stops reading bs and dispatching solves, the in-flight tail
-// drains in order, a final SolveResult carrying ctx.Err() is delivered,
-// and the channel closes — even if bs is never closed. The Solver stays
-// fully usable afterwards.
-func (s *Solver) SolveManyCtx(ctx context.Context, bs <-chan []float64) <-chan SolveResult {
-	out := make(chan SolveResult, 2*s.eng.Workers())
-	panicsafe.Go("stsk.SolveManyCtx", func() {
-		defer close(out)
-		for r := range s.eng.SolveManyCtx(ctx, bs) {
-			out <- SolveResult{X: r.X, Err: r.Err}
-		}
-	})
-	return out
-}
-
-// SolveSeq streams right-hand sides through the pool and returns the
-// results as an iterator over (index, result) pairs, in input order —
-// SolveMany without the channel boilerplate:
+// SolveSeq solves the right-hand sides of an iterator one at a time and
+// returns the results as an iterator over (index, result) pairs, in input
+// order:
 //
 //	for i, res := range solver.SolveSeq(ctx, slices.Values(B)) {
 //	    if res.Err != nil { ... }
 //	    use(i, res.X)
 //	}
 //
-// Up to 2×Workers solves are pipelined ahead of the consumer, so ranging
-// over an unbounded sequence runs in bounded memory. Breaking out of the
-// range loop cancels the stream's internal context, stops the producer,
-// and releases every in-flight solve; cancelling ctx does the same and
-// additionally yields a final result carrying ctx.Err().
+// Each vector is solved — one cooperative solve on the pool, pinning the
+// value epoch current at that vector — and its result yielded before the
+// next vector is drawn, so the stream runs in constant memory and a
+// stream whose next vector depends on the previous result works. Nothing
+// runs on another goroutine: a panic in bs or in the loop body reaches
+// the caller. A vector of the wrong length yields an ErrDimension result
+// and the stream goes on. Breaking out of the range loop stops drawing
+// vectors; a cancelled ctx is observed between vectors and ends the
+// stream with a final result carrying ctx.Err().
 func (s *Solver) SolveSeq(ctx context.Context, bs iter.Seq[[]float64]) iter.Seq2[int, SolveResult] {
 	return func(yield func(int, SolveResult) bool) {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		in := make(chan []float64)
-		panicsafe.Go("stsk.SolveSeq", func() {
-			defer close(in)
-			for b := range bs {
-				select {
-				case in <- b:
-				case <-ctx.Done():
-					return
+		i := 0
+		for b := range bs {
+			res := SolveResult{Err: ctx.Err()}
+			if res.Err == nil {
+				res.X = make([]float64, s.plan.N())
+				if res.Err = s.SolveIntoCtx(ctx, res.X, b); res.Err != nil {
+					res.X = nil
 				}
 			}
-		})
-		out := s.eng.SolveManyCtx(ctx, in)
-		// Any exit — early break, panic, or Goexit in the caller's loop
-		// body — must first cancel (so the producer stops and out closes)
-		// and then drain the bounded in-flight tail, or the pool would be
-		// left feeding an abandoned stream.
-		defer func() {
-			cancel()
-			for range out {
-			}
-		}()
-		i := 0
-		for r := range out {
-			if !yield(i, SolveResult{X: r.X, Err: r.Err}) {
+			// A result carrying the context's error is the stream's last.
+			if !yield(i, res) || (res.Err != nil && res.Err == ctx.Err()) {
 				return
 			}
 			i++
@@ -429,27 +302,14 @@ func (s *Solver) SolveSeq(ctx context.Context, bs iter.Seq[[]float64]) iter.Seq2
 	}
 }
 
-// ApplySGS applies the symmetric Gauss–Seidel preconditioner
-// M⁻¹ = (L′ D⁻¹ L′ᵀ)⁻¹ to r and returns z = M⁻¹r: a pack-parallel forward
-// sweep, a diagonal scale, and a pack-parallel backward sweep, all on the
-// pooled workers — one PCG preconditioner application with no goroutine
-// spawns and no allocations beyond the result.
-func (s *Solver) ApplySGS(r []float64) ([]float64, error) {
-	if err := s.plan.checkDim(r); err != nil {
-		return nil, err
-	}
-	z := make([]float64, s.plan.N())
-	if err := s.ApplySGSInto(z, r); err != nil {
-		return nil, err
-	}
-	return z, nil
-}
-
-// ApplySGSInto is ApplySGS writing into a caller-provided vector.
+// ApplySGSInto applies the symmetric Gauss–Seidel preconditioner
+// M⁻¹ = (L′ D⁻¹ L′ᵀ)⁻¹ to r and writes z = M⁻¹r: a forward sweep, a
+// diagonal scale, and a backward sweep, all on the pooled workers — one
+// PCG preconditioner application with no goroutine spawns and no
+// allocations.
 //
 // The three stages are separate dispatches, so a Plan.Refactor landing
-// mid-call can split them across value epochs; ApplySGSBatch fuses both
-// sweeps into one dispatch and is always epoch-consistent.
+// mid-call can split them across value epochs.
 func (s *Solver) ApplySGSInto(z, r []float64) error {
 	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(z, r); err != nil {
@@ -458,30 +318,12 @@ func (s *Solver) ApplySGSInto(z, r []float64) error {
 	yp := s.scratch.Get().(*[]float64)
 	y := *yp
 	defer s.scratch.Put(yp)
-	if err := s.eng.SolveInto(y, r); err != nil {
+	if err := s.SolveInto(y, r); err != nil {
 		return err
 	}
 	d := s.eng.Diagonal() // engine-owned, read-only
 	for i := range y {
 		y[i] *= d[i]
 	}
-	return s.eng.SolveUpperInto(z, y)
-}
-
-// ApplySGSBatch applies the symmetric Gauss–Seidel preconditioner to every
-// vector of R, pipelined: one worker performs both sweeps of a vector back
-// to back, keeping the intermediate in its own preallocated scratch.
-func (s *Solver) ApplySGSBatch(R [][]float64) ([][]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
-	if err := s.checkBatchDims(R); err != nil {
-		return nil, err
-	}
-	Z := make([][]float64, len(R))
-	for i := range Z {
-		Z[i] = make([]float64, s.plan.N())
-	}
-	if err := s.eng.ApplySGSBatch(Z, R); err != nil {
-		return nil, err
-	}
-	return Z, nil
+	return s.SolveUpperInto(z, y)
 }

@@ -44,30 +44,16 @@ func TestSolverLifecycleAfterClose(t *testing.T) {
 		call func() error
 	}{
 		{"Solve", func() error { _, err := s.Solve(vec()); return err }},
-		{"SolveCtx", func() error { _, err := s.SolveCtx(ctx, vec()); return err }},
 		{"SolveInto", func() error { return s.SolveInto(vec(), vec()) }},
 		{"SolveIntoCtx", func() error { return s.SolveIntoCtx(ctx, vec(), vec()) }},
 		{"SolveUpper", func() error { _, err := s.SolveUpper(vec()); return err }},
-		{"SolveUpperCtx", func() error { _, err := s.SolveUpperCtx(ctx, vec()); return err }},
 		{"SolveUpperInto", func() error { return s.SolveUpperInto(vec(), vec()) }},
 		{"SolveUpperIntoCtx", func() error { return s.SolveUpperIntoCtx(ctx, vec(), vec()) }},
-		{"SolveBatch", func() error { _, err := s.SolveBatch(batch()); return err }},
-		{"SolveBatchCtx", func() error { _, err := s.SolveBatchCtx(ctx, batch()); return err }},
-		{"SolveBatchInto", func() error { return s.SolveBatchInto(batch(), batch()) }},
-		{"SolveUpperBatchInto", func() error { return s.SolveUpperBatchInto(batch(), batch()) }},
 		{"SolveBlock", func() error { _, err := s.SolveBlock(ctx, batch()); return err }},
 		{"SolveBlockInto", func() error { return s.SolveBlockInto(ctx, batch(), batch()) }},
 		{"SolveUpperBlock", func() error { _, err := s.SolveUpperBlock(ctx, batch()); return err }},
 		{"SolveUpperBlockInto", func() error { return s.SolveUpperBlockInto(ctx, batch(), batch()) }},
-		{"ApplySGS", func() error { _, err := s.ApplySGS(vec()); return err }},
 		{"ApplySGSInto", func() error { return s.ApplySGSInto(vec(), vec()) }},
-		{"ApplySGSBatch", func() error { _, err := s.ApplySGSBatch(batch()); return err }},
-		{"SolveMany", func() error {
-			bs := make(chan []float64, 1)
-			bs <- vec()
-			close(bs)
-			return (<-s.SolveMany(bs)).Err
-		}},
 		{"SolveSeq", func() error {
 			var last error
 			for _, res := range s.SolveSeq(ctx, slices.Values(batch())) {
@@ -89,10 +75,11 @@ func TestSolverLifecycleAfterClose(t *testing.T) {
 	}
 }
 
-// TestSolverCloseVsInFlightBatch races Close against dispatched batches
-// and panels at the facade: every call either completes with correct
-// bits or reports ErrClosed, the solver never deadlocks, and a fresh
-// solver on the same plan is unaffected.
+// TestSolverCloseVsInFlightBatch races Close against dispatched block
+// calls at the facade — 24 right-hand sides as width-1 and as width-8
+// whole panels: every call either completes with correct bits or reports
+// ErrClosed, the solver never deadlocks, and a fresh solver on the same
+// plan is unaffected.
 func TestSolverCloseVsInFlightBatch(t *testing.T) {
 	mat, err := Generate("grid3d", 800)
 	if err != nil {
@@ -118,13 +105,14 @@ func TestSolverCloseVsInFlightBatch(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		s := plan.NewSolver(WithWorkers(3))
+		batch := plan.NewSolver(WithWorkers(3), WithBlockWidth(1))
 		type result struct {
 			X   [][]float64
 			err error
 		}
 		results := make(chan result, 2)
 		go func() {
-			X, err := s.SolveBatch(B)
+			X, err := batch.SolveBlock(context.Background(), B)
 			results <- result{X, err}
 		}()
 		go func() {
@@ -132,6 +120,7 @@ func TestSolverCloseVsInFlightBatch(t *testing.T) {
 			results <- result{X, err}
 		}()
 		s.Close()
+		batch.Close()
 		for k := 0; k < 2; k++ {
 			res := <-results
 			if res.err != nil {

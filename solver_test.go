@@ -1,13 +1,15 @@
 package stsk
 
-// Acceptance tests for the batched solve engine: SolveBatch and SolveMany
-// must match per-RHS SolveSequential bitwise across all four methods and
-// several generator classes, and one Solver must tolerate concurrent
-// solves (run these under -race).
+// Acceptance tests for the solve engine: block calls of many right-hand
+// sides and SolveSeq streams must match per-RHS SolveSequential bitwise
+// across all four methods and several generator classes, and one Solver
+// must tolerate concurrent solves (run these under -race).
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -48,8 +50,9 @@ func assertExact(t *testing.T, label string, got, want []float64) {
 }
 
 // TestSolverBatchMatchesSequential is the headline acceptance test:
-// SolveBatch over 32 right-hand sides is bitwise identical to looped
-// sequential solves on every method and several matrix classes.
+// SolveBlock over 32 right-hand sides — as width-1 whole panels and as
+// the default 8-wide panels — is bitwise identical to looped sequential
+// solves on every method and several matrix classes.
 func TestSolverBatchMatchesSequential(t *testing.T) {
 	const nrhs = 32
 	for _, class := range []string{"grid2d", "grid3d", "trimesh", "roadnet"} {
@@ -63,15 +66,17 @@ func TestSolverBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%s/%v: %v", class, m, err)
 			}
 			B, want := manufactured(t, plan, nrhs, 17)
-			solver := plan.NewSolver(WithWorkers(4))
-			X, err := solver.SolveBatch(B)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", class, m, err)
+			for _, width := range []int{1, 8} {
+				solver := plan.NewSolver(WithWorkers(4), WithBlockWidth(width))
+				X, err := solver.SolveBlock(context.Background(), B)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", class, m, err)
+				}
+				for r := range X {
+					assertExact(t, class+"/"+m.String(), X[r], want[r])
+				}
+				solver.Close()
 			}
-			for r := range X {
-				assertExact(t, class+"/"+m.String(), X[r], want[r])
-			}
-			solver.Close()
 		}
 	}
 }
@@ -88,15 +93,8 @@ func TestSolverSolveManyMatchesSequential(t *testing.T) {
 		}
 		B, want := manufactured(t, plan, 40, 29)
 		solver := plan.NewSolver(WithWorkers(3))
-		bs := make(chan []float64)
-		go func() {
-			for _, b := range B {
-				bs <- b
-			}
-			close(bs)
-		}()
 		r := 0
-		for res := range solver.SolveMany(bs) {
+		for _, res := range solver.SolveSeq(context.Background(), slices.Values(B)) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -167,25 +165,18 @@ func TestSolverApplySGSMatchesManualSweeps(t *testing.T) {
 		for i := range y {
 			y[i] *= d[i]
 		}
-		if want[r], err = plan.SolveUpperWith(y, WithWorkers(1)); err != nil {
+		if want[r], err = solveUpperWith(plan, y, WithWorkers(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	solver := plan.NewSolver(WithWorkers(3))
 	defer solver.Close()
+	z := make([]float64, plan.N())
 	for r := range R {
-		z, err := solver.ApplySGS(R[r])
-		if err != nil {
+		if err := solver.ApplySGSInto(z, R[r]); err != nil {
 			t.Fatal(err)
 		}
 		assertExact(t, "sgs-coop", z, want[r])
-	}
-	Z, err := solver.ApplySGSBatch(R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range Z {
-		assertExact(t, "sgs-batch", Z[r], want[r])
 	}
 }
 
@@ -223,7 +214,7 @@ func TestSolverConcurrentUse(t *testing.T) {
 						}
 					}
 				case 1:
-					X, err := solver.SolveBatch(B)
+					X, err := solver.SolveBlock(context.Background(), B)
 					if err != nil {
 						t.Error(err)
 						return
@@ -242,7 +233,7 @@ func TestSolverConcurrentUse(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := solver.ApplySGS(B[it%len(B)]); err != nil {
+					if err := solver.ApplySGSInto(make([]float64, plan.N()), B[it%len(B)]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -273,7 +264,7 @@ func TestPlanConcurrentLazyInit(t *testing.T) {
 			defer wg.Done()
 			switch g % 4 {
 			case 0:
-				if _, err := plan.SolveUpperWith(b, WithWorkers(2)); err != nil {
+				if _, err := plan.SolveUpper(b); err != nil {
 					t.Error(err)
 				}
 			case 1:

@@ -7,10 +7,11 @@
 // packs of independent super-rows via graph colouring or level sets, packs
 // sorted by increasing size, and RCM on each pack's data-affinity-and-reuse
 // (DAR) graph for temporal locality — and solves the resulting triangular
-// system L′x = b pack-parallel, either under the paper's OpenMP-style
-// barrier schedules or under a dependency-driven point-to-point schedule
-// (GraphSchedule) that replaces the inter-pack barriers with per-task
-// atomic completion counters over a transitively-sparsified task DAG.
+// system L′x = b in parallel. The paper sweeps packs under OpenMP-style
+// barrier schedules; this library's solvers replace the inter-pack
+// barriers with a dependency-driven point-to-point schedule — per-task
+// atomic completion counters over a transitively-sparsified task DAG —
+// and sweep panels of right-hand sides in one matrix traversal.
 //
 // Because the Go runtime offers no thread pinning or NUMA placement, the
 // paper's hardware timings are reproduced on a deterministic trace-driven
@@ -28,8 +29,8 @@
 //
 // Every entry point takes the same functional options: Build reads the
 // ordering options (WithRowsPerSuper, WithLevels, WithSloanInPack), while
-// NewSolver and SolveWith read the scheduling options (WithWorkers,
-// WithSchedule, WithChunk).
+// NewSolver and NewIC0 read the solver options (WithWorkers,
+// WithBlockWidth).
 //
 // For repeated solves against the same plan — the iterative-solver traffic
 // the paper targets — create a Solver once and stream right-hand sides
@@ -38,18 +39,18 @@
 //
 //	solver := plan.NewSolver(stsk.WithWorkers(8))
 //	defer solver.Close()
-//	x, _ = solver.Solve(b)                    // pooled pack-parallel solve
-//	X, _ := solver.SolveBatchCtx(ctx, manyRHS) // pipelined, one worker per RHS
-//	P, _ := solver.SolveBlock(ctx, manyRHS)    // blocked: one matrix sweep per RHS panel
+//	_ = solver.SolveIntoCtx(ctx, x, b)      // pooled solve over the task DAG
+//	P, _ := solver.SolveBlock(ctx, manyRHS) // blocked: one matrix sweep per RHS panel
 //	for i, res := range solver.SolveSeq(ctx, slices.Values(manyRHS)) {
-//	    _ = i // ordered streaming without channel boilerplate
+//	    _ = i // ordered streaming, one vector at a time
 //	    _ = res.X
 //	}
 //
 // Failures are matched with errors.Is against the package sentinels
-// ErrClosed, ErrDimension and ErrNotConverged. The krylov package builds
-// a full preconditioned conjugate-gradient solver on top of this facade
-// through the Preconditioner interface, and the serve package (daemon:
+// (ErrClosed, ErrDimension, ErrNotConverged, ErrTooLarge and the rest of
+// errors.go). The krylov package builds a full preconditioned
+// conjugate-gradient solver on top of this facade through the
+// Preconditioner interface, and the serve package (daemon:
 // cmd/stsserve) exposes plans over HTTP with adaptive coalescing of
 // concurrent requests onto the blocked panel kernels.
 //
@@ -264,8 +265,7 @@ type Plan struct {
 	// safe for concurrent solving, so lazy construction must be too.
 	lazyMu sync.Mutex
 	aSym   *sparse.CSR   // plan-ordered symmetric matrix A′ (current epoch's values)
-	dag    *csrk.TaskDAG // dependency DAG for the graph schedule
-	dagPar float64       // cached dag.Parallelism()
+	dag    *csrk.TaskDAG // dependency DAG the solvers schedule over
 
 	// shared is the plan's own persistent Solver, built on first
 	// default-option Solve/SolveUpper so repeated solves reuse one parked
@@ -292,7 +292,7 @@ func (p *Plan) sharedSolver() *Solver {
 }
 
 // taskDAG returns (building lazily, concurrency-safe) the plan's
-// dependency DAG for the point-to-point graph schedule: packs carved into
+// dependency DAG for the point-to-point schedule: packs carved into
 // nnz-balanced super-row chunks, direct dependencies read off the matrix,
 // transitively sparsified so each task waits only on its direct
 // unsatisfied predecessors. Built once and shared by every Solver of the
@@ -302,20 +302,8 @@ func (p *Plan) taskDAG() *csrk.TaskDAG {
 	defer p.lazyMu.Unlock()
 	if p.dag == nil {
 		p.dag = order.BuildTaskDAG(p.inner.S, order.TaskDAGOptions{})
-		p.dagPar = p.dag.Parallelism()
 	}
 	return p.dag
-}
-
-// graphWins reports whether the graph schedule should be the default for
-// this plan: the DAG must offer enough parallel slack (tasks per critical
-// path) that point-to-point scheduling beats the barrier pairing rather
-// than merely matching it.
-func (p *Plan) graphWins() bool {
-	p.taskDAG()
-	p.lazyMu.Lock()
-	defer p.lazyMu.Unlock()
-	return p.dagPar >= 1.5
 }
 
 // symmetric returns (building lazily) A′ = L′ + L′ᵀ − D in plan order.
@@ -346,8 +334,8 @@ func (p *Plan) Diagonal() []float64 {
 	return d
 }
 
-// SolveUpper solves L′ᵀ z = b with the pack-parallel backward solver
-// (packs in reverse order) — the second sweep of a symmetric Gauss–Seidel
+// SolveUpper solves L′ᵀ z = b with the parallel backward solver (the
+// task DAG in reverse) — the second sweep of a symmetric Gauss–Seidel
 // or incomplete-Cholesky preconditioner whose first sweep is the plan's
 // forward solve. It runs on the plan's shared persistent Solver, so
 // repeated calls reuse one parked worker pool, with the same
@@ -359,22 +347,6 @@ func (p *Plan) SolveUpper(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return p.sharedSolver().SolveUpper(b)
-}
-
-// SolveUpperWith is SolveUpper with explicit scheduling options. Unlike
-// SolveUpper it is always one-shot: it spins goroutines up and down
-// around the call, so option experiments never pin a pool and timings of
-// this path measure the same engine for every option value. Hold a
-// Plan.NewSolver(opts...) for repeated non-default solves.
-func (p *Plan) SolveUpperWith(b []float64, opts ...Option) ([]float64, error) {
-	if err := p.checkDim(b); err != nil {
-		return nil, err
-	}
-	x := make([]float64, p.N())
-	if err := solve.SolveOnceVals(p.vals, x, b, true, p.lowerSolve(applyOptions(opts))); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // checkDim validates one plan-order vector length at the facade, so a
@@ -415,8 +387,9 @@ func (p *Plan) IC0() (*Plan, error) {
 
 // Build runs the ordering pipeline for the given method. The ordering
 // options (WithRowsPerSuper, WithLevels, WithSloanInPack) tune the
-// pipeline beyond the method choice; scheduling options are ignored here
-// and read by NewSolver/SolveWith instead.
+// pipeline beyond the method choice; solver options are ignored here and
+// read by NewSolver instead. A factor whose dimension or stored-entry
+// count does not fit 32-bit indices is refused with ErrTooLarge.
 func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	c := applyOptions(opts)
 	oo := order.Options{
@@ -429,6 +402,9 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	}
 	p, err := order.Build(m.a, oo)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkFactorSize(p.S.L); err != nil {
 		return nil, err
 	}
 	plan := newPlan(p)
@@ -575,37 +551,20 @@ func (p *Plan) Residual(x, b []float64) float64 {
 	return sparse.Residual(p.structure().L, x, b)
 }
 
-// Solve solves L′x = b (both in plan order) with the paper's default
-// schedule for the plan's method and returns x. It runs on the plan's
-// shared persistent Solver, so repeated calls reuse one parked worker
-// pool; the pool stays parked until the plan is garbage collected.
+// Solve solves L′x = b (both in plan order) and returns x. It runs on the
+// plan's shared persistent Solver, so repeated calls reuse one parked
+// worker pool; the pool stays parked until the plan is garbage collected.
 // Cooperative solves on one pool are serialised, so concurrent Solve
 // calls on one Plan queue rather than run side by side — goroutines
 // needing independent parallel solves should each hold a Plan.NewSolver,
-// which is also the route to batches, contexts, and explicit lifecycle
-// control. A right-hand side of the wrong length returns ErrDimension
+// which is also the route to block solves, contexts, and explicit
+// lifecycle control. A right-hand side of the wrong length returns ErrDimension
 // before the shared pool is even created.
 func (p *Plan) Solve(b []float64) ([]float64, error) {
 	if err := p.checkDim(b); err != nil {
 		return nil, err
 	}
 	return p.sharedSolver().Solve(b)
-}
-
-// SolveWith is Solve with explicit scheduling options. Unlike Solve it is
-// always one-shot: it spins goroutines up and down around the call, so
-// option experiments never pin a pool and timings of this path measure
-// the same engine for every option value. Hold a Plan.NewSolver(opts...)
-// for repeated non-default solves.
-func (p *Plan) SolveWith(b []float64, opts ...Option) ([]float64, error) {
-	if err := p.checkDim(b); err != nil {
-		return nil, err
-	}
-	x := make([]float64, p.N())
-	if err := solve.SolveOnceVals(p.vals, x, b, false, p.lowerSolve(applyOptions(opts))); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveSequential solves L′x = b on one core — the baseline T(·, ·, 1).
@@ -676,6 +635,16 @@ func (p *Plan) Simulate(machineName string, cores int) (SimResult, error) {
 		HitRate:    res.HitRate,
 		NumPacks:   res.NumPacks,
 	}, nil
+}
+
+// checkFactorSize refuses a factor the packed solve kernels cannot index.
+// Build and ReadSnapshot both call it, so every Plan's factor — and every
+// factor derived from it, which shares its pattern — has a packed layout.
+func checkFactorSize(l *sparse.CSR) error {
+	if err := sparse.CheckPackable(l); err != nil {
+		return fmt.Errorf("stsk: factor refused: %w", err)
+	}
+	return nil
 }
 
 func intSqrt(n int) int {

@@ -1,9 +1,13 @@
 package stsk
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"stsk/internal/sparse"
 )
 
 func TestGenerateClasses(t *testing.T) {
@@ -79,25 +83,34 @@ func TestBuildSolveRoundTripAllMethods(t *testing.T) {
 	}
 }
 
-func TestSolveWithSchedules(t *testing.T) {
-	m, _ := Generate("grid2d", 800)
+// solveWith solves b on a fresh Solver built with opts.
+func solveWith(p *Plan, b []float64, opts ...Option) ([]float64, error) {
+	s := p.NewSolver(opts...)
+	defer s.Close()
+	return s.Solve(b)
+}
+
+// solveUpperWith solves L′ᵀx = b on a fresh Solver built with opts.
+func solveUpperWith(p *Plan, b []float64, opts ...Option) ([]float64, error) {
+	s := p.NewSolver(opts...)
+	defer s.Close()
+	return s.SolveUpper(b)
+}
+
+// TestFactorSizeRefused drives the check Build and ReadSnapshot share: a
+// factor whose dimension or stored-entry count does not fit 32-bit
+// indices is refused with ErrTooLarge, so every Plan has a packed layout.
+func TestFactorSizeRefused(t *testing.T) {
+	if err := checkFactorSize(&sparse.CSR{N: math.MaxInt32}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize dimension: %v, want ErrTooLarge", err)
+	}
+	m, _ := Generate("grid2d", 100)
 	p, err := Build(m, STS3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xTrue := make([]float64, p.N())
-	for i := range xTrue {
-		xTrue[i] = 1.5
-	}
-	b := p.RHSFor(xTrue)
-	for _, sched := range []ScheduleChoice{DefaultSchedule, StaticSchedule, DynamicSchedule, GuidedSchedule, GraphSchedule} {
-		x, err := p.SolveWith(b, WithWorkers(3), WithSchedule(sched), WithChunk(2))
-		if err != nil {
-			t.Fatalf("schedule %d: %v", sched, err)
-		}
-		if r := p.Residual(x, b); r > 1e-9 {
-			t.Fatalf("schedule %d: residual %g", sched, r)
-		}
+	if err := checkFactorSize(p.structure().L); err != nil {
+		t.Fatalf("in-range factor refused: %v", err)
 	}
 }
 
