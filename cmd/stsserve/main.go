@@ -187,7 +187,7 @@ func run(args []string, sig <-chan os.Signal) int {
 		addr       = fs.String("addr", ":8080", "listen address")
 		addrFile   = fs.String("addr-file", "", "write the bound listen address to this file (tests and :0 ports)")
 		budgetMB   = fs.Int64("budget-mb", 1024, "LRU byte budget for resident plans (MiB)")
-		flush      = fs.Duration("flush", 500*time.Microsecond, "coalescer flush deadline (partial panels ship after this)")
+		flush      = fs.Duration("flush", 500*time.Microsecond, "coalescer flush deadline (partial panels ship after this); also the unit of the queue-full retry backoff")
 		queue      = fs.Int("queue", 256, "per-coalescer request queue bound (admission control)")
 		workers    = fs.Int("workers", 0, "default solver goroutines per plan (0 = GOMAXPROCS)")
 		width      = fs.Int("width", 8, "maximum coalesced panel width")

@@ -37,73 +37,37 @@ func (s BrownoutState) String() string {
 	}
 }
 
-// BrownoutConfig tunes the degradation state machine. Zero values select
-// the defaults noted on each field; Disable turns the controller off
-// (the registry then reports BrownoutHealthy forever).
-type BrownoutConfig struct {
-	// Interval between controller evaluations. Default 100ms.
-	Interval time.Duration
+// The degradation state machine's tuning. One set of values serves every
+// deployment, so these are constants rather than Config fields.
+const (
+	// brownoutInterval is the time between controller evaluations.
+	brownoutInterval = 100 * time.Millisecond
 
-	// DegradeQueueFrac enters degraded mode when the summed coalescer
-	// queue depth exceeds this fraction of total queue capacity.
-	// Default 0.75.
-	DegradeQueueFrac float64
+	// degradeQueueFrac enters degraded mode when the summed coalescer
+	// queue depth exceeds this fraction of total queue capacity;
+	// recoverQueueFrac is the hysteresis floor a calm evaluation needs.
+	degradeQueueFrac = 0.75
+	recoverQueueFrac = 0.25
 
-	// RecoverQueueFrac is the hysteresis floor: healing requires the
-	// queue fraction at or below this for RecoverTicks consecutive
-	// evaluations. Default 0.25.
-	RecoverQueueFrac float64
+	// degradeLatency and degradeLatencyFrac enter degraded mode when
+	// more than degradeLatencyFrac of the solves observed since the last
+	// evaluation took longer than degradeLatency.
+	degradeLatency     = 250 * time.Millisecond
+	degradeLatencyFrac = 0.5
 
-	// DegradeLatency and DegradeLatencyFrac enter degraded mode when
-	// more than DegradeLatencyFrac of the solves observed since the last
-	// evaluation took longer than DegradeLatency. Defaults 250ms, 0.5.
-	DegradeLatency     time.Duration
-	DegradeLatencyFrac float64
+	// recoverTicks is how many consecutive calm evaluations heal a
+	// degraded registry — hysteresis against flapping.
+	recoverTicks = 5
 
-	// RecoverTicks is how many consecutive calm evaluations heal a
-	// degraded registry — hysteresis against flapping. Default 5.
-	RecoverTicks int
+	// shedBelowPriority is the X-STS-Priority threshold under degraded
+	// mode: requests with priority < this are shed, which sheds only
+	// requests that did not claim a priority (header absent = 0).
+	shedBelowPriority = 1
 
-	// ShedBelowPriority is the X-STS-Priority threshold under degraded
-	// mode: requests with priority < this are shed. The default 1 sheds
-	// only requests that did not claim a priority (header absent = 0).
-	ShedBelowPriority int
-
-	// DegradedFlushDiv divides the coalescer flush deadline while
-	// degraded, trading panel width for queue drain speed. Default 4.
-	DegradedFlushDiv int64
-
-	// Disable turns the controller off.
-	Disable bool
-}
-
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.DegradeQueueFrac <= 0 {
-		c.DegradeQueueFrac = 0.75
-	}
-	if c.RecoverQueueFrac <= 0 {
-		c.RecoverQueueFrac = 0.25
-	}
-	if c.DegradeLatency <= 0 {
-		c.DegradeLatency = 250 * time.Millisecond
-	}
-	if c.DegradeLatencyFrac <= 0 {
-		c.DegradeLatencyFrac = 0.5
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = 5
-	}
-	if c.ShedBelowPriority == 0 {
-		c.ShedBelowPriority = 1
-	}
-	if c.DegradedFlushDiv <= 0 {
-		c.DegradedFlushDiv = 4
-	}
-	return c
-}
+	// degradedFlushDiv divides the coalescer flush deadline while
+	// degraded, trading panel width for queue drain speed.
+	degradedFlushDiv = 4
+)
 
 // brownout is the degradation state machine: a small controller loop
 // that watches queue pressure and the latency histogram and moves the
@@ -111,7 +75,6 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 // single atomic load on the request path.
 type brownout struct {
 	reg *Registry
-	cfg BrownoutConfig
 
 	state  atomic.Int32
 	reason atomic.Pointer[string]
@@ -120,37 +83,34 @@ type brownout struct {
 	calm                int   // consecutive calm ticks while degraded
 	lastTotal, lastOver int64 // histogram cursor for per-tick windows
 
+	tick *time.Ticker
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newBrownout(reg *Registry, cfg BrownoutConfig) *brownout {
+// newBrownout starts the controller loop for reg.
+func newBrownout(reg *Registry) *brownout {
 	b := &brownout{
 		reg:  reg,
-		cfg:  cfg.withDefaults(),
+		tick: time.NewTicker(brownoutInterval),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	empty := ""
 	b.reason.Store(&empty)
-	return b
-}
-
-// start launches the controller loop.
-func (b *brownout) start() {
 	panicsafe.Go("serve.brownout", func() {
 		defer close(b.done)
-		t := time.NewTicker(b.cfg.Interval)
-		defer t.Stop()
+		defer b.tick.Stop()
 		for {
 			select {
-			case <-t.C:
+			case <-b.tick.C:
 				b.evaluate()
 			case <-b.stop:
 				return
 			}
 		}
 	})
+	return b
 }
 
 // close moves to draining and stops the controller loop.
@@ -178,25 +138,25 @@ func (b *brownout) evaluate() {
 	if capacity > 0 {
 		queueFrac = float64(depth) / float64(capacity)
 	}
-	total, over := b.reg.met.latencyTotals(b.cfg.DegradeLatency.Seconds())
+	total, over := b.reg.met.latencyTotals(degradeLatency.Seconds())
 	wTotal, wOver := total-b.lastTotal, over-b.lastOver
 	b.lastTotal, b.lastOver = total, over
-	slow := wTotal > 0 && float64(wOver)/float64(wTotal) >= b.cfg.DegradeLatencyFrac
+	slow := wTotal > 0 && float64(wOver)/float64(wTotal) >= degradeLatencyFrac
 
 	switch BrownoutState(b.state.Load()) {
 	case BrownoutDraining:
 		return
 	case BrownoutHealthy:
 		switch {
-		case queueFrac >= b.cfg.DegradeQueueFrac:
+		case queueFrac >= degradeQueueFrac:
 			b.degrade("queue depth over threshold")
 		case slow:
 			b.degrade("latency over threshold")
 		}
 	case BrownoutDegraded:
-		if queueFrac <= b.cfg.RecoverQueueFrac && !slow {
+		if queueFrac <= recoverQueueFrac && !slow {
 			b.calm++
-			if b.calm >= b.cfg.RecoverTicks {
+			if b.calm >= recoverTicks {
 				b.heal()
 			}
 		} else {
@@ -212,7 +172,7 @@ func (b *brownout) evaluate() {
 func (b *brownout) degrade(reason string) {
 	b.calm = 0
 	b.setState(BrownoutDegraded, reason)
-	b.reg.flushNs.Store(int64(b.reg.cfg.FlushDelay) / b.cfg.DegradedFlushDiv)
+	b.reg.flushNs.Store(int64(b.reg.cfg.FlushDelay) / degradedFlushDiv)
 }
 
 // heal restores full service and the configured flush deadline.

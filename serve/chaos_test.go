@@ -32,7 +32,6 @@ func TestChaosServing(t *testing.T) {
 	reg := NewRegistry(Config{
 		FlushDelay: 200 * time.Microsecond,
 		QueueCap:   64,
-		Retry:      RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond},
 		// Undersized on purpose: the storm must wrap the slow-trace ring
 		// many times over, exercising eviction under concurrent admission.
 		TraceRing: 32,
@@ -180,9 +179,7 @@ func TestChaosServing(t *testing.T) {
 	// After the storm: faults off, the same daemon serves a clean,
 	// bitwise-correct solve — nothing was torn or poisoned.
 	faultinject.Disable()
-	if reg.brown != nil {
-		reg.brown.heal()
-	}
+	reg.brown.heal()
 	raw, _ := json.Marshal(SolveRequest{Plan: "g3", B: hp.bs[0]})
 	resp, err := client.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
 	if err != nil {

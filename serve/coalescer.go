@@ -31,7 +31,7 @@ var (
 // errCoalescerClosed reports an enqueue that raced an eviction: the plan's
 // solver is shutting down. It never escapes the registry — Registry.Solve
 // retries against a freshly built plan, and translates the sentinel to a
-// retriable ErrDraining if it loses the race on every attempt.
+// retriable ErrPlanEvicted if it loses the race on every attempt.
 var errCoalescerClosed = errors.New("serve: coalescer closed")
 
 // solveReq is one queued single-RHS solve. done is buffered (capacity 1)

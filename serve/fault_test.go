@@ -27,26 +27,23 @@ func withFaults(t *testing.T, spec string, seed uint64) {
 }
 
 // quietRegistry builds a registry whose brownout controller never ticks
-// on its own (Interval one hour), so tests drive the state machine by
+// on its own (its ticker halted), so tests drive the state machine by
 // hand deterministically.
 func quietRegistry(cfg Config) *Registry {
-	if cfg.Brownout.Interval == 0 {
-		cfg.Brownout.Interval = time.Hour
-	}
-	return NewRegistry(cfg)
+	reg := NewRegistry(cfg)
+	reg.brown.tick.Stop()
+	return reg
 }
 
 // TestRetryPolicyBackoff pins the jittered-exponential shape: attempt n
-// backs off within [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at MaxBackoff.
+// backs off within [flush·2ⁿ⁻¹/2, flush·2ⁿ⁻¹], capped at retryBackoffCap
+// flushes.
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
+	const flush = 500 * time.Microsecond
 	for attempt := 1; attempt <= 8; attempt++ {
-		want := p.BaseBackoff << (attempt - 1)
-		if want > p.MaxBackoff || want <= 0 {
-			want = p.MaxBackoff
-		}
+		want := min(flush<<(attempt-1), retryBackoffCap*flush)
 		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt)
+			d := backoff(flush, attempt)
 			if d < want/2 || d > want {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, want/2, want)
 			}
@@ -101,7 +98,7 @@ func TestSolveRetriesTransientSaturation(t *testing.T) {
 // TestSolveRetryExhaustion: saturation on every attempt exhausts the
 // budget and surfaces ErrQueueFull (HTTP 429), counted as rejected.
 func TestSolveRetryExhaustion(t *testing.T) {
-	reg := quietRegistry(Config{Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}})
+	reg := quietRegistry(Config{FlushDelay: 100 * time.Microsecond})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 1000, 1)
 
@@ -111,8 +108,8 @@ func TestSolveRetryExhaustion(t *testing.T) {
 		t.Fatalf("err = %v, want ErrQueueFull after exhausted retries", err)
 	}
 	snap := reg.Metrics().Snapshot()
-	if snap.Rejected != 1 || snap.Retries != 1 {
-		t.Errorf("rejected/retries = %d/%d, want 1/1", snap.Rejected, snap.Retries)
+	if snap.Rejected != 1 || snap.Retries != retryAttempts-1 {
+		t.Errorf("rejected/retries = %d/%d, want 1/%d", snap.Rejected, snap.Retries, retryAttempts-1)
 	}
 }
 
@@ -120,7 +117,7 @@ func TestSolveRetryExhaustion(t *testing.T) {
 // deadline smaller than one backoff, the retry loop gives up promptly
 // instead of sleeping past the budget.
 func TestSolveRetryNeverOutlivesDeadline(t *testing.T) {
-	reg := quietRegistry(Config{Retry: RetryPolicy{MaxAttempts: 5, BaseBackoff: 200 * time.Millisecond, MaxBackoff: time.Second}})
+	reg := quietRegistry(Config{FlushDelay: 200 * time.Millisecond})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 1000, 1)
 
@@ -172,20 +169,18 @@ func TestSolvePanicRecoveredEndToEnd(t *testing.T) {
 
 // TestBrownoutStateMachine drives the controller's evaluate by hand:
 // a latency spike degrades (shrinking the flush deadline), degraded mode
-// sheds low-priority requests and refuses cold builds, and RecoverTicks
-// calm evaluations heal everything back.
+// sheds low-priority requests and refuses cold builds but still
+// re-derives a resident plan's IC(0) factor, and recoverTicks calm
+// evaluations heal everything back.
 func TestBrownoutStateMachine(t *testing.T) {
-	cfg := Config{
-		FlushDelay: 800 * time.Microsecond,
-		Brownout: BrownoutConfig{
-			Interval:       time.Hour, // ticks driven by hand
-			DegradeLatency: 10 * time.Millisecond,
-			RecoverTicks:   3,
-		},
-	}
+	cfg := Config{FlushDelay: 800 * time.Microsecond}
 	reg := quietRegistry(cfg)
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "resident", "grid3d", 800, 1)
+	// Factor IC(0) now, so the degraded value update below leaves it stale.
+	if _, err := reg.Solve(context.Background(), "resident", VariantIC0, false, hp.bs[0]); err != nil {
+		t.Fatal(err)
+	}
 
 	if st, _ := reg.BrownoutState(); st != BrownoutHealthy {
 		t.Fatalf("fresh registry state = %v, want healthy", st)
@@ -194,10 +189,10 @@ func TestBrownoutStateMachine(t *testing.T) {
 		t.Fatalf("healthy registry shed a request: %v", err)
 	}
 
-	// A window where most solves breach DegradeLatency trips the
+	// A window where most solves breach degradeLatency trips the
 	// controller on its next tick.
 	for i := 0; i < 8; i++ {
-		reg.met.ObserveLatency(50 * time.Millisecond)
+		reg.met.ObserveLatency(2 * degradeLatency)
 	}
 	reg.brown.evaluate()
 	st, reason := reg.BrownoutState()
@@ -229,15 +224,41 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 	assertBitwise(t, x, hp.fwd[0], "degraded resident solve")
 
-	// Hysteresis: fewer than RecoverTicks calm evaluations do not heal.
-	reg.brown.evaluate()
-	reg.brown.evaluate()
+	// Degraded: a value update leaves the IC(0) factor stale, and its
+	// re-derivation is not a cold build — the resident plan's factor
+	// serves the new values.
+	vals := scaledValues(t, "grid3d", 800, 2)
+	if _, err := reg.UpdateValues("resident", vals, 0); err != nil {
+		t.Fatalf("value update while degraded: %v", err)
+	}
+	ref := refPlan(t, "grid3d", 800, stsk.STS3)
+	if err := ref.Refactor(vals); err != nil {
+		t.Fatal(err)
+	}
+	fref, err := ref.IC0()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fref.Solve(hp.bs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err = reg.Solve(context.Background(), "resident", VariantIC0, false, hp.bs[0])
+	if err != nil {
+		t.Fatalf("ic0 solve after update while degraded: %v", err)
+	}
+	assertBitwise(t, x, want, "degraded ic0 solve at the new values")
+
+	// Hysteresis: fewer than recoverTicks calm evaluations do not heal.
+	for i := 1; i < recoverTicks; i++ {
+		reg.brown.evaluate()
+	}
 	if st, _ := reg.BrownoutState(); st != BrownoutDegraded {
-		t.Fatal("healed before RecoverTicks calm evaluations")
+		t.Fatal("healed before recoverTicks calm evaluations")
 	}
 	reg.brown.evaluate()
 	if st, _ := reg.BrownoutState(); st != BrownoutHealthy {
-		t.Fatalf("state after %d calm ticks = %v, want healthy", 3, st)
+		t.Fatalf("state after %d calm ticks = %v, want healthy", recoverTicks, st)
 	}
 	if got := reg.flushNs.Load(); got != int64(cfg.FlushDelay) {
 		t.Errorf("healed flush deadline = %dns, want %dns restored", got, int64(cfg.FlushDelay))
@@ -260,22 +281,22 @@ func TestBrownoutQueuePressure(t *testing.T) {
 	defer reg.Close()
 	ref := refPlan(t, "grid3d", 500, stsk.STS3)
 	solver := ref.NewSolver()
-	st := &planState{base: variantState{
+	st := &state{
 		plan:   ref,
 		solver: solver,
 		lower:  newCoalescer(solver, false, 8, 4, flushNanos(time.Millisecond), reg.met),
 		upper:  newCoalescer(solver, true, 8, 4, flushNanos(time.Millisecond), reg.met),
-	}}
+	}
 	reg.mu.Lock()
 	reg.entries["fake"] = &entry{spec: PlanSpec{Name: "fake"}, st: st}
 	reg.mu.Unlock()
 
 	// 7 of the 8 summed slots (2 coalescers × cap 4) → frac 0.875 ≥ 0.75.
 	for i := 0; i < 4; i++ {
-		st.base.lower.queue <- &solveReq{ctx: context.Background(), done: make(chan error, 1)}
+		st.lower.queue <- &solveReq{ctx: context.Background(), done: make(chan error, 1)}
 	}
 	for i := 0; i < 3; i++ {
-		st.base.upper.queue <- &solveReq{ctx: context.Background(), done: make(chan error, 1)}
+		st.upper.queue <- &solveReq{ctx: context.Background(), done: make(chan error, 1)}
 	}
 	reg.brown.evaluate()
 	bst, reason := reg.BrownoutState()

@@ -133,15 +133,17 @@ func (s PlanSpec) method() stsk.Method {
 // Config tunes a Registry. Zero values select the defaults noted on each
 // field.
 type Config struct {
-	// BudgetBytes caps the estimated bytes of resident built plans; the
-	// least-recently-used plan is evicted (coalescers drained, Solver
-	// closed, memory released to the GC) when the budget is exceeded.
-	// A single plan larger than the budget is still admitted — the
-	// budget then holds nothing else. Default 1 GiB.
+	// BudgetBytes caps the estimated bytes of resident built plans and
+	// IC(0) factors; the least-recently-used one is evicted (coalescers
+	// drained, Solver closed, memory released to the GC) when the budget
+	// is exceeded. A single plan and its factor larger than the budget
+	// are still admitted — the budget then holds nothing else. Default
+	// 1 GiB.
 	BudgetBytes int64
 
 	// FlushDelay is how long the coalescer holds a partial panel open for
-	// more requests before shipping it. Default 500µs.
+	// more requests before shipping it, and the unit of Solve's queue-full
+	// retry backoff (see backoff). Default 500µs.
 	FlushDelay time.Duration
 
 	// QueueCap bounds each coalescer's request queue; a full queue
@@ -155,13 +157,6 @@ type Config struct {
 	// BlockWidth is the default maximum panel width (0 = 8, the widest
 	// unrolled kernel).
 	BlockWidth int
-
-	// Retry bounds how Solve retries transient failures (eviction races,
-	// queue-full rejections); see RetryPolicy.
-	Retry RetryPolicy
-
-	// Brownout tunes the degradation state machine; see BrownoutConfig.
-	Brownout BrownoutConfig
 
 	// SnapshotDir, when non-empty, enables plan snapshot persistence:
 	// every built plan is serialized there write-behind (on build and on
@@ -203,64 +198,34 @@ func (c Config) withDefaults() Config {
 	if c.TraceRing <= 0 {
 		c.TraceRing = 256
 	}
-	c.Retry = c.Retry.withDefaults()
 	return c
 }
 
-// variantState is one built, servable triangular system: a Plan, its
-// persistent pooled Solver, and the pair of coalescers (forward and
-// backward sweeps) multiplexing requests onto it.
-type variantState struct {
+// state is one built, servable triangular system — a plan or its IC(0)
+// factor: a Plan, its persistent pooled Solver, and the pair of
+// coalescers (forward and backward sweeps) multiplexing requests onto
+// it. lastUse is the LRU stamp, maintained under the registry mutex.
+type state struct {
 	plan         *stsk.Plan
 	solver       *stsk.Solver
 	lower, upper *coalescer
 	bytes        int64
+	lastUse      int64
 }
 
 // close drains both coalescers (queued requests still get solved) and
 // then closes the solver — the GC-safe eviction order: no panel is ever
 // dispatched to a closed pool, and once close returns the only thing
 // keeping the plan's memory alive is the garbage collector's next sweep.
-func (v *variantState) close() {
-	v.lower.close()
-	v.upper.close()
-	v.solver.Close()
-}
-
-// planState is the built state of one registry entry: the base variant
-// plus the lazily built IC0 variant. lastUse and bytes are maintained
-// under the registry mutex; ic0 is an atomic pointer so listing and
-// routing never take ic0Mu (which serialises only the build/shutdown
-// path and is never acquired while the registry mutex is held by the
-// same goroutine's callees — eviction reads bytes, not ic0).
-type planState struct {
-	spec    PlanSpec
-	base    variantState
-	lastUse int64
-	bytes   int64 // base + built variants; registry-mutex-guarded
-
-	ic0Mu   sync.Mutex
-	ic0     atomic.Pointer[variantState]
-	evicted bool // under ic0Mu; late IC0 builds bounce and retry
-}
-
-// shutdown gracefully stops everything the state owns. Runs outside the
-// registry mutex (eviction spawns it on a goroutine; Close runs it
-// synchronously after releasing the mutex).
-func (st *planState) shutdown() {
-	st.ic0Mu.Lock()
-	st.evicted = true
-	ic0 := st.ic0.Swap(nil)
-	st.ic0Mu.Unlock()
-	if ic0 != nil {
-		ic0.close()
-	}
-	st.base.close()
+func (st *state) close() {
+	st.lower.close()
+	st.upper.close()
+	st.solver.Close()
 }
 
 // Registry is the concurrent plan cache at the heart of the serving
 // subsystem. Specs are registered by name; the built artifacts (Plan,
-// pooled Solver, coalescers, lazy IC0 variant) are cached behind an LRU
+// pooled Solver, coalescers, lazy IC(0) factor) are cached behind an LRU
 // byte budget. Eviction only forgets the built state — the spec stays
 // registered, and the next request transparently rebuilds. All methods
 // are safe for concurrent use.
@@ -279,8 +244,9 @@ type Registry struct {
 	// client's point of view; solves never take it.
 	updMu sync.Mutex
 
-	// shutdowns tracks eviction-spawned teardown goroutines so Close can
-	// honor its "every pool has exited" contract.
+	// shutdowns tracks teardown goroutines (dropLocked) and write-behind
+	// snapshot writers so Close can honor its "every pool has exited"
+	// contract.
 	shutdowns sync.WaitGroup
 
 	// flushNs is the live coalescer flush deadline in nanoseconds,
@@ -288,7 +254,7 @@ type Registry struct {
 	// controller shrinks it under load and restores it on heal.
 	flushNs atomic.Int64
 
-	// brown is the degradation state machine; nil when disabled.
+	// brown is the degradation state machine.
 	brown *brownout
 
 	// ring holds finished slow traces for /debug/traces; nil when
@@ -296,18 +262,24 @@ type Registry struct {
 	ring *trace.Ring
 }
 
-// entry is one registered spec plus its cached built state. st and
-// building are guarded by Registry.mu; building is non-nil while one
-// goroutine runs the expensive build, and other requests wait on it
-// instead of duplicating the work. version and vals live here rather
-// than on planState so value updates survive eviction: the next rebuild
-// reapplies vals via Plan.Refactor before the state goes live.
+// entry is one registered spec, or the IC(0) factor derived from it
+// (ic0), plus its cached built state. st and building are guarded by
+// Registry.mu; building is non-nil while one goroutine runs the
+// expensive build, and other requests wait on it instead of duplicating
+// the work. version and vals live here rather than on the state so
+// value updates survive eviction: the next rebuild reapplies vals via
+// Plan.Refactor before the state goes live.
 type entry struct {
 	spec     PlanSpec
-	st       *planState
+	st       *state
 	building chan struct{}
-	version  uint64    // value version, 1 at registration; bumped by UpdateValues
-	vals     []float64 // latest updated values (immutable copy), nil = spec's own
+	// version is the value version: 1 at registration, bumped by
+	// UpdateValues. On a factor entry it is the plan's value version the
+	// resident factor was derived from; acquire re-derives when they
+	// differ.
+	version uint64
+	vals    []float64 // latest updated values (immutable copy), nil = spec's own
+	ic0     *entry    // the derived IC(0) factor entry; nil until first requested
 
 	// snapMu serialises this entry's write-behind snapshot writers so the
 	// on-disk file always converges to the latest (state, version) pair.
@@ -315,7 +287,7 @@ type entry struct {
 }
 
 // NewRegistry builds an empty registry and starts its brownout
-// controller (unless cfg.Brownout.Disable).
+// controller.
 func NewRegistry(cfg Config) *Registry {
 	r := &Registry{
 		cfg:     cfg.withDefaults(),
@@ -326,16 +298,9 @@ func NewRegistry(cfg Config) *Registry {
 	if !r.cfg.DisableTracing {
 		r.ring = trace.NewRing(r.cfg.TraceRing)
 	}
-	if !r.cfg.Brownout.Disable {
-		r.brown = newBrownout(r, r.cfg.Brownout)
-		r.brown.start()
-	}
+	r.brown = newBrownout(r)
 	return r
 }
-
-// TracingEnabled reports whether the solve-lifecycle trace recorder is
-// armed.
-func (r *Registry) TracingEnabled() bool { return r.ring != nil }
 
 // TraceRing exposes the slow-trace ring buffer (nil when tracing is
 // disabled) — the store behind GET /debug/traces.
@@ -397,9 +362,6 @@ func (r *Registry) BrownoutState() (BrownoutState, string) {
 	if closed {
 		return BrownoutDraining, "registry closed"
 	}
-	if r.brown == nil {
-		return BrownoutHealthy, ""
-	}
 	return r.brown.State()
 }
 
@@ -411,18 +373,28 @@ func (r *Registry) Draining() bool {
 }
 
 // AdmitPriority applies brownout load shedding: while degraded, a
-// request with priority below the configured threshold is refused with
-// ErrShed (and counted). Healthy and draining registries admit
-// everything — draining refuses later with ErrDraining anyway.
+// request with priority below shedBelowPriority is refused with ErrShed
+// (and counted). Healthy and draining registries admit everything —
+// draining refuses later with ErrDraining anyway.
 func (r *Registry) AdmitPriority(pri int) error {
-	if r.brown == nil {
-		return nil
-	}
-	if st, _ := r.brown.State(); st == BrownoutDegraded && pri < r.brown.cfg.ShedBelowPriority {
+	if st, _ := r.brown.State(); st == BrownoutDegraded && pri < shedBelowPriority {
 		r.met.Shed.Add(1)
-		return fmt.Errorf("%w: priority %d below threshold %d", ErrShed, pri, r.brown.cfg.ShedBelowPriority)
+		return fmt.Errorf("%w: priority %d below threshold %d", ErrShed, pri, shedBelowPriority)
 	}
 	return nil
+}
+
+// residentLocked (registry mutex held) yields every entry with a
+// resident state — plans and IC(0) factors alike — with the plan entry
+// it belongs to.
+func (r *Registry) residentLocked(yield func(plan, e *entry) bool) {
+	for _, p := range r.entries {
+		for _, e := range [2]*entry{p, p.ic0} {
+			if e != nil && e.st != nil && !yield(p, e) {
+				return
+			}
+		}
+	}
 }
 
 // queueStats sums queue depth and capacity across every live coalescer
@@ -430,15 +402,9 @@ func (r *Registry) AdmitPriority(pri int) error {
 func (r *Registry) queueStats() (depth, capacity int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if st := e.st; st != nil {
-			depth += st.base.lower.depth() + st.base.upper.depth()
-			capacity += 2 * r.cfg.QueueCap
-			if ic0 := st.ic0.Load(); ic0 != nil {
-				depth += ic0.lower.depth() + ic0.upper.depth()
-				capacity += 2 * r.cfg.QueueCap
-			}
-		}
+	for _, e := range r.residentLocked {
+		depth += e.st.lower.depth() + e.st.upper.depth()
+		capacity += 2 * r.cfg.QueueCap
 	}
 	return depth, capacity
 }
@@ -455,8 +421,8 @@ type PlanInfo struct {
 	N       int      `json:"n,omitempty"`
 	NNZ     int64    `json:"nnz,omitempty"`
 	Packs   int      `json:"packs,omitempty"`
-	Bytes   int64    `json:"bytes,omitempty"`
-	IC0     bool     `json:"ic0,omitempty"` // IC0 variant currently built
+	Bytes   int64    `json:"bytes,omitempty"` // plan plus resident IC(0) factor
+	IC0     bool     `json:"ic0,omitempty"`   // IC(0) factor of the current version resident
 }
 
 // Register stores a spec and eagerly builds its plan, so registration
@@ -482,12 +448,12 @@ func (r *Registry) Register(spec PlanSpec) (PlanInfo, error) {
 		inserted = true
 	}
 	r.mu.Unlock()
-	if _, err := r.acquire(spec.Name); err != nil {
+	if _, err := r.acquire(spec.Name, VariantDirect); err != nil {
 		if inserted {
 			// A spec that never built (bad class, unreadable file) does not
 			// stay registered — the name is free for a corrected retry.
 			r.mu.Lock()
-			if e, ok := r.entries[spec.Name]; ok && e.spec == spec && e.st == nil && e.building == nil {
+			if e, ok := r.entries[spec.Name]; ok && e.spec == spec && e.st == nil && e.building == nil && e.ic0 == nil {
 				delete(r.entries, spec.Name)
 			}
 			r.mu.Unlock()
@@ -514,13 +480,16 @@ func (r *Registry) list(only string) []PlanInfo {
 		}
 		info := PlanInfo{Spec: e.spec, Version: e.version}
 		if st := e.st; st != nil {
-			stats := st.base.plan.Stats()
+			stats := st.plan.Stats()
 			info.Loaded = true
-			info.N = st.base.plan.N()
+			info.N = st.plan.N()
 			info.NNZ = stats.NNZ
-			info.Packs = st.base.plan.NumPacks()
+			info.Packs = st.plan.NumPacks()
 			info.Bytes = st.bytes
-			info.IC0 = st.ic0.Load() != nil
+			if f := e.ic0; f != nil && f.st != nil {
+				info.Bytes += f.st.bytes
+				info.IC0 = f.version == e.version
+			}
 		}
 		out = append(out, info)
 	}
@@ -557,30 +526,22 @@ func (r *Registry) BytesUsed() int64 {
 // QueueDepth reports the requests currently queued across every resident
 // coalescer — the backpressure gauge exported at /metrics.
 func (r *Registry) QueueDepth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	depth := 0
-	for _, e := range r.entries {
-		if st := e.st; st != nil {
-			depth += st.base.lower.depth() + st.base.upper.depth()
-			if ic0 := st.ic0.Load(); ic0 != nil {
-				depth += ic0.lower.depth() + ic0.upper.depth()
-			}
-		}
-	}
+	depth, _ := r.queueStats()
 	return depth
 }
 
 // Solve routes one right-hand side through the named plan's coalescer
 // and returns the solution (in plan order), bitwise identical to
 // Plan.Solve on the same system. variant selects the factor (VariantIC0
-// builds the incomplete-Cholesky factor lazily on first use); upper
-// selects the transposed sweep L′ᵀx = b. The context is honored
-// end-to-end: queueing, coalescing, and dispatch.
+// builds the incomplete-Cholesky factor lazily on first use, and again
+// after each value update); upper selects the transposed sweep
+// L′ᵀx = b. The context is honored end-to-end: queueing, coalescing, and
+// dispatch.
 //
-// If the plan was evicted between lookup and enqueue (the race window is
-// a few instructions wide), Solve transparently rebuilds it and retries
-// once.
+// Transient refusals are retried, up to retryAttempts attempts in all:
+// a plan evicted between lookup and enqueue (the race window is a few
+// instructions wide) is transparently rebuilt, and a full queue is
+// retried after a backoff the request's deadline can afford.
 func (r *Registry) Solve(ctx context.Context, name, variant string, upper bool, b []float64) ([]float64, error) {
 	r.met.Requests.Add(1)
 	// A caller below the HTTP layer (benchmarks, embedders) arrives with
@@ -623,7 +584,7 @@ func (r *Registry) Solve(ctx context.Context, name, variant string, upper bool, 
 	return x, err
 }
 
-// solve is the retry-policy loop around solveOnce: bounded attempts,
+// solve is the retry loop around solveOnce: bounded attempts,
 // only the retriable sentinels (eviction races, queue-full rejections),
 // jittered exponential backoff for backpressure, and never a sleep the
 // caller's deadline cannot afford.
@@ -631,10 +592,9 @@ func (r *Registry) solve(ctx context.Context, name, variant string, upper bool, 
 	if variant != VariantDirect && variant != VariantIC0 {
 		return nil, fmt.Errorf("serve: unknown variant %q (have \"\" and %q)", variant, VariantIC0)
 	}
-	pol := r.cfg.Retry
 	for attempt := 1; ; attempt++ {
 		x, err := r.solveOnce(ctx, name, variant, upper, b)
-		if err == nil || !retriable(err) || attempt >= pol.MaxAttempts {
+		if err == nil || !retriable(err) || attempt >= retryAttempts {
 			return x, translateEvicted(err, name)
 		}
 		if errors.Is(err, ErrQueueFull) {
@@ -642,7 +602,7 @@ func (r *Registry) solve(ctx context.Context, name, variant string, upper bool, 
 			// before re-admitting. An eviction race skips the backoff —
 			// the plan rebuild itself is the wait.
 			b0 := trace.Now()
-			ok := sleepRetry(ctx, pol.backoff(attempt))
+			ok := sleepRetry(ctx, backoff(r.cfg.FlushDelay, attempt))
 			trace.FromContext(ctx).Observe(trace.StageRetryBackoff, b0, trace.Now())
 			if !ok {
 				return nil, translateEvicted(err, name)
@@ -655,21 +615,20 @@ func (r *Registry) solve(ctx context.Context, name, variant string, upper bool, 
 // solveOnce is one acquire-and-enqueue attempt.
 func (r *Registry) solveOnce(ctx context.Context, name, variant string, upper bool, b []float64) ([]float64, error) {
 	g0 := trace.Now()
-	st, err := r.acquire(name)
+	st, err := r.acquire(name, VariantDirect)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the length against the base plan (the IC0 factor has
-	// the same dimension) BEFORE touching the lazy variant, so a
-	// wrong-length request can never trigger an incomplete-Cholesky
-	// factorization it has no use for.
-	if len(b) != st.base.plan.N() {
+	// Validate the length against the plan (its IC(0) factor has the same
+	// dimension) BEFORE acquiring the factor, so a wrong-length request
+	// can never trigger an incomplete-Cholesky factorization it has no
+	// use for.
+	if len(b) != st.plan.N() {
 		return nil, fmt.Errorf("%w: rhs length %d, want %d for plan %q",
-			stsk.ErrDimension, len(b), st.base.plan.N(), name)
+			stsk.ErrDimension, len(b), st.plan.N(), name)
 	}
-	vs := &st.base
 	if variant == VariantIC0 {
-		if vs, err = r.acquireIC0(st); err != nil {
+		if st, err = r.acquire(name, VariantIC0); err != nil {
 			return nil, err
 		}
 	}
@@ -677,9 +636,9 @@ func (r *Registry) solveOnce(ctx context.Context, name, variant string, upper bo
 	// is microseconds, a cold build or snapshot warm-load is where a
 	// "slow solve" that was really a slow build shows up.
 	trace.FromContext(ctx).Observe(trace.StageRegistry, g0, trace.Now())
-	c := vs.lower
+	c := st.lower
 	if upper {
-		c = vs.upper
+		c = st.upper
 	}
 	return c.solve(ctx, b)
 }
@@ -697,25 +656,36 @@ func translateEvicted(err error, name string) error {
 	return err
 }
 
-// acquire returns the entry's built state, building it (once, with
-// concurrent callers waiting) when absent, charging the byte budget, and
-// evicting least-recently-used plans to fit.
-func (r *Registry) acquire(name string) (*planState, error) {
+// acquire returns the resident state of the named plan or, with
+// VariantIC0, of its IC(0) factor — an entry derived from the plan's
+// resident state rather than from a spec, so callers acquire the plan
+// first. A missing state, or a factor derived at an older value version
+// than the plan's, is built once (concurrent callers wait), charged to
+// the byte budget, and fitted by evicting least-recently-used states of
+// other plans — never the plan's own, so building a plan or its factor
+// never evicts the other.
+func (r *Registry) acquire(name, variant string) (*state, error) {
 	r.mu.Lock()
 	for {
 		if r.closed {
 			r.mu.Unlock()
 			return nil, ErrDraining
 		}
-		e, ok := r.entries[name]
+		p, ok := r.entries[name]
 		if !ok {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q", ErrUnknownPlan, name)
 		}
-		if e.st != nil {
+		e := p
+		if variant == VariantIC0 {
+			if p.ic0 == nil {
+				p.ic0 = &entry{}
+			}
+			e = p.ic0
+		}
+		if st := e.st; st != nil && e.version == p.version {
 			r.clock++
-			e.st.lastUse = r.clock
-			st := e.st
+			st.lastUse = r.clock
 			r.mu.Unlock()
 			return st, nil
 		}
@@ -726,43 +696,43 @@ func (r *Registry) acquire(name string) (*planState, error) {
 			r.mu.Lock()
 			continue // built, build failed (this caller retries), or evicted again
 		}
-		if r.brown != nil {
-			// A degraded registry refuses cold builds: the ordering
-			// pipeline is seconds of CPU the overloaded node cannot spare,
-			// and resident plans are what it must keep serving.
-			if st, _ := r.brown.State(); st == BrownoutDegraded {
+		// UpdateValues commits version/vals only while no plan build is in
+		// flight (see its residency re-check), so both are frozen while a
+		// plan build holds e.building. A factor's build reads them with
+		// the plan state it factors: that state's values are at least
+		// that version.
+		from, ver, pend := p.st, p.version, p.vals
+		if e == p {
+			// A degraded registry refuses cold builds: the ordering pipeline
+			// is seconds of CPU the overloaded node cannot spare, and resident
+			// plans are what it must keep serving. Factoring a resident plan
+			// is not refused.
+			if bst, _ := r.brown.State(); bst == BrownoutDegraded {
 				r.mu.Unlock()
 				return nil, fmt.Errorf("%w: plan %q is not resident", ErrDegraded, name)
 			}
+		} else if from == nil {
+			r.mu.Unlock()
+			return nil, errCoalescerClosed // plan evicted since the caller acquired it
 		}
 		e.building = make(chan struct{})
-		// UpdateValues commits version/vals only while no build is in
-		// flight (see its residency re-check), so both are frozen while we
-		// hold e.building.
-		pend := e.vals
-		eVer := e.version
 		r.mu.Unlock()
 
-		// Prefer a warm load: a valid snapshot skips the seconds-scale
-		// ordering pipeline entirely. A stale or missing snapshot falls
-		// through to the cold build.
-		var st *planState
+		var st *state
 		var err error
 		snapVer, warm := uint64(0), false
 		var snapVals []float64
-		if r.cfg.SnapshotDir != "" {
-			st, snapVer, snapVals, warm = r.loadSnapshot(e.spec, eVer, pend)
-		}
-		if !warm {
-			st, err = r.buildState(e.spec)
-			if err == nil && pend != nil {
-				// The plan was numerically updated before this (re)build —
-				// reapply the latest values so an evicted-and-rebuilt plan never
-				// silently reverts to the spec's original matrix.
-				if rerr := st.base.plan.Refactor(pend); rerr != nil {
-					st.shutdown()
-					st, err = nil, fmt.Errorf("serve: reapplying updated values for plan %q: %w", e.spec.Name, rerr)
-				}
+		if e != p {
+			st, err = r.derive(from, p.spec)
+		} else {
+			// Prefer a warm load: a valid snapshot skips the seconds-scale
+			// ordering pipeline entirely. A stale or missing snapshot falls
+			// through to the cold build.
+			if r.cfg.SnapshotDir != "" {
+				st, snapVer, snapVals, warm = r.loadSnapshot(p.spec, ver, pend)
+			}
+			if !warm {
+				st, err = r.buildState(p.spec, pend)
 			}
 		}
 
@@ -775,35 +745,55 @@ func (r *Registry) acquire(name string) (*planState, error) {
 		}
 		if r.closed {
 			r.mu.Unlock()
-			st.shutdown()
+			st.close()
 			return nil, ErrDraining
+		}
+		if e.st != nil {
+			r.dropLocked(e) // the stale factor this one supersedes
 		}
 		e.st = st
 		r.used += st.bytes
-		if warm {
+		switch {
+		case e != p:
+			r.met.PlanBuilds.Add(1)
+			e.version = ver
+			if p.st != from {
+				// The plan state was evicted while we factored it, perhaps
+				// after an update refactored it that will now never commit:
+				// serve this caller, but re-derive for the next.
+				e.version = 0
+			}
+		case warm:
 			r.met.SnapshotLoads.Add(1)
-			if snapVer > e.version {
+			if snapVer > p.version {
 				// The snapshot outlives this registry's knowledge (a fresh
 				// registration against a previous process's snapshot): adopt
 				// its version and values so later rebuilds replay them.
-				e.version = snapVer
-				e.vals = snapVals
+				p.version = snapVer
+				p.vals = snapVals
 			}
-		} else {
+		default:
 			r.met.PlanBuilds.Add(1)
 		}
-		if !warm || snapVer < e.version {
+		if e == p && (!warm || snapVer < p.version) {
 			// The on-disk snapshot is absent or lags the live state; bring
 			// it up to date write-behind.
-			r.snapshotAsync(e, st)
+			r.snapshotAsync(p, st)
 		}
-		r.evictLocked(st)
+		r.clock++
+		st.lastUse = r.clock
+		r.evictLocked(p)
+		r.mu.Unlock()
+		return st, nil
 	}
 }
 
 // buildState runs the expensive part — matrix load, ordering pipeline,
-// solver pool — outside the registry mutex.
-func (r *Registry) buildState(spec PlanSpec) (*planState, error) {
+// solver pool — outside the registry mutex. pend, when non-nil, holds
+// values the plan was updated to before this (re)build; they are
+// reapplied so an evicted-and-rebuilt plan never silently reverts to the
+// spec's original matrix.
+func (r *Registry) buildState(spec PlanSpec, pend []float64) (*state, error) {
 	if err := faultinject.Fire(faultinject.RegistryBuild); err != nil {
 		return nil, err
 	}
@@ -815,14 +805,30 @@ func (r *Registry) buildState(spec PlanSpec) (*planState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &planState{spec: spec, base: r.newVariant(plan, spec)}
-	st.bytes = st.base.bytes
-	return st, nil
+	if pend != nil {
+		if err := plan.Refactor(pend); err != nil {
+			return nil, fmt.Errorf("serve: reapplying updated values for plan %q: %w", spec.Name, err)
+		}
+	}
+	return r.newState(plan, spec), nil
 }
 
-// newVariant wires a built plan into a servable variant: pooled solver,
+// derive is a factor entry's build: the incomplete-Cholesky factor of
+// the plan state's matrix (Plan.IC0), made servable on its own.
+func (r *Registry) derive(from *state, spec PlanSpec) (*state, error) {
+	if err := faultinject.Fire(faultinject.RegistryBuild); err != nil {
+		return nil, err
+	}
+	plan, err := from.plan.IC0()
+	if err != nil {
+		return nil, err
+	}
+	return r.newState(plan, spec), nil
+}
+
+// newState wires a built plan into a servable state: pooled solver,
 // forward and backward coalescers, byte estimate.
-func (r *Registry) newVariant(plan *stsk.Plan, spec PlanSpec) variantState {
+func (r *Registry) newState(plan *stsk.Plan, spec PlanSpec) *state {
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = r.cfg.Workers
@@ -832,97 +838,33 @@ func (r *Registry) newVariant(plan *stsk.Plan, spec PlanSpec) variantState {
 		width = r.cfg.BlockWidth
 	}
 	solver := plan.NewSolver(stsk.WithWorkers(workers), stsk.WithBlockWidth(width))
-	v := variantState{
+	st := &state{
 		plan:   plan,
 		solver: solver,
 		lower:  newCoalescer(solver, false, width, r.cfg.QueueCap, &r.flushNs, r.met),
 		upper:  newCoalescer(solver, true, width, r.cfg.QueueCap, &r.flushNs, r.met),
 		bytes:  estimateBytes(plan),
 	}
-	v.lower.start()
-	v.upper.start()
-	return v
-}
-
-// acquireIC0 returns (building lazily, once) the state's
-// incomplete-Cholesky variant, charging its bytes against the budget.
-func (r *Registry) acquireIC0(st *planState) (*variantState, error) {
-	if vs := st.ic0.Load(); vs != nil {
-		return vs, nil
-	}
-	st.ic0Mu.Lock()
-	defer st.ic0Mu.Unlock()
-	if st.evicted {
-		return nil, errCoalescerClosed
-	}
-	if vs := st.ic0.Load(); vs != nil {
-		return vs, nil
-	}
-	if err := faultinject.Fire(faultinject.RegistryBuild); err != nil {
-		return nil, err
-	}
-	fplan, err := st.base.plan.IC0()
-	if err != nil {
-		return nil, err
-	}
-	vs := r.newVariant(fplan, st.spec)
-	st.ic0.Store(&vs)
-	r.mu.Lock()
-	// Only charge the budget if the state is still resident: an eviction
-	// that raced this build (its shutdown is parked on ic0Mu right now)
-	// has already uncharged st.bytes, and will close this variant the
-	// moment ic0Mu is released — charging it would leak the bytes into
-	// r.used forever and bias the registry toward eviction thrash.
-	if e, ok := r.entries[st.spec.Name]; ok && e.st == st {
-		r.used += vs.bytes
-		st.bytes += vs.bytes
-		r.evictLocked(st)
-	}
-	r.met.PlanBuilds.Add(1)
-	r.mu.Unlock()
-	return &vs, nil
-}
-
-// dropIC0 discards st's lazily built IC0 variant (factored from values
-// that are being superseded) so the next ic0 request re-factorizes.
-// Teardown runs off-mutex like an eviction, and the bytes are uncharged
-// only if the state is still resident (an eviction racing us already
-// did it).
-func (r *Registry) dropIC0(name string, st *planState) {
-	st.ic0Mu.Lock()
-	old := st.ic0.Swap(nil)
-	st.ic0Mu.Unlock()
-	if old == nil {
-		return
-	}
-	r.mu.Lock()
-	if e, ok := r.entries[name]; ok && e.st == st {
-		r.used -= old.bytes
-		st.bytes -= old.bytes
-	}
-	r.mu.Unlock()
-	r.shutdowns.Add(1)
-	panicsafe.Go("serve.ic0-teardown", func() {
-		defer r.shutdowns.Done()
-		old.close()
-	})
+	st.lower.start()
+	st.upper.start()
+	return st
 }
 
 // UpdateValues performs a numeric refactorization of the named plan:
 // new values for the registered matrix's fixed sparsity are swapped in
 // via Plan.Refactor (copy-on-write — in-flight solves finish on the old
-// values, later dispatches see the new ones; nothing drains), the lazy
-// IC0 variant factored from the old values is dropped for rebuild on
-// next use, and the plan's value version is bumped. ifVersion, when
-// non-zero, makes the update conditional: it fails with
-// ErrVersionConflict unless the current version matches (optimistic
-// concurrency for competing updaters). The values slice is copied and
-// retained, so updates survive LRU eviction — a rebuild reapplies them.
+// values, later dispatches see the new ones; nothing drains) and the
+// plan's value version is bumped, which leaves a resident IC(0) factor
+// stale: the next ic0 request re-derives it. ifVersion, when non-zero,
+// makes the update conditional: it fails with ErrVersionConflict unless
+// the current version matches (optimistic concurrency for competing
+// updaters). The values slice is copied and retained, so updates survive
+// LRU eviction — a rebuild reapplies them.
 func (r *Registry) UpdateValues(name string, values []float64, ifVersion uint64) (PlanInfo, error) {
 	r.updMu.Lock()
 	defer r.updMu.Unlock()
 
-	st, err := r.acquire(name)
+	st, err := r.acquire(name, VariantDirect)
 	if err != nil {
 		return PlanInfo{}, err
 	}
@@ -944,13 +886,9 @@ func (r *Registry) UpdateValues(name string, values []float64, ifVersion uint64)
 	// copy must stay immutable for eviction-rebuild replay.
 	vals := append([]float64(nil), values...)
 	for {
-		if err := st.base.plan.Refactor(vals); err != nil {
+		if err := st.plan.Refactor(vals); err != nil {
 			return PlanInfo{}, err
 		}
-
-		// The IC0 variant was factored from the old values; drop it so the
-		// next ic0 request re-factorizes lazily on the same pattern.
-		r.dropIC0(name, st)
 
 		// Residency re-check: the version bump is committed only in the
 		// same critical section that proves the refactored state is the
@@ -984,7 +922,7 @@ func (r *Registry) UpdateValues(name string, values []float64, ifVersion uint64)
 		// that read the pre-update values) made a different state current.
 		// Reapply the values to whatever is resident and re-check, until
 		// the refactored state and the resident state are the same one.
-		if st, err = r.acquire(name); err != nil {
+		if st, err = r.acquire(name, VariantDirect); err != nil {
 			return PlanInfo{}, err
 		}
 	}
@@ -1015,36 +953,46 @@ type planVersion struct {
 	version uint64
 }
 
-// evictLocked (registry mutex held) drops least-recently-used built
-// plans until the budget fits, sparing keep (the state just built or
-// extended — evicting it would thrash). The actual teardown — coalescer
-// drain, Solver.Close — runs on a goroutine outside the mutex; requests
-// that raced the eviction either complete during the drain or bounce
-// with errCoalescerClosed and transparently rebuild.
-func (r *Registry) evictLocked(keep *planState) {
+// evictLocked (registry mutex held) drops least-recently-used states
+// until the budget fits, sparing every state of keep (the plan just
+// built or factored — evicting either would thrash). Evicting a plan
+// takes its factor along: the factor may carry values of an update that
+// landed on the evicted state and will never commit, which its version
+// tag cannot tell.
+func (r *Registry) evictLocked(keep *entry) {
 	for r.used > r.cfg.BudgetBytes {
 		var victim *entry
-		for _, e := range r.entries {
-			if e.st == nil || e.st == keep {
-				continue
-			}
-			if victim == nil || e.st.lastUse < victim.st.lastUse {
+		for p, e := range r.residentLocked {
+			if p != keep && (victim == nil || e.st.lastUse < victim.st.lastUse) {
 				victim = e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		st := victim.st
-		victim.st = nil
-		r.used -= st.bytes
 		r.met.Evictions.Add(1)
-		r.shutdowns.Add(1)
-		panicsafe.Go("serve.evict-teardown", func() {
-			defer r.shutdowns.Done()
-			st.shutdown()
-		})
+		r.dropLocked(victim)
+		if f := victim.ic0; f != nil && f.st != nil {
+			r.dropLocked(f)
+		}
 	}
+}
+
+// dropLocked (registry mutex held) unloads e's state and uncharges its
+// bytes — the one teardown path of eviction, re-derivation and Close.
+// The teardown itself — coalescer drain, Solver.Close — runs on a
+// goroutine outside the mutex; requests that raced it either complete
+// during the drain or bounce with errCoalescerClosed and transparently
+// rebuild.
+func (r *Registry) dropLocked(e *entry) {
+	st := e.st
+	e.st = nil
+	r.used -= st.bytes
+	r.shutdowns.Add(1)
+	panicsafe.Go("serve.teardown", func() {
+		defer r.shutdowns.Done()
+		st.close()
+	})
 }
 
 // Close drains every coalescer (queued requests still complete), closes
@@ -1058,26 +1006,16 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	var sts []*planState
-	for _, e := range r.entries {
-		if e.st != nil {
-			sts = append(sts, e.st)
-			e.st = nil
-		}
+	for _, e := range r.residentLocked {
+		r.dropLocked(e)
 	}
-	r.used = 0
 	r.mu.Unlock()
 	// Stop the brownout controller outside the mutex — its evaluate tick
 	// takes r.mu (queueStats), so stopping under the lock would deadlock.
-	if r.brown != nil {
-		r.brown.close()
-	}
-	for _, st := range sts {
-		st.shutdown()
-	}
-	// Teardowns spawned by earlier evictions may still be draining; a
-	// Close that returns with solver goroutines live would break
-	// embedders asserting quiescence.
+	r.brown.close()
+	// Every teardown, this Close's and earlier evictions', may still be
+	// draining; a Close that returns with solver goroutines live would
+	// break embedders asserting quiescence.
 	r.shutdowns.Wait()
 }
 

@@ -103,9 +103,17 @@ func TestRegistrySolveErrors(t *testing.T) {
 	if _, err := reg.Solve(ctx, "g3", VariantDirect, false, make([]float64, 3)); !errors.Is(err, stsk.ErrDimension) {
 		t.Errorf("short rhs: err = %v, want ErrDimension", err)
 	}
+	// The length is checked against the plan before the IC(0) factor is
+	// acquired: a wrong-length request never factorizes.
+	if _, err := reg.Solve(ctx, "g3", VariantIC0, false, make([]float64, 3)); !errors.Is(err, stsk.ErrDimension) {
+		t.Errorf("short ic0 rhs: err = %v, want ErrDimension", err)
+	}
 	snap := reg.Metrics().Snapshot()
-	if snap.Failed != 3 {
-		t.Errorf("failed counter = %d, want 3", snap.Failed)
+	if snap.Failed != 4 {
+		t.Errorf("failed counter = %d, want 4", snap.Failed)
+	}
+	if snap.PlanBuilds != 1 {
+		t.Errorf("plan builds = %d, want 1 (no factorization for a wrong-length request)", snap.PlanBuilds)
 	}
 }
 
@@ -211,6 +219,35 @@ func TestRegistryIC0Variant(t *testing.T) {
 	}
 	if got := reg.Metrics().Snapshot().PlanBuilds; got != 2 {
 		t.Errorf("plan builds = %d, want 2 (base + ic0)", got)
+	}
+
+	// Under a budget below one plan's estimate, building a plan or its
+	// factor never evicts the other: alternating direct and IC(0) solves
+	// build each once.
+	tight := NewRegistry(Config{BudgetBytes: infos[0].Bytes / 4})
+	defer tight.Close()
+	if _, err := tight.Register(PlanSpec{Name: "g3", Class: "grid3d", N: 1500}); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := ref.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		for _, c := range []struct {
+			variant string
+			want    []float64
+		}{{VariantDirect, direct}, {VariantIC0, want}} {
+			x, err := tight.Solve(context.Background(), "g3", c.variant, false, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, x, c.want, "tight-budget "+c.variant)
+		}
+	}
+	snap := tight.Metrics().Snapshot()
+	if snap.PlanBuilds != 2 || snap.Evictions != 0 {
+		t.Errorf("tight budget: plan builds/evictions = %d/%d, want 2/0", snap.PlanBuilds, snap.Evictions)
 	}
 }
 

@@ -7,52 +7,35 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds how Registry.Solve retries transient failures: the
-// eviction race (errCoalescerClosed) and admission-control rejections
+// Registry.Solve's retry budget for transient failures: the eviction
+// race (errCoalescerClosed) and admission-control rejections
 // (ErrQueueFull). Retries are deadline-budget-aware — a backoff that
 // would outlive the request's context is never slept — and only the
 // retriable sentinels are retried: dimension errors, unknown plans,
 // contained panics (ErrInternal) and cancellations all fail immediately.
-type RetryPolicy struct {
-	// MaxAttempts caps total attempts, first try included. Default 3.
-	MaxAttempts int
+const (
+	// retryAttempts caps total attempts, first try included.
+	retryAttempts = 3
 
-	// BaseBackoff is the first retry's backoff; each further retry
-	// doubles it, jittered uniformly in [d/2, d). An eviction-race retry
-	// (errCoalescerClosed) skips the backoff entirely — the rebuild
-	// itself is the wait. Default 500µs.
-	BaseBackoff time.Duration
+	// retryBackoffCap caps the queue-full backoff, in coalescer flush
+	// intervals (see backoff).
+	retryBackoffCap = 16
+)
 
-	// MaxBackoff caps the exponential growth. Default 8ms.
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 500 * time.Microsecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 8 * time.Millisecond
-	}
-	return p
-}
-
-// retriable reports whether the retry policy may try again after err.
+// retriable reports whether Solve may try again after err.
 func retriable(err error) bool {
 	return errors.Is(err, errCoalescerClosed) || errors.Is(err, ErrQueueFull)
 }
 
-// backoff is the jittered exponential delay before retry attempt
-// `attempt` (1 = first retry).
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseBackoff << (attempt - 1)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	// Uniform jitter in [d/2, d) decorrelates retry storms: thundering
+// backoff is the jittered exponential delay before queue-full retry
+// `attempt` (1 = first retry), counted in flush intervals — about what a
+// coalescer takes to ship the panel its queue holds: one flush for the
+// first retry, doubling to at most retryBackoffCap flushes. An
+// eviction-race retry skips the backoff entirely — the rebuild itself is
+// the wait.
+func backoff(flush time.Duration, attempt int) time.Duration {
+	d := min(flush<<(attempt-1), retryBackoffCap*flush)
+	// Uniform jitter in [d/2, d] decorrelates retry storms: thundering
 	// herds that were rejected together do not come back together.
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }

@@ -57,7 +57,7 @@ func (r *Registry) snapshotPath(name string) string {
 // Callers invoke this under r.mu after proving !r.closed, which orders
 // the WaitGroup Add before Close's Wait — Close therefore drains every
 // scheduled write before returning, making shutdown durable.
-func (r *Registry) snapshotAsync(e *entry, st *planState) {
+func (r *Registry) snapshotAsync(e *entry, st *state) {
 	if r.cfg.SnapshotDir == "" || st == nil {
 		return
 	}
@@ -78,7 +78,7 @@ func (r *Registry) snapshotAsync(e *entry, st *planState) {
 // to have baked in. If the entry moves faster than the bounded
 // rewrites, the writer spawned by the newer change is already queued on
 // snapMu behind us and will observe the final state.
-func (r *Registry) writeSnapshot(e *entry, st *planState) {
+func (r *Registry) writeSnapshot(e *entry, st *state) {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	for attempt := 0; attempt < 4; attempt++ {
@@ -101,7 +101,7 @@ func (r *Registry) writeSnapshot(e *entry, st *planState) {
 			return
 		}
 		extra := stsk.SnapshotExtra{Meta: meta, AuxVals: vals}
-		if err := st.base.plan.WriteSnapshotFile(r.snapshotPath(e.spec.Name), extra); err != nil {
+		if err := st.plan.WriteSnapshotFile(r.snapshotPath(e.spec.Name), extra); err != nil {
 			r.met.SnapshotErrors.Add(1)
 			return
 		}
@@ -160,7 +160,7 @@ func (r *Registry) discardSnapshot(path string) {
 // and the snapshot's (version, values) for the caller to reconcile:
 // a snapshot at or past curVer is adopted as-is; one lagging curVer has
 // the newer pend values re-applied so the state matches the live entry.
-func (r *Registry) loadSnapshot(spec PlanSpec, curVer uint64, pend []float64) (*planState, uint64, []float64, bool) {
+func (r *Registry) loadSnapshot(spec PlanSpec, curVer uint64, pend []float64) (*state, uint64, []float64, bool) {
 	path := r.snapshotPath(spec.Name)
 	plan, meta, vals, err := readSnapshotFile(path)
 	if err != nil {
@@ -182,9 +182,7 @@ func (r *Registry) loadSnapshot(spec PlanSpec, curVer uint64, pend []float64) (*
 			return nil, 0, nil, false
 		}
 	}
-	st := &planState{spec: spec, base: r.newVariant(plan, spec)}
-	st.bytes = st.base.bytes
-	return st, meta.Version, vals, true
+	return r.newState(plan, spec), meta.Version, vals, true
 }
 
 // WarmStart pre-populates the registry from every snapshot in
@@ -237,14 +235,13 @@ func (r *Registry) WarmStart() (int, error) {
 
 		// Build the servable state outside the mutex (solver pools spin up
 		// here), then commit it if the name is still free.
-		st := &planState{spec: meta.Spec, base: r.newVariant(plan, meta.Spec)}
-		st.bytes = st.base.bytes
+		st := r.newState(plan, meta.Spec)
 
 		r.mu.Lock()
 		if _, ok := r.entries[meta.Spec.Name]; ok || r.closed {
 			closed := r.closed
 			r.mu.Unlock()
-			st.shutdown()
+			st.close()
 			if closed {
 				return loaded, ErrDraining
 			}
@@ -252,10 +249,11 @@ func (r *Registry) WarmStart() (int, error) {
 		}
 		r.clock++
 		st.lastUse = r.clock
-		r.entries[meta.Spec.Name] = &entry{spec: meta.Spec, st: st, version: meta.Version, vals: vals}
+		e := &entry{spec: meta.Spec, st: st, version: meta.Version, vals: vals}
+		r.entries[meta.Spec.Name] = e
 		r.used += st.bytes
 		r.met.SnapshotLoads.Add(1)
-		r.evictLocked(st)
+		r.evictLocked(e)
 		r.mu.Unlock()
 		loaded++
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stsk"
 )
@@ -53,13 +54,17 @@ func TestUpdateValuesEvictionStaleness(t *testing.T) {
 		churned.Add(1)
 		go func() {
 			defer churned.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := reg.Solve(context.Background(), name, VariantDirect, false, rhs); err != nil {
+				variant := VariantDirect
+				if i%2 == 1 {
+					variant = VariantIC0
+				}
+				if _, err := reg.Solve(context.Background(), name, variant, false, rhs); err != nil {
 					churnErr.Store(err)
 					return
 				}
@@ -76,7 +81,8 @@ func TestUpdateValuesEvictionStaleness(t *testing.T) {
 		// No other updater exists, so from the moment UpdateValues
 		// returned, "a" must solve on exactly these values — whether the
 		// refactored state survived, or an eviction forced a rebuild that
-		// replayed them.
+		// replayed them — and so must its IC(0) factor, which the update
+		// left stale.
 		if err := ref.Refactor(vals); err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +95,17 @@ func TestUpdateValuesEvictionStaleness(t *testing.T) {
 			t.Fatalf("round %d: Solve: %v", i, err)
 		}
 		assertBitwise(t, got, want, "post-update solve")
+		fref, err := ref.IC0()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = fref.Solve(b); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = reg.Solve(context.Background(), "a", VariantIC0, false, b); err != nil {
+			t.Fatalf("round %d: ic0 Solve: %v", i, err)
+		}
+		assertBitwise(t, got, want, "post-update ic0 solve")
 	}
 	close(stop)
 	churned.Wait()
@@ -101,5 +118,113 @@ func TestUpdateValuesEvictionStaleness(t *testing.T) {
 		if pi.Spec.Name == "a" && pi.Version != rounds+1 {
 			t.Fatalf("version %d after %d updates, want %d", pi.Version, rounds, rounds+1)
 		}
+	}
+}
+
+// TestIC0NeverOutlivesUncommittedValues pins the two rules that keep an
+// IC(0) factor from serving values no version ever committed. Such
+// values exist on a plan state when UpdateValues refactors it, the state
+// is evicted before the commit, and the retry then fails (say, with
+// ErrDegraded); refactorUncommitted stands in for that sequence. A
+// factor derived from such a state carries the plan's old version tag,
+// so only its lifecycle can retire it:
+//   - evicting a plan evicts its factor, and
+//   - a factor whose plan state was evicted while it was being derived
+//     serves its own caller but is re-derived for the next.
+func TestIC0NeverOutlivesUncommittedValues(t *testing.T) {
+	const n = 900
+	ref := refPlan(t, "grid3d", n, stsk.STS3)
+	fref, err := ref.IC0()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := manufacturedRHS(ref, 3)
+	want, err := fref.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncommitted := scaledValues(t, "grid3d", n, 2)
+
+	probe := NewRegistry(Config{})
+	info, err := probe.Register(PlanSpec{Name: "a", Class: "grid3d", N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := info.Bytes
+	if _, err := probe.Solve(context.Background(), "a", VariantIC0, false, b); err != nil {
+		t.Fatal(err)
+	}
+	withFactor := probe.List()[0].Bytes
+	probe.Close()
+
+	check := func(reg *Registry, label string) {
+		t.Helper()
+		x, err := reg.Solve(context.Background(), "a", VariantIC0, false, b)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertBitwise(t, x, want, label)
+	}
+
+	t.Run("evicted with its plan", func(t *testing.T) {
+		// Holds a plan with its factor, and a second plan only once the
+		// first plan is gone.
+		reg := NewRegistry(Config{BudgetBytes: withFactor + plan/2})
+		defer reg.Close()
+		if _, err := reg.Register(PlanSpec{Name: "a", Class: "grid3d", N: n}); err != nil {
+			t.Fatal(err)
+		}
+		refactorUncommitted(t, reg, "a", uncommitted)
+		if _, err := reg.Solve(context.Background(), "a", VariantIC0, false, b); err != nil {
+			t.Fatal(err)
+		}
+		// Building "b" evicts the least recently used state, a's plan.
+		if _, err := reg.Register(PlanSpec{Name: "b", Class: "grid3d", N: n}); err != nil {
+			t.Fatal(err)
+		}
+		check(reg, "ic0 after its plan was evicted")
+	})
+
+	t.Run("plan evicted mid-derivation", func(t *testing.T) {
+		// Holds one plan, so building "b" evicts a's.
+		reg := NewRegistry(Config{BudgetBytes: plan + plan/2})
+		defer reg.Close()
+		if _, err := reg.Register(PlanSpec{Name: "a", Class: "grid3d", N: n}); err != nil {
+			t.Fatal(err)
+		}
+		// Hold the derivation after it has picked its plan state, long
+		// enough to refactor and evict that state underneath it.
+		withFaults(t, "registry.build:latency:count=1,d=200ms", 1)
+		served := make(chan error, 1)
+		go func() {
+			_, err := reg.Solve(context.Background(), "a", VariantIC0, false, b)
+			served <- err
+		}()
+		for derived := false; !derived; {
+			reg.mu.Lock()
+			derived = reg.entries["a"].ic0 != nil && reg.entries["a"].ic0.building != nil
+			reg.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		refactorUncommitted(t, reg, "a", uncommitted)
+		if _, err := reg.Register(PlanSpec{Name: "b", Class: "grid3d", N: n}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("caller of the interrupted derivation: %v", err)
+		}
+		check(reg, "ic0 after a derivation outlived its plan state")
+	})
+}
+
+// refactorUncommitted swaps values into the named plan's resident state
+// without committing them to its entry.
+func refactorUncommitted(t *testing.T, reg *Registry, name string, vals []float64) {
+	t.Helper()
+	reg.mu.Lock()
+	st := reg.entries[name].st
+	reg.mu.Unlock()
+	if err := st.plan.Refactor(vals); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -152,7 +152,7 @@ func TestTraceLifecycleCoverage(t *testing.T) {
 // retained record; absent a client ID the server mints one.
 func TestTraceIDPropagation(t *testing.T) {
 	reg := NewRegistry(Config{})
-	if !reg.TracingEnabled() {
+	if reg.TraceRing() == nil {
 		t.Fatal("tracing disabled under the default Config")
 	}
 	srv := NewServer(reg)
@@ -245,8 +245,8 @@ func TestDebugTracesEndpoint(t *testing.T) {
 
 	// Disabled tracing: no header, no endpoint.
 	off := NewRegistry(Config{DisableTracing: true})
-	if off.TracingEnabled() {
-		t.Fatal("TracingEnabled true despite DisableTracing")
+	if off.TraceRing() != nil {
+		t.Fatal("trace ring armed despite DisableTracing")
 	}
 	osrv := NewServer(off)
 	ots := httptest.NewServer(osrv)
