@@ -10,33 +10,18 @@
 //	                                    # the multi-RHS blocksolve cells (batched
 //	                                    # vs panel widths 2/4/8, per-RHS solves/s);
 //	                                    # machine-readable copy in BENCH_stsk.json
-//	stsbench -experiment servebench     # serving layer: 32 concurrent clients,
-//	                                    # coalesced (panel width 8) vs per-request,
-//	                                    # throughput + achieved mean panel width;
-//	                                    # cells merged into BENCH_stsk.json
-//	stsbench -experiment refactorbench  # numeric refactorization vs full rebuild
-//	                                    # (Plan.Refactor value swap on grid3d);
-//	                                    # cells merged into BENCH_stsk.json
-//	stsbench -experiment snapshotbench  # plan snapshot persistence: cold Build vs
-//	                                    # WriteSnapshotFile/ReadSnapshotFile reload;
-//	                                    # cells merged into BENCH_stsk.json
-//	stsbench -experiment tracebench     # solve-lifecycle tracing overhead on the
-//	                                    # serving path: disarmed vs armed recorder;
-//	                                    # cells merged into BENCH_stsk.json
 //	stsbench -list
 //
 // Experiments: table1, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
 // fig13, fig14 (see DESIGN.md for the per-experiment index), plus
-// solvebench.
+// solvebench. The serving stack is measured by the stskbench module
+// (stskbench/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"stsk/internal/bench"
@@ -57,46 +42,20 @@ func main() {
 			fmt.Println(e)
 		}
 		fmt.Println("solvebench")
-		fmt.Println("servebench")
-		fmt.Println("refactorbench")
-		fmt.Println("snapshotbench")
-		fmt.Println("tracebench")
 		return
 	}
 	r := bench.New(*scale, os.Stdout)
 	r.Repeats = *repeats
 	start := time.Now()
-	switch *experiment {
-	case "solvebench":
-		if err := runSolveBench(r, *benchout); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
-	case "servebench":
-		if err := runServeBench(r, *benchout); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
-	case "refactorbench":
-		if err := runRefactorBench(r, *benchout); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
-	case "snapshotbench":
-		if err := runSnapshotBench(r, *benchout); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
-	case "tracebench":
-		if err := runTraceBench(r, *benchout); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
-	default:
-		if err := r.Run(*experiment); err != nil {
-			fmt.Fprintln(os.Stderr, "stsbench:", err)
-			os.Exit(1)
-		}
+	var err error
+	if *experiment == "solvebench" {
+		err = runSolveBench(r, *benchout)
+	} else {
+		err = r.Run(*experiment)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stsbench:", err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "stsbench: %s done in %v\n", *experiment, time.Since(start).Round(time.Millisecond))
 }
@@ -113,84 +72,5 @@ func runSolveBench(r *bench.Runner, path string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "stsbench: wrote %s\n", path)
-	return f.Close()
-}
-
-// runServeBench measures the serving layer (coalesced vs per-request)
-// and merges its cells into the existing report at path — an earlier
-// solvebench run's kernel cells are preserved, stale serve cells are
-// replaced.
-func runServeBench(r *bench.Runner, path string) error {
-	cells, err := serveBench(r.Scale, os.Stdout)
-	if err != nil {
-		return err
-	}
-	return mergeCells(r, path, "serve-", cells)
-}
-
-// runRefactorBench measures numeric refactorization against a full
-// rebuild and merges its cells ("refactor-build", "refactor-swap") into
-// the report at path the same way.
-func runRefactorBench(r *bench.Runner, path string) error {
-	cells, err := refactorBench(r.Scale, os.Stdout)
-	if err != nil {
-		return err
-	}
-	return mergeCells(r, path, "refactor-", cells)
-}
-
-// runSnapshotBench measures snapshot persistence against a cold build
-// and merges its cells ("snapshot-build", "snapshot-write",
-// "snapshot-load") into the report at path the same way.
-func runSnapshotBench(r *bench.Runner, path string) error {
-	cells, err := snapshotBench(r.Scale, os.Stdout)
-	if err != nil {
-		return err
-	}
-	return mergeCells(r, path, "snapshot-", cells)
-}
-
-// runTraceBench measures the lifecycle-trace recorder's serving overhead
-// (disarmed vs armed) and merges its cells ("trace-disarmed",
-// "trace-armed") into the report at path the same way.
-func runTraceBench(r *bench.Runner, path string) error {
-	cells, err := traceBench(r.Scale, os.Stdout)
-	if err != nil {
-		return err
-	}
-	return mergeCells(r, path, "trace-", cells)
-}
-
-// mergeCells rewrites the report at path with the given cells appended,
-// dropping stale cells whose Schedule carries the same prefix and
-// preserving everything else.
-func mergeCells(r *bench.Runner, path, prefix string, cells []bench.SolveBenchResult) error {
-	report := &bench.SolveBenchReport{Scale: r.Scale}
-	if raw, err := os.ReadFile(path); err == nil {
-		var existing bench.SolveBenchReport
-		if err := json.Unmarshal(raw, &existing); err == nil {
-			report = &existing
-			kept := report.Results[:0]
-			for _, res := range report.Results {
-				if !strings.HasPrefix(res.Schedule, prefix) {
-					kept = append(kept, res)
-				}
-			}
-			report.Results = kept
-		}
-	}
-	report.GOOS, report.GOARCH, report.CPUs = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
-	report.Results = append(report.Results, cells...)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "stsbench: merged %d %q cells into %s\n", len(cells), prefix, path)
 	return f.Close()
 }

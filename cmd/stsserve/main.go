@@ -31,8 +31,7 @@
 // lands in the stsserve_stage_latency_seconds histograms at /metrics,
 // slow requests are retained in a ring served at /debug/traces, and the
 // effective trace ID is echoed in the X-STS-Trace-Id response header.
-// -trace-slow sets the retention floor, -trace-ring the ring size, and
-// -no-trace disarms the recorder entirely (hooks become nil no-ops).
+// -trace-slow sets the retention floor and -trace-ring the ring size.
 // -debug-addr opens a second listener with net/http/pprof plus the
 // /metrics and /debug/traces views, so profiling traffic never competes
 // with solve traffic on the serving listener.
@@ -205,7 +204,6 @@ func run(args []string, sig <-chan os.Signal) int {
 		debugFile  = fs.String("debug-addr-file", "", "write the bound debug listen address to this file")
 		traceRing  = fs.Int("trace-ring", 256, "slow-trace ring capacity served at /debug/traces")
 		traceSlow  = fs.Duration("trace-slow", 0, "retain only traces at least this long end to end (0 = retain all)")
-		noTrace    = fs.Bool("no-trace", false, "disarm solve-lifecycle tracing (stage histograms and /debug/traces go dark)")
 	)
 	var preloads []serve.PlanSpec
 	fs.Func("preload", "plan spec JSON to register at boot (repeatable)", func(v string) error {
@@ -245,15 +243,14 @@ func run(args []string, sig <-chan os.Signal) int {
 		}
 	}
 	reg := serve.NewRegistry(serve.Config{
-		BudgetBytes:    *budgetMB << 20,
-		FlushDelay:     *flush,
-		QueueCap:       *queue,
-		Workers:        *workers,
-		BlockWidth:     *width,
-		SnapshotDir:    *snapDir,
-		DisableTracing: *noTrace,
-		TraceRing:      *traceRing,
-		TraceSlow:      *traceSlow,
+		BudgetBytes: *budgetMB << 20,
+		FlushDelay:  *flush,
+		QueueCap:    *queue,
+		Workers:     *workers,
+		BlockWidth:  *width,
+		SnapshotDir: *snapDir,
+		TraceRing:   *traceRing,
+		TraceSlow:   *traceSlow,
 	})
 	if *snapDir != "" {
 		start := time.Now()
@@ -316,7 +313,7 @@ func run(args []string, sig <-chan os.Signal) int {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	logger.Info("listening", "addr", ln.Addr().String(), "flush", flush.String(),
-		"queue", *queue, "width", *width, "budgetMiB", *budgetMB, "tracing", !*noTrace)
+		"queue", *queue, "width", *width, "budgetMiB", *budgetMB)
 
 	select {
 	case err := <-errc:

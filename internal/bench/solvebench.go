@@ -33,16 +33,6 @@ type SolveBenchResult struct {
 	Tasks        int     `json:"tasks,omitempty"`       // graph schedule: DAG size
 	Edges        int     `json:"edges,omitempty"`       // graph schedule: sparsified deps
 	Parallelism  float64 `json:"parallelism,omitempty"` // graph schedule: tasks / critical path
-
-	// Serve cells (schedule "serve-perreq" / "serve-coalesced"): the
-	// concurrent client count and the coalescer's achieved mean panel
-	// width under that load.
-	Clients        int     `json:"clients,omitempty"`
-	MeanPanelWidth float64 `json:"mean_panel_width,omitempty"`
-
-	// Refactor cells: the "refactor-swap" cell's speedup over the
-	// "refactor-build" cell — numeric refactorization vs full rebuild.
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // SolveBenchReport is the BENCH_stsk.json document.

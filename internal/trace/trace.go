@@ -8,9 +8,10 @@
 // nil-fast. Every recording method is a no-op on a nil *Trace receiver —
 // a concrete method call, no interface boxing, no allocation — so
 // //stsk:noalloc hot paths (coalescer dispatch, engine panel sweeps) can
-// carry unconditional hook calls and stay allocation-free whenever
-// tracing is off or the context carries no trace. Arming is simply
-// putting a non-nil *Trace into the request context.
+// carry unconditional hook calls and stay allocation-free whenever the
+// context carries no trace, as it does for library callers below the
+// serving stack. Arming is simply putting a non-nil *Trace into the
+// request context.
 //
 // Concurrency: spans may be recorded from several goroutines (the
 // requester, the coalescer dispatcher, the engine) while the trace is
@@ -160,7 +161,8 @@ func NewID() string {
 
 // New takes a trace from the pool, stamps its start, and assigns its ID
 // (the given one, or a generated one when empty). The caller owns one
-// reference; pair with Release (directly or via a registry FinishTrace).
+// reference; pair with Release (the serve registry releases the traces
+// it finishes).
 func New(id string) *Trace {
 	t := tracePool.Get().(*Trace)
 	if id == "" {

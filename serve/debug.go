@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -44,21 +45,17 @@ type traceSpan struct {
 // admits traces at least Config.TraceSlow long in the first place;
 // thresholdMs filters further at read time.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	ring := s.reg.TraceRing()
-	if ring == nil {
-		writeError(w, http.StatusNotFound, errors.New("tracing disabled (Config.DisableTracing)"), 0)
-		return
-	}
 	thresholdMs := 0.0
 	if q := r.URL.Query().Get("thresholdMs"); q != "" {
 		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, errors.New("thresholdMs must be a non-negative number"), 0)
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			writeError(w, http.StatusBadRequest, errors.New("thresholdMs must be a finite non-negative number"), 0)
 			return
 		}
 		thresholdMs = v
 	}
-	recs := ring.Snapshot(time.Duration(thresholdMs * float64(time.Millisecond)))
+	ring := s.reg.TraceRing()
+	recs := ring.Snapshot(msDuration(thresholdMs))
 	doc := traceDoc{
 		Enabled:     true,
 		Capacity:    ring.Cap(),

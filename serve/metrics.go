@@ -78,7 +78,7 @@ type Metrics struct {
 	latency histogram
 
 	// stages attributes latency per lifecycle stage and outcome, fed by
-	// finished traces (Registry.FinishTrace): stages[s][0] for solved
+	// finished traces (Registry.finishTrace): stages[s][0] for solved
 	// requests, stages[s][1] for every failure class.
 	stages [trace.NumStages][2]histogram
 
@@ -131,7 +131,7 @@ func (m *Metrics) observeTrace(rec trace.Record, ok bool) {
 func (m *Metrics) ObserveLatency(d time.Duration) { m.latency.observe(d) }
 
 // Snapshot is a point-in-time copy of the counters, for tests and the
-// servebench driver.
+// stskbench workloads.
 type Snapshot struct {
 	Requests, Solved, Cancelled, Rejected, Failed int64
 	Batches, WidthSum                             int64

@@ -165,12 +165,6 @@ type Config struct {
 	// registry from the directory at boot. Empty disables persistence.
 	SnapshotDir string
 
-	// DisableTracing turns the solve-lifecycle trace recorder off: no
-	// per-stage span attribution, no stage histograms, an empty
-	// /debug/traces. The armed overhead is ≤3% of coalesced throughput
-	// (the tracebench cells), so tracing defaults to on.
-	DisableTracing bool
-
 	// TraceRing bounds the slow-trace ring buffer behind /debug/traces
 	// (default 256 finished traces; the oldest is evicted).
 	TraceRing int
@@ -257,8 +251,7 @@ type Registry struct {
 	// brown is the degradation state machine.
 	brown *brownout
 
-	// ring holds finished slow traces for /debug/traces; nil when
-	// tracing is disabled.
+	// ring holds finished slow traces for /debug/traces.
 	ring *trace.Ring
 }
 
@@ -294,38 +287,23 @@ func NewRegistry(cfg Config) *Registry {
 		met:     &Metrics{},
 		entries: make(map[string]*entry),
 	}
+	r.ring = trace.NewRing(r.cfg.TraceRing)
 	r.flushNs.Store(int64(r.cfg.FlushDelay))
-	if !r.cfg.DisableTracing {
-		r.ring = trace.NewRing(r.cfg.TraceRing)
-	}
 	r.brown = newBrownout(r)
 	return r
 }
 
-// TraceRing exposes the slow-trace ring buffer (nil when tracing is
-// disabled) — the store behind GET /debug/traces.
+// TraceRing exposes the slow-trace ring buffer — the store behind
+// GET /debug/traces.
 func (r *Registry) TraceRing() *trace.Ring { return r.ring }
 
-// NewTrace starts one request's lifecycle trace with the given ID (""
-// generates one), or returns nil — inert everywhere — when tracing is
-// disabled. Pair with FinishTrace.
-func (r *Registry) NewTrace(id string) *trace.Trace {
-	if r.ring == nil {
-		return nil
-	}
-	return trace.New(id)
-}
-
-// FinishTrace closes a trace started by NewTrace (or adopted by Solve):
-// the finished record feeds the per-stage latency histograms and, when
-// at least TraceSlow end to end, the /debug/traces ring. Nil-safe.
-func (r *Registry) FinishTrace(tr *trace.Trace, plan string, err error) {
-	if tr == nil {
-		return
-	}
+// finishTrace closes a trace started by trace.New: the finished record
+// feeds the per-stage latency histograms and, when at least TraceSlow
+// end to end, the /debug/traces ring.
+func (r *Registry) finishTrace(tr *trace.Trace, plan string, err error) {
 	rec := tr.Finish(plan, outcomeLabel(err))
 	r.met.observeTrace(rec, err == nil)
-	if r.ring != nil && rec.Total >= r.cfg.TraceSlow {
+	if rec.Total >= r.cfg.TraceSlow {
 		r.ring.Add(rec)
 	}
 	tr.Release()
@@ -549,16 +527,15 @@ func (r *Registry) Solve(ctx context.Context, name, variant string, upper bool, 
 	// traffic still feeds the stage histograms and the slow-trace ring.
 	// The HTTP layer's traces pass through untouched — the server owns
 	// their admission/serialize spans and their finish.
-	tr := trace.FromContext(ctx)
-	owned := (*trace.Trace)(nil)
-	if tr == nil && r.ring != nil {
-		owned = r.NewTrace("")
+	var owned *trace.Trace
+	if trace.FromContext(ctx) == nil {
+		owned = trace.New("")
 		ctx = trace.NewContext(ctx, owned)
 	}
 	start := time.Now()
 	x, err := r.solve(ctx, name, variant, upper, b)
 	if owned != nil {
-		r.FinishTrace(owned, name, err)
+		r.finishTrace(owned, name, err)
 	}
 	switch {
 	case err == nil:

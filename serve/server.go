@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -247,15 +248,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// One lifecycle trace per solve request, honouring a client-supplied
 	// X-STS-Trace-Id and echoing the effective ID back so callers (and the
 	// router's hedged fan-out) can correlate logs, /debug/traces entries,
-	// and responses. tr is nil — and every hook inert — when tracing is
-	// disabled.
-	tr := s.reg.NewTrace(r.Header.Get("X-STS-Trace-Id"))
-	if tr != nil {
-		w.Header().Set("X-STS-Trace-Id", tr.ID())
-	}
+	// and responses.
+	tr := trace.New(r.Header.Get("X-STS-Trace-Id"))
+	w.Header().Set("X-STS-Trace-Id", tr.ID())
 	var planName string
 	var reqErr error
-	defer func() { s.reg.FinishTrace(tr, planName, reqErr) }()
+	defer func() { s.reg.finishTrace(tr, planName, reqErr) }()
 	a0 := trace.Now()
 	if s.draining.Load() {
 		reqErr = ErrDraining
@@ -291,7 +289,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, msDuration(float64(req.TimeoutMs)))
 		defer cancel()
 	}
 	ctx = trace.NewContext(ctx, tr)
@@ -310,6 +308,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		DurationMs: float64(time.Since(start).Microseconds()) / 1000,
 	})
 	tr.Observe(trace.StageSerialize, w0, trace.Now())
+}
+
+// msDuration converts a non-negative millisecond count from a request
+// into a Duration, saturating instead of overflowing: a bound beyond
+// the Duration range (about 292 years) is no bound at all.
+func msDuration(ms float64) time.Duration {
+	if ns := ms * float64(time.Millisecond); ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
 }
 
 // healthBody is the /healthz document.

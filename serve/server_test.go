@@ -154,6 +154,25 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A timeout beyond the Duration range is no extra deadline, not an
+	// overflowed one that expires at once.
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve",
+		SolveRequest{Plan: "g3", B: b, TimeoutMs: 10_000_000_000_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("enormous timeoutMs: %d %s, want 200", resp.StatusCode, body)
+	} else {
+		var sr SolveResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ref.Solve(b)
+		for i := range want {
+			if sr.X[i] != want[i] {
+				t.Fatalf("enormous timeoutMs: solution differs at %d", i)
+			}
+		}
+	}
+
 	// Drain: after Close every endpoint that mutates answers 503 and
 	// healthz reports draining.
 	srv.Close()

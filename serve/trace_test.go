@@ -152,9 +152,6 @@ func TestTraceLifecycleCoverage(t *testing.T) {
 // retained record; absent a client ID the server mints one.
 func TestTraceIDPropagation(t *testing.T) {
 	reg := NewRegistry(Config{})
-	if reg.TraceRing() == nil {
-		t.Fatal("tracing disabled under the default Config")
-	}
 	srv := NewServer(reg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -184,7 +181,7 @@ func TestTraceIDPropagation(t *testing.T) {
 
 // TestDebugTracesEndpoint pins the /debug/traces JSON: per-stage
 // breakdowns for retained traces, threshold filtering at read time, and
-// a 404 when tracing is disabled.
+// a 400 for a threshold that is not a finite non-negative number.
 func TestDebugTracesEndpoint(t *testing.T) {
 	reg := NewRegistry(Config{})
 	srv := NewServer(reg)
@@ -224,53 +221,32 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		t.Errorf("spans not sorted by offset: %+v", got.Spans)
 	}
 
-	// An absurd threshold filters everything; a malformed one is a 400.
-	resp, err = ts.Client().Get(ts.URL + "/debug/traces?thresholdMs=1e9")
-	if err != nil {
-		t.Fatal(err)
+	// An absurd threshold filters everything, including one beyond the
+	// Duration range; a malformed, negative or non-finite one is a 400.
+	for _, q := range []string{"1e9", "1e300"} {
+		resp, err = ts.Client().Get(ts.URL + "/debug/traces?thresholdMs=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc = traceDoc{}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("thresholdMs=%s: %d (%v)", q, resp.StatusCode, err)
+		}
+		if len(doc.Traces) != 0 {
+			t.Errorf("thresholdMs=%s retained %d traces", q, len(doc.Traces))
+		}
 	}
-	json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
-	if len(doc.Traces) != 0 {
-		t.Errorf("thresholdMs=1e9 retained %d traces", len(doc.Traces))
-	}
-	resp, err = ts.Client().Get(ts.URL + "/debug/traces?thresholdMs=-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative threshold: status %d, want 400", resp.StatusCode)
-	}
-
-	// Disabled tracing: no header, no endpoint.
-	off := NewRegistry(Config{DisableTracing: true})
-	if off.TraceRing() != nil {
-		t.Fatal("trace ring armed despite DisableTracing")
-	}
-	osrv := NewServer(off)
-	ots := httptest.NewServer(osrv)
-	defer ots.Close()
-	defer osrv.Close()
-	if _, err := off.Register(PlanSpec{Name: "g3", Class: "grid3d", N: 800}); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := json.Marshal(SolveRequest{Plan: "g3", B: manufacturedRHS(ref, 4)})
-	oresp, err := ots.Client().Post(ots.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oresp.Body.Close()
-	if id := oresp.Header.Get("X-STS-Trace-Id"); id != "" {
-		t.Errorf("disabled tracing still stamped trace ID %q", id)
-	}
-	oresp, err = ots.Client().Get(ots.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oresp.Body.Close()
-	if oresp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/traces with tracing disabled: %d, want 404", oresp.StatusCode)
+	for _, q := range []string{"-3", "abc", "NaN", "Inf", "-Inf", "1e999"} {
+		resp, err = ts.Client().Get(ts.URL + "/debug/traces?thresholdMs=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("thresholdMs=%s: status %d, want 400", q, resp.StatusCode)
+		}
 	}
 }
 
