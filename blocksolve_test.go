@@ -70,6 +70,7 @@ func TestSolveBlockBitwiseCorpus(t *testing.T) {
 // TestSolveBlockWidthOption drives one batch through every WithBlockWidth
 // setting: carving the batch into different panels must never change a
 // bit, and SolveUpperBlock must match the scalar SolveUpper the same way.
+// BlockWidth reports each setting rounded down to a kernel width.
 func TestSolveBlockWidthOption(t *testing.T) {
 	ctx := context.Background()
 	mat := &Matrix{a: testmat.TriMesh(14)}
@@ -78,8 +79,12 @@ func TestSolveBlockWidthOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 9)
-	for _, width := range []int{1, 2, 3, 4, 5, 8, 64} {
+	for _, tc := range []struct{ width, kernel int }{{1, 1}, {2, 2}, {3, 2}, {4, 4}, {5, 4}, {8, 8}, {64, 8}} {
+		width := tc.width
 		s := p.NewSolver(WithWorkers(3), WithBlockWidth(width))
+		if got := s.BlockWidth(); got != tc.kernel {
+			t.Errorf("width %d: BlockWidth() = %d, want %d", width, got, tc.kernel)
+		}
 		X, err := s.SolveBlock(ctx, B)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
@@ -95,6 +100,9 @@ func TestSolveBlockWidthOption(t *testing.T) {
 	}
 	s := p.NewSolver(WithWorkers(3))
 	defer s.Close()
+	if got := s.BlockWidth(); got != 8 {
+		t.Errorf("default BlockWidth() = %d, want 8", got)
+	}
 	wantU := make([][]float64, len(B))
 	for r := range B {
 		if wantU[r], err = s.SolveUpper(B[r]); err != nil {

@@ -2,13 +2,15 @@
 // over a concurrent plan registry whose coalescer packs concurrent
 // single-RHS solve requests onto the blocked panel kernels — the
 // long-running, many-solves-per-ordering traffic shape the STS-k paper's
-// amortisation argument targets.
+// amortisation argument targets. A panel takes the requests already
+// queued, up to the solver's panel width of 8, and is sealed after one
+// scheduler yield, so a lone request is never held open for company.
 //
 // Usage:
 //
 //	stsserve -addr :8080
 //	stsserve -preload '{"name":"g3","class":"grid3d","n":50000,"method":"sts3"}'
-//	stsserve -budget-mb 512 -flush 1ms -queue 512
+//	stsserve -budget-mb 512 -queue 512
 //	stsserve -faults 'engine.job:panic:p=0.01' -fault-seed 7   # chaos drills
 //	stsserve -debug-addr :6060 -log-format json                # diagnostics
 //
@@ -186,10 +188,7 @@ func run(args []string, sig <-chan os.Signal) int {
 		addr       = fs.String("addr", ":8080", "listen address")
 		addrFile   = fs.String("addr-file", "", "write the bound listen address to this file (tests and :0 ports)")
 		budgetMB   = fs.Int64("budget-mb", 1024, "LRU byte budget for resident plans (MiB)")
-		flush      = fs.Duration("flush", 500*time.Microsecond, "coalescer flush deadline (partial panels ship after this); also the unit of the queue-full retry backoff")
 		queue      = fs.Int("queue", 256, "per-coalescer request queue bound (admission control)")
-		workers    = fs.Int("workers", 0, "default solver goroutines per plan (0 = GOMAXPROCS)")
-		width      = fs.Int("width", 8, "maximum coalesced panel width")
 		drainFor   = fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 		drainGrace = fs.Duration("drain-grace", 0, "pause between flipping /healthz to draining and closing the listener")
 		faults     = fs.String("faults", "", "deterministic fault-injection spec for chaos drills (point:mode[:key=val,...];...)")
@@ -244,10 +243,7 @@ func run(args []string, sig <-chan os.Signal) int {
 	}
 	reg := serve.NewRegistry(serve.Config{
 		BudgetBytes: *budgetMB << 20,
-		FlushDelay:  *flush,
 		QueueCap:    *queue,
-		Workers:     *workers,
-		BlockWidth:  *width,
 		SnapshotDir: *snapDir,
 		TraceRing:   *traceRing,
 		TraceSlow:   *traceSlow,
@@ -312,8 +308,7 @@ func run(args []string, sig <-chan os.Signal) int {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	logger.Info("listening", "addr", ln.Addr().String(), "flush", flush.String(),
-		"queue", *queue, "width", *width, "budgetMiB", *budgetMB)
+	logger.Info("listening", "addr", ln.Addr().String(), "queue", *queue, "budgetMiB", *budgetMB)
 
 	select {
 	case err := <-errc:

@@ -20,11 +20,12 @@ import (
 )
 
 // TestRunSIGTERMDrain drives the daemon's full lifecycle in-process:
-// boot with a preloaded plan, park one solve in the coalescer's flush
-// window, deliver SIGTERM mid-flight, and assert the drain contract —
-// /healthz flips to 503 "draining", late arrivals bounce with 503 while
-// the listener is still open (the grace window), the in-flight solve
-// completes 200 and bitwise identical to Plan.Solve, and run exits 0.
+// boot with a preloaded plan, park one solve at the coalescer's dispatch
+// with an injected latency, deliver SIGTERM mid-flight, and assert the
+// drain contract — /healthz flips to 503 "draining", late arrivals
+// bounce with 503 while the listener is still open (the grace window),
+// the in-flight solve completes 200 and bitwise identical to
+// Plan.Solve, and run exits 0.
 func TestRunSIGTERMDrain(t *testing.T) {
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	sig := make(chan os.Signal, 1)
@@ -33,7 +34,7 @@ func TestRunSIGTERMDrain(t *testing.T) {
 		done <- run([]string{
 			"-addr", "127.0.0.1:0",
 			"-addr-file", addrFile,
-			"-flush", "150ms", // park singleton solves long enough to SIGTERM past them
+			"-faults", "coalescer.dispatch:latency:count=1,d=150ms", // park the solve long enough to SIGTERM past it
 			"-drain-grace", "150ms",
 			"-preload", `{"name":"g3","class":"grid3d","n":1200}`,
 		}, sig)
@@ -70,8 +71,8 @@ func TestRunSIGTERMDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// In-flight solve: a singleton panel parks ~150ms on the flush timer,
-	// so SIGTERM lands while it is queued.
+	// In-flight solve: its panel parks 150ms at dispatch, so SIGTERM lands
+	// while it is in flight.
 	type result struct {
 		code int
 		x    []float64

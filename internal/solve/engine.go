@@ -157,9 +157,7 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.BlockWidth <= 0 {
-		opts.BlockWidth = maxBlockWidth
-	}
+	opts.BlockWidth = normalizeBlockWidth(opts.BlockWidth, maxBlockWidth)
 	if opts.Workers > 1 {
 		if opts.Graph == nil {
 			return nil, fmt.Errorf("solve: %d workers need the structure's task DAG", opts.Workers)
@@ -190,6 +188,9 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 
 // Workers returns the fixed pool size.
 func (e *Engine) Workers() int { return e.opts.Workers }
+
+// BlockWidth returns the default panel width of block solves.
+func (e *Engine) BlockWidth() int { return e.opts.BlockWidth }
 
 // Values returns the engine's value-epoch sequence.
 func (e *Engine) Values() *Values { return e.vals }

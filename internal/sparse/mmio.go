@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -24,6 +25,11 @@ type MMHeader struct {
 	Symmetric bool
 }
 
+// mmCapHint caps the triplet capacity reserved from a size line's
+// declared entry count: the count is untrusted, so the buffers start at
+// most this large and grow as entries are actually read.
+const mmCapHint = 1 << 16
+
 // ReadMatrixMarket parses a Matrix Market coordinate stream into CSR.
 // Symmetric files are expanded to full storage (both triangles).
 // Pattern files receive value 1 for every entry.
@@ -38,7 +44,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if hdr.Rows != hdr.Cols {
 		return nil, fmt.Errorf("sparse: matrix market %dx%d is not square", hdr.Rows, hdr.Cols)
 	}
-	capHint := hdr.DeclNNZ
+	capHint := min(hdr.DeclNNZ, mmCapHint)
 	if hdr.Symmetric {
 		capHint *= 2
 	}
@@ -142,6 +148,14 @@ func readMMHeader(sc *bufio.Scanner) (*MMHeader, error) {
 		}
 		if hdr.DeclNNZ, err = strconv.Atoi(f[2]); err != nil {
 			return nil, fmt.Errorf("sparse: bad nnz count: %v", err)
+		}
+		if hdr.Rows <= 0 || hdr.Cols <= 0 || hdr.DeclNNZ < 0 {
+			return nil, fmt.Errorf("sparse: bad size line %q", line)
+		}
+		// At most one entry per coordinate: nnz ≤ rows·cols, with the
+		// product taken in 128 bits so it cannot overflow.
+		if hi, lo := bits.Mul64(uint64(hdr.Rows), uint64(hdr.Cols)); hi == 0 && uint64(hdr.DeclNNZ) > lo {
+			return nil, fmt.Errorf("sparse: size line %q declares more entries than a %dx%d matrix holds", line, hdr.Rows, hdr.Cols)
 		}
 		return hdr, nil
 	}

@@ -51,8 +51,10 @@ const (
 	// StageQueueWait is time parked in the coalescer queue before the
 	// dispatcher popped the request.
 	StageQueueWait
-	// StageCoalesceWait is time between the pop and panel dispatch — the
-	// flush window spent waiting for more requests to share the panel.
+	// StageCoalesceWait is time between the pop and panel dispatch: the
+	// requests already queued behind this one are collected, and one
+	// scheduler yield lets a burst's stragglers join before the panel is
+	// sealed. Near zero for a lone request, by design.
 	StageCoalesceWait
 	// StageRetryBackoff is jittered backoff slept between retry attempts
 	// after a queue-full rejection.

@@ -39,7 +39,7 @@ go build -o "$TMP/stssolve" ./cmd/stssolve
 "$TMP/stssolve" -class grid3d -n $N -method sts3 -repeats 1 \
   -dump-rhs "$TMP/b.txt" -dump-solution "$TMP/x.txt" >/dev/null
 
-"$TMP/stsserve" -addr "$ADDR" -flush 2ms -drain-grace 2s \
+"$TMP/stsserve" -addr "$ADDR" -drain-grace 2s \
   -faults "$FAULTS" -fault-seed 7 &
 SERVER_PID=$!
 

@@ -30,9 +30,9 @@ awk 'BEGIN{printf "{\"plan\":\"g3\",\"b\":["} {printf "%s%s",(NR>1?",":""),$1} E
   "$TMP/b.txt" >"$TMP/req.json"
 
 # Two replicas on ephemeral ports.
-"$TMP/stsserve" -addr 127.0.0.1:0 -addr-file "$TMP/rep1.addr" -flush 2ms 2>"$TMP/rep1.log" &
+"$TMP/stsserve" -addr 127.0.0.1:0 -addr-file "$TMP/rep1.addr" 2>"$TMP/rep1.log" &
 REP1_PID=$!; PIDS+=("$REP1_PID")
-"$TMP/stsserve" -addr 127.0.0.1:0 -addr-file "$TMP/rep2.addr" -flush 2ms 2>"$TMP/rep2.log" &
+"$TMP/stsserve" -addr 127.0.0.1:0 -addr-file "$TMP/rep2.addr" 2>"$TMP/rep2.log" &
 REP2_PID=$!; PIDS+=("$REP2_PID")
 for f in rep1.addr rep2.addr; do
   for _ in $(seq 50); do [ -s "$TMP/$f" ] && break; sleep 0.2; done

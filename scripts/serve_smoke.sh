@@ -44,7 +44,7 @@ go build -o "$TMP/stssolve" ./cmd/stssolve
 "$TMP/stssolve" -class grid3d -n $N -method sts3 -repeats 1 -scale-values 2 \
   -load-rhs "$TMP/b.txt" -dump-values "$TMP/vals2.txt" -dump-solution "$TMP/x2.txt" >/dev/null
 
-"$TMP/stsserve" -addr "$ADDR" -debug-addr "$DADDR" -flush 2ms -drain-grace 2s &
+"$TMP/stsserve" -addr "$ADDR" -debug-addr "$DADDR" -drain-grace 2s &
 SERVER_PID=$!
 
 for _ in $(seq 50); do

@@ -16,9 +16,8 @@ const (
 	BrownoutHealthy BrownoutState = iota
 
 	// BrownoutDegraded: overloaded but serving. Requests below the
-	// priority threshold are shed (429 + Retry-After), cold plan builds
-	// are refused (503), and the coalescer flush deadline is shrunk so
-	// queued work ships in smaller, prompter panels.
+	// priority threshold are shed (429 + Retry-After) and cold plan builds
+	// are refused (503).
 	BrownoutDegraded
 
 	// BrownoutDraining: the registry is shutting down; everything new is
@@ -63,10 +62,6 @@ const (
 	// mode: requests with priority < this are shed, which sheds only
 	// requests that did not claim a priority (header absent = 0).
 	shedBelowPriority = 1
-
-	// degradedFlushDiv divides the coalescer flush deadline while
-	// degraded, trading panel width for queue drain speed.
-	degradedFlushDiv = 4
 )
 
 // brownout is the degradation state machine: a small controller loop
@@ -165,19 +160,14 @@ func (b *brownout) evaluate() {
 	}
 }
 
-// degrade enters degraded mode: record the reason and shrink the shared
-// coalescer flush deadline so partial panels ship promptly — wide panels
-// are a throughput optimisation the registry cannot afford while its
-// queues are backing up.
+// degrade enters degraded mode and records the reason that tripped it.
 func (b *brownout) degrade(reason string) {
 	b.calm = 0
 	b.setState(BrownoutDegraded, reason)
-	b.reg.flushNs.Store(int64(b.reg.cfg.FlushDelay) / degradedFlushDiv)
 }
 
-// heal restores full service and the configured flush deadline.
+// heal restores full service.
 func (b *brownout) heal() {
 	b.calm = 0
 	b.setState(BrownoutHealthy, "")
-	b.reg.flushNs.Store(int64(b.reg.cfg.FlushDelay))
 }

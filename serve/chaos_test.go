@@ -30,8 +30,7 @@ func TestChaosServing(t *testing.T) {
 		t.Skip("chaos harness is a load test")
 	}
 	reg := NewRegistry(Config{
-		FlushDelay: 200 * time.Microsecond,
-		QueueCap:   64,
+		QueueCap: 64,
 		// Undersized on purpose: the storm must wrap the slow-trace ring
 		// many times over, exercising eviction under concurrent admission.
 		TraceRing: 32,

@@ -3,9 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"stsk"
 	"stsk/internal/faultinject"
@@ -65,23 +64,18 @@ func (r *solveReq) complete(err error) {
 // one (solver, sweep-direction) key: concurrent single-RHS solve requests
 // queue into a bounded channel, and a dispatcher goroutine packs up to
 // width pending right-hand sides into one blocked panel solve
-// (Solver.SolveBlockInto), flushing early when a small deadline expires —
-// so a lone request still ships promptly, while a burst of 32 requests
-// rides the matrix traversal eight at a time.
+// (Solver.SolveBlockInto) — so a burst of 32 requests rides the matrix
+// traversal eight at a time.
 //
-// The adaptive part is free: under light load the flush timer fires with
-// a partial panel (width 1–2, latency-bound); under heavy load the queue
-// always holds a full panel's worth and the timer never fires
-// (throughput-bound). The achieved mean width is exported via Metrics.
+// No timer holds a panel open (see collect): a lone request ships after
+// one scheduler yield (latency-bound), while under heavy load the queue
+// always holds a full panel (throughput-bound). The achieved mean width
+// is exported via Metrics.
 type coalescer struct {
 	solver *stsk.Solver
 	upper  bool // backward sweeps (L′ᵀx = b) instead of forward
 	width  int  // max requests per panel
-	// flush is the partial-panel hold deadline in nanoseconds, shared by
-	// every coalescer of a registry so the brownout controller can shrink
-	// it under load without touching each coalescer.
-	flush *atomic.Int64
-	met   *Metrics
+	met    *Metrics
 
 	mu     sync.Mutex // guards closed vs enqueue
 	closed bool
@@ -95,14 +89,15 @@ type coalescer struct {
 	xs, bs [][]float64
 }
 
-// newCoalescer builds an unstarted coalescer; call start to launch the
-// dispatcher (tests enqueue against an unstarted one for determinism).
-func newCoalescer(solver *stsk.Solver, upper bool, width, queueCap int, flush *atomic.Int64, met *Metrics) *coalescer {
+// newCoalescer builds an unstarted coalescer whose panels are as wide as
+// the solver's block solves; call start to launch the dispatcher (tests
+// enqueue against an unstarted one for determinism).
+func newCoalescer(solver *stsk.Solver, upper bool, queueCap int, met *Metrics) *coalescer {
+	width := solver.BlockWidth()
 	return &coalescer{
 		solver: solver,
 		upper:  upper,
 		width:  width,
-		flush:  flush,
 		met:    met,
 		queue:  make(chan *solveReq, queueCap),
 		stop:   make(chan struct{}),
@@ -207,77 +202,58 @@ func (c *coalescer) close() {
 }
 
 // run is the dispatcher loop: park until a request arrives, collect a
-// panel around it, dispatch, repeat. On stop it drains the queue — no
-// request admitted by enqueue is ever stranded.
+// panel around it, dispatch, repeat. On stop it drains the queue panel by
+// panel — enqueue refuses once closed is set, so no request admitted by
+// enqueue is ever stranded.
 func (c *coalescer) run() {
 	for {
 		select {
 		case r := <-c.queue:
-			r.popNs = trace.Now()
 			c.dispatchSafe(c.collect(r))
 		case <-c.stop:
-			c.drain()
+			for len(c.queue) > 0 {
+				c.dispatchSafe(c.collect(<-c.queue))
+			}
 			return
 		}
 	}
 }
 
-// collect gathers a panel around the first request: up to width requests,
-// flushed early when the deadline expires (partial panels ship — the
-// latency bound) or the coalescer stops. Requests whose context is
-// already dead are answered immediately and excluded, so one cancelled
-// client never occupies a panel slot.
+// collect gathers a panel around the first request: whatever is already
+// queued, up to width. When the queue runs dry short of a full panel it
+// yields the processor once, so requests already runnable — the rest of
+// a burst — can enqueue before the panel is sealed. Requests whose
+// context is already dead are answered immediately and excluded, so one
+// cancelled client never occupies a panel slot.
 func (c *coalescer) collect(first *solveReq) []*solveReq {
 	batch := c.batch[:0]
-	if err := first.ctx.Err(); err != nil {
-		first.complete(err)
-		return batch
-	}
-	batch = append(batch, first)
-	timer := time.NewTimer(time.Duration(c.flush.Load()))
-	defer timer.Stop()
-	for len(batch) < c.width {
-		select {
-		case r := <-c.queue:
-			r.popNs = trace.Now()
-			if err := r.ctx.Err(); err != nil {
-				r.complete(err)
-				continue
-			}
-			batch = append(batch, r)
-		case <-timer.C:
+	r, yielded := first, false
+	for {
+		r.popNs = trace.Now()
+		if err := r.ctx.Err(); err != nil {
+			r.complete(err)
+		} else if batch = append(batch, r); len(batch) == c.width {
 			return batch
-		case <-c.stop:
+		}
+		if r = c.pop(); r == nil && !yielded {
+			yielded = true
+			runtime.Gosched()
+			r = c.pop()
+		}
+		if r == nil {
 			return batch
 		}
 	}
-	return batch
 }
 
-// drain empties the queue after stop: panels are still coalesced (the
-// queue is a snapshot of waiting callers), but nothing waits on the flush
-// timer — ship what is there and exit.
-func (c *coalescer) drain() {
-	for {
-		batch := c.batch[:0]
-		for len(batch) < c.width {
-			select {
-			case r := <-c.queue:
-				r.popNs = trace.Now()
-				if err := r.ctx.Err(); err != nil {
-					r.complete(err)
-					continue
-				}
-				batch = append(batch, r)
-			default:
-				goto ship
-			}
-		}
-	ship:
-		if len(batch) == 0 {
-			return
-		}
-		c.dispatchSafe(batch)
+// pop takes a queued request without waiting: nil when the queue is
+// empty.
+func (c *coalescer) pop() *solveReq {
+	select {
+	case r := <-c.queue:
+		return r
+	default:
+		return nil
 	}
 }
 
@@ -303,8 +279,7 @@ func (c *coalescer) dispatchSafe(batch []*solveReq) {
 		}
 	}()
 	// Close out each member's queue interval: parked in the bounded queue
-	// (queue_wait), then held in the flush window while the panel filled
-	// (coalesce_wait).
+	// (queue_wait), then held while the panel filled (coalesce_wait).
 	d0 := trace.Now()
 	for _, r := range batch {
 		r.tr.Observe(trace.StageQueueWait, r.enqNs, r.popNs)
@@ -317,22 +292,22 @@ func (c *coalescer) dispatchSafe(batch []*solveReq) {
 		}
 		return
 	}
-	// A multi-member panel runs under the background context (panel
-	// isolation — see dispatch), which would sever the engine's span hooks
-	// from every trace; thread the panel leader's trace through so pin/
-	// dispatch/sweep attribution survives, attributed to the member that
-	// opened the panel.
+	// The panel runs under the background context (panel isolation — see
+	// dispatch), which would sever the engine's span hooks from every
+	// trace; thread the panel leader's trace through so pin/dispatch/sweep
+	// attribution survives, attributed to the member that opened the
+	// panel.
 	//stsk:allow-background (panel isolation: one member's cancellation must not void its neighbours' work)
 	ctx := trace.NewContext(context.Background(), batch[0].tr)
 	c.dispatch(ctx, batch)
 }
 
-// dispatch solves one collected panel. A singleton rides the cooperative
-// context-aware path (SolveIntoCtx) so its own deadline gates dispatch; a
-// multi-request panel rides the blocked kernels (SolveBlockInto), one
-// matrix traversal amortised over every member. Either way each member's
-// solution is bitwise identical to Plan.Solve — the panel kernels
-// evaluate every row dot product in the same order as the scalar path.
+// dispatch solves one collected panel on the blocked kernels
+// (SolveBlockInto), one matrix traversal amortised over every member; a
+// singleton is a panel of width 1, which the engine sweeps with the
+// scalar kernel. Each member's solution is bitwise identical to
+// Plan.Solve — the panel kernels evaluate every row dot product in the
+// same order as the scalar path.
 //
 //stsk:noalloc
 func (c *coalescer) dispatch(ctx context.Context, batch []*solveReq) {
@@ -341,20 +316,6 @@ func (c *coalescer) dispatch(ctx context.Context, batch []*solveReq) {
 	}
 	c.met.Batches.Add(1)
 	c.met.WidthSum.Add(int64(len(batch)))
-	if len(batch) == 1 {
-		r := batch[0]
-		k0 := trace.Now()
-		var err error
-		if c.upper {
-			err = c.solver.SolveUpperIntoCtx(r.ctx, r.x, r.b)
-		} else {
-			err = c.solver.SolveIntoCtx(r.ctx, r.x, r.b)
-		}
-		r.tr.Observe(trace.StageKernel, k0, trace.Now())
-		r.complete(err)
-		batch[0] = nil
-		return
-	}
 	xs, bs := c.xs[:0], c.bs[:0]
 	for _, r := range batch {
 		xs = append(xs, r.x)

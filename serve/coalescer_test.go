@@ -10,50 +10,56 @@ import (
 	"time"
 
 	"stsk"
+	"stsk/internal/faultinject"
 )
 
-// flushNanos builds the shared flush-deadline cell a registry would own.
-func flushNanos(d time.Duration) *atomic.Int64 {
-	var v atomic.Int64
-	v.Store(int64(d))
-	return &v
-}
-
-// TestCoalescerDeadlineFlushPartialPanel pins the deadline-flush path
-// deterministically: three requests are queued before the dispatcher
-// starts, fewer than the panel width, so the flush timer — not a full
-// panel — must ship them, as ONE batch of width 3.
-func TestCoalescerDeadlineFlushPartialPanel(t *testing.T) {
+// TestCoalescerShipsQueueBehindParkedPanel pins the panel rule
+// deterministically: a panel ships what is queued when it is sealed. The
+// first request ships alone and its dispatch is parked by an injected
+// latency; the requests enqueued while it is parked must ship together
+// as the next panel — 2 batches, widths 1 and 5. Waiting on Fired keeps
+// the test deterministic on one CPU.
+func TestCoalescerShipsQueueBehindParkedPanel(t *testing.T) {
 	ref := refPlan(t, "grid3d", 1000, stsk.STS3)
-	solver := ref.NewSolver(stsk.WithBlockWidth(8))
+	solver := ref.NewSolver()
 	defer solver.Close()
 	met := &Metrics{}
-	c := newCoalescer(solver, false, 8, 64, flushNanos(5*time.Millisecond), met)
+	c := newCoalescer(solver, false, 64, met)
+	withFaults(t, "coalescer.dispatch:latency:count=1,d=200ms", 1)
 
-	reqs := make([]*solveReq, 3)
+	reqs := make([]*solveReq, 6)
 	for i := range reqs {
-		b := manufacturedRHS(ref, i)
-		reqs[i] = &solveReq{ctx: context.Background(), b: b, x: make([]float64, ref.N()), done: make(chan error, 1)}
-		if err := c.enqueue(reqs[i]); err != nil {
+		reqs[i] = &solveReq{ctx: context.Background(), b: manufacturedRHS(ref, i), x: make([]float64, ref.N()), done: make(chan error, 1)}
+	}
+	if err := c.enqueue(reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	c.start()
+	defer c.close()
+	for deadline := time.Now().Add(10 * time.Second); faultinject.Fired(faultinject.CoalescerDispatch) == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first panel never reached dispatch")
+		}
+	}
+	for _, r := range reqs[1:] {
+		if err := c.enqueue(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.start()
 	for i, r := range reqs {
 		if err := <-r.done; err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		want, _ := ref.Solve(r.b)
-		assertBitwise(t, r.x, want, "flushed request")
+		assertBitwise(t, r.x, want, "coalesced request")
 	}
-	c.close()
 
 	snap := met.Snapshot()
-	if snap.Batches != 1 {
-		t.Errorf("batches = %d, want 1 (partial panel must ship on the flush deadline)", snap.Batches)
+	if snap.Batches != 2 {
+		t.Errorf("batches = %d, want 2 (the parked singleton, then the queue behind it)", snap.Batches)
 	}
-	if snap.WidthSum != 3 {
-		t.Errorf("width sum = %d, want 3", snap.WidthSum)
+	if snap.WidthSum != 6 {
+		t.Errorf("width sum = %d, want 6", snap.WidthSum)
 	}
 }
 
@@ -64,7 +70,7 @@ func TestCoalescerQueueFull(t *testing.T) {
 	ref := refPlan(t, "grid3d", 500, stsk.STS3)
 	solver := ref.NewSolver()
 	defer solver.Close()
-	c := newCoalescer(solver, false, 8, 2, flushNanos(time.Millisecond), &Metrics{})
+	c := newCoalescer(solver, false, 2, &Metrics{})
 
 	mk := func(i int) *solveReq {
 		return &solveReq{ctx: context.Background(), b: manufacturedRHS(ref, i), x: make([]float64, ref.N()), done: make(chan error, 1)}
@@ -131,7 +137,7 @@ func buildHammerPlan(t *testing.T, reg *Registry, name, class string, n, nrhs in
 // failure is a context error — and that cancelled requests never poison
 // the shared solver for their panel-mates.
 func TestCoalescerHammer(t *testing.T) {
-	reg := NewRegistry(Config{FlushDelay: 200 * time.Microsecond, QueueCap: 1024})
+	reg := NewRegistry(Config{QueueCap: 1024})
 	defer reg.Close()
 	plans := []*hammerPlan{
 		buildHammerPlan(t, reg, "g3", "grid3d", 1200, 6),
@@ -202,7 +208,7 @@ func TestCoalescerHammer(t *testing.T) {
 // single-RHS requests against one plan must coalesce to a mean panel
 // width above 2 with every solution bitwise identical to Plan.Solve.
 func TestCoalescerLoadMeanWidth(t *testing.T) {
-	reg := NewRegistry(Config{FlushDelay: time.Millisecond, QueueCap: 256})
+	reg := NewRegistry(Config{QueueCap: 256})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 3000, 8)
 
@@ -255,7 +261,7 @@ func TestCoalescerLoadMeanWidth(t *testing.T) {
 // returns promptly even while the queue is busy, and the shared solver
 // keeps serving correct solutions afterwards.
 func TestCoalescerCancelPromptness(t *testing.T) {
-	reg := NewRegistry(Config{FlushDelay: time.Millisecond})
+	reg := NewRegistry(Config{})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 2000, 2)
 

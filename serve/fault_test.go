@@ -36,14 +36,17 @@ func quietRegistry(cfg Config) *Registry {
 }
 
 // TestRetryPolicyBackoff pins the jittered-exponential shape: attempt n
-// backs off within [flush·2ⁿ⁻¹/2, flush·2ⁿ⁻¹], capped at retryBackoffCap
-// flushes.
+// backs off within [unit·2ⁿ⁻¹/2, unit·2ⁿ⁻¹] for a 500µs unit, capped at
+// retryBackoffCap units.
 func TestRetryPolicyBackoff(t *testing.T) {
-	const flush = 500 * time.Microsecond
+	const unit = 500 * time.Microsecond
+	if retryBackoffUnit != unit {
+		t.Fatalf("retryBackoffUnit = %v, want %v", retryBackoffUnit, unit)
+	}
 	for attempt := 1; attempt <= 8; attempt++ {
-		want := min(flush<<(attempt-1), retryBackoffCap*flush)
+		want := min(unit<<(attempt-1), retryBackoffCap*unit)
 		for i := 0; i < 50; i++ {
-			d := backoff(flush, attempt)
+			d := backoff(attempt)
 			if d < want/2 || d > want {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, want/2, want)
 			}
@@ -98,7 +101,7 @@ func TestSolveRetriesTransientSaturation(t *testing.T) {
 // TestSolveRetryExhaustion: saturation on every attempt exhausts the
 // budget and surfaces ErrQueueFull (HTTP 429), counted as rejected.
 func TestSolveRetryExhaustion(t *testing.T) {
-	reg := quietRegistry(Config{FlushDelay: 100 * time.Microsecond})
+	reg := quietRegistry(Config{})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 1000, 1)
 
@@ -113,24 +116,38 @@ func TestSolveRetryExhaustion(t *testing.T) {
 	}
 }
 
+// shortBudget is a context whose deadline is always budget away and
+// never passes: however slow the host, a request carrying it reaches
+// every retry decision with exactly budget left, and is never refused for
+// a deadline that lapsed before it reached the queue.
+type shortBudget struct {
+	context.Context
+	budget time.Duration
+}
+
+func (c shortBudget) Deadline() (time.Time, bool) { return time.Now().Add(c.budget), true }
+
 // TestSolveRetryNeverOutlivesDeadline: with permanent saturation and a
-// deadline smaller than one backoff, the retry loop gives up promptly
-// instead of sleeping past the budget.
+// deadline shorter than the first backoff (at least retryBackoffUnit/2),
+// the retry loop gives up at once instead of sleeping past the budget,
+// and returns the original ErrQueueFull.
 func TestSolveRetryNeverOutlivesDeadline(t *testing.T) {
-	reg := quietRegistry(Config{FlushDelay: 200 * time.Millisecond})
+	reg := quietRegistry(Config{})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "g3", "grid3d", 1000, 1)
 
 	withFaults(t, "coalescer.enqueue:saturate", 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
+	ctx := shortBudget{Context: context.Background(), budget: retryBackoffUnit / 4}
 	begin := time.Now()
 	_, err := reg.Solve(ctx, "g3", VariantDirect, false, hp.bs[0])
 	if elapsed := time.Since(begin); elapsed > 150*time.Millisecond {
-		t.Fatalf("retry loop ran %v under a 20ms deadline", elapsed)
+		t.Fatalf("retry loop ran %v under a %v budget", elapsed, ctx.budget)
 	}
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want the original ErrQueueFull back", err)
+	}
+	if got := reg.Metrics().Snapshot().Retries; got != 0 {
+		t.Errorf("retries = %d, want 0 (the first backoff outlives the budget)", got)
 	}
 }
 
@@ -165,16 +182,38 @@ func TestSolvePanicRecoveredEndToEnd(t *testing.T) {
 	if snap.Failed != 1 {
 		t.Errorf("failed = %d, want 1", snap.Failed)
 	}
+
+	// A panic while building a plan is contained the same way and frees
+	// the plan's name: the next Register of the same spec builds, and
+	// serves bitwise.
+	withFaults(t, "registry.build:panic:count=1", 1)
+	spec := PlanSpec{Name: "tm", Class: "trimesh", N: 800}
+	if _, err := reg.Register(spec); !errors.Is(err, panicsafe.ErrInternal) {
+		t.Fatalf("panicking build: err = %v, want a contained ErrInternal", err)
+	}
+	faultinject.Disable()
+	if _, err := reg.Register(spec); err != nil {
+		t.Fatalf("register after a panicked build: %v", err)
+	}
+	ref := refPlan(t, "trimesh", 800, stsk.STS3)
+	b := manufacturedRHS(ref, 1)
+	want, err := ref.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err = reg.Solve(context.Background(), "tm", VariantDirect, false, b)
+	if err != nil {
+		t.Fatalf("solve after a panicked build: %v", err)
+	}
+	assertBitwise(t, x, want, "solve after a panicked build")
 }
 
 // TestBrownoutStateMachine drives the controller's evaluate by hand:
-// a latency spike degrades (shrinking the flush deadline), degraded mode
-// sheds low-priority requests and refuses cold builds but still
-// re-derives a resident plan's IC(0) factor, and recoverTicks calm
-// evaluations heal everything back.
+// a latency spike degrades, degraded mode sheds low-priority requests
+// and refuses cold builds but still re-derives a resident plan's IC(0)
+// factor, and recoverTicks calm evaluations heal everything back.
 func TestBrownoutStateMachine(t *testing.T) {
-	cfg := Config{FlushDelay: 800 * time.Microsecond}
-	reg := quietRegistry(cfg)
+	reg := quietRegistry(Config{})
 	defer reg.Close()
 	hp := buildHammerPlan(t, reg, "resident", "grid3d", 800, 1)
 	// Factor IC(0) now, so the degraded value update below leaves it stale.
@@ -201,9 +240,6 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 	if !strings.Contains(reason, "latency") {
 		t.Errorf("degrade reason = %q, want a latency reason", reason)
-	}
-	if got, want := reg.flushNs.Load(), int64(cfg.FlushDelay)/4; got != want {
-		t.Errorf("degraded flush deadline = %dns, want %dns", got, want)
 	}
 
 	// Degraded: default threshold sheds only priority < 1.
@@ -260,9 +296,6 @@ func TestBrownoutStateMachine(t *testing.T) {
 	if st, _ := reg.BrownoutState(); st != BrownoutHealthy {
 		t.Fatalf("state after %d calm ticks = %v, want healthy", recoverTicks, st)
 	}
-	if got := reg.flushNs.Load(); got != int64(cfg.FlushDelay) {
-		t.Errorf("healed flush deadline = %dns, want %dns restored", got, int64(cfg.FlushDelay))
-	}
 	if _, err := reg.Register(PlanSpec{Name: "cold", Class: "trimesh", N: 500}); err != nil {
 		t.Fatalf("cold build after heal: %v", err)
 	}
@@ -284,8 +317,8 @@ func TestBrownoutQueuePressure(t *testing.T) {
 	st := &state{
 		plan:   ref,
 		solver: solver,
-		lower:  newCoalescer(solver, false, 8, 4, flushNanos(time.Millisecond), reg.met),
-		upper:  newCoalescer(solver, true, 8, 4, flushNanos(time.Millisecond), reg.met),
+		lower:  newCoalescer(solver, false, 4, reg.met),
+		upper:  newCoalescer(solver, true, 4, reg.met),
 	}
 	reg.mu.Lock()
 	reg.entries["fake"] = &entry{spec: PlanSpec{Name: "fake"}, st: st}

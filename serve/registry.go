@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stsk"
@@ -48,13 +47,14 @@ var ErrVersionConflict = errors.New("serve: plan version conflict")
 // repeatedly, under pathological budget churn. Unlike ErrDraining this
 // is not an operator condition — the plan rebuilds (or warm-loads from
 // a snapshot) in milliseconds on a healthy server, so clients should
-// retry after roughly a coalescer flush interval, not seconds.
+// retry after milliseconds, not seconds.
 var ErrPlanEvicted = errors.New("serve: plan evicted mid-request")
 
-// PlanSpec names a matrix source and the ordering/solver configuration
-// the registry builds for it. Exactly one of Class, Suite and File must
-// be set; the zero values of the remaining fields select the library
-// defaults (method STS-3, GOMAXPROCS workers, panel width 8).
+// PlanSpec names a matrix source and the ordering configuration the
+// registry builds for it. Exactly one of Class, Suite and File must be
+// set; the zero values of the remaining fields select the library
+// defaults (method STS-3). Every plan is served by a Solver with the
+// library's defaults: GOMAXPROCS workers and panels of width 8.
 type PlanSpec struct {
 	Name string `json:"name"`
 
@@ -74,13 +74,6 @@ type PlanSpec struct {
 
 	// RowsPerSuper tunes the super-row size (stsk.WithRowsPerSuper).
 	RowsPerSuper int `json:"rowsPerSuper,omitempty"`
-
-	// Workers fixes the solver pool size (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
-
-	// BlockWidth caps the coalescer's panel width for this plan
-	// (0 = the registry default, normally 8).
-	BlockWidth int `json:"blockWidth,omitempty"`
 }
 
 // validate checks the spec shape without touching any matrix source.
@@ -141,22 +134,9 @@ type Config struct {
 	// 1 GiB.
 	BudgetBytes int64
 
-	// FlushDelay is how long the coalescer holds a partial panel open for
-	// more requests before shipping it, and the unit of Solve's queue-full
-	// retry backoff (see backoff). Default 500µs.
-	FlushDelay time.Duration
-
 	// QueueCap bounds each coalescer's request queue; a full queue
 	// rejects with ErrQueueFull (HTTP 429). Default 256.
 	QueueCap int
-
-	// Workers is the default solver pool size for plans whose spec does
-	// not set one (0 = GOMAXPROCS).
-	Workers int
-
-	// BlockWidth is the default maximum panel width (0 = 8, the widest
-	// unrolled kernel).
-	BlockWidth int
 
 	// SnapshotDir, when non-empty, enables plan snapshot persistence:
 	// every built plan is serialized there write-behind (on build and on
@@ -180,14 +160,8 @@ func (c Config) withDefaults() Config {
 	if c.BudgetBytes <= 0 {
 		c.BudgetBytes = 1 << 30
 	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = 500 * time.Microsecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.BlockWidth <= 0 {
-		c.BlockWidth = 8
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 256
@@ -243,11 +217,6 @@ type Registry struct {
 	// contract.
 	shutdowns sync.WaitGroup
 
-	// flushNs is the live coalescer flush deadline in nanoseconds,
-	// shared by every coalescer the registry builds; the brownout
-	// controller shrinks it under load and restores it on heal.
-	flushNs atomic.Int64
-
 	// brown is the degradation state machine.
 	brown *brownout
 
@@ -288,7 +257,6 @@ func NewRegistry(cfg Config) *Registry {
 		entries: make(map[string]*entry),
 	}
 	r.ring = trace.NewRing(r.cfg.TraceRing)
-	r.flushNs.Store(int64(r.cfg.FlushDelay))
 	r.brown = newBrownout(r)
 	return r
 }
@@ -579,7 +547,7 @@ func (r *Registry) solve(ctx context.Context, name, variant string, upper bool, 
 			// before re-admitting. An eviction race skips the backoff —
 			// the plan rebuild itself is the wait.
 			b0 := trace.Now()
-			ok := sleepRetry(ctx, backoff(r.cfg.FlushDelay, attempt))
+			ok := sleepRetry(ctx, backoff(attempt))
 			trace.FromContext(ctx).Observe(trace.StageRetryBackoff, b0, trace.Now())
 			if !ok {
 				return nil, translateEvicted(err, name)
@@ -623,7 +591,7 @@ func (r *Registry) solveOnce(ctx context.Context, name, variant string, upper bo
 // translateEvicted keeps the internal errCoalescerClosed sentinel from
 // escaping the registry when a request loses the eviction race on every
 // attempt (pathological budget churn): the client gets a retriable 503
-// with a flush-interval-scale retry hint (ErrPlanEvicted) instead of an
+// with a milliseconds-scale retry hint (ErrPlanEvicted) instead of an
 // opaque 500 — or the 2-second ErrDraining back-off, which would be
 // wildly pessimistic for a plan that rebuilds in milliseconds.
 func translateEvicted(err error, name string) error {
@@ -699,9 +667,20 @@ func (r *Registry) acquire(name, variant string) (*state, error) {
 		var err error
 		snapVer, warm := uint64(0), false
 		var snapVals []float64
-		if e != p {
-			st, err = r.derive(from, p.spec)
-		} else {
+		func() {
+			// The build's panic-containment boundary: a panic in the ordering
+			// pipeline or the factorization fails this build with ErrInternal
+			// instead of unwinding past the close of e.building below, which
+			// would block every later acquire of this name for good.
+			defer func() {
+				if v := recover(); v != nil {
+					st, err = nil, panicsafe.AsError(v)
+				}
+			}()
+			if e != p {
+				st, err = r.derive(from)
+				return
+			}
 			// Prefer a warm load: a valid snapshot skips the seconds-scale
 			// ordering pipeline entirely. A stale or missing snapshot falls
 			// through to the cold build.
@@ -711,7 +690,7 @@ func (r *Registry) acquire(name, variant string) (*state, error) {
 			if !warm {
 				st, err = r.buildState(p.spec, pend)
 			}
-		}
+		}()
 
 		r.mu.Lock()
 		close(e.building)
@@ -787,12 +766,12 @@ func (r *Registry) buildState(spec PlanSpec, pend []float64) (*state, error) {
 			return nil, fmt.Errorf("serve: reapplying updated values for plan %q: %w", spec.Name, err)
 		}
 	}
-	return r.newState(plan, spec), nil
+	return r.newState(plan), nil
 }
 
 // derive is a factor entry's build: the incomplete-Cholesky factor of
 // the plan state's matrix (Plan.IC0), made servable on its own.
-func (r *Registry) derive(from *state, spec PlanSpec) (*state, error) {
+func (r *Registry) derive(from *state) (*state, error) {
 	if err := faultinject.Fire(faultinject.RegistryBuild); err != nil {
 		return nil, err
 	}
@@ -800,26 +779,18 @@ func (r *Registry) derive(from *state, spec PlanSpec) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.newState(plan, spec), nil
+	return r.newState(plan), nil
 }
 
 // newState wires a built plan into a servable state: pooled solver,
 // forward and backward coalescers, byte estimate.
-func (r *Registry) newState(plan *stsk.Plan, spec PlanSpec) *state {
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = r.cfg.Workers
-	}
-	width := spec.BlockWidth
-	if width <= 0 {
-		width = r.cfg.BlockWidth
-	}
-	solver := plan.NewSolver(stsk.WithWorkers(workers), stsk.WithBlockWidth(width))
+func (r *Registry) newState(plan *stsk.Plan) *state {
+	solver := plan.NewSolver()
 	st := &state{
 		plan:   plan,
 		solver: solver,
-		lower:  newCoalescer(solver, false, width, r.cfg.QueueCap, &r.flushNs, r.met),
-		upper:  newCoalescer(solver, true, width, r.cfg.QueueCap, &r.flushNs, r.met),
+		lower:  newCoalescer(solver, false, r.cfg.QueueCap, r.met),
+		upper:  newCoalescer(solver, true, r.cfg.QueueCap, r.met),
 		bytes:  estimateBytes(plan),
 	}
 	st.lower.start()

@@ -17,8 +17,11 @@ const (
 	// retryAttempts caps total attempts, first try included.
 	retryAttempts = 3
 
-	// retryBackoffCap caps the queue-full backoff, in coalescer flush
-	// intervals (see backoff).
+	// retryBackoffUnit is the first queue-full backoff, and the unit the
+	// later ones and the ErrPlanEvicted retry hint are counted in.
+	retryBackoffUnit = 500 * time.Microsecond
+
+	// retryBackoffCap caps the queue-full backoff, in units (see backoff).
 	retryBackoffCap = 16
 )
 
@@ -28,13 +31,11 @@ func retriable(err error) bool {
 }
 
 // backoff is the jittered exponential delay before queue-full retry
-// `attempt` (1 = first retry), counted in flush intervals — about what a
-// coalescer takes to ship the panel its queue holds: one flush for the
-// first retry, doubling to at most retryBackoffCap flushes. An
-// eviction-race retry skips the backoff entirely — the rebuild itself is
-// the wait.
-func backoff(flush time.Duration, attempt int) time.Duration {
-	d := min(flush<<(attempt-1), retryBackoffCap*flush)
+// `attempt` (1 = first retry): one retryBackoffUnit for the first retry,
+// doubling to at most retryBackoffCap units. An eviction-race retry skips
+// the backoff entirely — the rebuild itself is the wait.
+func backoff(attempt int) time.Duration {
+	d := min(retryBackoffUnit<<(attempt-1), retryBackoffCap*retryBackoffUnit)
 	// Uniform jitter in [d/2, d] decorrelates retry storms: thundering
 	// herds that were rejected together do not come back together.
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))

@@ -70,15 +70,11 @@ type RouterConfig struct {
 
 	// HealthInterval is the /healthz probe period. Default 500ms.
 	HealthInterval time.Duration
-
-	// VNodes is the number of virtual nodes per backend on the hash
-	// ring (more = smoother key spread). Default 64.
-	VNodes int
-
-	// Client overrides the forwarding HTTP client (timeouts come from
-	// the inbound request's context, so the default client has none).
-	Client *http.Client
 }
+
+// vnodesPerBackend is the number of virtual nodes each backend places on
+// the hash ring (more = smoother key spread).
+const vnodesPerBackend = 64
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.HedgeAfter == 0 {
@@ -86,12 +82,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -130,9 +120,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("serve: router needs at least one backend")
 	}
+	// The forwarding client sets no timeouts: they come from the inbound
+	// request's context.
 	rt := &Router{
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{},
 		mux:    http.NewServeMux(),
 		stop:   make(chan struct{}),
 	}
@@ -149,7 +141,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.backs = append(rt.backs, rb)
 	}
 	for i, b := range rt.backs {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < vnodesPerBackend; v++ {
 			rt.ring = append(rt.ring, ringEntry{h: fnv64(fmt.Sprintf("%s#%d", b.base, v)), idx: i})
 		}
 	}

@@ -128,17 +128,15 @@ func (s *Server) error(w http.ResponseWriter, code int, err error) {
 }
 
 // retryAfter is the client back-off hint for retriable refusals:
-// queue-full and shed requests clear in about a flush interval (round up
+// queue-full and shed requests clear in well under a second (round up
 // to the 1s header floor); a plan evicted mid-request rebuilds — or
-// warm-loads from its snapshot — in milliseconds, so the hint is a
-// handful of the live coalescer flush interval; draining and degraded
-// states need the operator — or the brownout controller — a few seconds
-// to resolve.
+// warm-loads from its snapshot — in milliseconds, so the hint is ten
+// retry backoff units; draining and degraded states need the operator —
+// or the brownout controller — a few seconds to resolve.
 func (s *Server) retryAfter(err error) time.Duration {
 	switch {
 	case errors.Is(err, ErrPlanEvicted):
-		hint := 10 * time.Duration(s.reg.flushNs.Load())
-		return min(max(hint, 2*time.Millisecond), time.Second)
+		return 10 * retryBackoffUnit
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShed):
 		return time.Second
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrDegraded):

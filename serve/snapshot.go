@@ -182,7 +182,7 @@ func (r *Registry) loadSnapshot(spec PlanSpec, curVer uint64, pend []float64) (*
 			return nil, 0, nil, false
 		}
 	}
-	return r.newState(plan, spec), meta.Version, vals, true
+	return r.newState(plan), meta.Version, vals, true
 }
 
 // WarmStart pre-populates the registry from every snapshot in
@@ -235,7 +235,7 @@ func (r *Registry) WarmStart() (int, error) {
 
 		// Build the servable state outside the mutex (solver pools spin up
 		// here), then commit it if the name is still free.
-		st := r.newState(plan, meta.Spec)
+		st := r.newState(plan)
 
 		r.mu.Lock()
 		if _, ok := r.entries[meta.Spec.Name]; ok || r.closed {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -99,12 +100,12 @@ func checkWellNested(t *testing.T, rec trace.Record) float64 {
 
 // TestTraceLifecycleCoverage pins the tentpole contract: a served solve
 // leaves one well-nested trace whose spans attribute at least 95% of the
-// request's wall time to named stages. The generous flush deadline makes
-// coalesce_wait dominate, so scheduler noise in the untraced gaps (a
-// channel handoff, a goroutine wake-up) stays far under the 5% budget;
+// request's wall time to named stages. An injected engine.job latency
+// makes the kernel span dominate, so scheduler noise in the untraced gaps
+// (a channel handoff, a goroutine wake-up) stays far under the 5% budget;
 // best-of-three absorbs one-off CI hiccups.
 func TestTraceLifecycleCoverage(t *testing.T) {
-	reg := NewRegistry(Config{FlushDelay: 5 * time.Millisecond})
+	reg := NewRegistry(Config{})
 	srv := NewServer(reg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -114,6 +115,7 @@ func TestTraceLifecycleCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := manufacturedRHS(ref, 1)
+	withFaults(t, "engine.job:latency:d=5ms", 1)
 
 	best := 0.0
 	var bestRec trace.Record
@@ -129,13 +131,15 @@ func TestTraceLifecycleCoverage(t *testing.T) {
 	if best < 0.95 {
 		t.Errorf("span coverage %.1f%% < 95%% of wall time: %+v", best*100, bestRec)
 	}
-	// The stages the single-solve lifecycle must visit.
+	// The stages the single-solve lifecycle must visit. A stage is visited
+	// when its span is recorded: a lone request's coalesce_wait is one
+	// scheduler yield, and may read zero.
 	for _, want := range []trace.Stage{
 		trace.StageAdmission, trace.StageRegistry, trace.StageEnqueue,
 		trace.StageQueueWait, trace.StageCoalesceWait, trace.StageKernel,
 		trace.StageSerialize,
 	} {
-		if bestRec.StageTotal(want) <= 0 {
+		if !slices.ContainsFunc(bestRec.Spans, func(s trace.Span) bool { return s.Stage == want }) {
 			t.Errorf("stage %s missing from the lifecycle trace: %+v", want, bestRec)
 		}
 	}
@@ -261,7 +265,7 @@ func TestQueueWaitReconciliation(t *testing.T) {
 	solver := ref.NewSolver(stsk.WithBlockWidth(8))
 	defer solver.Close()
 	met := &Metrics{}
-	c := newCoalescer(solver, false, 8, 64, flushNanos(time.Millisecond), met)
+	c := newCoalescer(solver, false, 64, met)
 
 	const parked = 3
 	const hold = 20 * time.Millisecond

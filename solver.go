@@ -82,6 +82,10 @@ func (p *Plan) NewSolver(opts ...Option) *Solver {
 // Workers returns the solver's fixed pool size.
 func (s *Solver) Workers() int { return s.eng.Workers() }
 
+// BlockWidth returns the panel width of the solver's block solves: the
+// WithBlockWidth setting rounded down to a kernel width, 8 by default.
+func (s *Solver) BlockWidth() int { return s.eng.BlockWidth() }
+
 // Plan returns the plan this solver is bound to.
 func (s *Solver) Plan() *Plan { return s.plan }
 
