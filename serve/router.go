@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -350,19 +349,18 @@ func passHeaders(r *http.Request) http.Header {
 // faithfully, they would fail identically everywhere.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt.met.Requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSolveBody))
+	body, err := readBody(w, r, maxSolveBody)
+	var req SolveRequest
+	if err == nil {
+		// The backends' own decoder: a body a replica would refuse is
+		// refused here with the same 400, and one it would take is routed.
+		req, err = decodeSolve(body)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	var peek struct {
-		Plan string `json:"plan"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil || peek.Plan == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: router: solve body needs a plan name: %v", err), 0)
-		return
-	}
-	cands := rt.candidates(peek.Plan)
+	cands := rt.candidates(req.Plan)
 	hdr := passHeaders(r)
 	// Stamp a trace ID before fanning out so every hedged attempt — and
 	// the backend trace each one spawns — shares the client's ID, or one
@@ -446,7 +444,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusBadGateway,
-		fmt.Errorf("serve: router: all %d replicas failed for plan %q: %v", len(cands), peek.Plan, last.err), time.Second)
+		fmt.Errorf("serve: router: all %d replicas failed for plan %q: %v", len(cands), req.Plan, last.err), time.Second)
 }
 
 // hedgeDelay maps the config knob to a timer value: negative disables
@@ -465,7 +463,7 @@ func hedgeDelay(d time.Duration) time.Duration {
 // no replica accepted it.
 func (rt *Router) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	rt.met.Broadcasts.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSolveBody))
+	body, err := readBody(w, r, maxSolveBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return

@@ -343,3 +343,48 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterSolveBodyAgreement sends every decoder fuzz seed to a real
+// backend, directly and through a router in front of it: the two
+// statuses must match, 400s included. The router reads a solve body with
+// the backend's own decoder, so a body with bytes after its object (which
+// encoding/json's Decoder ignores and json.Unmarshal refuses) routes
+// instead of bouncing.
+func TestRouterSolveBodyAgreement(t *testing.T) {
+	srv := NewServer(NewRegistry(Config{}))
+	backend := httptest.NewServer(srv)
+	t.Cleanup(srv.Close)
+	t.Cleanup(backend.Close)
+	info, err := srv.Registry().Register(PlanSpec{Name: "p", Class: "grid2d", N: seedRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.N != seedRows {
+		t.Fatalf("plan p has %d rows, the seeds assume %d", info.N, seedRows)
+	}
+	rt := newTestRouter(t, RouterConfig{
+		Backends:       []string{backend.URL},
+		HealthInterval: time.Hour,
+		HedgeAfter:     -1,
+	})
+	seen := map[int]int{}
+	for _, body := range floatBodySeeds {
+		resp, err := backend.Client().Post(backend.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		if w.Code != resp.StatusCode {
+			t.Errorf("body %q: router %d, backend %d (%s)", body, w.Code, resp.StatusCode, w.Body.String())
+		}
+		seen[resp.StatusCode]++
+	}
+	// The seeds reach every answer a body alone decides.
+	for _, code := range []int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound} {
+		if seen[code] == 0 {
+			t.Errorf("no seed answered %d (statuses seen: %v)", code, seen)
+		}
+	}
+}

@@ -210,7 +210,11 @@ func (s *Server) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 	var req UpdateValuesRequest
 	// A value array is the same order of magnitude as a right-hand side,
 	// so it gets the solve-body cap, not the plan-spec one.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSolveBody)).Decode(&req); err != nil {
+	body, err := readBody(w, r, maxSolveBody)
+	if err == nil {
+		err = decodeFloatBody(body, "values", &req, &req.Values)
+	}
+	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
@@ -277,8 +281,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.error(w, statusFor(err), err)
 		return
 	}
+	body, err := readBody(w, r, maxSolveBody)
 	var req SolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSolveBody)).Decode(&req); err != nil {
+	if err == nil {
+		req, err = decodeSolve(body)
+	}
+	if err != nil {
 		reqErr = err
 		s.error(w, http.StatusBadRequest, err)
 		return

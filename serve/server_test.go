@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -29,6 +30,16 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// withNull returns xs as JSON array elements with a null at index i.
+func withNull(xs []float64, i int) []any {
+	out := make([]any, len(xs))
+	for j, x := range xs {
+		out[j] = x
+	}
+	out[i] = nil
+	return out
 }
 
 func TestServerEndToEnd(t *testing.T) {
@@ -120,6 +131,14 @@ func TestServerEndToEnd(t *testing.T) {
 	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/solve", SolveRequest{Plan: "g3", B: b[:3]})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("short rhs: %d, want 400", resp.StatusCode)
+	}
+	// A null element, which is how JSON.stringify writes NaN and ±Inf, is
+	// refused by index, not read as 0.
+	last := len(b) - 1
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve",
+		map[string]any{"plan": "g3", "b": withNull(b, last)})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("b[%d]", last)) {
+		t.Errorf("rhs ending in null: %d %s, want 400 naming b[%d]", resp.StatusCode, body, last)
 	}
 
 	// Health and metrics.

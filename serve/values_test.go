@@ -99,6 +99,12 @@ func TestUpdateValuesEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale ifVersion: %d %s, want 409", resp.StatusCode, body)
 	}
+	// A null value is refused by index, not read as 0: the update below,
+	// conditioned on version 1, proves the matrix was left alone.
+	resp, body = putJSON(t, ts.Client(), ts.URL+"/v1/plans/g3/values", map[string]any{"values": withNull(vals, 5)})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "values[5]") {
+		t.Fatalf("null value: %d %s, want 400 naming values[5]", resp.StatusCode, body)
+	}
 
 	// The real update, conditioned on the current version.
 	resp, body = putJSON(t, ts.Client(), ts.URL+"/v1/plans/g3/values", UpdateValuesRequest{Values: vals, IfVersion: 1})
