@@ -117,9 +117,9 @@ func BenchmarkSolveSTS3Sequential(b *testing.B) { benchSolve(b, STS3, 1) }
 // BenchmarkMultiRHSGrid3D drives 32 right-hand sides through one STS-3
 // plan on a grid3d matrix four ways: the paper's barrier reference runner
 // (goroutines spawned per solve, CSR kernel), the pooled Solver
-// (persistent workers sweeping the task DAG per RHS), the batched path
-// (one worker sweeps each RHS start to finish, RHSs pipelined through the
-// pack levels), and the panel kernels. b.ReportMetric publishes
+// (the caller and the idle helpers sweeping the task DAG per RHS), the
+// batched path (one goroutine sweeps each RHS start to finish, RHSs
+// pipelined through the pack levels), and the panel kernels. b.ReportMetric publishes
 // solves/sec, so the comparison reads straight off
 // `go test -bench MultiRHS`.
 func BenchmarkMultiRHSGrid3D(b *testing.B) {
@@ -200,8 +200,8 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		}
 		perRHS(b, time.Since(start))
 	})
-	// pooled-block is the panel-kernel acceptance variant: same pool, same
-	// packed layout, but the 32 right-hand sides travel as four 8-wide
+	// pooled-block is the panel-kernel acceptance variant: same helpers,
+	// same packed layout, but the 32 right-hand sides travel as four 8-wide
 	// row-major panels, so the matrix (indices and values) is loaded four
 	// times instead of 32 — the per-RHS throughput must be ≥ batched.
 	// Width pinned to 8, the acceptance width (also the default).

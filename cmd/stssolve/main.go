@@ -54,7 +54,7 @@ func main() {
 		file     = flag.String("file", "", "Matrix Market file (overrides -class)")
 		n        = flag.Int("n", 50000, "target rows for generated matrices")
 		method   = flag.String("method", "sts3", "csr-ls | csr-3-ls | csr-col | sts3")
-		workers  = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "the most goroutines one call is swept by (0 = GOMAXPROCS)")
 		repeats  = flag.Int("repeats", 10, "timed solve repetitions (averaged, as in §4.1)")
 		rhs      = flag.Int("rhs", 0, "stream this many right-hand sides through the solve engines instead of the single-RHS run")
 		timeout  = flag.Duration("timeout", 0, "overall deadline for the solve phase (0 = none)")
@@ -198,7 +198,7 @@ func runMultiRHS(ctx context.Context, plan *stsk.Plan, n, workers int) {
 	solver := plan.NewSolver(stsk.WithWorkers(w))
 	defer solver.Close()
 
-	// Pooled: one cooperative solve per RHS, parked workers reused.
+	// Pooled: one cooperative solve per RHS, the Solver's run state reused.
 	X := make([][]float64, n)
 	for r := range X {
 		X[r] = make([]float64, plan.N())

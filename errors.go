@@ -42,6 +42,12 @@ var (
 	// solved.
 	ErrTooLarge = sparse.ErrTooLarge
 
+	// ErrNonFinite reports a factor value that is NaN or infinite. Build,
+	// ReadSnapshot and Refactor refuse such values before anything is
+	// published: one would spread through every row of the solution that
+	// depends on it.
+	ErrNonFinite = solve.ErrNonFinite
+
 	// ErrInternal reports a panic contained at an engine job boundary: a
 	// kernel (or anything it called) panicked and the recover barrier
 	// converted it into an error carrying the captured stack. The solve

@@ -6,9 +6,10 @@
 //
 // Statically that means, per function: at most one epoch load (a call to
 // Values.Current/Structure/Version or to the underlying `cur` atomic's
-// Load), never inside a loop, and never after a dispatch (a submit/
-// submitCtx call or a channel send) — a load after dispatch could observe
-// a different epoch than the work already in flight. Function literals
+// Load), never inside a loop, and never after a dispatch (an offer call,
+// which hands a call's share to idle helpers, or a channel send) — a load
+// after dispatch could observe a different epoch than the work already in
+// flight. Function literals
 // are independent scopes. Streams that deliberately re-pin per dispatched
 // element annotate the load with `//stsk:allow-epoch-repin`. Test files
 // are exempt (they poll epochs in loops on purpose).
@@ -157,14 +158,14 @@ func isValuesType(t types.Type) bool {
 	return ok && named.Obj().Name() == "Values"
 }
 
-// isDispatch recognises the dispatch boundary: handing work to the pool
-// via submit/submitCtx (channel sends are caught separately).
+// isDispatch recognises the dispatch boundary: offering a call's share to
+// the idle helpers via offer (channel sends are caught separately).
 func isDispatch(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		return fun.Sel.Name == "submit" || fun.Sel.Name == "submitCtx"
+		return fun.Sel.Name == "offer"
 	case *ast.Ident:
-		return fun.Name == "submit" || fun.Name == "submitCtx"
+		return fun.Name == "offer"
 	}
 	return false
 }

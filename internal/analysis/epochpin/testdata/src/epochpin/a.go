@@ -16,9 +16,13 @@ func (v *Values) Current() *epoch { return v.cur.Load() }
 
 func (v *Values) Structure() *epoch { return v.cur.Load() }
 
-type engine struct{ jobs chan int }
+type helperSet struct{ jobs chan int }
 
-func (e *engine) submit(j int) { e.jobs <- j }
+func (h *helperSet) offer(j, n int) {
+	for ; n > 0; n-- {
+		h.jobs <- j
+	}
+}
 
 // pinOnce is the discipline: one load, threaded everywhere.
 func pinOnce(v *Values, n int) int {
@@ -50,8 +54,8 @@ func rawSecondLoad(v *Values) int {
 	return a.version + b.version
 }
 
-func afterSubmit(v *Values, e *engine) int {
-	e.submit(1)
+func afterOffer(v *Values, h *helperSet) int {
+	h.offer(1, 2)
 	return v.Current().version // want "epoch load after dispatch"
 }
 

@@ -10,7 +10,7 @@
 //     defer: a deferred function literal whose body calls recover(), or
 //     a deferred call into the panicsafe package.
 //  2. It launches a same-package named function or method whose body
-//     installs such a defer (e.g. the engine's workerLoop).
+//     installs such a defer.
 //  3. It launches a function from the panicsafe package itself.
 //  4. It is annotated `//stsk:allow-bare-go` — reserved for bounded
 //     fan-outs (graph coloring, the Barrier reference runner) whose

@@ -66,8 +66,8 @@ func launchedThroughPanicsafe() {
 	go panicsafe.Forever()        // the wrapper package is trusted wholesale
 }
 
-// worker mirrors the engine's workerLoop: a same-package declaration
-// carrying its own recover boundary.
+// worker is a same-package declaration carrying its own recover
+// boundary.
 func worker() {
 	defer func() { _ = recover() }()
 	leak()

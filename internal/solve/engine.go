@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"stsk/internal/csrk"
@@ -15,20 +14,26 @@ import (
 	"stsk/internal/trace"
 )
 
-// Sentinel errors of the solve layer. Both are re-exported by the stsk
-// facade (stsk.ErrClosed, stsk.ErrDimension) so callers can match them
-// with errors.Is no matter which layer produced them.
+// Sentinel errors of the solve layer. All three are re-exported by the
+// stsk facade (stsk.ErrClosed, stsk.ErrDimension, stsk.ErrNonFinite) so
+// callers can match them with errors.Is no matter which layer produced
+// them.
 var (
 	// ErrClosed is returned by every Engine method after Close.
 	ErrClosed = errors.New("solve: engine closed")
 
 	// ErrDimension is wrapped by every vector/batch length check.
 	ErrDimension = errors.New("solve: dimension mismatch")
+
+	// ErrNonFinite is wrapped by every refusal of a NaN or infinite factor
+	// value: a sweep over one would spread it through every dependent row.
+	ErrNonFinite = errors.New("solve: non-finite factor value")
 )
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the number of pool goroutines; defaults to GOMAXPROCS.
+	// Workers is the most goroutines one call is swept by: the caller
+	// plus up to Workers−1 idle helpers; defaults to GOMAXPROCS.
 	Workers int
 	// Graph is the structure's dependency DAG, built once at plan time by
 	// order.BuildTaskDAG. Cooperative solves schedule its tasks point to
@@ -43,107 +48,56 @@ type Options struct {
 	BlockWidth int
 }
 
-// Engine is the one executor of the solve layer: a persistent worker pool
-// bound to one value-epoch sequence, started once and parked on a job
-// channel between solves — the "preprocessing amortised over many
-// right-hand sides" setting of the paper (§4.1) applied to the runtime as
-// well as the ordering.
+// Engine is the one executor of the solve layer: the kernels, the
+// scheduling state they need preallocated, and one value-epoch sequence
+// — the "preprocessing amortised over many right-hand sides" setting of
+// the paper (§4.1) applied to the runtime as well as the ordering. It
+// owns no goroutines: each call is swept by its calling goroutine plus
+// whichever of the process-wide helpers are idle when it is offered (see
+// helpers), Workers goroutines at most, the way an OpenMP parallel loop
+// counts its encountering thread as a team member.
 //
 // Every solve is a row-major panel of k right-hand sides (k = 1 is one
-// vector). A call that forms a single panel is swept cooperatively: all
-// workers claim tasks of the plan's TaskDAG as their predecessors finish
-// (graphRun), so independent subtrees never synchronise. Cooperative
-// solves are serialised internally; callers may issue them concurrently.
-// A call that carves into several panels hands each panel whole to one
-// worker, which sweeps it start to finish in row order, so distinct
+// vector). A call that forms a single panel is swept cooperatively: its
+// participants claim tasks of the plan's TaskDAG as their predecessors
+// finish (graphRun), so independent subtrees never synchronise. A call
+// that carves into several panels is swept panel by panel: each
+// participant claims whole panels off the call's column cursor
+// (panelRun) and sweeps each start to finish in row order, so distinct
 // panels pipeline through the pack levels side by side. Every row's dot
 // product runs in Sequential's order on either path, so all results are
-// bitwise identical to Sequential.
+// bitwise identical to Sequential. Each call draws its run state from the
+// engine's pools, so concurrent calls on one engine run side by side.
 //
-// Each dispatch pins the current value epoch exactly once and threads it
+// Each call pins the current value epoch exactly once and threads it
 // through the sweep, so Values.Swap (a numeric refactorization) never
-// tears an in-flight solve — old dispatches finish on the old values, new
-// dispatches see the new ones, and the hot path takes no locks for it.
+// tears an in-flight solve — old calls finish on the old values, new
+// calls see the new ones, and the hot path takes no locks for it.
 //
 // Engines are safe for concurrent use, including Close racing in-flight
-// solves: solves already dispatched complete, later ones return
-// ErrClosed.
+// solves: calls already started complete, later ones return ErrClosed.
 type Engine struct {
-	s    *csrk.Structure // the pack/super-row geometry, shared by every epoch
-	vals *Values         // the value-epoch sequence the kernels sweep
-	n    int             // system dimension
-	opts Options
+	s      *csrk.Structure // the pack/super-row geometry, shared by every epoch
+	vals   *Values         // the value-epoch sequence the kernels sweep
+	n      int             // system dimension
+	opts   Options
+	closed atomic.Bool
 
-	jobs     chan job
-	workerWG sync.WaitGroup
-	closeMu  sync.RWMutex
-	closed   bool
-
-	// Steady-state allocation elimination: panel jobs, call completion
-	// trackers and panel scratch are pooled per engine, so warm solves stop
-	// allocating. The pools are typed wrappers (pool.go) so the
-	// //stsk:noalloc dispatch paths never convert through `any`.
-	jobPool   wholeJobPool
-	runPool   batchRunPool
-	panelPool panelPool
-
-	// Cooperative-solve state, reused across solves under solveMu.
-	solveMu sync.Mutex
-	graph   graphRun
+	// Steady-state allocation elimination: per-call run state (one run
+	// per call in flight) and row-major n×maxBlockWidth panel scratch are
+	// pooled per engine, so warm solves stop allocating. The pools are
+	// typed (pool.go) so the //stsk:noalloc paths never convert through
+	// `any`.
+	graphRuns pool[graphRun]
+	panelRuns pool[panelRun]
+	panelPool pool[[]float64]
 }
 
-// job is one unit handed to a parked worker: a share of a cooperative
-// graph solve, or one whole panel.
-type job struct {
-	graph *graphRun
-	whole *wholeJob
-}
-
-// wholeJob is one panel of a multi-panel call, swept start to finish by
-// one worker: the columns xs/bs, the packed factor of the epoch the
-// dispatcher pinned (so every panel of a call sweeps one snapshot no
-// matter when a refactorization lands), and the call's completion
-// tracker.
-type wholeJob struct {
-	pk      *sparse.Packed
-	reverse bool
-	xs, bs  [][]float64
-	run     *batchRun
-}
-
-// batchRun tracks one multi-panel call's completion without allocating a
-// channel per call: workers decrement remaining, record the first error,
-// and the last one signals done (capacity 1, reused via runPool).
-type batchRun struct {
-	remaining atomic.Int32
-	mu        sync.Mutex
-	err       error
-	done      chan struct{}
-}
-
-// finish records one completed panel. The error write is sequenced before
-// the decrement, so whoever observes remaining hit zero (the done
-// receiver or the dispatcher folding in undispatched panels) sees every
-// error.
-func (r *batchRun) finish(err error) {
-	if err != nil {
-		r.mu.Lock()
-		if r.err == nil {
-			r.err = err
-		}
-		r.mu.Unlock()
-	}
-	if r.remaining.Add(-1) == 0 {
-		r.done <- struct{}{}
-	}
-}
-
-// NewEngine starts a persistent pool of opts.Workers goroutines over a
-// value-epoch sequence: every engine over the same Values sees each
-// Values.Swap, and the per-epoch packed layouts are built once and shared
-// among them. The pool idles on a channel between solves; call Close (or
-// drop every reference — the stsk facade attaches a GC cleanup) to
-// release it.
+// NewEngine builds an engine over a value-epoch sequence: every engine
+// over the same Values sees each Values.Swap, and the per-epoch packed
+// layouts are built once and shared among them. The engine starts no
+// goroutines of its own; it grows the process-wide helper set to
+// opts.Workers−1 if that is more than any engine asked for before.
 //
 // The factor must fit the packed layout's 32-bit indices (an error
 // wrapping sparse.ErrTooLarge otherwise), and an engine of more than one
@@ -173,20 +127,15 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 		vals: v,
 		n:    s.L.N,
 		opts: opts,
-		jobs: make(chan job),
 	}
-	e.panelPool.size = s.L.N * maxBlockWidth
-	if opts.Graph != nil {
-		e.graph.init(opts.Graph)
-	}
-	for w := 0; w < opts.Workers; w++ {
-		e.workerWG.Add(1)
-		go e.workerLoop()
-	}
+	e.graphRuns.fresh = func() *graphRun { return newGraphRun(opts.Graph) }
+	e.panelRuns.fresh = func() *panelRun { return new(panelRun) }
+	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, s.L.N*maxBlockWidth); return &buf }
+	helpers.grow(opts.Workers)
 	return e, nil
 }
 
-// Workers returns the fixed pool size.
+// Workers returns the most goroutines one call is swept by.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // BlockWidth returns the default panel width of block solves.
@@ -200,109 +149,22 @@ func (e *Engine) Values() *Values { return e.vals }
 // read-only.
 func (e *Engine) Diagonal() []float64 { return e.vals.Current().packed().Diag }
 
-// Close drains the pool and waits for every worker to exit. Solves issued
-// after Close return ErrClosed; Close is idempotent.
-func (e *Engine) Close() {
-	e.closeMu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.jobs)
-	}
-	e.closeMu.Unlock()
-	e.workerWG.Wait()
-}
+// Close marks the engine closed: calls already started complete, calls
+// issued after Close return ErrClosed. Close is idempotent and does not
+// wait, since the engine owns no goroutines to stop.
+func (e *Engine) Close() { e.closed.Store(true) }
 
-// submitCtx enqueues a job unless the engine is closed, racing the
-// context: when every worker is busy and the caller is cancelled while
-// waiting for a pool slot, it gives up and returns ctx.Err(). The read
-// lock only covers the send, so Close can proceed while callers wait on
-// results.
-//
-//stsk:noalloc
-func (e *Engine) submitCtx(ctx context.Context, j job) error {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	select {
-	case e.jobs <- j:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// workerLoop is worker plus a last-resort respawn barrier. Contained
-// panics never reach it — runWhole and graphRun.runShare recover at the
-// job boundary — but if the loop machinery itself ever panics the pool
-// replaces the goroutine instead of silently shrinking.
-func (e *Engine) workerLoop() {
-	defer func() {
-		if p := recover(); p != nil {
-			_ = panicsafe.AsError(p) // converted for the stack capture; nowhere to report
-			e.closeMu.RLock()
-			if !e.closed {
-				e.workerWG.Add(1)
-				go e.workerLoop()
-			}
-			e.closeMu.RUnlock()
-		}
-		e.workerWG.Done()
-	}()
-	e.worker()
-}
-
-// worker is the parked pool goroutine: it sleeps on the job channel and
-// runs whatever share of work arrives.
-func (e *Engine) worker() {
-	for j := range e.jobs {
-		if w := j.whole; w != nil {
-			err := e.runWhole(w)
-			// Recycle the job before signalling: once the completion is
-			// visible the dispatcher may return, and the pooled job must
-			// already be free of references.
-			run := w.run
-			*w = wholeJob{}
-			e.jobPool.Put(w)
-			run.finish(err)
-			continue
-		}
-		j.graph.runShare()
-		j.graph.wg.Done()
-	}
-}
-
-// runWhole is the panic-containment boundary for one whole-panel job: a
-// kernel panic (or an injected engine.job fault) becomes a wrapped
-// panicsafe.ErrInternal flowing through the call's normal completion
-// path, so the completion counter always fires and panels on other
-// workers are unharmed.
-func (e *Engine) runWhole(w *wholeJob) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = panicsafe.AsError(p)
-		}
-	}()
-	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
-		return err
-	}
-	e.sweepPanel(w.pk, w.xs, w.bs, w.reverse)
-	return nil
-}
-
-// SolveIntoCtx solves L′x = b into a caller-provided vector, all pool
-// workers sweeping the task DAG together. The deadline/cancellation is
-// checked before the solve is dispatched (and again after any wait for an
-// earlier cooperative solve), returning ctx.Err() instead of starting. A
-// sweep already dispatched always runs to completion — it is not
-// preempted mid-solve.
+// SolveIntoCtx solves L′x = b into a caller-provided vector, the caller
+// and the idle helpers sweeping the task DAG together. The
+// deadline/cancellation is checked before the sweep starts, returning
+// ctx.Err() instead of starting. A sweep already started always runs to
+// completion — it is not preempted mid-solve.
 func (e *Engine) SolveIntoCtx(ctx context.Context, x, b []float64) error {
 	return e.solveOne(ctx, x, b, false)
 }
 
 // SolveUpperIntoCtx solves L′ᵀx = b into a caller-provided vector,
-// sweeping the task DAG in reverse, with the same dispatch-boundary
+// sweeping the task DAG in reverse, with the same start-boundary
 // semantics as SolveIntoCtx.
 func (e *Engine) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
 	return e.solveOne(ctx, x, b, true)
@@ -340,6 +202,20 @@ func (e *Engine) pin(ctx context.Context, reverse bool) (*sparse.Packed, error) 
 	return pk, err
 }
 
+// admit refuses a call before any of its work starts: a dead context
+// returns ctx.Err(), a closed engine ErrClosed.
+//
+//stsk:noalloc
+func (e *Engine) admit(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
 // panelSolve runs one cooperative sweep of the packed factor pk — scalar
 // when kw == 1, a row-major n×kw panel otherwise — over the task DAG.
 // Each task's rows apply their (col, val) entries across all kw panel
@@ -349,33 +225,22 @@ func (e *Engine) pin(ctx context.Context, reverse bool) (*sparse.Packed, error) 
 //
 //stsk:noalloc
 func (e *Engine) panelSolve(ctx context.Context, pk *sparse.Packed, X, B []float64, kw int, reverse bool) error {
-	if err := ctx.Err(); err != nil {
+	if err := e.admit(ctx); err != nil {
 		return err
 	}
 	tr := trace.FromContext(ctx)
 	if e.opts.Workers == 1 || e.s.NumSuperRows() == 1 {
-		// Degenerate layouts skip the pool entirely.
-		e.closeMu.RLock()
-		closed := e.closed
-		e.closeMu.RUnlock()
-		if closed {
-			return ErrClosed
-		}
+		// Degenerate layouts sweep inline on the caller.
 		s0 := trace.Now()
 		err := e.localSweep(pk, X, B, kw, reverse)
 		tr.Observe(trace.StageSweep, s0, trace.Now())
 		return err
 	}
-	e.solveMu.Lock()
-	defer e.solveMu.Unlock()
-	// Queueing behind earlier cooperative solves can outlast the deadline;
-	// re-check before committing the pool.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s0 := trace.Now()
-	err := e.graphSolve(pk, X, B, kw, reverse)
-	tr.Observe(trace.StageSweep, s0, trace.Now())
+	g := e.graphRuns.Get()
+	g.reset(pk, X, B, kw, reverse)
+	err := cooperate(tr, job{graph: g, done: &g.completion}, e.opts.Workers-1)
+	g.pk, g.x, g.b = nil, nil, nil
+	e.graphRuns.Put(g)
 	return err
 }
 
@@ -394,52 +259,4 @@ func (e *Engine) localSweep(pk *sparse.Packed, X, B []float64, kw int, reverse b
 	}
 	sweepRows(pk, X, B, kw, 0, e.n, reverse)
 	return nil
-}
-
-// graphSolve runs one dependency-driven cooperative solve (see graphRun),
-// scalar or panel. Called under solveMu. All shares are dispatched under
-// one read-lock so Close cannot land between them; Close taken after
-// dispatch merely waits — the workers finish this solve before they
-// observe the closed channel.
-//
-//stsk:noalloc
-func (e *Engine) graphSolve(pk *sparse.Packed, x, b []float64, kw int, reverse bool) error {
-	g := &e.graph
-	g.reset(pk, x, b, kw, reverse)
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return ErrClosed
-	}
-	for w := 0; w < e.opts.Workers; w++ {
-		g.wg.Add(1)
-		e.jobs <- job{graph: g}
-	}
-	e.closeMu.RUnlock()
-	g.wg.Wait()
-	err := g.failErr
-	g.failErr = nil
-	g.pk, g.x, g.b = nil, nil, nil
-	return err
-}
-
-// finishRun completes a pooled batchRun after a dispatch loop: fold the
-// undispatched panels into the counter — whoever takes it to zero owns
-// the completion signal; if that is a worker it signals done, if it is
-// this Add no signal was (or will be) sent, because in-flight workers
-// only ever saw a positive count — then wait, collect the first worker
-// error (dispatch errors win), and recycle the run.
-//
-//stsk:noalloc
-func (e *Engine) finishRun(run *batchRun, total, issued int, first error) error {
-	if skipped := total - issued; skipped == 0 || run.remaining.Add(-int32(skipped)) > 0 {
-		<-run.done
-	}
-	err := run.err
-	run.err = nil
-	e.runPool.Put(run)
-	if first == nil {
-		first = err
-	}
-	return first
 }

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"stsk/internal/csrk"
+	"stsk/internal/faultinject"
 	"stsk/internal/gen"
 	"stsk/internal/order"
 	"stsk/internal/sparse"
@@ -279,6 +281,43 @@ func TestEngineCloseRacingSolves(t *testing.T) {
 		}
 		e.Close()
 		wg.Wait()
+	}
+}
+
+// TestEngineCoopSolvesSideBySide: cooperative solves on one engine run
+// side by side, each on its own pooled run state. The first is held up
+// 300 ms by an injected latency on one of its shares; a second issued
+// while it is held must not queue behind it.
+func TestEngineCoopSolvesSideBySide(t *testing.T) {
+	p := planFor(t, gen.Grid2D(20, 20), order.STS3)
+	e := newEngine(t, p, 2)
+	defer e.Close()
+	B, want := randomRHS(p, 2, 17)
+	withFaults(t, "engine.job:latency:d=300ms,count=1", 1)
+
+	first := make(chan []float64, 1)
+	go func() {
+		x, err := solveVec(e, B[0])
+		if err != nil {
+			t.Error(err)
+		}
+		first <- x
+	}()
+	for faultinject.Fired(faultinject.EngineJob) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	x, err := solveVec(e, B[1])
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "second solve", x, want[1])
+	if took >= 150*time.Millisecond {
+		t.Errorf("second solve took %v beside a held one, want < 150ms", took)
+	}
+	if x := <-first; x != nil {
+		assertBitwise(t, "held solve", x, want[0])
 	}
 }
 

@@ -64,9 +64,10 @@ func (v *Values) Snapshot() (*csrk.Structure, uint64) {
 
 // Swap validates val as a complete value array for the factor's fixed
 // sparsity and publishes it as a new epoch. The check is all-or-nothing:
-// on a length mismatch (wrapped ErrDimension) or a zero diagonal nothing
-// is published and in-flight and future solves keep the old values. The
-// new epoch packs lazily, on the first solve that pins it.
+// on a length mismatch (wrapped ErrDimension), a NaN or infinite value
+// (wrapped ErrNonFinite) or a zero diagonal nothing is published and
+// in-flight and future solves keep the old values. The new epoch packs
+// lazily, on the first solve that pins it.
 //
 // Swap takes ownership of val; the caller must not modify it afterwards.
 // Concurrent Swap calls must be serialised by the caller (the stsk facade
@@ -82,6 +83,9 @@ func (v *Values) Swap(val []float64) error {
 	if len(val) != len(l.Val) {
 		return fmt.Errorf("%w: %d values for a factor with %d stored entries", ErrDimension, len(val), len(l.Val))
 	}
+	if err := CheckFinite(val); err != nil {
+		return err
+	}
 	for i := 0; i < l.N; i++ {
 		if val[l.RowPtr[i+1]-1] == 0 {
 			return fmt.Errorf("solve: zero diagonal at row %d", i)
@@ -93,11 +97,26 @@ func (v *Values) Swap(val []float64) error {
 	return nil
 }
 
+// CheckFinite refuses factor values holding a NaN or an infinity,
+// wrapping ErrNonFinite: a sweep would spread such a value through every
+// row that depends on it.
+func CheckFinite(val []float64) error {
+	for k, v := range val {
+		// v−v is 0 for every finite v and NaN for NaN and ±Inf: one
+		// subtraction per value where math.IsNaN and math.IsInf take
+		// twice as long on a refactor's hot path.
+		if v-v != 0 {
+			return fmt.Errorf("%w: %v at stored entry %d", ErrNonFinite, v, k)
+		}
+	}
+	return nil
+}
+
 // epoch is one immutable numeric snapshot of the factor: the structure
 // (shared symbolic arrays + this epoch's values) and the packed layouts
-// the kernels sweep, each built at most once. Dispatchers build them
-// before handing work to the pool, and the hand-off (a channel send)
-// publishes them to the workers.
+// the kernels sweep, each built at most once. A call builds them before
+// it is offered to the helpers, and the hand-off (a channel send)
+// publishes them to every helper that joins.
 type epoch struct {
 	seq uint64
 	s   *csrk.Structure

@@ -33,8 +33,9 @@ import (
 //
 // Each row is computed by exactly one worker with the sequential kernel's
 // operation order, so results stay bitwise
-// identical to Sequential. The run's arrays are allocated once per engine
-// and reset per solve — steady-state solves allocate nothing.
+// identical to Sequential. A run's arrays are allocated when the
+// engine's pool has no run to hand out and reset per solve — steady-state
+// solves allocate nothing.
 type graphRun struct {
 	dag     *csrk.TaskDAG
 	pk      *sparse.Packed // factor of the epoch pinned at dispatch (L′ᵀ when reverse)
@@ -51,36 +52,27 @@ type graphRun struct {
 	cond     *sync.Cond
 	sleepers atomic.Int32 // consumers parked (or about to park) on cond
 
-	// Containment state: first failure of the solve. A failed task still
-	// completes (runTask recovers, work always calls complete), so
-	// successors are never stranded — the solve finishes and reports.
-	failMu  sync.Mutex
-	failErr error
-
-	wg sync.WaitGroup
+	// The helpers still sweeping and the first failure of the solve. A
+	// failed task still completes (runTask recovers, work always calls
+	// complete), so successors are never stranded — the solve finishes
+	// and reports.
+	completion
 }
 
-// fail records the first failure of this graph solve.
-func (g *graphRun) fail(err error) {
-	g.failMu.Lock()
-	if g.failErr == nil {
-		g.failErr = err
+func newGraphRun(dag *csrk.TaskDAG) *graphRun {
+	g := &graphRun{
+		dag:       dag,
+		remaining: make([]atomic.Int32, dag.NumTasks()),
+		slots:     make([]atomic.Int32, dag.NumTasks()),
 	}
-	g.failMu.Unlock()
-}
-
-func (g *graphRun) init(dag *csrk.TaskDAG) {
-	g.dag = dag
-	g.remaining = make([]atomic.Int32, dag.NumTasks())
-	g.slots = make([]atomic.Int32, dag.NumTasks())
 	g.cond = sync.NewCond(&g.mu)
+	return g
 }
 
-// reset prepares the run for one solve. Called with no workers active
-// (under the engine's solveMu, before dispatch), so plain stores suffice.
+// reset prepares the run for one solve. Called before the run is offered
+// to any helper, so plain stores suffice.
 func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool) {
 	g.pk, g.x, g.b, g.kw, g.reverse = pk, x, b, kw, reverse
-	g.failErr = nil
 	g.head.Store(0)
 	nt := g.dag.NumTasks()
 	for t := 0; t < nt; t++ {
@@ -103,11 +95,12 @@ func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool
 	g.tail.Store(tail)
 }
 
-// runShare is the worker-side entry of a graph solve and its outer
-// panic-containment boundary. An injected engine.job fault makes this
-// worker bow out before claiming anything — any subset of workers drains
-// the ready queue, so its mates finish the solve alone and the run
-// reports the failure.
+// runShare is every participant's entry into a graph solve — the
+// caller's and each joined helper's — and its outer panic-containment
+// boundary. An injected engine.job fault makes this participant bow out
+// before claiming anything — any subset of participants drains the ready
+// queue, so its mates finish the solve alone and the run reports the
+// failure.
 func (g *graphRun) runShare() {
 	defer func() {
 		if p := recover(); p != nil {

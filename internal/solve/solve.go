@@ -1,13 +1,15 @@
 // Package solve provides the triangular-solution kernels of the STS-k
 // reproduction and the one executor that runs them.
 //
-// Engine is that executor: a persistent worker pool over a csrk.Structure
-// in which every solve is a row-major panel of k right-hand sides (k = 1
-// is one vector). A call that forms a single panel is swept cooperatively
-// by the whole pool over the plan's csrk.TaskDAG — point-to-point, no
-// barriers; a call that carves into several panels hands each panel whole
-// to one worker. Its entry points all take a context: SolveIntoCtx,
-// SolveUpperIntoCtx, SolveBlockIntoCtx and SolveUpperBlockIntoCtx.
+// Engine is that executor over a csrk.Structure: every solve is a
+// row-major panel of k right-hand sides (k = 1 is one vector), swept by
+// the calling goroutine plus whichever of one process-wide set of parked
+// helpers are idle — engines own no goroutines. A call that forms a
+// single panel is swept cooperatively over the plan's csrk.TaskDAG —
+// point-to-point, no barriers; a call that carves into several panels is
+// swept panel by panel, each panel whole by one of its goroutines. Its
+// entry points all take a context: SolveIntoCtx, SolveUpperIntoCtx,
+// SolveBlockIntoCtx and SolveUpperBlockIntoCtx.
 //
 // Beside it sit two references. Sequential is the single-core oracle
 // every parallel path must equal bit for bit. Barrier is the paper's

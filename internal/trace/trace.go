@@ -66,10 +66,11 @@ const (
 	// StageEpochPin covers pinning the copy-on-write value epoch (and
 	// materialising the transpose for backward sweeps).
 	StageEpochPin
-	// StageDispatch covers handing job tokens to the worker pool.
+	// StageDispatch covers offering a call's shares to the idle solve
+	// helpers.
 	StageDispatch
-	// StageSweep covers the numeric sweep itself: dispatch done to last
-	// worker finished.
+	// StageSweep covers the numeric sweep itself: offer done to the
+	// caller's own share finished and every joined helper returned.
 	StageSweep
 	// StageSerialize covers encoding and writing the HTTP response.
 	StageSerialize

@@ -3,7 +3,8 @@
 // solution (paper §1). Every iteration of a preconditioned conjugate
 // gradient applies one forward and one backward triangular sweep; with an
 // stsk.Preconditioner riding a persistent stsk.Solver, those sweeps run
-// pack-parallel on a parked worker pool. They do not dominate the
+// pack-parallel on the caller's goroutine and the idle ones of the
+// process-wide solve helpers. They do not dominate the
 // iteration: on stskbench's pcg-ic0 workload (IC(0) on a 97k-row grid3d
 // STS-3 plan, 2 vCPUs) the two sweeps are 37% of the solve, and CG's own
 // work — the sequential SpMV with A′ and the vector passes — is 63%.

@@ -58,7 +58,8 @@ func WithSloanInPack() Option {
 	return func(c *config) { c.sloanInPack = true }
 }
 
-// WithWorkers fixes the number of solver goroutines; 0 (the default)
+// WithWorkers fixes the most goroutines one call is swept by: the caller
+// plus up to n−1 idle helpers of the process-wide set; 0 (the default)
 // means GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }

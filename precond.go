@@ -5,8 +5,8 @@ package stsk
 // between this package and iterative solvers: the krylov package accepts
 // any Preconditioner, and the built-in implementations — Jacobi,
 // symmetric Gauss–Seidel, and incomplete Cholesky IC(0) — ride the
-// persistent Solver so every application is two pooled pack-parallel
-// triangular sweeps at most.
+// persistent Solver so every application is two cooperative
+// pack-parallel triangular sweeps at most.
 //
 // Apply must treat r as read-only, must fully overwrite z, and must
 // accept z and r of length Plan.N(), returning ErrDimension otherwise.
@@ -45,9 +45,9 @@ type sgs struct {
 }
 
 // NewSGS returns the symmetric Gauss–Seidel preconditioner
-// M = L′ D⁻¹ L′ᵀ applied on the given Solver's worker pool: a
-// pack-parallel forward sweep, a diagonal scale, and a pack-parallel
-// backward sweep per application. The caller keeps ownership of the
+// M = L′ D⁻¹ L′ᵀ applied on the given Solver: a pack-parallel forward
+// sweep, a diagonal scale, and a pack-parallel backward sweep per
+// application. The caller keeps ownership of the
 // Solver and its lifecycle.
 func NewSGS(s *Solver) Preconditioner { return &sgs{s: s} }
 
@@ -58,15 +58,15 @@ func (m *sgs) Apply(z, r []float64) error { return m.s.ApplySGSInto(z, r) }
 // IC0Preconditioner applies the zero-fill incomplete-Cholesky
 // preconditioner M = L̂·L̂ᵀ: a forward and a backward pack-parallel sweep
 // of the factor, both on a dedicated persistent Solver over the factor
-// plan. Close releases that pool; an IC0Preconditioner dropped without
-// Close cleans up at the next GC like any Solver.
+// plan. Close retires that Solver; an IC0Preconditioner dropped without
+// Close leaves nothing behind, like any Solver.
 type IC0Preconditioner struct {
 	factor *Plan
 	solver *Solver
 }
 
 // NewIC0 factors the plan's symmetric matrix with zero-fill incomplete
-// Cholesky (Plan.IC0, auto-boosting the diagonal when needed) and starts
+// Cholesky (Plan.IC0, auto-boosting the diagonal when needed) and builds
 // a persistent Solver over the factor with the given scheduling options.
 func NewIC0(p *Plan, opts ...Option) (*IC0Preconditioner, error) {
 	factor, err := p.IC0()
@@ -80,11 +80,13 @@ func NewIC0(p *Plan, opts ...Option) (*IC0Preconditioner, error) {
 // permutation and pack structure as the source plan, factored values.
 func (m *IC0Preconditioner) Factor() *Plan { return m.factor }
 
-// Close releases the preconditioner's worker pool.
+// Close retires the preconditioner's Solver: later applications fail with
+// ErrClosed.
 func (m *IC0Preconditioner) Close() { m.solver.Close() }
 
-// Apply computes z = (L̂·L̂ᵀ)⁻¹ r with two pooled triangular sweeps; the
-// Solver's Into methods validate both vectors and report ErrDimension.
+// Apply computes z = (L̂·L̂ᵀ)⁻¹ r with two cooperative triangular
+// sweeps; the Solver's Into methods validate both vectors and report
+// ErrDimension.
 // The intermediate rides the factor Solver's own scratch pool.
 func (m *IC0Preconditioner) Apply(z, r []float64) error {
 	yp := m.solver.scratch.Get().(*[]float64)

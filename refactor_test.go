@@ -2,6 +2,7 @@ package stsk
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"stsk/internal/testmat"
@@ -253,7 +254,7 @@ func manufacturedB(p *Plan, seed int) []float64 {
 }
 
 // TestRefactorContract pins the error contract at the facade: every
-// rejection matches ErrSparsityMismatch (or reports the zero diagonal),
+// rejection matches its sentinel (or reports the zero diagonal),
 // publishes nothing, and leaves the old values fully solvable.
 func TestRefactorContract(t *testing.T) {
 	m := &Matrix{a: testmat.Grid3D(4)}
@@ -266,25 +267,32 @@ func TestRefactorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := &Matrix{a: testmat.TriMesh(8)}
-	zeroDiag := m.Values()
-	for k := m.a.RowPtr[2]; k < m.a.RowPtr[3]; k++ {
-		if m.a.Col[k] == 2 {
-			zeroDiag[k] = 0 // row 2's diagonal entry
-			break
+	// withDiag2 returns the matrix's values with row 2's diagonal entry,
+	// which every factor keeps, set to v.
+	withDiag2 := func(v float64) []float64 {
+		vals := m.Values()
+		for k := m.a.RowPtr[2]; k < m.a.RowPtr[3]; k++ {
+			if m.a.Col[k] == 2 {
+				vals[k] = v
+			}
 		}
+		return vals
 	}
 
 	cases := []struct {
-		name     string
-		do       func() error
-		sparsity bool // expect ErrSparsityMismatch
+		name string
+		do   func() error
+		want error // the sentinel the rejection wraps; nil for the zero diagonal
 	}{
-		{"short values", func() error { return p.Refactor(make([]float64, 3)) }, true},
-		{"long values", func() error { return p.Refactor(make([]float64, m.NNZ()+1)) }, true},
-		{"nil matrix", func() error { return p.RefactorMatrix(nil) }, true},
-		{"foreign pattern", func() error { return p.RefactorMatrix(other) }, true},
-		{"derived plan", func() error { return derived.Refactor(make([]float64, m.NNZ())) }, true},
-		{"zero diagonal", func() error { return p.Refactor(zeroDiag) }, false},
+		{"short values", func() error { return p.Refactor(make([]float64, 3)) }, ErrSparsityMismatch},
+		{"long values", func() error { return p.Refactor(make([]float64, m.NNZ()+1)) }, ErrSparsityMismatch},
+		{"nil matrix", func() error { return p.RefactorMatrix(nil) }, ErrSparsityMismatch},
+		{"foreign pattern", func() error { return p.RefactorMatrix(other) }, ErrSparsityMismatch},
+		{"derived plan", func() error { return derived.Refactor(make([]float64, m.NNZ())) }, ErrSparsityMismatch},
+		{"zero diagonal", func() error { return p.Refactor(withDiag2(0)) }, nil},
+		{"NaN value", func() error { return p.Refactor(withDiag2(math.NaN())) }, ErrNonFinite},
+		{"+Inf value", func() error { return p.Refactor(withDiag2(math.Inf(1))) }, ErrNonFinite},
+		{"-Inf value", func() error { return p.Refactor(withDiag2(math.Inf(-1))) }, ErrNonFinite},
 	}
 	b := manufacturedB(p, 9)
 	before, err := p.SolveSequential(b)
@@ -296,8 +304,11 @@ func TestRefactorContract(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if got := errors.Is(err, ErrSparsityMismatch); got != tc.sparsity {
-			t.Fatalf("%s: errors.Is(ErrSparsityMismatch) = %v, want %v (err %v)", tc.name, got, tc.sparsity, err)
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err %v does not wrap %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && (errors.Is(err, ErrSparsityMismatch) || errors.Is(err, ErrNonFinite)) {
+			t.Fatalf("%s: err %v wraps a sentinel it should not", tc.name, err)
 		}
 		if v := p.ValuesVersion(); v != 0 {
 			t.Fatalf("%s: version %d after failed refactor, want 0", tc.name, v)

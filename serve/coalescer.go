@@ -187,7 +187,7 @@ func (c *coalescer) solve(ctx context.Context, b []float64) ([]float64, error) {
 // queued are still solved (their callers are waiting), new enqueues fail,
 // and close returns once the dispatcher has exited. The solver itself is
 // closed by the owner afterwards, so every drained panel runs on a live
-// pool.
+// solver.
 func (c *coalescer) close() {
 	c.mu.Lock()
 	if c.closed {

@@ -1,6 +1,6 @@
 // Package serve turns the stsk library into a long-running
 // solve-as-a-service subsystem: a concurrent plan registry that builds
-// and caches Plans with their pooled Solvers behind an LRU byte budget,
+// and caches Plans with their persistent Solvers behind an LRU byte budget,
 // an adaptive micro-batching coalescer that packs concurrent single-RHS
 // requests onto the blocked panel kernels, and an HTTP JSON transport
 // (see Server) with Prometheus-text metrics — the traffic shape the
@@ -170,7 +170,7 @@ func (c Config) withDefaults() Config {
 }
 
 // state is one built, servable triangular system — a plan or its IC(0)
-// factor: a Plan, its persistent pooled Solver, and the pair of
+// factor: a Plan, its persistent Solver, and the pair of
 // coalescers (forward and backward sweeps) multiplexing requests onto
 // it. lastUse is the LRU stamp, maintained under the registry mutex.
 type state struct {
@@ -182,8 +182,8 @@ type state struct {
 }
 
 // close drains both coalescers (queued requests still get solved) and
-// then closes the solver — the GC-safe eviction order: no panel is ever
-// dispatched to a closed pool, and once close returns the only thing
+// then closes the solver — the safe eviction order: no panel is ever
+// handed to a closed solver, and once close returns the only thing
 // keeping the plan's memory alive is the garbage collector's next sweep.
 func (st *state) close() {
 	st.lower.close()
@@ -193,7 +193,7 @@ func (st *state) close() {
 
 // Registry is the concurrent plan cache at the heart of the serving
 // subsystem. Specs are registered by name; the built artifacts (Plan,
-// pooled Solver, coalescers, lazy IC(0) factor) are cached behind an LRU
+// persistent Solver, coalescers, lazy IC(0) factor) are cached behind an LRU
 // byte budget. Eviction only forgets the built state — the spec stays
 // registered, and the next request transparently rebuilds. All methods
 // are safe for concurrent use.
@@ -213,8 +213,8 @@ type Registry struct {
 	updMu sync.Mutex
 
 	// shutdowns tracks teardown goroutines (dropLocked) and write-behind
-	// snapshot writers so Close can honor its "every pool has exited"
-	// contract.
+	// snapshot writers so Close can honor its "every dispatcher has
+	// exited" contract.
 	shutdowns sync.WaitGroup
 
 	// brown is the degradation state machine.
@@ -745,7 +745,7 @@ func (r *Registry) acquire(name, variant string) (*state, error) {
 }
 
 // buildState runs the expensive part — matrix load, ordering pipeline,
-// solver pool — outside the registry mutex. pend, when non-nil, holds
+// solver — outside the registry mutex. pend, when non-nil, holds
 // values the plan was updated to before this (re)build; they are
 // reapplied so an evicted-and-rebuilt plan never silently reverts to the
 // spec's original matrix.
@@ -782,7 +782,7 @@ func (r *Registry) derive(from *state) (*state, error) {
 	return r.newState(plan), nil
 }
 
-// newState wires a built plan into a servable state: pooled solver,
+// newState wires a built plan into a servable state: persistent solver,
 // forward and backward coalescers, byte estimate.
 func (r *Registry) newState(plan *stsk.Plan) *state {
 	solver := plan.NewSolver()
@@ -946,7 +946,7 @@ func (r *Registry) dropLocked(e *entry) {
 // Close drains every coalescer (queued requests still complete), closes
 // every solver, and marks the registry draining: later Register and
 // Solve calls fail with ErrDraining. Close is idempotent and returns
-// once every resident pool has exited.
+// once every resident plan's coalescer dispatchers have exited.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -962,7 +962,7 @@ func (r *Registry) Close() {
 	// takes r.mu (queueStats), so stopping under the lock would deadlock.
 	r.brown.close()
 	// Every teardown, this Close's and earlier evictions', may still be
-	// draining; a Close that returns with solver goroutines live would
+	// draining; a Close that returns with dispatcher goroutines live would
 	// break embedders asserting quiescence.
 	r.shutdowns.Wait()
 }

@@ -233,8 +233,8 @@ func (r *Registry) WarmStart() (int, error) {
 		}
 		r.mu.Unlock()
 
-		// Build the servable state outside the mutex (solver pools spin up
-		// here), then commit it if the name is still free.
+		// Build the servable state outside the mutex (solvers and
+		// coalescers start here), then commit it if the name is still free.
 		st := r.newState(plan)
 
 		r.mu.Lock()

@@ -4,64 +4,59 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"runtime"
 	"sync"
 
 	"stsk/internal/solve"
 )
 
-// Solver is a reusable solve engine over one Plan: a persistent pool of
-// worker goroutines started once and parked between solves, with the
-// scheduling state preallocated — the "many solves per ordering" traffic
-// shape that motivates the paper (§4.1), amortised at runtime as well.
+// Solver is a reusable solve engine over one Plan, with the scheduling
+// state preallocated — the "many solves per ordering" traffic shape that
+// motivates the paper (§4.1), amortised at runtime as well. It owns no
+// goroutines: each call is swept by the calling goroutine plus whichever
+// of the process-wide parked helpers are idle, WithWorkers goroutines at
+// most.
 //
 // Every solve is a panel of right-hand sides (one vector is a panel of
 // width 1):
 //
 //   - Single solves (Solve, SolveInto, SolveIntoCtx, SolveUpper,
 //     SolveUpperInto, SolveUpperIntoCtx, ApplySGSInto): one right-hand
-//     side swept by the whole pool over the plan's task DAG.
+//     side swept cooperatively over the plan's task DAG.
 //   - Block solves (SolveBlock, SolveBlockInto, SolveUpperBlock,
 //     SolveUpperBlockInto): many right-hand sides grouped into panels of
 //     up to WithBlockWidth columns, each panel swept in one matrix
-//     traversal — cooperatively when the call is a single panel, one
-//     worker per panel when it carves into several.
+//     traversal — cooperatively when the call is a single panel, each
+//     panel whole by one of the call's goroutines when it carves into
+//     several.
 //   - Streaming solves (SolveSeq): vectors drawn one at a time from an
 //     iterator, each solved before the next is drawn.
 //
 // The context-aware forms honor cancellation and deadlines: a dead
-// context stops new work from being dispatched and the call returns
-// ctx.Err(), leaving the Solver fully usable. Right-hand sides of the
-// wrong length are rejected with ErrDimension before any work is
-// dispatched, and solves issued after Close return ErrClosed; both match
-// with errors.Is.
+// context stops new work from starting and the call returns ctx.Err(),
+// leaving the Solver fully usable. Right-hand sides of the wrong length
+// are rejected with ErrDimension before any work starts, and solves
+// issued after Close return ErrClosed; both match with errors.Is.
 //
 // All shapes produce results bitwise identical to Plan.SolveSequential.
-// A Solver is safe for concurrent use from multiple goroutines. Close
-// releases the pool; a Solver that is garbage collected without Close
-// releases it automatically.
+// A Solver is safe for concurrent use from multiple goroutines, and
+// concurrent calls run side by side.
 type Solver struct {
-	plan      *Plan
-	eng       *solve.Engine
-	scratch   sync.Pool // intermediate vectors for ApplySGSInto
-	cleanup   runtime.Cleanup
-	closeOnce sync.Once
+	plan    *Plan
+	eng     *solve.Engine
+	scratch sync.Pool // intermediate vectors for ApplySGSInto
 }
 
-// NewSolver starts a persistent solve engine for the plan. WithWorkers
-// fixes the pool size (GOMAXPROCS by default) and WithBlockWidth the
-// panel width of block solves for the solver's lifetime; a solver with
-// more than one worker schedules its cooperative sweeps over the plan's
-// task DAG. Callers should Close the solver when done with it, though an
-// unreferenced Solver cleans up after itself at the next GC.
+// NewSolver builds a persistent solve engine for the plan. WithWorkers
+// fixes the most goroutines one call is swept by (GOMAXPROCS by default)
+// and WithBlockWidth the panel width of block solves for the solver's
+// lifetime; a solver with more than one worker schedules its cooperative
+// sweeps over the plan's task DAG. The Solver starts no goroutines, so
+// one that is dropped without Close leaves nothing behind.
 func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// Every solver of this plan binds to the plan's shared value-epoch
 	// sequence, so per-epoch derived state (the packed layouts of the
 	// factor and its transpose) is built once and shared by all of them —
-	// and a Plan.Refactor is picked up by every solver's next dispatch.
-	// The engine references only the Values, never the Plan: a path back
-	// to the Plan would reach the shared Solver through p.shared and keep
-	// the AddCleanup below from ever firing.
+	// and a Plan.Refactor is picked up by every solver's next call.
 	eng, err := solve.NewEngine(p.vals, p.solveOptions(applyOptions(opts)))
 	if err != nil {
 		// Build and ReadSnapshot refuse factors the packed kernels cannot
@@ -72,14 +67,11 @@ func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// Pool *[]float64, not []float64: boxing a slice header into the pool's
 	// interface allocates, which would cost one allocation per ApplySGSInto.
 	s.scratch.New = func() any { buf := make([]float64, p.N()); return &buf }
-	// If the Solver is dropped without Close, release the parked workers
-	// once the GC proves it unreachable (the engine never references the
-	// Solver, so this fires).
-	s.cleanup = runtime.AddCleanup(s, func(e *solve.Engine) { e.Close() }, s.eng)
 	return s
 }
 
-// Workers returns the solver's fixed pool size.
+// Workers returns the most goroutines one of the solver's calls is swept
+// by.
 func (s *Solver) Workers() int { return s.eng.Workers() }
 
 // BlockWidth returns the panel width of the solver's block solves: the
@@ -89,18 +81,11 @@ func (s *Solver) BlockWidth() int { return s.eng.BlockWidth() }
 // Plan returns the plan this solver is bound to.
 func (s *Solver) Plan() *Plan { return s.plan }
 
-// Close stops the worker pool and waits for the workers to exit. Solves
-// already in flight complete, solves issued after Close fail with
-// ErrClosed; Close is idempotent.
-func (s *Solver) Close() {
-	s.closeOnce.Do(func() {
-		s.cleanup.Stop()
-		s.eng.Close()
-	})
-}
+// Close retires the solver: solves already in flight complete, solves
+// issued after Close fail with ErrClosed. Close is idempotent.
+func (s *Solver) Close() { s.eng.Close() }
 
-// Solve solves L′x = b (both in plan order) on the pooled workers and
-// returns x.
+// Solve solves L′x = b (both in plan order) and returns x.
 func (s *Solver) Solve(b []float64) ([]float64, error) {
 	x := make([]float64, s.plan.N())
 	if err := s.SolveInto(x, b); err != nil {
@@ -117,12 +102,11 @@ func (s *Solver) SolveInto(x, b []float64) error {
 }
 
 // SolveIntoCtx is SolveInto honoring a context: cancellation and
-// deadline are checked before the sweep is dispatched (a sweep already
-// running is never preempted), returning ctx.Err() without touching the
-// pool — the allocation-free form for context-aware solve loops over a
-// reused solution buffer.
+// deadline are checked before the sweep starts (a sweep already running
+// is never preempted), returning ctx.Err() without touching x — the
+// allocation-free form for context-aware solve loops over a reused
+// solution buffer.
 func (s *Solver) SolveIntoCtx(ctx context.Context, x, b []float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(x, b); err != nil {
 		return err
 	}
@@ -148,9 +132,8 @@ func (s *Solver) SolveUpperInto(x, b []float64) error {
 }
 
 // SolveUpperIntoCtx is SolveUpperInto honoring a context, with the same
-// dispatch-boundary semantics as SolveIntoCtx.
+// start-boundary semantics as SolveIntoCtx.
 func (s *Solver) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(x, b); err != nil {
 		return err
 	}
@@ -165,18 +148,18 @@ func (s *Solver) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
 // matrix traversal, loading each (col, val) pair once and applying it
 // across all panel columns. Index and value traffic per right-hand side
 // drops by the panel width, which is what bounds a cache-resident solve.
-// A call that is a single panel is swept by the whole pool over the task
-// DAG; a call of several panels hands each to one worker, so the panels
-// pipeline through the pack levels side by side.
+// A call that is a single panel is swept cooperatively over the task
+// DAG; in a call of several panels each of the call's goroutines sweeps
+// whole panels, so the panels pipeline through the pack levels side by
+// side.
 //
 // Every panel column is bitwise identical to Solve on that right-hand
 // side (and so to Plan.SolveSequential). Cancellation is honored between
 // panels: a dead context returns ctx.Err() with the remaining panels
 // unsolved and the Solver fully usable. Ragged or wrong-length
 // right-hand sides fail the whole call with ErrDimension before any work
-// is dispatched; after Close the call fails with ErrClosed.
+// starts; after Close the call fails with ErrClosed.
 func (s *Solver) SolveBlock(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkBatchDims(xs); err != nil {
 		return nil, err
 	}
@@ -194,7 +177,6 @@ func (s *Solver) SolveBlock(ctx context.Context, xs [][]float64) ([][]float64, e
 // vectors — the allocation-free form once the solver is warm. X[i] may
 // alias B[i] for an in-place solve.
 func (s *Solver) SolveBlockInto(ctx context.Context, X, B [][]float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkBatchPairs(X, B); err != nil {
 		return err
 	}
@@ -205,7 +187,6 @@ func (s *Solver) SolveBlockInto(ctx context.Context, X, B [][]float64) error {
 // right-hand side with the blocked backward-substitution kernels, panels
 // swept in reverse — the multi-vector form of SolveUpper.
 func (s *Solver) SolveUpperBlock(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkBatchDims(xs); err != nil {
 		return nil, err
 	}
@@ -222,7 +203,6 @@ func (s *Solver) SolveUpperBlock(ctx context.Context, xs [][]float64) ([][]float
 // SolveUpperBlockInto is SolveUpperBlock writing into caller-provided
 // solution vectors.
 func (s *Solver) SolveUpperBlockInto(ctx context.Context, X, B [][]float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkBatchPairs(X, B); err != nil {
 		return err
 	}
@@ -251,7 +231,7 @@ func (s *Solver) checkBatchDims(B [][]float64) error {
 }
 
 // checkBatchPairs validates caller-provided solution and right-hand-side
-// batches together before anything is dispatched.
+// batches together before any work starts.
 func (s *Solver) checkBatchPairs(X, B [][]float64) error {
 	if len(X) != len(B) {
 		return fmt.Errorf("%w: batch lengths %d/%d differ", ErrDimension, len(X), len(B))
@@ -277,8 +257,8 @@ type SolveResult struct {
 //	    use(i, res.X)
 //	}
 //
-// Each vector is solved — one cooperative solve on the pool, pinning the
-// value epoch current at that vector — and its result yielded before the
+// Each vector is solved — one cooperative solve, pinning the value epoch
+// current at that vector — and its result yielded before the
 // next vector is drawn, so the stream runs in constant memory and a
 // stream whose next vector depends on the previous result works. Nothing
 // runs on another goroutine: a panic in bs or in the loop body reaches
@@ -308,14 +288,13 @@ func (s *Solver) SolveSeq(ctx context.Context, bs iter.Seq[[]float64]) iter.Seq2
 
 // ApplySGSInto applies the symmetric Gauss–Seidel preconditioner
 // M⁻¹ = (L′ D⁻¹ L′ᵀ)⁻¹ to r and writes z = M⁻¹r: a forward sweep, a
-// diagonal scale, and a backward sweep, all on the pooled workers — one
+// diagonal scale, and a backward sweep, each swept cooperatively — one
 // PCG preconditioner application with no goroutine spawns and no
 // allocations.
 //
-// The three stages are separate dispatches, so a Plan.Refactor landing
+// The three stages are separate calls, so a Plan.Refactor landing
 // mid-call can split them across value epochs.
 func (s *Solver) ApplySGSInto(z, r []float64) error {
-	defer runtime.KeepAlive(s) // pin the GC cleanup for the call (see NewSolver)
 	if err := s.checkDims(z, r); err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 // manufactured returns nrhs right-hand sides for the plan plus the exact
@@ -286,46 +285,40 @@ func TestPlanConcurrentLazyInit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSharedSolverReleasedByGC guards the AddCleanup wiring: a Plan whose
-// shared Solver was pinned by Plan.Solve must release its parked worker
-// pool once the plan is unreachable. If any engine closure reaches back to
-// the Solver (through the Plan), the cleanup never fires and this test
-// times out its GC budget.
-func TestSharedSolverReleasedByGC(t *testing.T) {
-	// Earlier tests may have pinned shared pools on plans they dropped;
-	// flush those cleanups first so the baseline is a settled count and a
-	// mid-test GC cannot deflate it under us.
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
+// TestSolversOwnNoGoroutines pins that solvers start no goroutines: once
+// the process-wide helper set has grown for the default worker count,
+// plans solved through Plan.Solve and through a NewSolver of their own
+// leave the goroutine count where it was, however many stay resident.
+func TestSolversOwnNoGoroutines(t *testing.T) {
+	mat, err := Generate("grid2d", 400)
+	if err != nil {
+		t.Fatal(err)
 	}
+	b := make([]float64, mat.N())
+	solveBoth := func() *Solver {
+		plan, err := Build(mat, STS3, WithRowsPerSuper(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Solve(b); err != nil {
+			t.Fatal(err)
+		}
+		s := plan.NewSolver()
+		if _, err := s.Solve(b); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	solveBoth() // warm: grows the helper set for the default worker count
 	base := runtime.NumGoroutine()
-	func() {
-		mat, err := Generate("grid2d", 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := Build(mat, STS3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, plan.N())
-		if _, err := plan.Solve(b); err != nil { // pins the shared pool
-			t.Fatal(err)
-		}
-		if g := runtime.NumGoroutine(); g <= base {
-			t.Fatalf("expected parked workers, goroutines %d <= base %d", g, base)
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-		if runtime.NumGoroutine() <= base {
-			return
-		}
+	var resident []*Solver
+	for i := 0; i < 40; i++ {
+		resident = append(resident, solveBoth())
 	}
-	t.Fatalf("shared solver pool never released: %d goroutines vs base %d",
-		runtime.NumGoroutine(), base)
+	if g := runtime.NumGoroutine(); g > base {
+		t.Fatalf("40 resident plans raised the goroutine count from %d to %d", base, g)
+	}
+	runtime.KeepAlive(resident)
 }
 
 func TestSolverClose(t *testing.T) {

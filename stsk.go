@@ -34,12 +34,13 @@
 //
 // For repeated solves against the same plan — the iterative-solver traffic
 // the paper targets — create a Solver once and stream right-hand sides
-// through its persistent worker pool, with context-aware forms for
-// cancellation and deadlines:
+// through it, with context-aware forms for cancellation and deadlines.
+// A Solver owns no goroutines: each call is swept by its caller plus the
+// idle ones of one process-wide set of parked helpers:
 //
 //	solver := plan.NewSolver(stsk.WithWorkers(8))
 //	defer solver.Close()
-//	_ = solver.SolveIntoCtx(ctx, x, b)      // pooled solve over the task DAG
+//	_ = solver.SolveIntoCtx(ctx, x, b)      // cooperative solve over the task DAG
 //	P, _ := solver.SolveBlock(ctx, manyRHS) // blocked: one matrix sweep per RHS panel
 //	for i, res := range solver.SolveSeq(ctx, slices.Values(manyRHS)) {
 //	    _ = i // ordered streaming, one vector at a time
@@ -242,10 +243,7 @@ type Plan struct {
 	// vals is the plan's copy-on-write value-epoch sequence: the numeric
 	// side of the factor, swapped atomically by Refactor while every piece
 	// of symbolic work (packs, permutation, task DAG, packed layout
-	// geometry) stays shared across epochs. It lives in its own allocation
-	// (never pointing back at the Plan or a Solver) so solve engines
-	// holding it cannot create a cycle that defeats the Solver's GC
-	// cleanup.
+	// geometry) stays shared across epochs.
 	vals *solve.Values
 
 	// origRowPtr/origCol reference the pattern of the matrix the plan was
@@ -268,8 +266,8 @@ type Plan struct {
 	dag    *csrk.TaskDAG // dependency DAG the solvers schedule over
 
 	// shared is the plan's own persistent Solver, built on first
-	// default-option Solve/SolveUpper so repeated solves reuse one parked
-	// worker pool instead of spawning goroutines per call.
+	// default-option Solve/SolveUpper so repeated solves reuse its
+	// preallocated scheduling state.
 	sharedOnce sync.Once
 	shared     *Solver
 }
@@ -337,11 +335,9 @@ func (p *Plan) Diagonal() []float64 {
 // SolveUpper solves L′ᵀ z = b with the parallel backward solver (the
 // task DAG in reverse) — the second sweep of a symmetric Gauss–Seidel
 // or incomplete-Cholesky preconditioner whose first sweep is the plan's
-// forward solve. It runs on the plan's shared persistent Solver, so
-// repeated calls reuse one parked worker pool, with the same
-// serialisation and pool-lifetime behavior as Solve. A right-hand side of
-// the wrong length returns ErrDimension before the shared pool is even
-// created.
+// forward solve. It runs on the plan's shared persistent Solver, like
+// Solve. A right-hand side of the wrong length returns ErrDimension
+// before the shared Solver is even created.
 func (p *Plan) SolveUpper(b []float64) ([]float64, error) {
 	if err := p.checkDim(b); err != nil {
 		return nil, err
@@ -389,7 +385,8 @@ func (p *Plan) IC0() (*Plan, error) {
 // options (WithRowsPerSuper, WithLevels, WithSloanInPack) tune the
 // pipeline beyond the method choice; solver options are ignored here and
 // read by NewSolver instead. A factor whose dimension or stored-entry
-// count does not fit 32-bit indices is refused with ErrTooLarge.
+// count does not fit 32-bit indices is refused with ErrTooLarge, and one
+// holding a NaN or infinite value with ErrNonFinite.
 func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	c := applyOptions(opts)
 	oo := order.Options{
@@ -433,8 +430,9 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 // solve ever observes a mix.
 //
 // A values slice whose length does not match the plan's pattern, or a
-// derived plan (IC0 factor), is rejected with ErrSparsityMismatch; a zero
-// diagonal is rejected without publishing anything. Derived state
+// derived plan (IC0 factor), is rejected with ErrSparsityMismatch; a NaN
+// or infinite factor value with ErrNonFinite; a zero diagonal is rejected
+// too. A rejection publishes nothing. Derived state
 // (Diagonal, ApplySymmetric, IC0) reflects the new values on next use —
 // re-derive IC0 factors by calling IC0 again after Refactor.
 func (p *Plan) Refactor(values []float64) error {
@@ -552,14 +550,12 @@ func (p *Plan) Residual(x, b []float64) float64 {
 }
 
 // Solve solves L′x = b (both in plan order) and returns x. It runs on the
-// plan's shared persistent Solver, so repeated calls reuse one parked
-// worker pool; the pool stays parked until the plan is garbage collected.
-// Cooperative solves on one pool are serialised, so concurrent Solve
-// calls on one Plan queue rather than run side by side — goroutines
-// needing independent parallel solves should each hold a Plan.NewSolver,
-// which is also the route to block solves, contexts, and explicit
-// lifecycle control. A right-hand side of the wrong length returns ErrDimension
-// before the shared pool is even created.
+// plan's shared persistent Solver, so repeated calls reuse its
+// preallocated scheduling state, and concurrent calls run side by side.
+// A Plan.NewSolver is the route to other worker counts, block solves,
+// contexts, and explicit lifecycle control. A right-hand side of the
+// wrong length returns ErrDimension before the shared Solver is even
+// created.
 func (p *Plan) Solve(b []float64) ([]float64, error) {
 	if err := p.checkDim(b); err != nil {
 		return nil, err
@@ -637,11 +633,16 @@ func (p *Plan) Simulate(machineName string, cores int) (SimResult, error) {
 	}, nil
 }
 
-// checkFactorSize refuses a factor the packed solve kernels cannot index.
-// Build and ReadSnapshot both call it, so every Plan's factor — and every
-// factor derived from it, which shares its pattern — has a packed layout.
+// checkFactorSize refuses a factor the packed solve kernels cannot index
+// (ErrTooLarge) or holding a NaN or infinite value (ErrNonFinite). Build
+// and ReadSnapshot both call it, so every Plan's factor — and every
+// factor derived from it, which shares its pattern — has a packed
+// layout, and no Plan starts out on values a sweep cannot carry.
 func checkFactorSize(l *sparse.CSR) error {
 	if err := sparse.CheckPackable(l); err != nil {
+		return fmt.Errorf("stsk: factor refused: %w", err)
+	}
+	if err := solve.CheckFinite(l.Val); err != nil {
 		return fmt.Errorf("stsk: factor refused: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,7 +100,8 @@ func solveUpperWith(p *Plan, b []float64, opts ...Option) ([]float64, error) {
 
 // TestFactorSizeRefused drives the check Build and ReadSnapshot share: a
 // factor whose dimension or stored-entry count does not fit 32-bit
-// indices is refused with ErrTooLarge, so every Plan has a packed layout.
+// indices is refused with ErrTooLarge, so every Plan has a packed layout,
+// and a factor holding a NaN is refused with ErrNonFinite.
 func TestFactorSizeRefused(t *testing.T) {
 	if err := checkFactorSize(&sparse.CSR{N: math.MaxInt32}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize dimension: %v, want ErrTooLarge", err)
@@ -109,8 +111,14 @@ func TestFactorSizeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkFactorSize(p.structure().L); err != nil {
+	l := p.structure().L
+	if err := checkFactorSize(l); err != nil {
 		t.Fatalf("in-range factor refused: %v", err)
+	}
+	nan := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: slices.Clone(l.Val)}
+	nan.Val[len(nan.Val)/2] = math.NaN()
+	if err := checkFactorSize(nan); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("NaN factor: %v, want ErrNonFinite", err)
 	}
 }
 
