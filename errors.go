@@ -44,8 +44,9 @@ var (
 
 	// ErrNonFinite reports a factor value that is NaN or infinite. Build,
 	// ReadSnapshot and Refactor refuse such values before anything is
-	// published: one would spread through every row of the solution that
-	// depends on it.
+	// published, and so does IC0 for a factor whose elimination
+	// overflows: one would spread through every row of the solution that
+	// depends on it. The serving layer maps it to HTTP 422.
 	ErrNonFinite = solve.ErrNonFinite
 
 	// ErrInternal reports a panic contained at an engine job boundary: a

@@ -87,7 +87,7 @@ func (d *TaskDAG) Parallelism() float64 {
 // Validate checks the structural invariants of the DAG against its
 // Structure: tasks tile the super-rows in order without crossing pack
 // boundaries, row ranges agree with SuperPtr, every edge points strictly
-// backward, and Pred/Succ are mutually consistent.
+// backward, and Succ is exactly the counting transpose of Pred.
 func (d *TaskDAG) Validate(s *Structure) error {
 	nt := d.NumTasks()
 	if nt <= 0 {
@@ -120,28 +120,22 @@ func (d *TaskDAG) Validate(s *Structure) error {
 			}
 		}
 	}
-	// Succ must be the exact transpose of Pred.
-	succCount := make([]int32, nt)
+	// Succ must be the exact transpose of Pred, in the order a counting
+	// transpose lists it. Matching counts and memberships is not enough:
+	// a successor listed twice in place of another would never release
+	// the other, and every solve would wait on it forever.
+	next := append([]int32(nil), d.SuccPtr[:nt]...)
 	for t := 0; t < nt; t++ {
 		for _, p := range d.Preds(t) {
-			succCount[p]++
+			if next[p] >= d.SuccPtr[p+1] || d.Succ[next[p]] != int32(t) {
+				return fmt.Errorf("csrk: successor lists are not the transpose of Pred at edge %d->%d", p, t)
+			}
+			next[p]++
 		}
 	}
 	for t := 0; t < nt; t++ {
-		if int(d.SuccPtr[t+1]-d.SuccPtr[t]) != int(succCount[t]) {
-			return fmt.Errorf("csrk: task %d successor count %d, want %d", t, d.SuccPtr[t+1]-d.SuccPtr[t], succCount[t])
-		}
-		for _, u := range d.Succs(t) {
-			found := false
-			for _, p := range d.Preds(int(u)) {
-				if int(p) == t {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("csrk: successor edge %d->%d missing from Pred", t, u)
-			}
+		if next[t] != d.SuccPtr[t+1] {
+			return fmt.Errorf("csrk: task %d successor count %d, want %d", t, d.SuccPtr[t+1]-d.SuccPtr[t], next[t]-d.SuccPtr[t])
 		}
 	}
 	return nil

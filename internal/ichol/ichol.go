@@ -1,12 +1,17 @@
 // Package ichol implements zero-fill incomplete Cholesky factorisation,
-// IC(0): given a symmetric positive definite matrix A, it computes a lower
-// triangular L with the sparsity pattern of tril(A) such that
-// (L·Lᵀ)ᵢⱼ = Aᵢⱼ on every stored position. M = L·Lᵀ is the classic
-// preconditioner whose application — one forward and one backward sparse
-// triangular solve per iteration — is exactly the kernel STS-k accelerates
-// (paper §1: "sparse triangular solutions are required ... particularly
-// when sparse linear systems are solved using a method such as
-// preconditioned conjugate gradient").
+// IC(0): given the lower triangle of a symmetric positive definite
+// matrix A, it computes the values of a lower triangular L on that same
+// pattern such that (L·Lᵀ)ᵢⱼ = Aᵢⱼ on every stored position. M = L·Lᵀ is
+// the classic preconditioner whose application — one forward and one
+// backward sparse triangular solve per iteration — is exactly the kernel
+// STS-k accelerates (paper §1: "sparse triangular solutions are required
+// ... particularly when sparse linear systems are solved using a method
+// such as preconditioned conjugate gradient").
+//
+// The factorisation is numeric only: it reads the pattern it is given
+// and allocates no index array, so a caller that already holds the
+// symbolic structure of tril(A) — a plan's permuted factor, its packs
+// and task DAG — reuses all of it for L.
 package ichol
 
 import (
@@ -22,47 +27,55 @@ type Options struct {
 	// shift); 0 factors A as given.
 	Shift float64
 	// AutoBoost retries with geometrically growing shifts if a pivot comes
-	// out non-positive, instead of failing.
+	// out non-positive or not a number, instead of failing.
 	AutoBoost bool
 }
 
-// Factor computes the IC(0) factor of a structurally symmetric matrix with
-// a full diagonal. The returned matrix is lower triangular with sorted
-// rows (diagonal last), ready for csrk.Build against an existing
-// pack/super-row structure built from the same pattern.
-func Factor(a *sparse.CSR, opts Options) (*sparse.CSR, error) {
-	if !a.IsStructurallySymmetric() {
-		return nil, fmt.Errorf("ichol: matrix must be structurally symmetric")
+// Factor computes the IC(0) factor of the symmetric matrix whose lower
+// triangle is l: sorted rows, each ending with its diagonal entry (the
+// csrk invariant). It returns the factor's values on l's pattern, in
+// l.Val order; l itself is not modified. A row that does not end with its
+// diagonal is refused, and so is a pivot that comes out non-positive or
+// NaN unless AutoBoost rescues it.
+func Factor(l *sparse.CSR, opts Options) ([]float64, error) {
+	for i := 0; i < l.N; i++ {
+		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
+		if lo == hi || l.Col[hi-1] != i {
+			return nil, fmt.Errorf("ichol: row %d does not end with its diagonal entry", i)
+		}
 	}
+	f := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: make([]float64, len(l.Val))}
 	shift := opts.Shift
 	for attempt := 0; ; attempt++ {
-		l, err := factorOnce(a, shift)
+		err := factorOnce(f, l.Val, shift)
 		if err == nil {
-			return l, nil
+			return f.Val, nil
 		}
 		if !opts.AutoBoost || attempt >= 20 {
 			return nil, err
 		}
 		if shift == 0 {
-			shift = 1e-3 * maxDiag(a)
+			shift = 1e-3 * maxDiag(l)
 		} else {
 			shift *= 4
 		}
 	}
 }
 
-func maxDiag(a *sparse.CSR) float64 {
+func maxDiag(l *sparse.CSR) float64 {
 	d := 1.0
-	for i := 0; i < a.N; i++ {
-		if v := math.Abs(a.At(i, i)); v > d {
+	for i := 0; i < l.N; i++ {
+		if v := math.Abs(l.Val[l.RowPtr[i+1]-1]); v > d {
 			d = v
 		}
 	}
 	return d
 }
 
-func factorOnce(a *sparse.CSR, shift float64) (*sparse.CSR, error) {
-	l := a.Lower()
+// factorOnce factors a (the values of tril(A)) with the diagonal shifted
+// by shift into l, which holds the same pattern.
+func factorOnce(l *sparse.CSR, a []float64, shift float64) error {
+	copy(l.Val, a)
 	if shift != 0 {
 		for i := 0; i < l.N; i++ {
 			l.Val[l.RowPtr[i+1]-1] += shift
@@ -74,9 +87,6 @@ func factorOnce(a *sparse.CSR, shift float64) (*sparse.CSR, error) {
 	//   L[i,i] = sqrt(A[i,i] - Σ_{j<i} L[i,j]²)
 	for i := 0; i < l.N; i++ {
 		rowLo, rowHi := l.RowPtr[i], l.RowPtr[i+1]
-		if rowLo == rowHi || l.Col[rowHi-1] != i {
-			return nil, fmt.Errorf("ichol: row %d has no diagonal entry", i)
-		}
 		for kk := rowLo; kk < rowHi-1; kk++ {
 			k := l.Col[kk]
 			dot := sparseDot(l, i, k, k) // Σ_{j<k} L[i,j]·L[k,j]
@@ -88,12 +98,14 @@ func factorOnce(a *sparse.CSR, shift float64) (*sparse.CSR, error) {
 			sq += l.Val[kk] * l.Val[kk]
 		}
 		pivot := l.Val[rowHi-1] - sq
-		if pivot <= 0 {
-			return nil, fmt.Errorf("ichol: non-positive pivot %g at row %d (consider AutoBoost)", pivot, i)
+		// Negated so a NaN pivot — an overflow upstream turned into
+		// −Inf·0 — is a breakdown too, not a factor carrying NaN.
+		if !(pivot > 0) {
+			return fmt.Errorf("ichol: pivot %g at row %d is not positive (consider AutoBoost)", pivot, i)
 		}
 		l.Val[rowHi-1] = math.Sqrt(pivot)
 	}
-	return l, nil
+	return nil
 }
 
 // sparseDot computes Σ L[a,j]·L[b,j] over j < cutoff, merging the two

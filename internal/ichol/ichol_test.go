@@ -35,7 +35,7 @@ func TestFactorDenseEqualsCholesky(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	l, err := Factor(a, Options{})
+	l, err := factorCSR(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFactorOnMeshClasses(t *testing.T) {
 		"kkt3d":   gen.KKT3D(5, 5, 5),
 	}
 	for name, a := range mats {
-		l, err := Factor(a, Options{})
+		l, err := factorCSR(a, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -86,7 +86,7 @@ func TestFactorPreconditionerQuality(t *testing.T) {
 	// applying M⁻¹A to random vectors stays close to identity compared to
 	// D⁻¹A (Jacobi).
 	a := gen.Grid2D(20, 20)
-	l, err := Factor(a, Options{})
+	l, err := factorCSR(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestFactorBreakdownAndBoost(t *testing.T) {
 	coo.Add(1, 1, 1)
 	coo.AddSym(0, 1, 5) // 2x2 with off-diagonal 5: indefinite
 	a := coo.ToCSR()
-	if _, err := Factor(a, Options{}); err == nil {
+	if _, err := factorCSR(a, Options{}); err == nil {
 		t.Fatal("indefinite matrix factored without error")
 	}
-	l, err := Factor(a, Options{AutoBoost: true})
+	l, err := factorCSR(a, Options{AutoBoost: true})
 	if err != nil {
 		t.Fatalf("AutoBoost failed: %v", err)
 	}
@@ -138,28 +138,60 @@ func TestFactorBreakdownAndBoost(t *testing.T) {
 }
 
 func TestFactorRejectsBadInput(t *testing.T) {
-	coo := sparse.NewCOO(2, 2)
-	coo.Add(0, 0, 1)
-	coo.Add(1, 0, 1)
-	if _, err := Factor(coo.ToCSR(), Options{}); err == nil {
-		t.Fatal("non-symmetric matrix accepted")
-	}
 	// Missing diagonal.
-	coo2 := sparse.NewCOO(2, 2)
-	coo2.Add(0, 1, 1)
-	coo2.Add(1, 0, 1)
-	if _, err := Factor(coo2.ToCSR(), Options{}); err == nil {
+	coo := sparse.NewCOO(2, 2)
+	coo.Add(0, 1, 1)
+	coo.Add(1, 0, 1)
+	if _, err := factorCSR(coo.ToCSR(), Options{}); err == nil {
 		t.Fatal("hollow matrix accepted")
+	}
+	// A full matrix is not a lower triangle: row 0 ends above the diagonal.
+	full := sparse.NewCOO(2, 4)
+	full.Add(0, 0, 2)
+	full.Add(1, 1, 2)
+	full.AddSym(0, 1, 1)
+	if _, err := Factor(full.ToCSR(), Options{AutoBoost: true}); err == nil {
+		t.Fatal("full matrix accepted as a lower triangle")
+	}
+}
+
+// TestFactorNaNPivotIsBreakdown: finite input whose elimination overflows
+// — L[3,1] = (1 − 1e200·1e110)/L[1,1] is −Inf, and then L[3,2] takes
+// −Inf·L[2,1] = −Inf·0 = NaN — must break down at row 3 instead of
+// returning a factor carrying NaN, and AutoBoost must either rescue it
+// with finite values or fail.
+func TestFactorNaNPivotIsBreakdown(t *testing.T) {
+	coo := sparse.NewCOO(4, 12)
+	for i, d := range []float64{1, 1e221, 1, 1} {
+		coo.Add(i, i, d)
+	}
+	coo.AddSym(3, 0, 1e200)
+	coo.AddSym(1, 0, 1e110)
+	coo.AddSym(3, 1, 1)
+	coo.AddSym(3, 2, 1)
+	coo.AddSym(2, 1, 0)
+	a := coo.ToCSR()
+	if _, err := factorCSR(a, Options{}); err == nil {
+		t.Fatal("overflowing elimination factored without error")
+	}
+	l, err := factorCSR(a, Options{AutoBoost: true})
+	if err != nil {
+		return
+	}
+	for k, v := range l.Val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("boosted factor value %d is %v", k, v)
+		}
 	}
 }
 
 func TestManualShift(t *testing.T) {
 	a := gen.Grid2D(8, 8)
-	l0, err := Factor(a, Options{})
+	l0, err := factorCSR(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, err := Factor(a, Options{Shift: 0.5})
+	l1, err := factorCSR(a, Options{Shift: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,4 +201,15 @@ func TestManualShift(t *testing.T) {
 	if d1 <= d0 {
 		t.Fatalf("shifted diagonal %g not larger than unshifted %g", d1, d0)
 	}
+}
+
+// factorCSR factors the lower triangle of a full symmetric matrix and
+// returns the factor as a CSR on that triangle's pattern.
+func factorCSR(a *sparse.CSR, opts Options) (*sparse.CSR, error) {
+	tril := a.Lower()
+	val, err := Factor(tril, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &sparse.CSR{N: tril.N, RowPtr: tril.RowPtr, Col: tril.Col, Val: val}, nil
 }

@@ -33,7 +33,7 @@ func TestFactorPatternResidualProperty(t *testing.T) {
 		if err := sparse.AssignSPDValues(a); err != nil {
 			return false
 		}
-		l, err := Factor(a, Options{})
+		l, err := factorCSR(a, Options{})
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestFactorExactOnChainsProperty(t *testing.T) {
 		if err := sparse.AssignSPDValues(a); err != nil {
 			return false
 		}
-		l, err := Factor(a, Options{})
+		l, err := factorCSR(a, Options{})
 		if err != nil {
 			return false
 		}

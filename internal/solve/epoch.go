@@ -12,19 +12,22 @@ import (
 
 // Values owns the numeric side of one plan's factor as a sequence of
 // immutable copy-on-write epochs. The symbolic side — pack partition,
-// super-row boundaries, the RowPtr/Col index arrays, the task DAG — is
-// built once and shared by every epoch; a numeric refactorization
-// (Values.Swap) publishes a new epoch carrying only fresh value arrays.
+// super-row boundaries, the RowPtr/Col index arrays, the packed layouts'
+// index arrays (one sparse.PackShape, built on the first pin) — is
+// shared by every epoch and by every sequence derived from this one
+// (Derive); a numeric refactorization (Values.Swap) publishes a new
+// epoch carrying only fresh value arrays.
 //
 // The hot path takes no locks: every solve dispatch loads the current
 // epoch pointer exactly once and threads it through the sweep, so a solve
 // already in flight finishes on the snapshot it started with while later
 // dispatches see the new values. One Values is shared by all engines of a
-// plan, so per-epoch derived state (the packed layouts of the factor and
+// plan, so per-epoch derived state (the packed values of the factor and
 // of its transpose) is built at most once per epoch no matter how many
 // engines solve it.
 type Values struct {
-	cur atomic.Pointer[epoch]
+	cur   atomic.Pointer[epoch]
+	shape *shapeCell // shared by every epoch and every derived sequence
 }
 
 // NewValues wraps a structure as epoch 0 of a value sequence.
@@ -37,8 +40,8 @@ func NewValues(s *csrk.Structure) *Values {
 // epoch numbering the serialized plan had reached so version reporting
 // stays monotone across a warm restart.
 func NewValuesVersion(s *csrk.Structure, seq uint64) *Values {
-	v := &Values{}
-	v.cur.Store(&epoch{seq: seq, s: s})
+	v := &Values{shape: new(shapeCell)}
+	v.cur.Store(&epoch{seq: seq, s: s, shape: v.shape})
 	return v
 }
 
@@ -62,6 +65,13 @@ func (v *Values) Snapshot() (*csrk.Structure, uint64) {
 	return ep.s, ep.seq
 }
 
+// Shape returns the packed shape of the sequence's pattern, building it
+// on first use; every epoch and every derived sequence shares it. The
+// error is NewPackShape's, for a factor no packed layout can hold.
+func (v *Values) Shape() (*sparse.PackShape, error) {
+	return v.shape.get(v.Current().s.L)
+}
+
 // Swap validates val as a complete value array for the factor's fixed
 // sparsity and publishes it as a new epoch. The check is all-or-nothing:
 // on a length mismatch (wrapped ErrDimension), a NaN or infinite value
@@ -79,7 +89,34 @@ func (v *Values) Swap(val []float64) error {
 		return err
 	}
 	old := v.cur.Load()
-	l := old.s.L
+	if err := checkValues(old.s.L, val); err != nil {
+		return err
+	}
+	v.cur.Store(&epoch{seq: old.seq + 1, s: withValues(old.s, val), shape: v.shape})
+	return nil
+}
+
+// Derive returns a new value sequence over this one's pattern, starting
+// at epoch 0 with val: a factor computed from the current values, such
+// as an incomplete-Cholesky factor. It shares everything symbolic — the
+// RowPtr/Col arrays, the super-row and pack boundaries, the packed
+// shape — and runs Swap's checks on val, publishing nothing on a
+// refusal. The two sequences' later swaps are independent.
+//
+// Derive takes ownership of val, like Swap.
+func (v *Values) Derive(val []float64) (*Values, error) {
+	cur := v.cur.Load()
+	if err := checkValues(cur.s.L, val); err != nil {
+		return nil, err
+	}
+	d := &Values{shape: v.shape}
+	d.cur.Store(&epoch{s: withValues(cur.s, val), shape: v.shape})
+	return d, nil
+}
+
+// checkValues is the value check of Swap and Derive: val must have one
+// entry per stored entry of l, all finite, with no zero diagonal.
+func checkValues(l *sparse.CSR, val []float64) error {
 	if len(val) != len(l.Val) {
 		return fmt.Errorf("%w: %d values for a factor with %d stored entries", ErrDimension, len(val), len(l.Val))
 	}
@@ -91,10 +128,14 @@ func (v *Values) Swap(val []float64) error {
 			return fmt.Errorf("solve: zero diagonal at row %d", i)
 		}
 	}
-	l2 := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: val}
-	s2 := &csrk.Structure{L: l2, SuperPtr: old.s.SuperPtr, PackPtr: old.s.PackPtr}
-	v.cur.Store(&epoch{seq: old.seq + 1, s: s2})
 	return nil
+}
+
+// withValues returns s over the same pattern and boundaries with val as
+// its values.
+func withValues(s *csrk.Structure, val []float64) *csrk.Structure {
+	l := &sparse.CSR{N: s.L.N, RowPtr: s.L.RowPtr, Col: s.L.Col, Val: val}
+	return &csrk.Structure{L: l, SuperPtr: s.SuperPtr, PackPtr: s.PackPtr}
 }
 
 // CheckFinite refuses factor values holding a NaN or an infinity,
@@ -112,14 +153,29 @@ func CheckFinite(val []float64) error {
 	return nil
 }
 
+// shapeCell holds the packed shape of one pattern, built once by
+// whichever epoch, of whichever sequence sharing the pattern, pins first.
+type shapeCell struct {
+	once sync.Once
+	sh   *sparse.PackShape
+	err  error
+}
+
+func (c *shapeCell) get(l *sparse.CSR) (*sparse.PackShape, error) {
+	c.once.Do(func() { c.sh, c.err = sparse.NewPackShape(l) })
+	return c.sh, c.err
+}
+
 // epoch is one immutable numeric snapshot of the factor: the structure
 // (shared symbolic arrays + this epoch's values) and the packed layouts
-// the kernels sweep, each built at most once. A call builds them before
-// it is offered to the helpers, and the hand-off (a channel send)
-// publishes them to every helper that joins.
+// the kernels sweep, whose values are each gathered at most once onto
+// the shared shape. A call builds them before it is offered to the
+// helpers, and the hand-off (a channel send) publishes them to every
+// helper that joins.
 type epoch struct {
-	seq uint64
-	s   *csrk.Structure
+	seq   uint64
+	s     *csrk.Structure
+	shape *shapeCell
 
 	packOnce sync.Once
 	pk       *sparse.Packed // L′, built on the first pin
@@ -135,33 +191,29 @@ type epoch struct {
 // cannot fail here.
 func (ep *epoch) packed() *sparse.Packed {
 	ep.packOnce.Do(func() {
-		pk, ok := sparse.PackLower(ep.s.L)
-		if !ok {
-			panic("solve: factor cannot be packed")
+		sh, err := ep.shape.get(ep.s.L)
+		if err != nil {
+			panic("solve: factor cannot be packed: " + err.Error())
 		}
-		ep.pk = pk
+		ep.pk = sh.Lower(ep.s.L.Val)
 	})
 	return ep.pk
 }
 
 // packedUpper returns the epoch's packed transpose L′ᵀ for backward
-// sweeps, building and validating it on first use. The CSR transpose is
-// only a stepping stone and is not kept.
+// sweeps, gathering its values on first use and refusing a zero
+// diagonal, which the backward sweep would divide by.
 func (ep *epoch) packedUpper() (*sparse.Packed, error) {
 	ep.upperOnce.Do(func() {
-		u := ep.s.L.Transpose()
-		for i := 0; i < u.N; i++ {
-			lo, hi := u.RowPtr[i], u.RowPtr[i+1]
-			if lo == hi || u.Col[lo] != i {
-				ep.upperErr = fmt.Errorf("solve: transposed row %d lacks a leading diagonal", i)
-				return
-			}
-			if u.Val[lo] == 0 {
+		lo := ep.packed()
+		for i, d := range lo.Diag {
+			if d == 0 {
 				ep.upperErr = fmt.Errorf("solve: zero diagonal at transposed row %d", i)
 				return
 			}
 		}
-		ep.upk, _ = sparse.PackUpper(u) // leading diagonals checked above
+		sh, _ := ep.shape.get(ep.s.L) // built by packed above
+		ep.upk = sh.Upper(ep.s.L.Val, lo.Diag)
 	})
 	return ep.upk, ep.upperErr
 }

@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"stsk/internal/order"
@@ -50,6 +51,81 @@ func TestValuesSwapContract(t *testing.T) {
 	}
 	if v.Structure().L.Col == nil || &v.Structure().L.Col[0] != &p.S.L.Col[0] {
 		t.Fatal("swap did not share the symbolic arrays")
+	}
+}
+
+// TestValuesDeriveContract: Derive runs Swap's checks (length, finite,
+// nonzero diagonal) and publishes nothing on a refusal; an accepted
+// derived sequence starts at epoch 0 on the base's pattern arrays and
+// packed shape, solves on its own values, and keeps them when the base
+// swaps.
+func TestValuesDeriveContract(t *testing.T) {
+	a := testmat.Grid3D(4)
+	p := planFor(t, a, order.STS3)
+	v := NewValues(p.S)
+	l := p.S.L
+	nnz := len(l.Val)
+	bad := map[string][]float64{
+		"short":         make([]float64, nnz-1),
+		"zero diagonal": make([]float64, nnz),
+		"NaN":           append([]float64{math.NaN()}, l.Val[1:]...),
+	}
+	for name, val := range bad {
+		if d, err := v.Derive(val); err == nil || d != nil {
+			t.Fatalf("%s: derive accepted", name)
+		}
+	}
+	if _, err := v.Derive(bad["short"]); !errors.Is(err, ErrDimension) {
+		t.Fatalf("short derive: %v, want ErrDimension", err)
+	}
+	if _, err := v.Derive(bad["NaN"]); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("NaN derive: %v, want ErrNonFinite", err)
+	}
+
+	halved := make([]float64, nnz)
+	for k, x := range l.Val {
+		halved[k] = x / 2
+	}
+	d, err := v.Derive(halved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := d.Structure()
+	if d.Version() != 0 || &ds.L.Val[0] != &halved[0] {
+		t.Fatal("derived sequence does not start at epoch 0 on the given values")
+	}
+	if &ds.L.RowPtr[0] != &l.RowPtr[0] || &ds.L.Col[0] != &l.Col[0] || &ds.SuperPtr[0] != &p.S.SuperPtr[0] || &ds.PackPtr[0] != &p.S.PackPtr[0] {
+		t.Fatal("derived sequence does not share the base's symbolic arrays")
+	}
+	e := newEngineVals(t, d, 2)
+	defer e.Close()
+	B, _ := randomRHS(p, 1, 5)
+	want, err := Sequential(ds, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Swap(append([]float64(nil), l.Val...)); err != nil {
+		t.Fatal(err)
+	}
+	x, err := solveVec(e, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "derived after base swap", x, want)
+	gotU, err := solveUpperVec(e, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "derived upper", gotU, upperRef(t, ds, B[0]))
+	vs, err := v.Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := d.Shape(); s != vs {
+		t.Fatal("derived sequence does not share the base's packed shape")
+	}
+	if pk, bpk := d.Current().packed(), v.Current().packed(); &pk.RowPtr[0] != &bpk.RowPtr[0] || &pk.Col[0] != &bpk.Col[0] {
+		t.Fatal("derived epoch's packed layout does not share the shape's indices")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"stsk/internal/order"
@@ -156,11 +157,55 @@ func lowerFromBytes(data []byte) *sparse.CSR {
 	return l
 }
 
+// packLowerRef and packUpperRef are the reference packers: a direct
+// conversion of the lower CSR (rows ending with the diagonal) and of its
+// CSR transpose (rows starting with it) into the packed layout, with no
+// shared shape.
+func packLowerRef(l *sparse.CSR) *sparse.Packed {
+	p := &sparse.Packed{N: l.N, RowPtr: make([]int32, l.N+1), Col: []int32{}, Val: []float64{}, Diag: make([]float64, l.N)}
+	for i := 0; i < l.N; i++ {
+		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
+		p.Diag[i] = l.Val[hi-1]
+		for k := lo; k < hi-1; k++ {
+			p.Col = append(p.Col, int32(l.Col[k]))
+			p.Val = append(p.Val, l.Val[k])
+		}
+		p.RowPtr[i+1] = int32(len(p.Col))
+	}
+	return p
+}
+
+func packUpperRef(u *sparse.CSR) *sparse.Packed {
+	p := &sparse.Packed{N: u.N, RowPtr: make([]int32, u.N+1), Col: []int32{}, Val: []float64{}, Diag: make([]float64, u.N)}
+	for i := 0; i < u.N; i++ {
+		lo, hi := u.RowPtr[i], u.RowPtr[i+1]
+		p.Diag[i] = u.Val[lo]
+		for k := lo + 1; k < hi; k++ {
+			p.Col = append(p.Col, int32(u.Col[k]))
+			p.Val = append(p.Val, u.Val[k])
+		}
+		p.RowPtr[i+1] = int32(len(p.Col))
+	}
+	return p
+}
+
+// assertPackedEqual fails unless two packed layouts hold the same
+// indices and bitwise the same values.
+func assertPackedEqual(t *testing.T, label string, got, want *sparse.Packed) {
+	t.Helper()
+	if got.N != want.N || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+		t.Fatalf("%s: indices differ from the reference packer", label)
+	}
+	assertBitwise(t, label+"/val", got.Val, want.Val)
+	assertBitwise(t, label+"/diag", got.Diag, want.Diag)
+}
+
 // FuzzPackedRoundTrip converts fuzzed lower-triangular factors to the
-// compact 32-bit layout and back through the kernels: PackLower/PackUpper
-// must preserve every entry, and the packed scalar and block kernels must
-// match the oracles — solveRows forward, sparse.BackwardSubstitution
-// backward — bit for bit.
+// compact 32-bit layout and back through the kernels: the shape-packed
+// layouts of L and Lᵀ must equal the reference packers' bit for bit (and
+// the shape's symmetric assembly SymmetrizePattern's), and the packed
+// scalar and block kernels must match the oracles — solveRows forward,
+// sparse.BackwardSubstitution backward — bit for bit.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add([]byte{5})
 	f.Add([]byte{17, 0, 1, 2, 0, 3, 9, 9, 1, 4})
@@ -171,13 +216,24 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		}
 		l := lowerFromBytes(data)
 		n := l.N
-		pk, ok := sparse.PackLower(l)
-		if !ok {
-			t.Fatalf("PackLower rejected an in-range factor (n=%d nnz=%d)", n, l.NNZ())
+		sh, err := sparse.NewPackShape(l)
+		if err != nil {
+			t.Fatalf("NewPackShape rejected an in-range factor (n=%d nnz=%d): %v", n, l.NNZ(), err)
 		}
+		pk := sh.Lower(l.Val)
 		if pk.NNZ() != l.NNZ() {
 			t.Fatalf("packed nnz %d, want %d", pk.NNZ(), l.NNZ())
 		}
+		assertPackedEqual(t, "lower", pk, packLowerRef(l))
+		u := l.Transpose()
+		upk := sh.Upper(l.Val, pk.Diag)
+		assertPackedEqual(t, "upper", upk, packUpperRef(u))
+		a, wantA := sh.Symmetric(l, nil), sparse.SymmetrizePattern(l)
+		if !slices.Equal(a.RowPtr, wantA.RowPtr) || !slices.Equal(a.Col, wantA.Col) {
+			t.Fatal("symmetric pattern differs from SymmetrizePattern")
+		}
+		assertBitwise(t, "symmetric", a.Val, wantA.Val)
+
 		b := rhsFromBytes(data, n)
 		want := make([]float64, n)
 		solveRows(l.RowPtr, l.Col, l.Val, want, b, 0, n)
@@ -185,11 +241,6 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		solvePackedRows(pk, got, b, 0, n)
 		assertBitwise(t, "packed-forward", got, want)
 
-		u := l.Transpose()
-		upk, ok := sparse.PackUpper(u)
-		if !ok {
-			t.Fatalf("PackUpper rejected an in-range factor")
-		}
 		wantU, err := sparse.BackwardSubstitution(u, b)
 		if err != nil {
 			t.Fatal(err)
@@ -236,22 +287,19 @@ func FuzzPackedRoundTrip(f *testing.F) {
 
 // TestPackedOverflowFallback is the size-capped synthetic check of the
 // int32 limit: a factor whose dimension cannot be indexed in 32 bits must
-// be rejected before any array is touched — by PackLower/PackUpper and by
+// be rejected before any array is touched — by NewPackShape and by
 // CheckPackable with sparse.ErrTooLarge — and a row missing its trailing
-// diagonal must be rejected too.
+// diagonal must be rejected when the shape is built too.
 func TestPackedOverflowFallback(t *testing.T) {
 	if err := sparse.CheckPackable(&sparse.CSR{N: math.MaxInt32}); !errors.Is(err, sparse.ErrTooLarge) {
 		t.Fatalf("CheckPackable: %v, want ErrTooLarge", err)
 	}
-	if _, ok := sparse.PackLower(&sparse.CSR{N: math.MaxInt32}); ok {
-		t.Fatal("PackLower accepted an int32-overflowing dimension")
-	}
-	if _, ok := sparse.PackUpper(&sparse.CSR{N: math.MaxInt32}); ok {
-		t.Fatal("PackUpper accepted an int32-overflowing dimension")
+	if _, err := sparse.NewPackShape(&sparse.CSR{N: math.MaxInt32}); !errors.Is(err, sparse.ErrTooLarge) {
+		t.Fatalf("NewPackShape: %v, want ErrTooLarge for an int32-overflowing dimension", err)
 	}
 	// Missing trailing diagonal: row 1 ends with column 0.
 	bad := &sparse.CSR{N: 2, RowPtr: []int{0, 1, 2}, Col: []int{0, 0}, Val: []float64{1, 1}}
-	if _, ok := sparse.PackLower(bad); ok {
-		t.Fatal("PackLower accepted a factor without trailing diagonals")
+	if _, err := sparse.NewPackShape(bad); err == nil {
+		t.Fatal("NewPackShape accepted a factor without trailing diagonals")
 	}
 }

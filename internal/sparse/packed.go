@@ -47,63 +47,127 @@ func CheckPackable(m *CSR) error {
 	return nil
 }
 
-// PackLower converts a lower-triangular CSR whose rows each end with the
-// diagonal entry (the csrk invariant) into the packed layout. ok is false
-// when the matrix is too large for 32-bit indexing (see CheckPackable) or
-// a row is missing its trailing diagonal.
-func PackLower(l *CSR) (p *Packed, ok bool) {
-	if CheckPackable(l) != nil {
-		return nil, false
+// PackShape is the value-free index side of the packed layouts of one
+// lower-triangular pattern L and of its transpose Lᵀ: the 32-bit row
+// pointers and columns of both, and for each off-diagonal slot of Lᵀ the
+// index of the L entry it mirrors. It is built once per pattern; every
+// value array on that pattern then packs with no index work at all —
+// Lower copies each row's off-diagonal values and its diagonal, Upper
+// gathers through the map — into Packed layouts that share these index
+// arrays.
+type PackShape struct {
+	n                  int
+	lowerPtr, lowerCol []int32 // off-diagonal entries of L, CSR order
+	upperPtr, upperCol []int32 // off-diagonal entries of Lᵀ, CSR order
+	upperSrc           []int32 // per off-diagonal slot of Lᵀ: its index in L.Val
+}
+
+// NewPackShape builds the shape of a lower-triangular CSR whose rows each
+// end with the diagonal entry (the csrk invariant). A matrix too large
+// for 32-bit indices is refused with an error wrapping ErrTooLarge (see
+// CheckPackable), and a row that does not end with its diagonal, or
+// stores a column above it, with a plain error.
+func NewPackShape(l *CSR) (*PackShape, error) {
+	if err := CheckPackable(l); err != nil {
+		return nil, err
 	}
-	p = newPacked(l)
-	for i := 0; i < l.N; i++ {
+	n := l.N
+	off := max(len(l.Col)-n, 0) // every row contributes exactly one diagonal
+	s := &PackShape{
+		n:        n,
+		lowerPtr: make([]int32, n+1),
+		lowerCol: make([]int32, 0, off),
+		upperPtr: make([]int32, n+1),
+		upperCol: make([]int32, off),
+		upperSrc: make([]int32, off),
+	}
+	for i := 0; i < n; i++ {
 		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
 		if lo == hi || l.Col[hi-1] != i {
-			return nil, false
+			return nil, fmt.Errorf("sparse: row %d does not end with its diagonal entry", i)
 		}
-		p.Diag[i] = l.Val[hi-1]
-		for k := lo; k < hi-1; k++ {
-			p.Col = append(p.Col, int32(l.Col[k]))
-			p.Val = append(p.Val, l.Val[k])
+		for _, j := range l.Col[lo : hi-1] {
+			if j < 0 || j >= i {
+				return nil, fmt.Errorf("sparse: row %d stores column %d outside its lower triangle", i, j)
+			}
+			s.lowerCol = append(s.lowerCol, int32(j))
+			s.upperPtr[j+1]++
 		}
-		p.RowPtr[i+1] = int32(len(p.Col))
+		s.lowerPtr[i+1] = int32(len(s.lowerCol))
 	}
-	return p, true
+	for i := 0; i < n; i++ {
+		s.upperPtr[i+1] += s.upperPtr[i]
+	}
+	// Scanning L's rows in order fills each row of Lᵀ in ascending column
+	// order: the entry order of a CSR transpose.
+	next := append([]int32(nil), s.upperPtr[:n]...)
+	for i := 0; i < n; i++ {
+		for k := l.RowPtr[i]; k < l.RowPtr[i+1]-1; k++ {
+			j := l.Col[k]
+			s.upperCol[next[j]] = int32(i)
+			s.upperSrc[next[j]] = int32(k)
+			next[j]++
+		}
+	}
+	return s, nil
 }
 
-// PackUpper converts an upper-triangular CSR whose rows each start with
-// the diagonal entry (the transposed-factor invariant) into the packed
-// layout.
-func PackUpper(u *CSR) (p *Packed, ok bool) {
-	if CheckPackable(u) != nil {
-		return nil, false
+// Lower packs val, a value array on the shape's pattern in L.Val order,
+// into the layout of L: each row's off-diagonal values are copied as one
+// run, its diagonal into a fresh Diag.
+func (s *PackShape) Lower(val []float64) *Packed {
+	p := &Packed{N: s.n, RowPtr: s.lowerPtr, Col: s.lowerCol,
+		Val: make([]float64, len(s.lowerCol)), Diag: make([]float64, s.n)}
+	for i := 0; i < s.n; i++ {
+		// Row i starts i diagonals later in L.Val than in the packed array.
+		lo, hi := int(s.lowerPtr[i]), int(s.lowerPtr[i+1])
+		copy(p.Val[lo:hi], val[lo+i:hi+i])
+		p.Diag[i] = val[hi+i]
 	}
-	p = newPacked(u)
-	for i := 0; i < u.N; i++ {
-		lo, hi := u.RowPtr[i], u.RowPtr[i+1]
-		if lo == hi || u.Col[lo] != i {
-			return nil, false
-		}
-		p.Diag[i] = u.Val[lo]
-		for k := lo + 1; k < hi; k++ {
-			p.Col = append(p.Col, int32(u.Col[k]))
-			p.Val = append(p.Val, u.Val[k])
-		}
-		p.RowPtr[i+1] = int32(len(p.Col))
-	}
-	return p, true
+	return p
 }
 
-func newPacked(m *CSR) *Packed {
-	off := len(m.Col) - m.N // every row contributes exactly one diagonal
-	if off < 0 {
-		off = 0
+// Upper packs val, a value array on the shape's pattern in L.Val order,
+// into the layout of Lᵀ, gathering each off-diagonal value through the
+// shape's map. diag is the Diag of the Lower layout of the same values,
+// which the two layouts share.
+func (s *PackShape) Upper(val, diag []float64) *Packed {
+	p := &Packed{N: s.n, RowPtr: s.upperPtr, Col: s.upperCol,
+		Val: make([]float64, len(s.upperSrc)), Diag: diag}
+	for k, src := range s.upperSrc {
+		p.Val[k] = val[src]
 	}
-	return &Packed{
-		N:      m.N,
-		RowPtr: make([]int32, m.N+1),
-		Col:    make([]int32, 0, off),
-		Val:    make([]float64, 0, off),
-		Diag:   make([]float64, m.N),
+	return p
+}
+
+// Symmetric assembles A = L + Lᵀ − D, the matrix SymmetrizePattern(l)
+// returns, for l on the shape's pattern without transposing it: row i of
+// A is row i of l, diagonal last, followed by the off-diagonals of row i
+// of Lᵀ. A non-nil prev from an earlier call on this shape lends its
+// RowPtr and Col, so only the values are gathered.
+func (s *PackShape) Symmetric(l, prev *CSR) *CSR {
+	a := &CSR{N: s.n}
+	if prev != nil {
+		a.RowPtr, a.Col = prev.RowPtr, prev.Col
+	} else {
+		a.RowPtr = make([]int, s.n+1)
+		a.Col = make([]int, 0, len(l.Col)+len(s.upperCol))
+		for i := 0; i < s.n; i++ {
+			a.Col = append(a.Col, l.Col[l.RowPtr[i]:l.RowPtr[i+1]]...)
+			for _, j := range s.upperCol[s.upperPtr[i]:s.upperPtr[i+1]] {
+				a.Col = append(a.Col, int(j))
+			}
+			a.RowPtr[i+1] = len(a.Col)
+		}
 	}
+	a.Val = make([]float64, len(a.Col))
+	k := 0
+	for i := 0; i < s.n; i++ {
+		k += copy(a.Val[k:], l.Val[l.RowPtr[i]:l.RowPtr[i+1]])
+		for _, src := range s.upperSrc[s.upperPtr[i]:s.upperPtr[i+1]] {
+			a.Val[k] = l.Val[src]
+			k++
+		}
+	}
+	return a
 }

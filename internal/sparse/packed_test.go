@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // lowerFixture is a small lower-triangular system with diagonal last in
 // each row (the csrk invariant).
@@ -18,10 +21,11 @@ func lowerFixture() *CSR {
 
 func TestPackLower(t *testing.T) {
 	l := lowerFixture()
-	p, ok := PackLower(l)
-	if !ok {
-		t.Fatal("PackLower refused a small matrix")
+	sh, err := NewPackShape(l)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p := sh.Lower(l.Val)
 	if p.N != 3 || p.NNZ() != l.NNZ() {
 		t.Fatalf("N=%d NNZ=%d, want 3/%d", p.N, p.NNZ(), l.NNZ())
 	}
@@ -43,10 +47,15 @@ func TestPackLower(t *testing.T) {
 }
 
 func TestPackUpper(t *testing.T) {
-	u := lowerFixture().Transpose() // diagonal first in each row
-	p, ok := PackUpper(u)
-	if !ok {
-		t.Fatal("PackUpper refused a small matrix")
+	l := lowerFixture()
+	sh, err := NewPackShape(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := sh.Lower(l.Val)
+	p := sh.Upper(l.Val, lo.Diag)
+	if &p.Diag[0] != &lo.Diag[0] {
+		t.Fatal("the upper layout does not share the lower layout's diagonal")
 	}
 	wantDiag := []float64{2, 3, 5}
 	for i, d := range wantDiag {
@@ -60,5 +69,29 @@ func TestPackUpper(t *testing.T) {
 	}
 	if p.RowPtr[3] != 2 {
 		t.Fatalf("RowPtr end %d, want 2", p.RowPtr[3])
+	}
+}
+
+// TestShapeSymmetricMatchesSymmetrizePattern: the shape assembles
+// A = L + Lᵀ − D exactly as SymmetrizePattern does, pattern and values,
+// and a second assembly over new values reuses the first's pattern.
+func TestShapeSymmetricMatchesSymmetrizePattern(t *testing.T) {
+	l := lowerFixture()
+	sh, err := NewPackShape(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sh.Symmetric(l, nil)
+	want := SymmetrizePattern(l)
+	if !slices.Equal(a.RowPtr, want.RowPtr) || !slices.Equal(a.Col, want.Col) || !slices.Equal(a.Val, want.Val) {
+		t.Fatalf("Symmetric = %+v, want %+v", a, want)
+	}
+	l2 := &CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: []float64{-2, 7, 3, 8, -5}}
+	a2 := sh.Symmetric(l2, a)
+	if &a2.Col[0] != &a.Col[0] || &a2.RowPtr[0] != &a.RowPtr[0] {
+		t.Fatal("second assembly did not reuse the pattern")
+	}
+	if want := SymmetrizePattern(l2); !slices.Equal(a2.Val, want.Val) {
+		t.Fatalf("regathered values %v, want %v", a2.Val, want.Val)
 	}
 }

@@ -68,6 +68,8 @@ type IC0Preconditioner struct {
 // NewIC0 factors the plan's symmetric matrix with zero-fill incomplete
 // Cholesky (Plan.IC0, auto-boosting the diagonal when needed) and builds
 // a persistent Solver over the factor with the given scheduling options.
+// The factor shares the plan's symbolic state, so re-deriving the
+// preconditioner after a Plan.Refactor costs value work only.
 func NewIC0(p *Plan, opts ...Option) (*IC0Preconditioner, error) {
 	factor, err := p.IC0()
 	if err != nil {

@@ -66,8 +66,9 @@ func denseLower(p *Plan) [][]float64 {
 // FuzzRefactor drives Plan.Refactor with fuzzed value perturbations on a
 // fixed sparsity and checks the whole pipeline against a naive dense
 // forward substitution at 1e-12, plus bitwise identity against a plan
-// freshly built on the same values — and pins the ErrSparsityMismatch
-// rejection for truncated arrays.
+// freshly built on the same values — solves and the derived IC(0)
+// factor alike — and pins the ErrSparsityMismatch rejection for
+// truncated arrays.
 func FuzzRefactor(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0x10, 0x08})
@@ -135,5 +136,17 @@ func FuzzRefactor(f *testing.F) {
 				t.Fatalf("refactored plan differs from rebuild at %d: %v vs %v", i, got[i], want[i])
 			}
 		}
+
+		// The IC(0) factor derived from the refactored plan equals the
+		// fresh build's bit for bit, or both refuse alike.
+		icp, errp := p.IC0()
+		icf, errf := fresh.IC0()
+		if errp != nil || errf != nil {
+			if errp == nil || errf == nil || errp.Error() != errf.Error() {
+				t.Fatalf("IC0 refusals differ: refactored %v, rebuilt %v", errp, errf)
+			}
+			return
+		}
+		assertVecBitwise(t, "ic0 factor", icp.structure().L.Val, icf.structure().L.Val)
 	})
 }

@@ -159,6 +159,10 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, stsk.ErrDimension), errors.Is(err, stsk.ErrSparsityMismatch):
 		return http.StatusBadRequest
+	case errors.Is(err, stsk.ErrNonFinite):
+		// Well-formed input whose factor (an IC(0) of the plan's current
+		// values) would carry NaN or ±Inf: nothing a retry can change.
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusRequestTimeout
 	default:

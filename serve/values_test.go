@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,6 +192,65 @@ func TestUpdateValuesEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("update while draining: %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestUpdateValuesIC0NonFinite: a values PUT whose numbers are all
+// finite but whose IC(0) factor is not is accepted, since the direct
+// factor is sound; the next ic0 solve then answers 422 with
+// ErrNonFinite's message instead of a 500 about unrepresentable JSON,
+// and the direct solve still answers 200. Off-diagonals of 10 over a
+// unit diagonal make A′ indefinite, so the unshifted elimination breaks
+// down, and the boosted retry's shift of 1e-3·MaxFloat64 overflows the
+// one diagonal set to MaxFloat64 to +Inf.
+func TestUpdateValuesIC0NonFinite(t *testing.T) {
+	reg := NewRegistry(Config{})
+	srv := NewServer(reg)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/plans",
+		PlanSpec{Name: "t", Class: "trimesh", N: 64, Method: "sts3"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, body)
+	}
+	// The generated values are SPD by dominance: every diagonal entry is
+	// positive and every off-diagonal one is -1.
+	vals := scaledValues(t, "trimesh", 64, 1)
+	for k, v := range vals {
+		vals[k] = 10
+		if v > 0 {
+			vals[k] = 1
+		}
+	}
+	vals[0] = math.MaxFloat64 // the first stored entry is row 0's diagonal
+	resp, body = putJSON(t, ts.Client(), ts.URL+"/v1/plans/t/values", UpdateValuesRequest{Values: vals})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %d %s", resp.StatusCode, body)
+	}
+
+	ref := refPlan(t, "trimesh", 64, stsk.STS3)
+	b := manufacturedRHS(ref, 3)
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve", SolveRequest{Plan: "t", B: b, Variant: VariantIC0})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "non-finite") {
+		t.Fatalf("ic0 solve: %d %s, want 422 naming the non-finite factor", resp.StatusCode, body)
+	}
+	if err := ref.Refactor(vals); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve", SolveRequest{Plan: "t", B: b})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct solve: %d %s", resp.StatusCode, body)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, sr.X, want, "direct after a refused factor")
 }
 
 // TestUpdateValuesSurvivesEviction: a value update outlives LRU eviction —

@@ -243,7 +243,8 @@ type Plan struct {
 	// vals is the plan's copy-on-write value-epoch sequence: the numeric
 	// side of the factor, swapped atomically by Refactor while every piece
 	// of symbolic work (packs, permutation, task DAG, packed layout
-	// geometry) stays shared across epochs.
+	// indices) stays shared across epochs — and with the plans derived
+	// from this one (IC0).
 	vals *solve.Values
 
 	// origRowPtr/origCol reference the pattern of the matrix the plan was
@@ -255,15 +256,17 @@ type Plan struct {
 
 	// refactorMu serialises Refactor calls and guards valMap, the lazily
 	// built map from input CSR entry to factor value slot (-1 for entries
-	// landing above the diagonal after permutation).
+	// landing above the diagonal after permutation). Slots fit int32:
+	// checkFactorSize bounds the factor's entry count.
 	refactorMu sync.Mutex
-	valMap     []int
+	valMap     []int32
 
 	// lazyMu guards the lazily built caches below; Plans are documented as
 	// safe for concurrent solving, so lazy construction must be too.
-	lazyMu sync.Mutex
-	aSym   *sparse.CSR   // plan-ordered symmetric matrix A′ (current epoch's values)
-	dag    *csrk.TaskDAG // dependency DAG the solvers schedule over
+	lazyMu  sync.Mutex
+	aSym    *sparse.CSR   // plan-ordered symmetric matrix A′ at value epoch aSymSeq
+	aSymSeq uint64        // the epoch aSym's values were gathered from
+	dag     *csrk.TaskDAG // dependency DAG the solvers schedule over
 
 	// shared is the plan's own persistent Solver, built on first
 	// default-option Solve/SolveUpper so repeated solves reuse its
@@ -304,12 +307,22 @@ func (p *Plan) taskDAG() *csrk.TaskDAG {
 	return p.dag
 }
 
-// symmetric returns (building lazily) A′ = L′ + L′ᵀ − D in plan order.
+// symmetric returns A′ = L′ + L′ᵀ − D in plan order at the current value
+// epoch. It is assembled once from the packed shape, with no transpose;
+// after a Refactor only its values are gathered again, onto the same
+// pattern.
 func (p *Plan) symmetric() *sparse.CSR {
+	s, seq := p.vals.Snapshot()
 	p.lazyMu.Lock()
 	defer p.lazyMu.Unlock()
-	if p.aSym == nil {
-		p.aSym = sparse.SymmetrizePattern(p.structure().L)
+	if p.aSym == nil || p.aSymSeq != seq {
+		sh, err := p.vals.Shape()
+		if err != nil {
+			// Build and ReadSnapshot refuse factors the packed layout
+			// cannot hold, and derived plans share their base's pattern.
+			panic(err)
+		}
+		p.aSym, p.aSymSeq = sh.Symmetric(s.L, p.aSym), seq
 	}
 	return p.aSym
 }
@@ -356,29 +369,29 @@ func (p *Plan) checkDim(v []float64) error {
 }
 
 // IC0 computes the zero-fill incomplete Cholesky factor of the plan's
-// symmetric matrix A′ and returns a new Plan over the factor L̂ — same
-// permutation, same pack/super-row structure (IC(0) preserves the
-// pattern), factored values. Solving with the returned plan applies the
-// triangular sweeps of the preconditioner M = L̂·L̂ᵀ, the setting that
-// motivates the paper (§1). AutoBoost shifts the diagonal if A′ is not
-// positive definite enough for IC(0).
+// symmetric matrix A′ at the current value epoch and returns a new Plan
+// over the factor L̂. IC(0) keeps the pattern of tril(A′), which is L′'s,
+// so the factor is numeric work only: it is computed on L′'s pattern and
+// shares all of the plan's symbolic state — pattern arrays, permutation,
+// pack and super-row boundaries, task DAG and packed-layout indices.
+// Solving with the returned plan applies the triangular sweeps of the
+// preconditioner M = L̂·L̂ᵀ, the setting that motivates the paper (§1).
+// AutoBoost shifts the diagonal if A′ is not positive definite enough
+// for IC(0); a factor value that still comes out NaN or infinite is
+// refused with ErrNonFinite.
 func (p *Plan) IC0() (*Plan, error) {
-	lfac, err := ichol.Factor(p.symmetric(), ichol.Options{AutoBoost: true})
+	s := p.structure()
+	val, err := ichol.Factor(s.L, ichol.Options{AutoBoost: true})
 	if err != nil {
 		return nil, err
 	}
-	s2, err := csrk.Build(lfac, p.inner.S.SuperPtr, p.inner.S.PackPtr)
+	vals, err := p.vals.Derive(val)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stsk: ic0 factor refused: %w", err)
 	}
-	inner2 := &order.Plan{
-		Method:   p.inner.Method,
-		Opts:     p.inner.Opts,
-		Perm:     p.inner.Perm,
-		S:        s2,
-		NumPacks: p.inner.NumPacks,
-	}
-	return newPlan(inner2), nil
+	inner := *p.inner
+	inner.S = vals.Structure()
+	return &Plan{inner: &inner, vals: vals, dag: p.taskDAG()}, nil
 }
 
 // Build runs the ordering pipeline for the given method. The ordering
@@ -433,8 +446,11 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 // derived plan (IC0 factor), is rejected with ErrSparsityMismatch; a NaN
 // or infinite factor value with ErrNonFinite; a zero diagonal is rejected
 // too. A rejection publishes nothing. Derived state
-// (Diagonal, ApplySymmetric, IC0) reflects the new values on next use —
-// re-derive IC0 factors by calling IC0 again after Refactor.
+// (Diagonal, ApplySymmetric, IC0) reflects the new values on next use,
+// and costs value work only: ApplySymmetric gathers A′'s values onto its
+// existing pattern, and an IC0 factor — re-derived by calling IC0 again
+// after Refactor — reuses the plan's pattern, task DAG and packed
+// indices.
 func (p *Plan) Refactor(values []float64) error {
 	p.refactorMu.Lock()
 	defer p.refactorMu.Unlock()
@@ -459,10 +475,6 @@ func (p *Plan) Refactor(values []float64) error {
 	if err := p.vals.Swap(newVal); err != nil {
 		return fmt.Errorf("stsk: refactor: %w", err)
 	}
-	// The symmetrised operator caches the old values; rebuild on demand.
-	p.lazyMu.Lock()
-	p.aSym = nil
-	p.lazyMu.Unlock()
 	return nil
 }
 
@@ -494,7 +506,7 @@ func (p *Plan) ValuesVersion() uint64 { return p.vals.Version() }
 func (p *Plan) buildValMap() error {
 	perm := p.inner.Perm
 	l := p.inner.S.L
-	vm := make([]int, len(p.origCol))
+	vm := make([]int32, len(p.origCol))
 	for i := 0; i+1 < len(p.origRowPtr); i++ {
 		pi := perm[i]
 		lo, hi := l.RowPtr[pi], l.RowPtr[pi+1]
@@ -509,7 +521,7 @@ func (p *Plan) buildValMap() error {
 			if !ok {
 				return fmt.Errorf("%w: entry (%d,%d) has no slot in the plan's factor", ErrSparsityMismatch, i, p.origCol[k])
 			}
-			vm[k] = lo + idx
+			vm[k] = int32(lo + idx)
 		}
 	}
 	p.valMap = vm
