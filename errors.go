@@ -46,7 +46,8 @@ var (
 	// ReadSnapshot and Refactor refuse such values before anything is
 	// published, and so does IC0 for a factor whose elimination
 	// overflows: one would spread through every row of the solution that
-	// depends on it. The serving layer maps it to HTTP 422.
+	// depends on it. The serving layer maps it to HTTP 422, and answers
+	// a solve whose solution overflows with it too.
 	ErrNonFinite = solve.ErrNonFinite
 
 	// ErrInternal reports a panic contained at an engine job boundary: a

@@ -1,9 +1,12 @@
 // Package snapshot defines the on-disk persistence format for built
 // STS-k plans: a versioned, checksummed binary image of everything the
-// ordering pipeline produced — the row permutation, the permuted factor's
-// CSR arrays at the current value epoch, the super-row and pack
-// boundaries, the sparsified task DAG — plus opaque embedder metadata
-// (the serve registry stores its plan spec and value version there).
+// ordering pipeline produced that cannot be cheaply derived again — the
+// row permutation, the permuted factor's CSR arrays at the current value
+// epoch, the super-row and pack boundaries — plus opaque embedder
+// metadata (the serve registry stores its plan spec and value version
+// there). The task DAG is not stored: it is a function of the factor's
+// pattern and the boundaries, and a loader derives it the way Build
+// does.
 //
 // The format exists to amortize the expensive symbolic build across
 // process lifetimes: a cold `stsk.Build` is seconds of ordering-pipeline
@@ -17,7 +20,7 @@
 //
 //	offset  size  field
 //	0       8     magic "STSKSNAP"
-//	8       4     format version (uint32, currently 1)
+//	8       4     format version (uint32, currently 2)
 //	12      4     reserved (0)
 //	16      8     payload length in bytes (uint64)
 //	24      4     CRC-32C (Castagnoli) of the payload (uint32)
@@ -31,7 +34,7 @@
 // int32 — which is every plan this library can build, halving the
 // dominant index arrays on disk:
 //
-//	meta        method int32, numPacks int32, n uint64, valueVersion uint64
+//	meta        method int32, n uint64, valueVersion uint64
 //	perm        []int       row permutation (input row → factor row)
 //	rowPtr      []int       factor CSR row pointers (len n+1)
 //	col         []int       factor CSR column indices
@@ -40,9 +43,11 @@
 //	packPtr     []int       pack boundaries (csrk "index3")
 //	origRowPtr  []int       source-matrix pattern (Refactor's input order)
 //	origCol     []int
-//	dag ×6      []int32     TaskPtr, RowPtr, Pred, PredPtr, Succ, SuccPtr
 //	meta blob   []byte      opaque embedder metadata (optional)
 //	auxVals     []float64   opaque embedder value array (optional)
+//
+// Version 1 files, which also carried the task DAG and a pack count,
+// are refused with ErrVersion like any other revision.
 //
 // Read refuses anything it cannot prove whole: a wrong magic, an
 // unsupported format version (ErrVersion), a truncated stream, a payload
@@ -64,8 +69,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-
-	"stsk/internal/csrk"
 )
 
 const (
@@ -74,9 +77,10 @@ const (
 	// FormatVersion is the on-disk format revision this build reads and
 	// writes. Bump it on any incompatible layout change; Read refuses
 	// other versions cleanly instead of mis-decoding them.
-	FormatVersion = 1
+	FormatVersion = 2
 
 	headerSize = 32
+	metaSize   = 20 // method int32, n uint64, valueVersion uint64
 )
 
 // Sentinels matched with errors.Is by loaders that fall back to a cold
@@ -101,7 +105,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // allocated arrays the caller owns.
 type Image struct {
 	Method       int32
-	NumPacks     int32
 	N            int
 	ValueVersion uint64
 
@@ -118,9 +121,6 @@ type Image struct {
 	OrigRowPtr []int
 	OrigCol    []int
 
-	// DAG is the sparsified task DAG, nil when the plan never built one.
-	DAG *csrk.TaskDAG
-
 	// Meta and AuxVals are opaque embedder sections, carried verbatim
 	// under the same checksum. The serve registry stores its plan spec +
 	// registry value version in Meta and the latest input-order value
@@ -134,16 +134,11 @@ type Image struct {
 func Write(w io.Writer, img *Image) error {
 	var e encoder
 	// Reserve a worst-case payload up front so encoding never regrows.
-	size := 24 + len(img.Meta)
+	size := metaSize + len(img.Meta)
 	for _, a := range [][]int{img.Perm, img.RowPtr, img.Col, img.SuperPtr, img.PackPtr, img.OrigRowPtr, img.OrigCol} {
 		size += 9 + 8*len(a)
 	}
 	size += 8*3 + 8*(len(img.Val)+len(img.AuxVals))
-	if d := img.DAG; d != nil {
-		size += 8*6 + 4*(len(d.TaskPtr)+len(d.RowPtr)+len(d.Pred)+len(d.PredPtr)+len(d.Succ)+len(d.SuccPtr))
-	} else {
-		size += 8 * 6
-	}
 	e.b = make([]byte, 0, size)
 	e.meta(img)
 	e.ints(img.Perm)
@@ -154,18 +149,6 @@ func Write(w io.Writer, img *Image) error {
 	e.ints(img.PackPtr)
 	e.ints(img.OrigRowPtr)
 	e.ints(img.OrigCol)
-	if d := img.DAG; d != nil {
-		e.int32s(d.TaskPtr)
-		e.int32s(d.RowPtr)
-		e.int32s(d.Pred)
-		e.int32s(d.PredPtr)
-		e.int32s(d.Succ)
-		e.int32s(d.SuccPtr)
-	} else {
-		for i := 0; i < 6; i++ {
-			e.int32s(nil)
-		}
-	}
 	e.blob(img.Meta)
 	e.floats(img.AuxVals)
 
@@ -185,27 +168,39 @@ func Write(w io.Writer, img *Image) error {
 // and payload checksum before touching any section.
 func Read(r io.Reader) (*Image, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrInvalid)
-	}
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrInvalid)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: format %d, this build reads %d", ErrVersion, v, FormatVersion)
-	}
-	payloadLen := binary.LittleEndian.Uint64(hdr[16:24])
-	if payloadLen > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: payload length overflows", ErrInvalid)
+	n, _ := io.ReadFull(r, hdr[:]) // a short read fails checkHeader as truncated
+	payloadLen, err := checkHeader(hdr[:n])
+	if err != nil {
+		return nil, err
 	}
 	// Copy through a growing buffer rather than allocating payloadLen up
 	// front: a corrupted header cannot demand a huge allocation before the
 	// (truncated) stream runs dry.
 	var buf bytes.Buffer
-	if n, err := io.CopyN(&buf, r, int64(payloadLen)); err != nil || uint64(n) != payloadLen {
+	if n, err := io.CopyN(&buf, r, payloadLen); err != nil || n != payloadLen {
 		return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrInvalid, buf.Len(), payloadLen)
 	}
 	return decodePayload(hdr[:], buf.Bytes())
+}
+
+// checkHeader verifies the header at the start of b — whole, with the
+// magic and this build's format version — and returns the payload length
+// it declares.
+func checkHeader(b []byte) (int64, error) {
+	switch {
+	case len(b) < headerSize:
+		return 0, fmt.Errorf("%w: truncated header", ErrInvalid)
+	case string(b[:8]) != magic:
+		return 0, fmt.Errorf("%w: bad magic", ErrInvalid)
+	}
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != FormatVersion {
+		return 0, fmt.Errorf("%w: format %d, this build reads %d", ErrVersion, v, FormatVersion)
+	}
+	n := binary.LittleEndian.Uint64(b[16:24])
+	if n > math.MaxInt64 {
+		return 0, fmt.Errorf("%w: payload length overflows", ErrInvalid)
+	}
+	return int64(n), nil
 }
 
 // decodePayload verifies the payload against the (already magic- and
@@ -237,12 +232,6 @@ func decodePayload(hdr, payload []byte) (*Image, error) {
 	read(&img.PackPtr)
 	read(&img.OrigRowPtr)
 	read(&img.OrigCol)
-	var dagArr [6][]int32
-	for i := range dagArr {
-		if err == nil {
-			dagArr[i], err = d.int32s()
-		}
-	}
 	if err == nil {
 		img.Meta, err = d.blob()
 	}
@@ -254,13 +243,6 @@ func decodePayload(hdr, payload []byte) (*Image, error) {
 	}
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrInvalid, len(d.b)-d.off)
-	}
-	if dagArr[0] != nil {
-		img.DAG = &csrk.TaskDAG{
-			TaskPtr: dagArr[0], RowPtr: dagArr[1],
-			Pred: dagArr[2], PredPtr: dagArr[3],
-			Succ: dagArr[4], SuccPtr: dagArr[5],
-		}
 	}
 	return img, nil
 }
@@ -306,21 +288,14 @@ func ReadFile(path string) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < headerSize {
-		return nil, fmt.Errorf("%w: truncated header", ErrInvalid)
+	payloadLen, err := checkHeader(raw)
+	if err != nil {
+		return nil, err
 	}
-	hdr := raw[:headerSize]
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrInvalid)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: format %d, this build reads %d", ErrVersion, v, FormatVersion)
-	}
-	payloadLen := binary.LittleEndian.Uint64(hdr[16:24])
-	if payloadLen != uint64(len(raw)-headerSize) {
+	if payloadLen != int64(len(raw)-headerSize) {
 		return nil, fmt.Errorf("%w: payload length %d, file carries %d bytes", ErrInvalid, payloadLen, len(raw)-headerSize)
 	}
-	return decodePayload(hdr, raw[headerSize:])
+	return decodePayload(raw[:headerSize], raw[headerSize:])
 }
 
 // encoder accumulates the payload in memory; plans are a few dozen MiB
@@ -335,7 +310,6 @@ func (e *encoder) u64(v uint64) {
 
 func (e *encoder) meta(img *Image) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(img.Method))
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(img.NumPacks))
 	e.u64(uint64(img.N))
 	e.u64(img.ValueVersion)
 }
@@ -365,13 +339,6 @@ func (e *encoder) ints(a []int) {
 	e.b = append(e.b, 8)
 	for _, v := range a {
 		e.u64(uint64(int64(v)))
-	}
-}
-
-func (e *encoder) int32s(a []int32) {
-	e.u64(uint64(len(a)))
-	for _, v := range a {
-		e.b = binary.LittleEndian.AppendUint32(e.b, uint32(v))
 	}
 }
 
@@ -418,14 +385,13 @@ func (d *decoder) count(size int) (int, error) {
 }
 
 func (d *decoder) meta(img *Image) error {
-	if len(d.b)-d.off < 24 {
+	if len(d.b)-d.off < metaSize {
 		return fmt.Errorf("%w: truncated meta block", ErrInvalid)
 	}
 	img.Method = int32(binary.LittleEndian.Uint32(d.b[d.off:]))
-	img.NumPacks = int32(binary.LittleEndian.Uint32(d.b[d.off+4:]))
-	n := binary.LittleEndian.Uint64(d.b[d.off+8:])
-	img.ValueVersion = binary.LittleEndian.Uint64(d.b[d.off+16:])
-	d.off += 24
+	n := binary.LittleEndian.Uint64(d.b[d.off+4:])
+	img.ValueVersion = binary.LittleEndian.Uint64(d.b[d.off+12:])
+	d.off += metaSize
 	if n > math.MaxInt32 {
 		return fmt.Errorf("%w: dimension %d out of range", ErrInvalid, n)
 	}
@@ -463,19 +429,6 @@ func (d *decoder) ints() ([]int, error) {
 	for i := range out {
 		out[i] = int(int64(binary.LittleEndian.Uint64(d.b[d.off:])))
 		d.off += 8
-	}
-	return out, nil
-}
-
-func (d *decoder) int32s() ([]int32, error) {
-	n, err := d.count(4)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
 	}
 	return out, nil
 }

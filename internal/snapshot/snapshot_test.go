@@ -9,16 +9,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"stsk/internal/csrk"
 )
 
 // fullImage is a small image exercising every section, including the
-// optional ones (original pattern, DAG, meta blob, aux values).
+// optional ones (original pattern, meta blob, aux values).
 func fullImage() *Image {
 	return &Image{
 		Method:       2,
-		NumPacks:     2,
 		N:            3,
 		ValueVersion: 7,
 		Perm:         []int{2, 0, 1},
@@ -29,16 +26,8 @@ func fullImage() *Image {
 		PackPtr:      []int{0, 1, 2},
 		OrigRowPtr:   []int{0, 1, 2, 3},
 		OrigCol:      []int{0, 1, 2},
-		DAG: &csrk.TaskDAG{
-			TaskPtr: []int32{0, 1, 2},
-			RowPtr:  []int32{0, 1, 3},
-			Pred:    []int32{0},
-			PredPtr: []int32{0, 0, 1},
-			Succ:    []int32{1},
-			SuccPtr: []int32{0, 1, 1},
-		},
-		Meta:    []byte(`{"spec":"x"}`),
-		AuxVals: []float64{1, 2, 3, 4, 5, 6},
+		Meta:         []byte(`{"spec":"x"}`),
+		AuxVals:      []float64{1, 2, 3, 4, 5, 6},
 	}
 }
 
@@ -46,7 +35,6 @@ func fullImage() *Image {
 func minImage() *Image {
 	img := fullImage()
 	img.OrigRowPtr, img.OrigCol = nil, nil
-	img.DAG = nil
 	img.Meta, img.AuxVals = nil, nil
 	return img
 }
@@ -139,11 +127,23 @@ func TestTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestVersionSkew stamps other format versions into a valid file: a
+// future one, and version 1, whose files carried a task DAG this build
+// no longer reads. Both read paths refuse each with ErrVersion.
 func TestVersionSkew(t *testing.T) {
-	raw := encode(t, fullImage())
-	raw[8] = 0xff // formatVersion little-endian low byte
-	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err = %v, want ErrVersion", err)
+	path := filepath.Join(t.TempDir(), "p.snap")
+	for _, v := range []uint32{0xff, 1} {
+		raw := encode(t, fullImage())
+		binary.LittleEndian.PutUint32(raw[8:12], v)
+		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d file: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -164,9 +164,8 @@ func TestHugeCountRefused(t *testing.T) {
 	// (u64). Overwrite it with a huge value and re-stamp the CRC so only
 	// the count check can refuse it.
 	payload := raw[headerSize:]
-	off := 24 // method+numPacks int32 ×2, n u64, valueVersion u64
 	for i := 0; i < 8; i++ {
-		payload[off+i] = 0xff
+		payload[metaSize+i] = 0xff
 	}
 	restamp(raw)
 	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrInvalid) {

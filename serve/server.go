@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -96,15 +97,18 @@ type errorBody struct {
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	// Marshal before touching the status line: an unencodable value (a
-	// solution that overflowed to ±Inf/NaN, which JSON cannot carry) must
-	// surface as a 500, not a 200 with an empty body.
+	// NaN or ±Inf, which JSON cannot carry) must surface as a 500, not a
+	// 200 with an empty body. The solve handler marshals its own
+	// response, so an overflowed solution is its 422 instead.
 	raw, err := json.Marshal(v)
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"response not representable in JSON (non-finite values?)"}` + "\n"))
-		return
+		code, raw = http.StatusInternalServerError, []byte(`{"error":"response not representable in JSON (non-finite values?)"}`)
 	}
+	writeRaw(w, code, raw)
+}
+
+// writeRaw writes an encoded JSON body with the given status.
+func writeRaw(w http.ResponseWriter, code int, raw []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(append(raw, '\n'))
@@ -161,7 +165,8 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, stsk.ErrNonFinite):
 		// Well-formed input whose factor (an IC(0) of the plan's current
-		// values) would carry NaN or ±Inf: nothing a retry can change.
+		// values) or solution would carry NaN or ±Inf: nothing a retry
+		// can change.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusRequestTimeout
@@ -312,11 +317,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w0 := trace.Now()
-	writeJSON(w, http.StatusOK, SolveResponse{
+	raw, err := json.Marshal(SolveResponse{
 		X:          x,
 		Plan:       req.Plan,
 		DurationMs: float64(time.Since(start).Microseconds()) / 1000,
 	})
+	if err == nil {
+		writeRaw(w, http.StatusOK, raw)
+	} else {
+		// Finite values can still overflow the sweep, and JSON carries no
+		// NaN or ±Inf: the solution is refused like a non-finite factor.
+		reqErr = fmt.Errorf("%w: the solution overflows float64 on the plan's current values", stsk.ErrNonFinite)
+		s.error(w, statusFor(reqErr), reqErr)
+	}
 	tr.Observe(trace.StageSerialize, w0, trace.Now())
 }
 

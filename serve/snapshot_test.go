@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"stsk"
+	"stsk/internal/snapshot"
 )
 
 // waitSnapshotWrites polls until the registry has persisted at least n
@@ -126,38 +128,60 @@ func TestSnapshotEvictionWarmReload(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptFallsBack plants garbage where the snapshot should
-// be: the registry must count and remove it, then build cold — a bad
+// TestSnapshotCorruptFallsBack plants unusable files where the snapshot
+// should be — garbage, and testdata/format1.snap, which a format 1
+// build (whose files carried the task DAG) wrote for the spec
+// {g, grid2d, 100, sts3}. The loader refuses each with ErrBadSnapshot
+// and the codec's sentinel; the registry must count and remove it, then
+// build cold and write a current-format file in its place — a bad
 // snapshot is never worse than no snapshot.
 func TestSnapshotCorruptFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	reg := NewRegistry(Config{SnapshotDir: dir})
-	defer reg.Close()
-	path := filepath.Join(dir, "g.snap")
-	if err := os.WriteFile(path, []byte("STSKSNAPgarbage-not-a-snapshot"), 0o644); err != nil {
+	format1, err := os.ReadFile(filepath.Join("testdata", "format1.snap"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// WarmStart refuses it.
-	if loaded, err := reg.WarmStart(); err != nil || loaded != 0 {
-		t.Fatalf("WarmStart on garbage: loaded=%d err=%v", loaded, err)
-	}
-	if reg.Metrics().SnapshotErrors.Load() < 1 {
-		t.Fatal("garbage snapshot not counted")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("garbage snapshot not removed")
-	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"garbage", []byte("STSKSNAPgarbage-not-a-snapshot"), snapshot.ErrInvalid},
+		{"format 1", format1, snapshot.ErrVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "g.snap")
+			if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := stsk.ReadSnapshotFile(path); !errors.Is(err, stsk.ErrBadSnapshot) || !errors.Is(err, tc.want) {
+				t.Fatalf("ReadSnapshotFile: err = %v, want ErrBadSnapshot wrapping %v", err, tc.want)
+			}
+			reg := NewRegistry(Config{SnapshotDir: dir})
+			defer reg.Close()
+			// WarmStart refuses it.
+			if loaded, err := reg.WarmStart(); err != nil || loaded != 0 {
+				t.Fatalf("WarmStart: loaded=%d err=%v", loaded, err)
+			}
+			if n := reg.Metrics().SnapshotErrors.Load(); n != 1 {
+				t.Fatalf("SnapshotErrors=%d, want 1", n)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("refused snapshot not removed")
+			}
 
-	// Registration proceeds cold and rewrites a valid file.
-	if _, err := reg.Register(PlanSpec{Name: "g", Class: "grid3d", N: 900, Method: "sts3"}); err != nil {
-		t.Fatal(err)
-	}
-	if pb := reg.Metrics().PlanBuilds.Load(); pb != 1 {
-		t.Fatalf("PlanBuilds=%d, want 1", pb)
-	}
-	waitSnapshotWrites(t, reg, 1)
-	if _, _, err := stsk.ReadSnapshotFile(path); err != nil {
-		t.Fatalf("rewritten snapshot invalid: %v", err)
+			// Registration proceeds cold and rewrites a valid file.
+			if _, err := reg.Register(PlanSpec{Name: "g", Class: "grid2d", N: 100, Method: "sts3"}); err != nil {
+				t.Fatal(err)
+			}
+			if pb := reg.Metrics().PlanBuilds.Load(); pb != 1 {
+				t.Fatalf("PlanBuilds=%d, want 1", pb)
+			}
+			waitSnapshotWrites(t, reg, 1)
+			if _, _, err := stsk.ReadSnapshotFile(path); err != nil {
+				t.Fatalf("rewritten snapshot invalid: %v", err)
+			}
+		})
 	}
 }
 

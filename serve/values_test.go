@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +192,57 @@ func TestUpdateValuesEndToEnd(t *testing.T) {
 	resp, _ = putJSON(t, ts.Client(), ts.URL+"/v1/plans/g3/values", UpdateValuesRequest{Values: vals})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("update while draining: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSolveOverflowAnswers422: finite values whose forward sweep
+// overflows are accepted by a values PUT, and the registry's solve
+// returns the overflowed solution with a nil error, but JSON cannot
+// carry it: POST /v1/solve answers 422 naming ErrNonFinite, not a 500
+// about unrepresentable JSON, and the request's trace records the
+// refusal.
+func TestSolveOverflowAnswers422(t *testing.T) {
+	reg := NewRegistry(Config{})
+	srv := NewServer(reg)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/plans",
+		PlanSpec{Name: "t", Class: "trimesh", N: 64, Method: "sts3"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, body)
+	}
+	// Unit diagonal, 1e200 off the diagonal (the generated off-diagonals
+	// are the negative entries).
+	vals := scaledValues(t, "trimesh", 64, 1)
+	for k, v := range vals {
+		vals[k] = 1
+		if v < 0 {
+			vals[k] = 1e200
+		}
+	}
+	resp, body = putJSON(t, ts.Client(), ts.URL+"/v1/plans/t/values", UpdateValuesRequest{Values: vals})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %d %s", resp.StatusCode, body)
+	}
+	b := make([]float64, 64)
+	for i := range b {
+		b[i] = 1
+	}
+	x, err := reg.Solve(t.Context(), "t", VariantDirect, false, b)
+	if err != nil || !slices.ContainsFunc(x, func(v float64) bool { return math.IsInf(v, 0) || math.IsNaN(v) }) {
+		t.Fatalf("registry solve: err %v; want nil and an overflowed solution", err)
+	}
+
+	req := SolveRequest{Plan: "t", B: b}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve", req)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), stsk.ErrNonFinite.Error()) {
+		t.Fatalf("solve: %d %s, want 422 naming %q", resp.StatusCode, body, stsk.ErrNonFinite)
+	}
+	resp, rec := solveTraced(t, ts, reg, req, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity || rec.Outcome != "error" {
+		t.Fatalf("traced solve: %d, outcome %q; want 422 recorded as an error", resp.StatusCode, rec.Outcome)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 
 	"stsk/internal/csrk"
 	"stsk/internal/order"
@@ -16,9 +17,9 @@ import (
 // ErrBadSnapshot reports a plan snapshot that cannot be loaded: a
 // corrupted or truncated file, an incompatible format version, or a
 // decoded image whose arrays fail the plan invariants (non-triangular
-// factor, non-bijective permutation, inconsistent task DAG). Loaders
-// match it with errors.Is and fall back to a cold Build — a bad snapshot
-// is never worse than having no snapshot.
+// factor, dependent rows inside one pack, non-bijective permutation).
+// Loaders match it with errors.Is and fall back to a cold Build — a bad
+// snapshot is never worse than having no snapshot.
 var ErrBadSnapshot = fmt.Errorf("stsk: bad plan snapshot")
 
 // SnapshotExtra is opaque embedder data carried inside a plan snapshot
@@ -31,11 +32,11 @@ type SnapshotExtra struct {
 	AuxVals []float64
 }
 
-// WriteSnapshot serializes the plan — permutation, super-row packs, task
-// DAG, source pattern, and the current value epoch — to w in the
-// versioned, checksummed format of internal/snapshot. A plan reloaded
-// from the stream with ReadSnapshot solves bitwise identically to this
-// one and accepts Refactor for the same input pattern.
+// WriteSnapshot serializes the plan — permutation, super-row packs,
+// source pattern, and the current value epoch — to w in the versioned,
+// checksummed format of internal/snapshot. A plan reloaded from the
+// stream with ReadSnapshot solves bitwise identically to this one and
+// accepts Refactor for the same input pattern.
 //
 // Derived plans (IC0 factors) are refused with ErrSparsityMismatch: they
 // carry no source pattern, so a reload could never Refactor them —
@@ -70,11 +71,9 @@ func (p *Plan) snapshotImage(extra SnapshotExtra) (*snapshot.Image, error) {
 	if p.origCol == nil {
 		return nil, fmt.Errorf("%w: plan derives its values (IC0 factor); snapshot the base plan and re-derive after reload", ErrSparsityMismatch)
 	}
-	dag := p.taskDAG()
 	s, seq := p.vals.Snapshot()
 	return &snapshot.Image{
 		Method:       int32(p.inner.Method),
-		NumPacks:     int32(p.inner.NumPacks),
 		N:            s.L.N,
 		ValueVersion: seq,
 		Perm:         p.inner.Perm,
@@ -85,7 +84,6 @@ func (p *Plan) snapshotImage(extra SnapshotExtra) (*snapshot.Image, error) {
 		PackPtr:      s.PackPtr,
 		OrigRowPtr:   p.origRowPtr,
 		OrigCol:      p.origCol,
-		DAG:          dag,
 		Meta:         extra.Meta,
 		AuxVals:      extra.AuxVals,
 	}, nil
@@ -93,16 +91,16 @@ func (p *Plan) snapshotImage(extra SnapshotExtra) (*snapshot.Image, error) {
 
 // ReadSnapshot reconstructs a Plan from a snapshot stream. The decoded
 // image is re-validated end to end — CRC and framing by the codec,
-// triangularity, diagonals, pack independence, permutation bijectivity,
-// source-pattern shape, and task-DAG consistency here — before any Plan
-// is built, so a corrupted, truncated, or version-skewed snapshot
-// returns an error matching ErrBadSnapshot and never a panic or a
-// silently wrong plan.
+// triangularity, diagonals, pack independence, permutation bijectivity
+// and source-pattern shape here — before any Plan is built, so a
+// corrupted, truncated, or version-skewed snapshot returns an error
+// matching ErrBadSnapshot and never a panic or a silently wrong plan.
 //
 // The reloaded plan resumes the serialized value-epoch version (its
-// ValuesVersion continues where the writer's left off), reuses the
-// serialized task DAG without rebuilding it, and solves bitwise
-// identically to the plan that wrote the snapshot.
+// ValuesVersion continues where the writer's left off) and solves
+// bitwise identically to the plan that wrote the snapshot. The snapshot
+// carries no task DAG: like a built plan, a reloaded one derives it from
+// its validated pattern and boundaries on its first multi-worker Solver.
 func ReadSnapshot(r io.Reader) (*Plan, SnapshotExtra, error) {
 	img, err := snapshot.Read(r)
 	if err != nil {
@@ -136,12 +134,6 @@ func ReadSnapshotFile(path string) (*Plan, SnapshotExtra, error) {
 	return p, SnapshotExtra{Meta: img.Meta, AuxVals: img.AuxVals}, nil
 }
 
-// newPlanVersion is newPlan resuming a serialized value-epoch sequence
-// number — the snapshot-reload constructor.
-func newPlanVersion(inner *order.Plan, version uint64) *Plan {
-	return &Plan{inner: inner, vals: solve.NewValuesVersion(inner.S, version)}
-}
-
 // planFromImage validates a decoded snapshot image semantically and
 // assembles the Plan. Every invariant the build pipeline guarantees is
 // re-checked here, because the image came from disk, not from order.Build.
@@ -150,13 +142,7 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, a...))
 	}
 	method := order.Method(img.Method)
-	valid := false
-	for _, m := range order.Methods() {
-		if m == method {
-			valid = true
-		}
-	}
-	if !valid {
+	if !slices.Contains(order.Methods(), method) {
 		return bad("unknown method %d", img.Method)
 	}
 	n := img.N
@@ -171,9 +157,6 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 	if err != nil {
 		return bad("factor fails validation: %v", err)
 	}
-	if int(img.NumPacks) != s.NumPacks() {
-		return bad("pack count %d disagrees with PackPtr (%d)", img.NumPacks, s.NumPacks())
-	}
 	if len(img.Perm) != n {
 		return bad("permutation length %d for dimension %d", len(img.Perm), n)
 	}
@@ -187,28 +170,14 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 	if err := checkOrigPattern(img.OrigRowPtr, img.OrigCol, n); err != nil {
 		return nil, fmt.Errorf("%w: source pattern: %v", ErrBadSnapshot, err)
 	}
-	if img.DAG == nil {
-		return bad("missing task DAG")
-	}
-	if err := checkDAGBounds(img.DAG, s); err != nil {
-		return nil, fmt.Errorf("%w: task dag: %v", ErrBadSnapshot, err)
-	}
-	if err := img.DAG.Validate(s); err != nil {
-		return nil, fmt.Errorf("%w: task dag: %v", ErrBadSnapshot, err)
-	}
 
-	inner := &order.Plan{
-		Method:   method,
-		Perm:     img.Perm,
-		S:        s,
-		NumPacks: int(img.NumPacks),
-	}
-	p := newPlanVersion(inner, img.ValueVersion)
-	p.origRowPtr, p.origCol = img.OrigRowPtr, img.OrigCol
-	// Adopt the serialized DAG so the graph schedule is warm immediately —
-	// rebuilding it would forfeit a chunk of the warm-restart win.
-	p.dag = img.DAG
-	return p, nil
+	// The plan resumes the serialized value-epoch sequence number.
+	return &Plan{
+		inner:      &order.Plan{Method: method, Perm: img.Perm, S: s, NumPacks: s.NumPacks()},
+		vals:       solve.NewValuesVersion(s, img.ValueVersion),
+		origRowPtr: img.OrigRowPtr,
+		origCol:    img.OrigCol,
+	}, nil
 }
 
 // checkOrigPattern validates the serialized source-matrix pattern that
@@ -228,51 +197,6 @@ func checkOrigPattern(rowPtr, col []int, n int) error {
 	for k, j := range col {
 		if j < 0 || j >= n {
 			return fmt.Errorf("column %d out of range at entry %d", j, k)
-		}
-	}
-	return nil
-}
-
-// checkDAGBounds verifies every index stored in a deserialized TaskDAG
-// before TaskDAG.Validate walks it — Validate assumes builder-produced
-// arrays and would index out of bounds on hostile pointer values.
-func checkDAGBounds(d *csrk.TaskDAG, s *csrk.Structure) error {
-	nt := len(d.TaskPtr) - 1
-	if nt < 1 {
-		return fmt.Errorf("no tasks")
-	}
-	if len(d.RowPtr) != nt+1 || len(d.PredPtr) != nt+1 || len(d.SuccPtr) != nt+1 {
-		return fmt.Errorf("pointer arrays disagree on task count")
-	}
-	if err := checkPtr32(d.TaskPtr, s.NumSuperRows(), "TaskPtr"); err != nil {
-		return err
-	}
-	if err := checkPtr32(d.PredPtr, len(d.Pred), "PredPtr"); err != nil {
-		return err
-	}
-	if err := checkPtr32(d.SuccPtr, len(d.Succ), "SuccPtr"); err != nil {
-		return err
-	}
-	for _, u := range d.Succ {
-		if u < 0 || int(u) >= nt {
-			return fmt.Errorf("successor %d out of range [0,%d)", u, nt)
-		}
-	}
-	return nil
-}
-
-// checkPtr32 verifies an int32 pointer array is monotone nondecreasing
-// from 0 to span, so slicing data arrays through it cannot fault.
-func checkPtr32(ptr []int32, span int, name string) error {
-	if len(ptr) < 2 {
-		return fmt.Errorf("%s too short (%d)", name, len(ptr))
-	}
-	if ptr[0] != 0 || int(ptr[len(ptr)-1]) != span {
-		return fmt.Errorf("%s spans [%d,%d], want [0,%d]", name, ptr[0], ptr[len(ptr)-1], span)
-	}
-	for i := 1; i < len(ptr); i++ {
-		if ptr[i] < ptr[i-1] {
-			return fmt.Errorf("%s decreases at %d", name, i)
 		}
 	}
 	return nil

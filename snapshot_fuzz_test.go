@@ -31,10 +31,12 @@ func frameSnapshot(payload []byte) []byte {
 // FuzzReadSnapshot feeds ReadSnapshot re-framed mutations of real
 // snapshot payloads. ReadSnapshot must never panic and must refuse with
 // ErrBadSnapshot, ErrTooLarge or ErrNonFinite. An accepted plan must
-// solve forward and backward bitwise like the sequential oracles, and its
-// IC(0) factor — which trusts the snapshot's validation for its pattern,
-// task DAG and packed shape — must either be refused or solve bitwise
-// like its own oracle, never panic.
+// solve forward and backward on two workers — over the task DAG it
+// derives from the validated pattern and boundaries, since a snapshot
+// carries none — bitwise like the sequential oracles, and its IC(0)
+// factor, which trusts the snapshot's validation for its pattern and
+// packed shape, must either be refused or solve bitwise like its own
+// oracle, never panic.
 func FuzzReadSnapshot(f *testing.F) {
 	mat, err := Generate("grid2d", 36)
 	if err != nil {
@@ -69,12 +71,14 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
+		s := p.NewSolver(WithWorkers(2))
+		defer s.Close()
 		b := manufacturedB(p, 1)
 		want, err := p.SolveSequential(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Solve(b)
+		got, err := s.Solve(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +89,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotU, err := p.SolveUpper(b)
+		gotU, err := s.SolveUpper(b)
 		if err != nil {
 			t.Fatal(err)
 		}

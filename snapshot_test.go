@@ -2,14 +2,19 @@ package stsk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"stsk/internal/snapshot"
+	"stsk/internal/sparse"
 )
 
 // snapshotRHS builds a deterministic right-hand side for bitwise solve
@@ -128,9 +133,10 @@ func TestSnapshotDerivedPlanRefused(t *testing.T) {
 }
 
 // TestSnapshotRefusesDamage takes a valid snapshot file and feeds the
-// reader corrupted, truncated, and version-skewed variants: every one
-// must be refused with ErrBadSnapshot (and the precise codec sentinel),
-// never a crash or a silently wrong plan.
+// reader corrupted, truncated, and version-skewed variants — among them
+// a format 1 header, whose files carried a task DAG — every one must be
+// refused with ErrBadSnapshot (and the precise codec sentinel), never a
+// crash or a silently wrong plan.
 func TestSnapshotRefusesDamage(t *testing.T) {
 	mat, err := Generate("grid3d", 1200)
 	if err != nil {
@@ -178,6 +184,9 @@ func TestSnapshotRefusesDamage(t *testing.T) {
 	mut := append([]byte(nil), raw...)
 	mut[8] = 99
 	check("version-skew", mut, snapshot.ErrVersion)
+	mut = append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(mut[8:], 1)
+	check("format 1", mut, snapshot.ErrVersion)
 	// Bad magic.
 	mut = append([]byte(nil), raw...)
 	copy(mut, "NOTASNAP")
@@ -186,8 +195,10 @@ func TestSnapshotRefusesDamage(t *testing.T) {
 
 // TestSnapshotRejectsHostilePayload re-encodes a structurally corrupted
 // image with a VALID checksum: the plan-level validation (permutation
-// bijection, DAG bounds, pattern checks) must still refuse it — the CRC
-// only proves the file is whole, not that it is honest.
+// bijection, pattern checks, csrk.Build's boundary and pack-independence
+// checks) must still refuse it — the CRC only proves the file is whole,
+// not that it is honest. The boundary cases matter most: the task DAG a
+// reloaded plan derives is only as sound as the packs it is carved from.
 func TestSnapshotRejectsHostilePayload(t *testing.T) {
 	mat, err := Generate("grid3d", 1000)
 	if err != nil {
@@ -204,16 +215,20 @@ func TestSnapshotRejectsHostilePayload(t *testing.T) {
 	mutate := []struct {
 		name string
 		mut  func(*snapshot.Image)
+		want string // a fragment of the refusal, when one check must make it
 	}{
-		{"perm dup", func(i *snapshot.Image) { i.Perm[0] = i.Perm[1] }},
-		{"perm oob", func(i *snapshot.Image) { i.Perm[0] = i.N + 5 }},
-		{"method", func(i *snapshot.Image) { i.Method = 99 }},
-		{"numpacks", func(i *snapshot.Image) { i.NumPacks += 3 }},
-		{"dag succ oob", func(i *snapshot.Image) { i.DAG.Succ[0] = int32(len(i.DAG.TaskPtr)) + 7 }},
-		{"dag ptr", func(i *snapshot.Image) { i.DAG.TaskPtr[0] = 1 }},
-		{"orig ptr", func(i *snapshot.Image) { i.OrigRowPtr[1] = -1 }},
-		{"no dag", func(i *snapshot.Image) { i.DAG = nil }},
-		{"n zero", func(i *snapshot.Image) { i.N = 0 }},
+		{"perm dup", func(i *snapshot.Image) { i.Perm[0] = i.Perm[1] }, ""},
+		{"perm oob", func(i *snapshot.Image) { i.Perm[0] = i.N + 5 }, ""},
+		{"method", func(i *snapshot.Image) { i.Method = 99 }, ""},
+		{"orig ptr", func(i *snapshot.Image) { i.OrigRowPtr[1] = -1 }, ""},
+		{"n zero", func(i *snapshot.Image) { i.N = 0 }, ""},
+		{"dependent packs merged", mergeDependentPacks, "not independent"},
+		{"superptr not monotone", func(i *snapshot.Image) {
+			i.SuperPtr[1], i.SuperPtr[2] = i.SuperPtr[2], i.SuperPtr[1]
+		}, "SuperPtr not strictly increasing"},
+		{"packptr short of the super-rows", func(i *snapshot.Image) {
+			i.PackPtr = i.PackPtr[:len(i.PackPtr)-1]
+		}, "PackPtr must span"},
 	}
 	for _, m := range mutate {
 		// Round-trip through bytes to get an independent copy, then mutate.
@@ -232,9 +247,81 @@ func TestSnapshotRejectsHostilePayload(t *testing.T) {
 		}
 		if q, _, err := ReadSnapshot(bytes.NewReader(out.Bytes())); err == nil {
 			t.Fatalf("%s: hostile image accepted (n=%d)", m.name, q.N())
-		} else if !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("%s: err = %v, want ErrBadSnapshot", m.name, err)
+		} else if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), m.want) {
+			t.Fatalf("%s: err = %v, want ErrBadSnapshot naming %q", m.name, err, m.want)
 		}
+	}
+}
+
+// mergeDependentPacks drops the first pack boundary whose later pack
+// reads a row of the earlier one, so the merged pack holds two
+// super-rows that depend on each other.
+func mergeDependentPacks(img *snapshot.Image) {
+	rowOf := func(k int) int { return img.SuperPtr[img.PackPtr[k]] }
+	for k := 1; k+1 < len(img.PackPtr); k++ {
+		lo, mid, hi := rowOf(k-1), rowOf(k), rowOf(k+1)
+		for _, j := range img.Col[img.RowPtr[mid]:img.RowPtr[hi]] {
+			if j >= lo && j < mid {
+				img.PackPtr = slices.Delete(img.PackPtr, k, k+1)
+				return
+			}
+		}
+	}
+}
+
+// TestSnapshotDerivesTaskDAG: a snapshot carries no task DAG, and
+// writing one does not build it. A reloaded plan has none until its
+// first multi-worker Solver, then derives one equal to the source
+// plan's, and its 2-worker sweeps equal the sequential oracles bit for
+// bit.
+func TestSnapshotDerivesTaskDAG(t *testing.T) {
+	mat, err := Generate("grid2d", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range Methods() {
+		p, err := Build(mat, method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := p.WriteSnapshot(&buf, SnapshotExtra{}); err != nil {
+			t.Fatal(err)
+		}
+		if p.dag != nil {
+			t.Fatalf("%v: writing a snapshot built the task DAG", method)
+		}
+		q, _, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.dag != nil {
+			t.Fatalf("%v: reloaded plan has a task DAG before any Solver", method)
+		}
+		s := q.NewSolver(WithWorkers(2))
+		if q.dag == nil || !reflect.DeepEqual(q.dag, p.taskDAG()) {
+			t.Fatalf("%v: derived task DAG differs from the source plan's", method)
+		}
+		b := manufacturedB(q, 1)
+		want, err := q.SolveSequential(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertVecBitwise(t, method.String()+" solve", got, want)
+		wantU, err := sparse.BackwardSubstitution(q.structure().L.Transpose(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotU, err := s.SolveUpper(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertVecBitwise(t, method.String()+" upper solve", gotU, wantU)
+		s.Close()
 	}
 }
 
