@@ -18,6 +18,7 @@ import (
 	"stsk/internal/gen"
 	"stsk/internal/order"
 	"stsk/internal/solve"
+	"stsk/internal/sparse"
 )
 
 const benchScale = 4000
@@ -111,6 +112,48 @@ func BenchmarkSolveCSRCOL(b *testing.B) { benchSolve(b, CSRCOL, 0) }
 func BenchmarkSolveSTS3(b *testing.B)   { benchSolve(b, STS3, 0) }
 
 func BenchmarkSolveSTS3Sequential(b *testing.B) { benchSolve(b, STS3, 1) }
+
+// BenchmarkApplySymmetric times y = A′·x, the product every CG
+// iteration makes, on the pcg-ic0 workload's plan (grid3d, n = 97,336,
+// STS-3): the sequential CSR.MatVec reference over SymmetrizePattern(L′)
+// against ApplySymmetric, which the caller and the idle solve helpers
+// sweep in row chunks over 32-bit indices. Run it with -cpu 1,2 to see
+// the second worker's share.
+func BenchmarkApplySymmetric(b *testing.B) {
+	mat, err := Generate("grid3d", 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := Build(mat, STS3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := sparse.SymmetrizePattern(plan.structure().L)
+	x := make([]float64, plan.N())
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	y := make([]float64, plan.N())
+	b.Run("MatVec", func(b *testing.B) {
+		b.SetBytes(int64(ref.NNZ()) * 16)
+		for i := 0; i < b.N; i++ {
+			ref.MatVec(y, x)
+		}
+	})
+	b.Run("ApplySymmetric", func(b *testing.B) {
+		if err := plan.ApplySymmetric(y, x); err != nil { // assemble A′ outside the timing
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(ref.NNZ()) * 12)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := plan.ApplySymmetric(y, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 // --- Multi-RHS engine comparison (the batched-solve acceptance bench) ---
 //

@@ -47,7 +47,10 @@ var (
 	// published, and so does IC0 for a factor whose elimination
 	// overflows: one would spread through every row of the solution that
 	// depends on it. The serving layer maps it to HTTP 422, and answers
-	// a solve whose solution overflows with it too.
+	// a solve whose solution overflows with it too. krylov.CG refuses
+	// with it a right-hand side whose norm is NaN or infinite, and stops
+	// with it at the first iteration whose pᵀA′p, ‖r‖² or rᵀz is, rather
+	// than iterating to its budget.
 	ErrNonFinite = solve.ErrNonFinite
 
 	// ErrInternal reports a panic contained at an engine job boundary: a

@@ -40,7 +40,9 @@ func main() {
 		xTrue[i] = math.Sin(float64(i))
 	}
 	rhs := make([]float64, n)
-	plan.ApplySymmetric(rhs, xTrue)
+	if err := plan.ApplySymmetric(rhs, xTrue); err != nil {
+		log.Fatal(err)
+	}
 
 	// One persistent solve engine serves every SGS application; IC(0)
 	// holds its own pool over the factor plan.

@@ -25,12 +25,14 @@ type helperSet struct {
 }
 
 // job is one call's work, swept by the caller and by every helper that
-// joins it: a cooperative sweep of one panel over the task DAG, or a
-// multi-panel call claimed panel by panel. Exactly one of graph and
-// panel is set; done is that run's completion.
+// joins it: a cooperative sweep of one panel over the task DAG, a
+// multi-panel call claimed panel by panel, or a sparse product claimed
+// chunk by chunk. Exactly one of graph, panel and spmv is set; done is
+// that run's completion.
 type job struct {
 	graph *graphRun
 	panel *panelRun
+	spmv  *spmvRun
 	done  *completion
 }
 
@@ -70,14 +72,17 @@ func cooperate(tr *trace.Trace, j job, n int) error {
 	return err
 }
 
-// run sweeps one participant's share. Both shares are their own
-// panic-containment boundaries, so run never panics.
+// run sweeps one participant's share. Every share is its own
+// panic-containment boundary, so run never panics.
 func (j job) run() {
-	if j.graph != nil {
+	switch {
+	case j.graph != nil:
 		j.graph.runShare()
-		return
+	case j.panel != nil:
+		j.panel.runShare()
+	default:
+		j.spmv.runShare()
 	}
-	j.panel.runShare()
 }
 
 // grow starts helpers until a call of the given worker count can have a

@@ -140,24 +140,35 @@ func (s *PackShape) Upper(val, diag []float64) *Packed {
 	return p
 }
 
+// CSR32 is a square CSR matrix with 32-bit row pointers and columns —
+// half the index bytes of CSR's []int in a product's inner loop. It is
+// the layout of the symmetric matrix A′ that Krylov iterations multiply
+// by (PackShape.Symmetric).
+type CSR32 struct {
+	N      int
+	RowPtr []int32   // len N+1; entries of row i are RowPtr[i]:RowPtr[i+1]
+	Col    []int32   // column index per entry, ascending within a row
+	Val    []float64 // value per entry
+}
+
 // Symmetric assembles A = L + Lᵀ − D, the matrix SymmetrizePattern(l)
 // returns, for l on the shape's pattern without transposing it: row i of
 // A is row i of l, diagonal last, followed by the off-diagonals of row i
 // of Lᵀ. A non-nil prev from an earlier call on this shape lends its
 // RowPtr and Col, so only the values are gathered.
-func (s *PackShape) Symmetric(l, prev *CSR) *CSR {
-	a := &CSR{N: s.n}
+func (s *PackShape) Symmetric(l *CSR, prev *CSR32) *CSR32 {
+	a := &CSR32{N: s.n}
 	if prev != nil {
 		a.RowPtr, a.Col = prev.RowPtr, prev.Col
 	} else {
-		a.RowPtr = make([]int, s.n+1)
-		a.Col = make([]int, 0, len(l.Col)+len(s.upperCol))
+		a.RowPtr = make([]int32, s.n+1)
+		a.Col = make([]int32, 0, len(l.Col)+len(s.upperCol))
 		for i := 0; i < s.n; i++ {
-			a.Col = append(a.Col, l.Col[l.RowPtr[i]:l.RowPtr[i+1]]...)
-			for _, j := range s.upperCol[s.upperPtr[i]:s.upperPtr[i+1]] {
-				a.Col = append(a.Col, int(j))
-			}
-			a.RowPtr[i+1] = len(a.Col)
+			lo, hi := s.lowerPtr[i], s.lowerPtr[i+1]
+			a.Col = append(a.Col, s.lowerCol[lo:hi]...)
+			a.Col = append(a.Col, int32(i))
+			a.Col = append(a.Col, s.upperCol[s.upperPtr[i]:s.upperPtr[i+1]]...)
+			a.RowPtr[i+1] = int32(len(a.Col))
 		}
 	}
 	a.Val = make([]float64, len(a.Col))

@@ -83,7 +83,7 @@ func TestShapeSymmetricMatchesSymmetrizePattern(t *testing.T) {
 	}
 	a := sh.Symmetric(l, nil)
 	want := SymmetrizePattern(l)
-	if !slices.Equal(a.RowPtr, want.RowPtr) || !slices.Equal(a.Col, want.Col) || !slices.Equal(a.Val, want.Val) {
+	if !slices.Equal(a.RowPtr, int32s(want.RowPtr)) || !slices.Equal(a.Col, int32s(want.Col)) || !slices.Equal(a.Val, want.Val) {
 		t.Fatalf("Symmetric = %+v, want %+v", a, want)
 	}
 	l2 := &CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: []float64{-2, 7, 3, 8, -5}}
@@ -94,4 +94,13 @@ func TestShapeSymmetricMatchesSymmetrizePattern(t *testing.T) {
 	if want := SymmetrizePattern(l2); !slices.Equal(a2.Val, want.Val) {
 		t.Fatalf("regathered values %v, want %v", a2.Val, want.Val)
 	}
+}
+
+// int32s narrows a CSR index array to the 32-bit layouts' element type.
+func int32s(xs []int) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
 }

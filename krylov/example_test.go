@@ -28,7 +28,9 @@ func ExampleCG() {
 		xTrue[i] = 1
 	}
 	b := make([]float64, plan.N())
-	plan.ApplySymmetric(b, xTrue)
+	if err := plan.ApplySymmetric(b, xTrue); err != nil {
+		log.Fatal(err)
+	}
 
 	// One parked worker pool serves every preconditioner application.
 	solver := plan.NewSolver()

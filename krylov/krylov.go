@@ -4,10 +4,11 @@
 // gradient applies one forward and one backward triangular sweep; with an
 // stsk.Preconditioner riding a persistent stsk.Solver, those sweeps run
 // pack-parallel on the caller's goroutine and the idle ones of the
-// process-wide solve helpers. They do not dominate the
-// iteration: on stskbench's pcg-ic0 workload (IC(0) on a 97k-row grid3d
-// STS-3 plan, 2 vCPUs) the two sweeps are 37% of the solve, and CG's own
-// work — the sequential SpMV with A′ and the vector passes — is 63%.
+// process-wide solve helpers, and so does the product with A′
+// (stsk.Plan.ApplySymmetric). On stskbench's pcg-ic0 workload (IC(0) on
+// a 97k-row grid3d STS-3 plan, 2 vCPUs) the two sweeps are 46% of the
+// solve, and CG's own work — the product and four sequential vector
+// passes an iteration — is 54%.
 //
 // The package follows the facade's v2 conventions: functional options,
 // context cancellation checked every iteration, and sentinel errors —
@@ -95,6 +96,12 @@ func applyOptions(opts []Option) config {
 // stsk.ErrDimension; exhausting the iteration budget returns the iterate
 // with an error matching stsk.ErrNotConverged.
 //
+// A right-hand side whose norm, or whose first rᵀz, is NaN or infinite
+// is refused with an error matching stsk.ErrNonFinite. So is an
+// iteration whose pᵀA′p, ‖r‖² or rᵀz comes out NaN or infinite: the
+// solve stops there and returns the iterate so far, where it would
+// otherwise run its whole budget on non-finite vectors.
+//
 // A zero right-hand side returns the exact solution x = 0 immediately.
 func CG(ctx context.Context, plan *stsk.Plan, b []float64, opts ...Option) ([]float64, Stats, error) {
 	c := applyOptions(opts)
@@ -102,8 +109,11 @@ func CG(ctx context.Context, plan *stsk.Plan, b []float64, opts ...Option) ([]fl
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("%w: rhs length %d, want %d", stsk.ErrDimension, len(b), n)
 	}
-	x := make([]float64, n)
 	bnorm := math.Sqrt(dot(b, b))
+	if err := checkFinite("‖b‖", bnorm, 0); err != nil {
+		return nil, Stats{}, err
+	}
+	x := make([]float64, n)
 	if bnorm == 0 {
 		return x, Stats{}, nil
 	}
@@ -122,17 +132,28 @@ func CG(ctx context.Context, plan *stsk.Plan, b []float64, opts ...Option) ([]fl
 	p := append([]float64(nil), z...)
 	ap := make([]float64, n)
 	rz := dot(r, z)
+	if err := checkFinite("rᵀz", rz, 0); err != nil {
+		return nil, Stats{}, err
+	}
 	st := Stats{Residual: 1}
 	for k := 1; k <= c.maxIter; k++ {
 		if err := ctx.Err(); err != nil {
 			return x, st, err
 		}
-		plan.ApplySymmetric(ap, p)
-		alpha := rz / dot(p, ap)
-		axpy(x, alpha, p)
-		axpy(r, -alpha, ap)
+		if err := plan.ApplySymmetric(ap, p); err != nil {
+			return x, st, err
+		}
+		pap := dot(p, ap)
+		if err := checkFinite("pᵀA′p", pap, k); err != nil {
+			return x, st, err
+		}
+		alpha := rz / pap
+		rr := update(x, r, p, ap, alpha)
 		st.Iterations = k
-		st.Residual = math.Sqrt(dot(r, r)) / bnorm
+		st.Residual = math.Sqrt(rr) / bnorm
+		if err := checkFinite("‖r‖²", rr, k); err != nil {
+			return x, st, err
+		}
 		if c.callback != nil {
 			c.callback(Iteration{K: k, Residual: st.Residual})
 		}
@@ -143,6 +164,9 @@ func CG(ctx context.Context, plan *stsk.Plan, b []float64, opts ...Option) ([]fl
 			return x, st, err
 		}
 		rzNew := dot(r, z)
+		if err := checkFinite("rᵀz", rzNew, k); err != nil {
+			return x, st, err
+		}
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range p {
@@ -153,6 +177,15 @@ func CG(ctx context.Context, plan *stsk.Plan, b []float64, opts ...Option) ([]fl
 		stsk.ErrNotConverged, st.Residual, st.Iterations, c.tol)
 }
 
+// checkFinite refuses a CG scalar that came out NaN or infinite at
+// iteration k (0 before the first), wrapping stsk.ErrNonFinite.
+func checkFinite(name string, v float64, k int) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: CG %s is %v at iteration %d", stsk.ErrNonFinite, name, v, k)
+	}
+	return nil
+}
+
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -161,8 +194,18 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-func axpy(y []float64, alpha float64, x []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
+// update is x += αp, r −= α·A′p and ‖r‖² in one pass over the vectors.
+// Each element operation, and the order of the sum, is that of two axpys
+// and a dot product run one after another, so the iterates are theirs
+// bit for bit.
+func update(x, r, p, ap []float64, alpha float64) float64 {
+	x, p, ap = x[:len(r)], p[:len(r)], ap[:len(r)]
+	na := -alpha
+	s := 0.0
+	for i := range r {
+		x[i] += alpha * p[i]
+		r[i] += na * ap[i]
+		s += r[i] * r[i]
 	}
+	return s
 }

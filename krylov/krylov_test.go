@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"stsk"
@@ -156,6 +157,65 @@ func TestCGDimensionAndZeroRHS(t *testing.T) {
 	for i := range x {
 		if x[i] != 0 {
 			t.Fatal("zero rhs must give the zero solution")
+		}
+	}
+}
+
+// scaleM is the preconditioner z = s·r: a huge or tiny s drives CG's
+// scalars out of float64 range from finite data.
+type scaleM float64
+
+func (s scaleM) Apply(z, r []float64) error {
+	for i := range z {
+		z[i] = float64(s) * r[i]
+	}
+	return nil
+}
+
+// nanAfterM is the identity preconditioner until its first n calls are
+// spent, and then writes a NaN into z.
+type nanAfterM struct{ n int }
+
+func (m *nanAfterM) Apply(z, r []float64) error {
+	copy(z, r)
+	if m.n--; m.n < 0 {
+		z[0] = math.NaN()
+	}
+	return nil
+}
+
+// TestCGRefusesNonFinite: CG stops with ErrNonFinite as soon as ‖b‖,
+// pᵀA′p, ‖r‖² or rᵀz comes out NaN or infinite, instead of running its
+// whole budget on NaN vectors (1,000 iterations, every entry of x NaN).
+func TestCGRefusesNonFinite(t *testing.T) {
+	plan, _, b := problem(t, "grid3d", 8000)
+	ic0, err := stsk.NewIC0(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic0.Close()
+	for _, v := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		bad := append([]float64(nil), b...)
+		bad[7] = v
+		_, st, err := CG(context.Background(), plan, bad, WithPreconditioner(ic0), WithTolerance(1e-10))
+		if !errors.Is(err, stsk.ErrNonFinite) || !strings.Contains(err.Error(), "‖b‖") || st.Iterations != 0 {
+			t.Errorf("b[7] = %v: err = %v after %d iterations, want ErrNonFinite on ‖b‖ before the first", v, err, st.Iterations)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		pc     stsk.Preconditioner
+		scalar string
+		iters  int
+	}{
+		{"NaN in z at the start", &nanAfterM{n: 0}, "rᵀz", 0},
+		{"NaN in z at iteration 1", &nanAfterM{n: 1}, "rᵀz", 1},
+		{"z = 1e200·r", scaleM(1e200), "pᵀA′p", 0},
+		{"z = 1e-200·r", scaleM(1e-200), "‖r‖²", 1},
+	} {
+		_, st, err := CG(context.Background(), plan, b, WithPreconditioner(tc.pc), WithTolerance(1e-10))
+		if !errors.Is(err, stsk.ErrNonFinite) || !strings.Contains(err.Error(), tc.scalar) || st.Iterations != tc.iters {
+			t.Errorf("%s: err = %v after %d iterations, want ErrNonFinite on %s after %d", tc.name, err, st.Iterations, tc.scalar, tc.iters)
 		}
 	}
 }

@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -263,10 +264,11 @@ type Plan struct {
 
 	// lazyMu guards the lazily built caches below; Plans are documented as
 	// safe for concurrent solving, so lazy construction must be too.
-	lazyMu  sync.Mutex
-	aSym    *sparse.CSR   // plan-ordered symmetric matrix A′ at value epoch aSymSeq
-	aSymSeq uint64        // the epoch aSym's values were gathered from
-	dag     *csrk.TaskDAG // dependency DAG the solvers schedule over
+	lazyMu   sync.Mutex
+	aSym     *sparse.CSR32 // plan-ordered symmetric matrix A′ at value epoch aSymSeq
+	aSymSeq  uint64        // the epoch aSym's values were gathered from
+	aSymRows *solve.SpMV   // A′'s row chunks, built with its pattern
+	dag      *csrk.TaskDAG // dependency DAG the solvers schedule over
 
 	// shared is the plan's own persistent Solver, built on first
 	// default-option Solve/SolveUpper so repeated solves reuse its
@@ -308,10 +310,11 @@ func (p *Plan) taskDAG() *csrk.TaskDAG {
 }
 
 // symmetric returns A′ = L′ + L′ᵀ − D in plan order at the current value
-// epoch. It is assembled once from the packed shape, with no transpose;
-// after a Refactor only its values are gathered again, onto the same
-// pattern.
-func (p *Plan) symmetric() *sparse.CSR {
+// epoch, and the row chunks its products are swept in. It is assembled
+// once from the packed shape, with no transpose, and its chunks are
+// carved with its pattern; after a Refactor only its values are gathered
+// again, onto the same pattern.
+func (p *Plan) symmetric() (*sparse.CSR32, *solve.SpMV) {
 	s, seq := p.vals.Snapshot()
 	p.lazyMu.Lock()
 	defer p.lazyMu.Unlock()
@@ -323,15 +326,26 @@ func (p *Plan) symmetric() *sparse.CSR {
 			panic(err)
 		}
 		p.aSym, p.aSymSeq = sh.Symmetric(s.L, p.aSym), seq
+		if p.aSymRows == nil {
+			p.aSymRows = solve.NewSpMV(p.aSym, runtime.GOMAXPROCS(0))
+		}
 	}
-	return p.aSym
+	return p.aSym, p.aSymRows
 }
 
 // ApplySymmetric computes y = A′·x where A′ is the plan-ordered symmetric
 // matrix whose lower triangle the plan solves — the operator a
-// preconditioned-CG iteration multiplies by.
-func (p *Plan) ApplySymmetric(y, x []float64) {
-	p.symmetric().MatVec(y, x)
+// preconditioned-CG iteration multiplies by. The caller and up to
+// GOMAXPROCS−1 idle solve helpers sweep it in row chunks, each row summed
+// in entry order, so y is the same bit for bit at any worker count.
+// Vectors of the wrong length are refused with ErrDimension, and a
+// contained kernel panic returns as ErrInternal.
+func (p *Plan) ApplySymmetric(y, x []float64) error {
+	if n := p.N(); len(y) != n || len(x) != n {
+		return dimErr(len(y), len(x), n)
+	}
+	a, rows := p.symmetric()
+	return rows.Apply(a, y, x)
 }
 
 // Diagonal returns a copy of the diagonal of the plan's system at the
