@@ -117,8 +117,10 @@ func BenchmarkSolveSTS3Sequential(b *testing.B) { benchSolve(b, STS3, 1) }
 // iteration makes, on the pcg-ic0 workload's plan (grid3d, n = 97,336,
 // STS-3): the sequential CSR.MatVec reference over SymmetrizePattern(L′)
 // against ApplySymmetric, which the caller and the idle solve helpers
-// sweep in row chunks over 32-bit indices. Run it with -cpu 1,2 to see
-// the second worker's share.
+// sweep in row chunks over 32-bit indices; and the first product of each
+// new value epoch (AfterRefactor), which also gathers that epoch's A′
+// values, on one core. Run it with -cpu 1,2 to see the second worker's
+// share.
 func BenchmarkApplySymmetric(b *testing.B) {
 	mat, err := Generate("grid3d", 100000)
 	if err != nil {
@@ -148,6 +150,24 @@ func BenchmarkApplySymmetric(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if err := plan.ApplySymmetric(y, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AfterRefactor", func(b *testing.B) {
+		vals := [2][]float64{mat.Values(), mat.Values()}
+		for k := range vals[1] {
+			vals[1][k] *= 2
+		}
+		b.SetBytes(int64(ref.NNZ()) * 12)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := plan.Refactor(vals[i%2]); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 			if err := plan.ApplySymmetric(y, x); err != nil {
 				b.Fatal(err)
 			}

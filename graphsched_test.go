@@ -135,26 +135,20 @@ func TestGraphScheduleConcurrentBatches(t *testing.T) {
 }
 
 // TestDefaultScheduleResolvesToGraph: every solver of more than one
-// worker schedules over the plan's one task DAG — built lazily and shared
-// — and a one-worker solver needs none, so building it leaves the DAG
-// unbuilt.
+// worker schedules over the plan's one task DAG, which its value
+// sequence derives once per pattern; on independent blocks the DAG
+// exposes their parallelism.
 func TestDefaultScheduleResolvesToGraph(t *testing.T) {
 	mat := blockDiagMatrix(8, gen.Grid2D(30, 30))
 	p, err := Build(mat, STS3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts := p.solveOptions(applyOptions([]Option{WithWorkers(1)})); opts.Graph != nil || p.dag != nil {
-		t.Fatal("one-worker solver built the task DAG")
+	dag := p.vals.TaskDAG()
+	if p.vals.TaskDAG() != dag {
+		t.Fatal("the plan's task DAG is built more than once")
 	}
-	opts := p.solveOptions(applyOptions([]Option{WithWorkers(4)}))
-	if opts.Graph == nil || opts.Graph != p.taskDAG() {
-		t.Fatal("4-worker solver does not get the plan's task DAG")
-	}
-	if again := p.solveOptions(applyOptions([]Option{WithWorkers(2)})); again.Graph != opts.Graph {
-		t.Fatal("solvers do not share one task DAG")
-	}
-	if pi := opts.Graph.Parallelism(); pi < 1.5 {
+	if pi := dag.Parallelism(); pi < 1.5 {
 		t.Fatalf("block-diagonal DAG parallelism %.2f, want >= 1.5", pi)
 	}
 }

@@ -38,7 +38,7 @@ func TestIC0NonFiniteFactorRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, ok := ic0OverflowValues(m.a, p.inner.Perm, tc.djj)
+		vals, ok := ic0OverflowValues(m.a, p.perm, tc.djj)
 		if !ok {
 			t.Fatal("no overflow pattern in the plan's factor")
 		}
@@ -191,8 +191,8 @@ func TestIC0SharesBaseSymbolicState(t *testing.T) {
 	same("Col", fs.L.Col, ps.L.Col)
 	same("SuperPtr", fs.SuperPtr, ps.SuperPtr)
 	same("PackPtr", fs.PackPtr, ps.PackPtr)
-	same("Perm", ic.inner.Perm, p.inner.Perm)
-	if ic.taskDAG() != p.taskDAG() {
+	same("Perm", ic.perm, p.perm)
+	if ic.vals.TaskDAG() != p.vals.TaskDAG() {
 		t.Fatal("task DAG is not shared with the base plan")
 	}
 	bs, err := p.vals.Shape()

@@ -74,71 +74,6 @@ func CoarsenContiguous(m *sparse.CSR, rowsPerSuper int) *Partition {
 	return p
 }
 
-// CoarsenMatching computes a maximal matching that pairs each vertex with
-// an unmatched neighbour (preferring the neighbour sharing the most common
-// neighbours — a heavy-edge analogue for unweighted graphs) and collapses
-// matched pairs; unmatched vertices become singleton parts. This is the
-// graph-coarsening route to super-rows for matrices without a banded
-// structure.
-func CoarsenMatching(g *Graph) *Partition {
-	match := make([]int, g.N)
-	for i := range match {
-		match[i] = -1
-	}
-	common := make([]int, g.N) // scratch: shared-neighbour counts
-	stamp := make([]int, g.N)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for v := 0; v < g.N; v++ {
-		if match[v] >= 0 {
-			continue
-		}
-		// Count shared neighbours with each unmatched neighbour.
-		for _, u := range g.Neighbors(v) {
-			for _, w := range g.Neighbors(u) {
-				if w == v {
-					continue
-				}
-				if stamp[w] != v {
-					stamp[w] = v
-					common[w] = 0
-				}
-				common[w]++
-			}
-		}
-		best, bestScore := -1, -1
-		for _, u := range g.Neighbors(v) {
-			if match[u] >= 0 {
-				continue
-			}
-			score := 0
-			if stamp[u] == v {
-				score = common[u]
-			}
-			if score > bestScore {
-				best, bestScore = u, score
-			}
-		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = v
-		}
-	}
-	p := &Partition{Membership: make([]int, g.N)}
-	part := 0
-	for v := 0; v < g.N; v++ {
-		if match[v] >= 0 && match[v] < v {
-			p.Membership[v] = p.Membership[match[v]]
-			continue
-		}
-		p.Membership[v] = part
-		part++
-	}
-	p.NumParts = part
-	return p
-}
-
 // CoarseGraph builds the quotient graph of g under the partition: one
 // vertex per part, an edge between distinct parts that contain adjacent
 // fine vertices. This is G2 (and recursively G3, ...) of the paper.

@@ -59,49 +59,6 @@ func TestCoarsenContiguousClamps(t *testing.T) {
 	}
 }
 
-func TestCoarsenMatchingPairs(t *testing.T) {
-	g := pathGraph(8)
-	p := CoarsenMatching(g)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sizes := p.PartSizes()
-	for _, s := range sizes {
-		if s > 2 {
-			t.Fatalf("matching produced part of size %d", s)
-		}
-	}
-	if p.NumParts >= g.N {
-		t.Fatalf("matching on a path should shrink the graph: %d parts for %d vertices", p.NumParts, g.N)
-	}
-}
-
-func TestCoarsenMatchingProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(rng, 60)
-		p := CoarsenMatching(g)
-		if err := p.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, s := range p.PartSizes() {
-			if s < 1 || s > 2 {
-				t.Fatalf("trial %d: part size %d", trial, s)
-			}
-		}
-		// Matched pairs must be adjacent.
-		byPart := make(map[int][]int)
-		for v, part := range p.Membership {
-			byPart[part] = append(byPart[part], v)
-		}
-		for _, vs := range byPart {
-			if len(vs) == 2 && !g.HasEdge(vs[0], vs[1]) {
-				t.Fatalf("trial %d: non-adjacent vertices %v matched", trial, vs)
-			}
-		}
-	}
-}
-
 func TestCoarseGraphQuotient(t *testing.T) {
 	// Path 0-1-2-3 with parts {0,1} and {2,3} -> coarse path of 2 vertices.
 	g := pathGraph(4)
@@ -122,7 +79,17 @@ func TestCoarseGraphNoSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 50)
-		p := CoarsenMatching(g)
+		// Consecutive vertices in parts of 1 to 4: most parts hold an
+		// edge of g, which must not become a self-loop.
+		p := &Partition{Membership: make([]int, g.N)}
+		for v, left := 0, 0; v < g.N; v++ {
+			if left == 0 {
+				p.NumParts++
+				left = 1 + rng.Intn(4)
+			}
+			p.Membership[v] = p.NumParts - 1
+			left--
+		}
 		cg := CoarseGraph(g, p)
 		if err := cg.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

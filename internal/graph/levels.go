@@ -37,47 +37,6 @@ func DAGLevels(l *sparse.CSR) (levels []int, numLevels int, err error) {
 	return levels, numLevels, nil
 }
 
-// BFSLevels returns the breadth-first distance of every vertex from the
-// given seed (the paper's "variant of breadth-first search", §2), visiting
-// remaining components from their own maximum-degree vertices. Unlike DAG
-// levels, vertices sharing a BFS level may be adjacent; callers that use
-// BFS levels to build packs must renumber and re-extract the lower triangle
-// so the DAG levels of the renumbered system define the final packs
-// (see internal/order).
-func (g *Graph) BFSLevels(seed int) (levels []int, numLevels int) {
-	levels = make([]int, g.N)
-	for i := range levels {
-		levels[i] = -1
-	}
-	if g.N == 0 {
-		return levels, 0
-	}
-	if seed < 0 || seed >= g.N {
-		seed = 0
-	}
-	assign := func(src int) {
-		g.BFS(src, func(v, d int) {
-			levels[v] = d
-			if d+1 > numLevels {
-				numLevels = d + 1
-			}
-		})
-	}
-	assign(seed)
-	for {
-		best, bestDeg := -1, -1
-		for v := 0; v < g.N; v++ {
-			if levels[v] < 0 && g.Degree(v) > bestDeg {
-				best, bestDeg = v, g.Degree(v)
-			}
-		}
-		if best < 0 {
-			return levels, numLevels
-		}
-		assign(best)
-	}
-}
-
 // VerifyLevels checks the defining property of triangular level sets: every
 // strictly-lower entry of l crosses from a strictly smaller level.
 func VerifyLevels(l *sparse.CSR, levels []int) error {

@@ -99,44 +99,21 @@ func TestDAGLevelsProperty(t *testing.T) {
 	}
 }
 
-func TestBFSLevelsPath(t *testing.T) {
-	g := pathGraph(7)
-	levels, nl := g.BFSLevels(0)
-	if nl != 7 {
-		t.Fatalf("BFS levels = %d, want 7", nl)
-	}
-	for i, lv := range levels {
-		if lv != i {
-			t.Fatalf("level[%d] = %d, want %d", i, lv, i)
-		}
-	}
-}
-
-func TestBFSLevelsDisconnected(t *testing.T) {
-	coo := sparse.NewCOO(5, 6)
-	for i := 0; i < 5; i++ {
-		coo.Add(i, i, 1)
-	}
-	coo.AddSym(0, 1, 1)
-	coo.AddSym(3, 4, 1)
-	g := FromMatrix(coo.ToCSR())
-	levels, _ := g.BFSLevels(0)
-	for v, lv := range levels {
-		if lv < 0 {
-			t.Fatalf("vertex %d unassigned", v)
-		}
-	}
-}
-
 func TestBFSLevelsFewerOnCoarseGraph(t *testing.T) {
 	// The paper's motivation for applying level sets to G2 (§3.2): the
 	// coarse graph has fewer vertices, hence fewer levels.
 	m := gen.Grid2D(24, 24)
 	g1 := FromMatrix(m)
-	_, nl1 := g1.BFSLevels(g1.MaxDegreeVertex())
 	part := CoarsenContiguous(m, 4)
 	g2 := CoarseGraph(g1, part)
-	_, nl2 := g2.BFSLevels(g2.MaxDegreeVertex())
+	// Both graphs are connected: their BFS levels from a vertex are its
+	// distances 0 to the deepest.
+	levels := func(g *Graph) int {
+		n := 0
+		g.BFS(g.MaxDegreeVertex(), func(_, d int) { n = max(n, d+1) })
+		return n
+	}
+	nl1, nl2 := levels(g1), levels(g2)
 	if nl2 >= nl1 {
 		t.Fatalf("coarse graph has %d BFS levels, fine has %d; want fewer", nl2, nl1)
 	}

@@ -4,9 +4,10 @@
 // row permutation, the permuted factor's CSR arrays at the current value
 // epoch, the super-row and pack boundaries — plus opaque embedder
 // metadata (the serve registry stores its plan spec and value version
-// there). The task DAG is not stored: it is a function of the factor's
-// pattern and the boundaries, and a loader derives it the way Build
-// does.
+// there). Neither the task DAG nor the source matrix's pattern is
+// stored: the DAG is a function of the factor's pattern and the
+// boundaries, and the source pattern of the factor's pattern and the
+// permutation, so a loader derives each the way a built plan does.
 //
 // The format exists to amortize the expensive symbolic build across
 // process lifetimes: a cold `stsk.Build` is seconds of ordering-pipeline
@@ -20,7 +21,7 @@
 //
 //	offset  size  field
 //	0       8     magic "STSKSNAP"
-//	8       4     format version (uint32, currently 2)
+//	8       4     format version (uint32, currently 3)
 //	12      4     reserved (0)
 //	16      8     payload length in bytes (uint64)
 //	24      4     CRC-32C (Castagnoli) of the payload (uint32)
@@ -41,13 +42,12 @@
 //	val         []float64   factor values at the serialized value epoch
 //	superPtr    []int       super-row boundaries (csrk "index2")
 //	packPtr     []int       pack boundaries (csrk "index3")
-//	origRowPtr  []int       source-matrix pattern (Refactor's input order)
-//	origCol     []int
 //	meta blob   []byte      opaque embedder metadata (optional)
 //	auxVals     []float64   opaque embedder value array (optional)
 //
-// Version 1 files, which also carried the task DAG and a pack count,
-// are refused with ErrVersion like any other revision.
+// Version 1 files, which also carried the task DAG and a pack count, and
+// version 2 files, which also carried the source matrix's pattern, are
+// refused with ErrVersion like any other revision.
 //
 // Read refuses anything it cannot prove whole: a wrong magic, an
 // unsupported format version (ErrVersion), a truncated stream, a payload
@@ -77,7 +77,7 @@ const (
 	// FormatVersion is the on-disk format revision this build reads and
 	// writes. Bump it on any incompatible layout change; Read refuses
 	// other versions cleanly instead of mis-decoding them.
-	FormatVersion = 2
+	FormatVersion = 3
 
 	headerSize = 32
 	metaSize   = 20 // method int32, n uint64, valueVersion uint64
@@ -116,11 +116,6 @@ type Image struct {
 	SuperPtr []int
 	PackPtr  []int
 
-	// OrigRowPtr/OrigCol carry the source matrix's pattern so a reloaded
-	// plan can keep accepting Refactor calls in input order.
-	OrigRowPtr []int
-	OrigCol    []int
-
 	// Meta and AuxVals are opaque embedder sections, carried verbatim
 	// under the same checksum. The serve registry stores its plan spec +
 	// registry value version in Meta and the latest input-order value
@@ -135,7 +130,7 @@ func Write(w io.Writer, img *Image) error {
 	var e encoder
 	// Reserve a worst-case payload up front so encoding never regrows.
 	size := metaSize + len(img.Meta)
-	for _, a := range [][]int{img.Perm, img.RowPtr, img.Col, img.SuperPtr, img.PackPtr, img.OrigRowPtr, img.OrigCol} {
+	for _, a := range [][]int{img.Perm, img.RowPtr, img.Col, img.SuperPtr, img.PackPtr} {
 		size += 9 + 8*len(a)
 	}
 	size += 8*3 + 8*(len(img.Val)+len(img.AuxVals))
@@ -147,8 +142,6 @@ func Write(w io.Writer, img *Image) error {
 	e.floats(img.Val)
 	e.ints(img.SuperPtr)
 	e.ints(img.PackPtr)
-	e.ints(img.OrigRowPtr)
-	e.ints(img.OrigCol)
 	e.blob(img.Meta)
 	e.floats(img.AuxVals)
 
@@ -230,8 +223,6 @@ func decodePayload(hdr, payload []byte) (*Image, error) {
 	}
 	read(&img.SuperPtr)
 	read(&img.PackPtr)
-	read(&img.OrigRowPtr)
-	read(&img.OrigCol)
 	if err == nil {
 		img.Meta, err = d.blob()
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // fullImage is a small image exercising every section, including the
-// optional ones (original pattern, meta blob, aux values).
+// optional ones (meta blob, aux values).
 func fullImage() *Image {
 	return &Image{
 		Method:       2,
@@ -24,8 +24,6 @@ func fullImage() *Image {
 		Val:          []float64{1, 0.5, 2, 0.25, 0.75, 4},
 		SuperPtr:     []int{0, 1, 3},
 		PackPtr:      []int{0, 1, 2},
-		OrigRowPtr:   []int{0, 1, 2, 3},
-		OrigCol:      []int{0, 1, 2},
 		Meta:         []byte(`{"spec":"x"}`),
 		AuxVals:      []float64{1, 2, 3, 4, 5, 6},
 	}
@@ -34,7 +32,6 @@ func fullImage() *Image {
 // minImage leaves every optional section absent.
 func minImage() *Image {
 	img := fullImage()
-	img.OrigRowPtr, img.OrigCol = nil, nil
 	img.Meta, img.AuxVals = nil, nil
 	return img
 }
@@ -128,11 +125,12 @@ func TestTrailingGarbage(t *testing.T) {
 }
 
 // TestVersionSkew stamps other format versions into a valid file: a
-// future one, and version 1, whose files carried a task DAG this build
-// no longer reads. Both read paths refuse each with ErrVersion.
+// future one, version 1, whose files carried a task DAG, and version 2,
+// whose files carried the source matrix's pattern, neither of which this
+// build reads. Both read paths refuse each with ErrVersion.
 func TestVersionSkew(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.snap")
-	for _, v := range []uint32{0xff, 1} {
+	for _, v := range []uint32{0xff, 1, 2} {
 		raw := encode(t, fullImage())
 		binary.LittleEndian.PutUint32(raw[8:12], v)
 		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {

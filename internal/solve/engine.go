@@ -35,9 +35,10 @@ type Options struct {
 	// Workers is the most goroutines one call is swept by: the caller
 	// plus up to Workers−1 idle helpers; defaults to GOMAXPROCS.
 	Workers int
-	// Graph is the structure's dependency DAG, built once at plan time by
-	// order.BuildTaskDAG. Cooperative solves schedule its tasks point to
-	// point; an engine with more than one worker requires it.
+	// Graph is the dependency DAG cooperative solves schedule point to
+	// point. Nil (the default) selects the value sequence's own,
+	// Values.TaskDAG; a DAG passed in, such as a finer carving of the same
+	// structure, must fit it. A one-worker engine uses none.
 	Graph *csrk.TaskDAG
 	// BlockWidth is the default panel width of the blocked multi-vector
 	// solves (SolveBlockIntoCtx and SolveUpperBlockIntoCtx): right-hand
@@ -77,9 +78,9 @@ type Options struct {
 // Engines are safe for concurrent use, including Close racing in-flight
 // solves: calls already started complete, later ones return ErrClosed.
 type Engine struct {
-	s      *csrk.Structure // the pack/super-row geometry, shared by every epoch
-	vals   *Values         // the value-epoch sequence the kernels sweep
-	n      int             // system dimension
+	vals   *Values // the value-epoch sequence the kernels sweep
+	n      int     // system dimension
+	inline bool    // every call sweeps on its caller: one worker, or one super-row
 	opts   Options
 	closed atomic.Bool
 
@@ -100,9 +101,12 @@ type Engine struct {
 // opts.Workers−1 if that is more than any engine asked for before.
 //
 // The factor must fit the packed layout's 32-bit indices (an error
-// wrapping sparse.ErrTooLarge otherwise), and an engine of more than one
-// worker needs opts.Graph built for this structure: a missing or foreign
-// DAG is an error, never a silent change of schedule.
+// wrapping sparse.ErrTooLarge otherwise). An engine of more than one
+// worker schedules over opts.Graph, or over v.TaskDAG() when that is
+// nil; a foreign DAG is an error, never a silent race.
+//
+// The engine keeps no structure: it reads each call's values, and the
+// geometry they are swept in, off the epoch the call pins.
 func NewEngine(v *Values, opts Options) (*Engine, error) {
 	s := v.Structure()
 	if err := sparse.CheckPackable(s.L); err != nil {
@@ -114,23 +118,23 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 	opts.BlockWidth = normalizeBlockWidth(opts.BlockWidth, maxBlockWidth)
 	if opts.Workers > 1 {
 		if opts.Graph == nil {
-			return nil, fmt.Errorf("solve: %d workers need the structure's task DAG", opts.Workers)
-		}
-		// A DAG built for another structure would not respect this one's
-		// dependencies and would silently race dependent rows.
-		if err := opts.Graph.Validate(s); err != nil {
+			opts.Graph = v.TaskDAG()
+		} else if err := opts.Graph.Validate(s); err != nil {
+			// A DAG built for another structure would not respect this
+			// one's dependencies and would silently race dependent rows.
 			return nil, fmt.Errorf("solve: task DAG does not fit the structure: %w", err)
 		}
 	}
+	n := s.L.N
 	e := &Engine{
-		s:    s,
-		vals: v,
-		n:    s.L.N,
-		opts: opts,
+		vals:   v,
+		n:      n,
+		inline: opts.Workers == 1 || s.NumSuperRows() == 1,
+		opts:   opts,
 	}
 	e.graphRuns.fresh = func() *graphRun { return newGraphRun(opts.Graph) }
 	e.panelRuns.fresh = func() *panelRun { return new(panelRun) }
-	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, s.L.N*maxBlockWidth); return &buf }
+	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, n*maxBlockWidth); return &buf }
 	helpers.grow(opts.Workers)
 	return e, nil
 }
@@ -229,7 +233,7 @@ func (e *Engine) panelSolve(ctx context.Context, pk *sparse.Packed, X, B []float
 		return err
 	}
 	tr := trace.FromContext(ctx)
-	if e.opts.Workers == 1 || e.s.NumSuperRows() == 1 {
+	if e.inline {
 		// Degenerate layouts sweep inline on the caller.
 		s0 := trace.Now()
 		err := e.localSweep(pk, X, B, kw, reverse)

@@ -2,19 +2,22 @@ package solve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"stsk/internal/csrk"
 	"stsk/internal/faultinject"
+	"stsk/internal/order"
 	"stsk/internal/sparse"
 )
 
 // Values owns the numeric side of one plan's factor as a sequence of
-// immutable copy-on-write epochs. The symbolic side — pack partition,
-// super-row boundaries, the RowPtr/Col index arrays, the packed layouts'
-// index arrays (one sparse.PackShape, built on the first pin) — is
-// shared by every epoch and by every sequence derived from this one
+// immutable copy-on-write epochs, and every layout derived from the
+// factor. The symbolic side — pack partition, super-row boundaries, the
+// RowPtr/Col index arrays, and what the pattern derives once (the packed
+// shape, the task DAG, A′'s index arrays and row chunks) — is shared by
+// every epoch and by every sequence derived from this one
 // (Derive); a numeric refactorization (Values.Swap) publishes a new
 // epoch carrying only fresh value arrays.
 //
@@ -22,12 +25,12 @@ import (
 // epoch pointer exactly once and threads it through the sweep, so a solve
 // already in flight finishes on the snapshot it started with while later
 // dispatches see the new values. One Values is shared by all engines of a
-// plan, so per-epoch derived state (the packed values of the factor and
-// of its transpose) is built at most once per epoch no matter how many
-// engines solve it.
+// plan, so per-epoch derived state (the packed values of the factor, of
+// its transpose and of A′) is built at most once per epoch no matter how
+// many engines solve it.
 type Values struct {
-	cur   atomic.Pointer[epoch]
-	shape *shapeCell // shared by every epoch and every derived sequence
+	cur atomic.Pointer[epoch]
+	pat *pattern // shared by every epoch and every derived sequence
 }
 
 // NewValues wraps a structure as epoch 0 of a value sequence.
@@ -40,8 +43,8 @@ func NewValues(s *csrk.Structure) *Values {
 // epoch numbering the serialized plan had reached so version reporting
 // stays monotone across a warm restart.
 func NewValuesVersion(s *csrk.Structure, seq uint64) *Values {
-	v := &Values{shape: new(shapeCell)}
-	v.cur.Store(&epoch{seq: seq, s: s, shape: v.shape})
+	v := &Values{pat: new(pattern)}
+	v.cur.Store(&epoch{seq: seq, s: s, pat: v.pat})
 	return v
 }
 
@@ -69,7 +72,27 @@ func (v *Values) Snapshot() (*csrk.Structure, uint64) {
 // on first use; every epoch and every derived sequence shares it. The
 // error is NewPackShape's, for a factor no packed layout can hold.
 func (v *Values) Shape() (*sparse.PackShape, error) {
-	return v.shape.get(v.Current().s.L)
+	return v.pat.packShape(v.Current().s.L)
+}
+
+// TaskDAG returns the dependency DAG the cooperative sweeps schedule
+// over: packs carved into nnz-balanced super-row chunks, direct
+// dependencies read off the pattern, transitively sparsified
+// (order.BuildTaskDAG with its defaults). It is built on first use, once
+// per pattern, and shared by every epoch, every derived sequence and
+// every engine over them.
+func (v *Values) TaskDAG() *csrk.TaskDAG {
+	return v.pat.taskDAG(v.Current().s)
+}
+
+// Symmetric returns A′ = L′ + L′ᵀ − D at the live epoch, in the order
+// of the factor's rows, and the row chunks its products are swept in.
+// A′'s index arrays and chunks are built once per pattern; each epoch
+// gathers its own values onto them on its first product. Both are
+// read-only.
+func (v *Values) Symmetric() (*sparse.CSR32, *SpMV) {
+	a := v.Current().symmetric()
+	return a, v.pat.rows
 }
 
 // Swap validates val as a complete value array for the factor's fixed
@@ -92,7 +115,7 @@ func (v *Values) Swap(val []float64) error {
 	if err := checkValues(old.s.L, val); err != nil {
 		return err
 	}
-	v.cur.Store(&epoch{seq: old.seq + 1, s: withValues(old.s, val), shape: v.shape})
+	v.cur.Store(&epoch{seq: old.seq + 1, s: withValues(old.s, val), pat: v.pat})
 	return nil
 }
 
@@ -100,8 +123,9 @@ func (v *Values) Swap(val []float64) error {
 // at epoch 0 with val: a factor computed from the current values, such
 // as an incomplete-Cholesky factor. It shares everything symbolic — the
 // RowPtr/Col arrays, the super-row and pack boundaries, the packed
-// shape — and runs Swap's checks on val, publishing nothing on a
-// refusal. The two sequences' later swaps are independent.
+// shape, the task DAG, A′'s index arrays — and runs Swap's checks on
+// val, publishing nothing on a refusal. The two sequences' later swaps
+// are independent.
 //
 // Derive takes ownership of val, like Swap.
 func (v *Values) Derive(val []float64) (*Values, error) {
@@ -109,8 +133,8 @@ func (v *Values) Derive(val []float64) (*Values, error) {
 	if err := checkValues(cur.s.L, val); err != nil {
 		return nil, err
 	}
-	d := &Values{shape: v.shape}
-	d.cur.Store(&epoch{s: withValues(cur.s, val), shape: v.shape})
+	d := &Values{pat: v.pat}
+	d.cur.Store(&epoch{s: withValues(cur.s, val), pat: v.pat})
 	return d, nil
 }
 
@@ -153,29 +177,43 @@ func CheckFinite(val []float64) error {
 	return nil
 }
 
-// shapeCell holds the packed shape of one pattern, built once by
-// whichever epoch, of whichever sequence sharing the pattern, pins first.
-type shapeCell struct {
-	once sync.Once
-	sh   *sparse.PackShape
-	err  error
+// pattern holds what one factor pattern derives once, each part built by
+// whichever epoch, of whichever sequence sharing the pattern, needs it
+// first. It reads the pattern and boundaries of the structure it is
+// handed and keeps none of them, so it pins no epoch's values.
+type pattern struct {
+	shapeOnce sync.Once
+	shape     *sparse.PackShape
+	shapeErr  error
+
+	dagOnce sync.Once
+	dag     *csrk.TaskDAG
+
+	symOnce sync.Once
+	sym     *sparse.CSR32 // A′'s RowPtr and Col; no values
+	rows    *SpMV         // A′'s row chunks
 }
 
-func (c *shapeCell) get(l *sparse.CSR) (*sparse.PackShape, error) {
-	c.once.Do(func() { c.sh, c.err = sparse.NewPackShape(l) })
-	return c.sh, c.err
+func (c *pattern) packShape(l *sparse.CSR) (*sparse.PackShape, error) {
+	c.shapeOnce.Do(func() { c.shape, c.shapeErr = sparse.NewPackShape(l) })
+	return c.shape, c.shapeErr
+}
+
+func (c *pattern) taskDAG(s *csrk.Structure) *csrk.TaskDAG {
+	c.dagOnce.Do(func() { c.dag = order.BuildTaskDAG(s, order.TaskDAGOptions{}) })
+	return c.dag
 }
 
 // epoch is one immutable numeric snapshot of the factor: the structure
-// (shared symbolic arrays + this epoch's values) and the packed layouts
-// the kernels sweep, whose values are each gathered at most once onto
-// the shared shape. A call builds them before it is offered to the
-// helpers, and the hand-off (a channel send) publishes them to every
+// (shared symbolic arrays + this epoch's values) and the layouts its
+// values are gathered into, each at most once onto the pattern's index
+// arrays. A call builds the layouts it sweeps before it is offered to
+// the helpers, and the hand-off (a channel send) publishes them to every
 // helper that joins.
 type epoch struct {
-	seq   uint64
-	s     *csrk.Structure
-	shape *shapeCell
+	seq uint64
+	s   *csrk.Structure
+	pat *pattern
 
 	packOnce sync.Once
 	pk       *sparse.Packed // L′, built on the first pin
@@ -183,20 +221,26 @@ type epoch struct {
 	upperOnce sync.Once
 	upk       *sparse.Packed // L′ᵀ, built on the first backward sweep
 	upperErr  error
+
+	symOnce sync.Once
+	sym     *sparse.CSR32 // A′, built on the first product
+}
+
+// shape returns the pattern's packed shape. Engines refuse structures
+// whose indices overflow 32 bits and csrk.Structure guarantees a
+// trailing diagonal per row, so building it cannot fail here.
+func (ep *epoch) shape() *sparse.PackShape {
+	sh, err := ep.pat.packShape(ep.s.L)
+	if err != nil {
+		panic("solve: factor cannot be packed: " + err.Error())
+	}
+	return sh
 }
 
 // packed returns the epoch's packed lower factor, building it on first
-// use. Engines refuse structures whose indices overflow 32 bits and
-// csrk.Structure guarantees a trailing diagonal per row, so packing
-// cannot fail here.
+// use.
 func (ep *epoch) packed() *sparse.Packed {
-	ep.packOnce.Do(func() {
-		sh, err := ep.shape.get(ep.s.L)
-		if err != nil {
-			panic("solve: factor cannot be packed: " + err.Error())
-		}
-		ep.pk = sh.Lower(ep.s.L.Val)
-	})
+	ep.packOnce.Do(func() { ep.pk = ep.shape().Lower(ep.s.L.Val) })
 	return ep.pk
 }
 
@@ -212,8 +256,26 @@ func (ep *epoch) packedUpper() (*sparse.Packed, error) {
 				return
 			}
 		}
-		sh, _ := ep.shape.get(ep.s.L) // built by packed above
-		ep.upk = sh.Upper(ep.s.L.Val, lo.Diag)
+		ep.upk = ep.shape().Upper(ep.s.L.Val, lo.Diag)
 	})
 	return ep.upk, ep.upperErr
+}
+
+// symmetric returns the epoch's A′, gathering its values on first use.
+// The first epoch of a pattern to get here assembles A′'s index arrays
+// with its values and carves its row chunks; every later one gathers
+// values only.
+func (ep *epoch) symmetric() *sparse.CSR32 {
+	ep.symOnce.Do(func() {
+		sh, c := ep.shape(), ep.pat
+		c.symOnce.Do(func() {
+			ep.sym = sh.Symmetric(ep.s.L, nil)
+			c.sym = &sparse.CSR32{N: ep.sym.N, RowPtr: ep.sym.RowPtr, Col: ep.sym.Col}
+			c.rows = NewSpMV(c.sym, runtime.GOMAXPROCS(0))
+		})
+		if ep.sym == nil {
+			ep.sym = sh.Symmetric(ep.s.L, c.sym)
+		}
+	})
+	return ep.sym
 }

@@ -3,6 +3,7 @@ package solve
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -58,31 +59,83 @@ func TestGraphSolveUpperBitwise(t *testing.T) {
 	}
 }
 
-// TestGraphScheduleFallsBackWithoutDAG: without a DAG only the one-worker
-// engine is built, and it falls back to the sequential sweep in both
-// directions; more workers are refused rather than silently demoted to
-// another schedule.
+// TestGraphScheduleFallsBackWithoutDAG: an engine given no DAG falls
+// back to its value sequence's own. One of several workers sweeps bit
+// for bit like one given order.BuildTaskDAG's default carving, forward,
+// backward and in a multi-panel call; a one-worker engine sweeps inline,
+// equal to the sequential oracles.
 func TestGraphScheduleFallsBackWithoutDAG(t *testing.T) {
 	p := planFor(t, gen.Grid2D(10, 10), order.STS3)
-	if _, err := NewEngine(NewValues(p.S), Options{Workers: 3}); err == nil {
-		t.Fatal("multi-worker engine without a DAG accepted")
+	B, want := randomRHS(p, 3, 9)
+	wantU := upperRef(t, p.S, B[0])
+	dag := order.BuildTaskDAG(p.S, order.TaskDAGOptions{})
+	for _, opts := range []Options{{Workers: 3}, {Workers: 3, Graph: dag}, {Workers: 1}} {
+		e, err := NewEngine(NewValues(p.S), opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		x, err := solveVec(e, B[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, "fallback", x, want[0])
+		x, err = solveUpperVec(e, B[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, "fallback-upper", x, wantU)
+		X, err := solveBatch(e, B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range X {
+			assertBitwise(t, "fallback-panels", X[r], want[r])
+		}
+		e.Close()
 	}
-	e, err := NewEngine(NewValues(p.S), Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("one-worker engine without a DAG: %v", err)
-	}
-	defer e.Close()
-	B, want := randomRHS(p, 1, 9)
-	x, err := solveVec(e, B[0])
+}
+
+// TestValuesTaskDAGPerPattern: a value sequence derives one task DAG for
+// its pattern — order.BuildTaskDAG's default carving, built on first use
+// and kept across swaps — and shares it with the sequences derived from
+// it. A one-worker engine schedules over none and builds none.
+func TestValuesTaskDAGPerPattern(t *testing.T) {
+	p := planFor(t, gen.Grid2D(12, 12), order.STS3)
+	v := NewValues(p.S)
+	e, err := NewEngine(v, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitwise(t, "fallback", x, want[0])
-	x, err = solveUpperVec(e, B[0])
+	e.Close()
+	if v.pat.dag != nil {
+		t.Fatal("a one-worker engine built the task DAG")
+	}
+	e, err = NewEngine(v, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitwise(t, "fallback-upper", x, upperRef(t, p.S, B[0]))
+	e.Close()
+	dag := v.pat.dag
+	if dag == nil || e.opts.Graph != dag {
+		t.Fatal("a two-worker engine does not schedule over the sequence's task DAG")
+	}
+	if !reflect.DeepEqual(dag, order.BuildTaskDAG(p.S, order.TaskDAGOptions{})) {
+		t.Fatal("the sequence's task DAG is not the default carving")
+	}
+	doubled := make([]float64, len(p.S.L.Val))
+	for k, x := range p.S.L.Val {
+		doubled[k] = 2 * x
+	}
+	d, err := v.Derive(doubled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Swap(append([]float64(nil), doubled...)); err != nil {
+		t.Fatal(err)
+	}
+	if v.TaskDAG() != dag || d.TaskDAG() != dag {
+		t.Fatal("the task DAG is not shared across epochs and derived sequences")
+	}
 }
 
 // TestGraphScheduleRejectsForeignDAG: a DAG built for another structure

@@ -9,6 +9,7 @@ import (
 
 	"stsk/internal/faultinject"
 	"stsk/internal/gen"
+	"stsk/internal/order"
 	"stsk/internal/panicsafe"
 	"stsk/internal/sparse"
 	"stsk/internal/testmat"
@@ -175,5 +176,50 @@ func TestSpMVSteadyStateAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%d workers: Apply allocates %.1f/op, want 0", workers, n)
 		}
+	}
+}
+
+// TestValuesSymmetricPerPattern: a value sequence assembles A′'s index
+// arrays and row chunks once per pattern and shares them across epochs
+// and with its derived sequences, while each epoch gathers its own
+// values once. Every epoch's A′ is SymmetrizePattern's matrix of its
+// factor, value for value.
+func TestValuesSymmetricPerPattern(t *testing.T) {
+	p := planFor(t, testmat.Grid3D(8), order.STS3)
+	v := NewValues(p.S)
+	check := func(label string, v *Values) *sparse.CSR32 {
+		t.Helper()
+		a, rows := v.Symmetric()
+		if again, _ := v.Symmetric(); again != a {
+			t.Fatalf("%s: the epoch's A′ is gathered more than once", label)
+		}
+		if rows != v.pat.rows || &a.Col[0] != &v.pat.sym.Col[0] || &a.RowPtr[0] != &v.pat.sym.RowPtr[0] {
+			t.Fatalf("%s: A′ does not use the pattern's index arrays and chunks", label)
+		}
+		ref := sparse.SymmetrizePattern(v.Structure().L)
+		for k, x := range ref.Val {
+			if a.Val[k] != x || !sameIndex(a.Col[k], ref.Col[k]) {
+				t.Fatalf("%s: A′ entry %d differs from SymmetrizePattern's", label, k)
+			}
+		}
+		return a
+	}
+	first := check("epoch 0", v)
+	doubled := make([]float64, len(p.S.L.Val))
+	for k, x := range p.S.L.Val {
+		doubled[k] = 2 * x
+	}
+	d, err := v.Derive(append([]float64(nil), doubled...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Swap(doubled); err != nil {
+		t.Fatal(err)
+	}
+	if check("epoch 1", v) == first || check("derived", d) == first {
+		t.Fatal("a new epoch reuses an older epoch's A′ values")
+	}
+	if v.pat != d.pat {
+		t.Fatal("the derived sequence does not share the pattern")
 	}
 }

@@ -140,6 +140,14 @@ func (s *PackShape) Upper(val, diag []float64) *Packed {
 	return p
 }
 
+// UpperRow returns row i of Lᵀ's off-diagonal entries: the columns, in
+// ascending order, and for each the index in L.Val of the entry of L it
+// mirrors. Both slices are the shape's own; callers must not modify them.
+func (s *PackShape) UpperRow(i int) (cols, src []int32) {
+	lo, hi := s.upperPtr[i], s.upperPtr[i+1]
+	return s.upperCol[lo:hi], s.upperSrc[lo:hi]
+}
+
 // CSR32 is a square CSR matrix with 32-bit row pointers and columns —
 // half the index bytes of CSR's []int in a product's inner loop. It is
 // the layout of the symmetric matrix A′ that Krylov iterations multiply

@@ -1,11 +1,5 @@
 package stsk
 
-import (
-	"runtime"
-
-	"stsk/internal/solve"
-)
-
 // Option configures the v2 facade entry points. One option vocabulary
 // serves the whole API: Build reads the ordering options (WithRowsPerSuper,
 // WithLevels, WithSloanInPack), while NewSolver and NewIC0 read the solver
@@ -73,24 +67,4 @@ func WithWorkers(n int) Option {
 // panelling and solves column by column.
 func WithBlockWidth(k int) Option {
 	return func(c *config) { c.blockWidth = k }
-}
-
-// solveOptions maps the facade's solver options onto the engine's: a
-// solver with more than one worker sweeps the plan's task DAG, built
-// lazily on the first such solver and shared by all of them.
-func (p *Plan) solveOptions(c config) solve.Options {
-	opts := solve.Options{Workers: c.workers, BlockWidth: c.blockWidth}
-	if effectiveWorkers(c.workers) > 1 {
-		opts.Graph = p.taskDAG()
-	}
-	return opts
-}
-
-// effectiveWorkers resolves the WithWorkers default the same way the
-// engine will.
-func effectiveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

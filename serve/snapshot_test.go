@@ -129,16 +129,21 @@ func TestSnapshotEvictionWarmReload(t *testing.T) {
 }
 
 // TestSnapshotCorruptFallsBack plants unusable files where the snapshot
-// should be — garbage, and testdata/format1.snap, which a format 1
-// build (whose files carried the task DAG) wrote for the spec
-// {g, grid2d, 100, sts3}. The loader refuses each with ErrBadSnapshot
+// should be — garbage, and two files older builds wrote for the spec
+// {g, grid2d, 100, sts3}: testdata/format1.snap, whose format carried
+// the task DAG, and testdata/format2.snap, whose format carried the
+// source matrix's pattern. The loader refuses each with ErrBadSnapshot
 // and the codec's sentinel; the registry must count and remove it, then
 // build cold and write a current-format file in its place — a bad
 // snapshot is never worse than no snapshot.
 func TestSnapshotCorruptFallsBack(t *testing.T) {
-	format1, err := os.ReadFile(filepath.Join("testdata", "format1.snap"))
-	if err != nil {
-		t.Fatal(err)
+	old := make(map[string][]byte)
+	for _, name := range []string{"format1.snap", "format2.snap"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[name] = raw
 	}
 	for _, tc := range []struct {
 		name string
@@ -146,7 +151,8 @@ func TestSnapshotCorruptFallsBack(t *testing.T) {
 		want error
 	}{
 		{"garbage", []byte("STSKSNAPgarbage-not-a-snapshot"), snapshot.ErrInvalid},
-		{"format 1", format1, snapshot.ErrVersion},
+		{"format 1", old["format1.snap"], snapshot.ErrVersion},
+		{"format 2", old["format2.snap"], snapshot.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

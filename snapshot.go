@@ -32,15 +32,15 @@ type SnapshotExtra struct {
 	AuxVals []float64
 }
 
-// WriteSnapshot serializes the plan — permutation, super-row packs,
-// source pattern, and the current value epoch — to w in the versioned,
-// checksummed format of internal/snapshot. A plan reloaded from the
-// stream with ReadSnapshot solves bitwise identically to this one and
-// accepts Refactor for the same input pattern.
+// WriteSnapshot serializes the plan — permutation, super-row packs and
+// the current value epoch — to w in the versioned, checksummed format of
+// internal/snapshot. A plan reloaded from the stream with ReadSnapshot
+// solves bitwise identically to this one and accepts Refactor for the
+// same input pattern, which it derives from the factor as this plan does.
 //
-// Derived plans (IC0 factors) are refused with ErrSparsityMismatch: they
-// carry no source pattern, so a reload could never Refactor them —
-// re-derive them from their reloaded base plan instead.
+// Derived plans (IC0 factors) are refused with ErrSparsityMismatch: a
+// reload would take the factor for a source matrix's and accept Refactor
+// on it — re-derive them from their reloaded base plan instead.
 //
 // The serialized value epoch and version are taken from one atomic
 // epoch load, so a snapshot written concurrently with Refactor calls is
@@ -68,22 +68,20 @@ func (p *Plan) WriteSnapshotFile(path string, extra SnapshotExtra) error {
 // state. The value epoch and its version come from one atomic epoch
 // load, so the image is internally consistent under concurrent Refactor.
 func (p *Plan) snapshotImage(extra SnapshotExtra) (*snapshot.Image, error) {
-	if p.origCol == nil {
+	if p.derived {
 		return nil, fmt.Errorf("%w: plan derives its values (IC0 factor); snapshot the base plan and re-derive after reload", ErrSparsityMismatch)
 	}
 	s, seq := p.vals.Snapshot()
 	return &snapshot.Image{
-		Method:       int32(p.inner.Method),
+		Method:       int32(p.method),
 		N:            s.L.N,
 		ValueVersion: seq,
-		Perm:         p.inner.Perm,
+		Perm:         p.perm,
 		RowPtr:       s.L.RowPtr,
 		Col:          s.L.Col,
 		Val:          s.L.Val,
 		SuperPtr:     s.SuperPtr,
 		PackPtr:      s.PackPtr,
-		OrigRowPtr:   p.origRowPtr,
-		OrigCol:      p.origCol,
 		Meta:         extra.Meta,
 		AuxVals:      extra.AuxVals,
 	}, nil
@@ -91,16 +89,18 @@ func (p *Plan) snapshotImage(extra SnapshotExtra) (*snapshot.Image, error) {
 
 // ReadSnapshot reconstructs a Plan from a snapshot stream. The decoded
 // image is re-validated end to end — CRC and framing by the codec,
-// triangularity, diagonals, pack independence, permutation bijectivity
-// and source-pattern shape here — before any Plan is built, so a
-// corrupted, truncated, or version-skewed snapshot returns an error
-// matching ErrBadSnapshot and never a panic or a silently wrong plan.
+// triangularity, diagonals, pack independence and permutation
+// bijectivity here — before any Plan is built, so a corrupted,
+// truncated, or version-skewed snapshot returns an error matching
+// ErrBadSnapshot and never a panic or a silently wrong plan.
 //
 // The reloaded plan resumes the serialized value-epoch version (its
 // ValuesVersion continues where the writer's left off) and solves
 // bitwise identically to the plan that wrote the snapshot. The snapshot
-// carries no task DAG: like a built plan, a reloaded one derives it from
-// its validated pattern and boundaries on its first multi-worker Solver.
+// carries neither a task DAG nor the source pattern: like a built plan,
+// a reloaded one derives the DAG from its validated pattern and
+// boundaries on its first multi-worker Solver, and the source pattern's
+// entry order from its factor and permutation on its first Refactor.
 func ReadSnapshot(r io.Reader) (*Plan, SnapshotExtra, error) {
 	img, err := snapshot.Read(r)
 	if err != nil {
@@ -167,37 +167,6 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 		}
 		seen[pi] = true
 	}
-	if err := checkOrigPattern(img.OrigRowPtr, img.OrigCol, n); err != nil {
-		return nil, fmt.Errorf("%w: source pattern: %v", ErrBadSnapshot, err)
-	}
-
 	// The plan resumes the serialized value-epoch sequence number.
-	return &Plan{
-		inner:      &order.Plan{Method: method, Perm: img.Perm, S: s, NumPacks: s.NumPacks()},
-		vals:       solve.NewValuesVersion(s, img.ValueVersion),
-		origRowPtr: img.OrigRowPtr,
-		origCol:    img.OrigCol,
-	}, nil
-}
-
-// checkOrigPattern validates the serialized source-matrix pattern that
-// Refactor maps input-order values through.
-func checkOrigPattern(rowPtr, col []int, n int) error {
-	if len(rowPtr) != n+1 {
-		return fmt.Errorf("RowPtr length %d, want %d", len(rowPtr), n+1)
-	}
-	if rowPtr[0] != 0 || rowPtr[n] != len(col) {
-		return fmt.Errorf("RowPtr spans [%d,%d], want [0,%d]", rowPtr[0], rowPtr[n], len(col))
-	}
-	for i := 0; i < n; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
-			return fmt.Errorf("RowPtr decreases at row %d", i)
-		}
-	}
-	for k, j := range col {
-		if j < 0 || j >= n {
-			return fmt.Errorf("column %d out of range at entry %d", j, k)
-		}
-	}
-	return nil
+	return &Plan{method: method, perm: img.Perm, vals: solve.NewValuesVersion(s, img.ValueVersion)}, nil
 }

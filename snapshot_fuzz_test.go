@@ -36,7 +36,9 @@ func frameSnapshot(payload []byte) []byte {
 // carries none — bitwise like the sequential oracles, and its IC(0)
 // factor, which trusts the snapshot's validation for its pattern and
 // packed shape, must either be refused or solve bitwise like its own
-// oracle, never panic.
+// oracle, never panic. The plan's Refactor, whose source entry order it
+// derives from the snapshot's factor and permutation, must map the
+// factor's own values back onto it.
 func FuzzReadSnapshot(f *testing.F) {
 	mat, err := Generate("grid2d", 36)
 	if err != nil {
@@ -94,6 +96,25 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertVecBitwise(t, "backward solve", gotU, wantU)
+		// The source entry order the plan derives from its factor reaches
+		// every factor slot once: the factor's values read out through it
+		// refactor the plan onto the same factor.
+		l := p.structure().L
+		sh, err := p.vals.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := sourceSlots(l, sh, p.perm)
+		vals := make([]float64, len(slots))
+		for k, s := range slots {
+			if s >= 0 {
+				vals[k] = l.Val[s]
+			}
+		}
+		if err := p.Refactor(vals); err != nil {
+			t.Fatal(err)
+		}
+		assertVecBitwise(t, "refactored factor", p.structure().L.Val, l.Val)
 		ic, err := p.IC0()
 		if err != nil {
 			return

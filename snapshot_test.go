@@ -134,9 +134,10 @@ func TestSnapshotDerivedPlanRefused(t *testing.T) {
 
 // TestSnapshotRefusesDamage takes a valid snapshot file and feeds the
 // reader corrupted, truncated, and version-skewed variants — among them
-// a format 1 header, whose files carried a task DAG — every one must be
-// refused with ErrBadSnapshot (and the precise codec sentinel), never a
-// crash or a silently wrong plan.
+// a format 1 header, whose files carried a task DAG, and a format 2 one,
+// whose files carried the source pattern — every one must be refused
+// with ErrBadSnapshot (and the precise codec sentinel), never a crash or
+// a silently wrong plan.
 func TestSnapshotRefusesDamage(t *testing.T) {
 	mat, err := Generate("grid3d", 1200)
 	if err != nil {
@@ -184,9 +185,11 @@ func TestSnapshotRefusesDamage(t *testing.T) {
 	mut := append([]byte(nil), raw...)
 	mut[8] = 99
 	check("version-skew", mut, snapshot.ErrVersion)
-	mut = append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(mut[8:], 1)
-	check("format 1", mut, snapshot.ErrVersion)
+	for v, name := range map[uint32]string{1: "format 1", 2: "format 2"} {
+		mut = append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(mut[8:], v)
+		check(name, mut, snapshot.ErrVersion)
+	}
 	// Bad magic.
 	mut = append([]byte(nil), raw...)
 	copy(mut, "NOTASNAP")
@@ -195,7 +198,7 @@ func TestSnapshotRefusesDamage(t *testing.T) {
 
 // TestSnapshotRejectsHostilePayload re-encodes a structurally corrupted
 // image with a VALID checksum: the plan-level validation (permutation
-// bijection, pattern checks, csrk.Build's boundary and pack-independence
+// bijection, csrk.Build's pattern, boundary and pack-independence
 // checks) must still refuse it — the CRC only proves the file is whole,
 // not that it is honest. The boundary cases matter most: the task DAG a
 // reloaded plan derives is only as sound as the packs it is carved from.
@@ -220,7 +223,6 @@ func TestSnapshotRejectsHostilePayload(t *testing.T) {
 		{"perm dup", func(i *snapshot.Image) { i.Perm[0] = i.Perm[1] }, ""},
 		{"perm oob", func(i *snapshot.Image) { i.Perm[0] = i.N + 5 }, ""},
 		{"method", func(i *snapshot.Image) { i.Method = 99 }, ""},
-		{"orig ptr", func(i *snapshot.Image) { i.OrigRowPtr[1] = -1 }, ""},
 		{"n zero", func(i *snapshot.Image) { i.N = 0 }, ""},
 		{"dependent packs merged", mergeDependentPacks, "not independent"},
 		{"superptr not monotone", func(i *snapshot.Image) {
@@ -269,11 +271,9 @@ func mergeDependentPacks(img *snapshot.Image) {
 	}
 }
 
-// TestSnapshotDerivesTaskDAG: a snapshot carries no task DAG, and
-// writing one does not build it. A reloaded plan has none until its
-// first multi-worker Solver, then derives one equal to the source
-// plan's, and its 2-worker sweeps equal the sequential oracles bit for
-// bit.
+// TestSnapshotDerivesTaskDAG: a snapshot carries no task DAG. A
+// reloaded plan derives one equal to the source plan's, and its
+// 2-worker sweeps equal the sequential oracles bit for bit.
 func TestSnapshotDerivesTaskDAG(t *testing.T) {
 	mat, err := Generate("grid2d", 400)
 	if err != nil {
@@ -288,18 +288,12 @@ func TestSnapshotDerivesTaskDAG(t *testing.T) {
 		if err := p.WriteSnapshot(&buf, SnapshotExtra{}); err != nil {
 			t.Fatal(err)
 		}
-		if p.dag != nil {
-			t.Fatalf("%v: writing a snapshot built the task DAG", method)
-		}
 		q, _, err := ReadSnapshot(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.dag != nil {
-			t.Fatalf("%v: reloaded plan has a task DAG before any Solver", method)
-		}
 		s := q.NewSolver(WithWorkers(2))
-		if q.dag == nil || !reflect.DeepEqual(q.dag, p.taskDAG()) {
+		if !reflect.DeepEqual(q.vals.TaskDAG(), p.vals.TaskDAG()) {
 			t.Fatalf("%v: derived task DAG differs from the source plan's", method)
 		}
 		b := manufacturedB(q, 1)

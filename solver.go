@@ -50,17 +50,19 @@ type Solver struct {
 // fixes the most goroutines one call is swept by (GOMAXPROCS by default)
 // and WithBlockWidth the panel width of block solves for the solver's
 // lifetime; a solver with more than one worker schedules its cooperative
-// sweeps over the plan's task DAG. The Solver starts no goroutines, so
-// one that is dropped without Close leaves nothing behind.
+// sweeps over the plan's task DAG, derived on the first such solver and
+// shared by all of them. The Solver starts no goroutines, so one that is
+// dropped without Close leaves nothing behind.
 func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// Every solver of this plan binds to the plan's shared value-epoch
 	// sequence, so per-epoch derived state (the packed layouts of the
 	// factor and its transpose) is built once and shared by all of them —
 	// and a Plan.Refactor is picked up by every solver's next call.
-	eng, err := solve.NewEngine(p.vals, p.solveOptions(applyOptions(opts)))
+	c := applyOptions(opts)
+	eng, err := solve.NewEngine(p.vals, solve.Options{Workers: c.workers, BlockWidth: c.blockWidth})
 	if err != nil {
 		// Build and ReadSnapshot refuse factors the packed kernels cannot
-		// index, and the DAG is the plan's own: this cannot fail.
+		// index, and the DAG is the sequence's own: this cannot fail.
 		panic(err)
 	}
 	s := &Solver{plan: p, eng: eng}

@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -238,47 +237,40 @@ func ReadMatrixMarketFile(path string) (*Matrix, error) {
 // Plan is a built STS-k ordering: the permuted triangular system plus the
 // pack/super-row structure, ready to solve repeatedly for many right-hand
 // sides (the pre-processing the paper amortises, §4.1).
+//
+// A Plan keeps only what it cannot derive: the method, the permutation
+// and the factor's value sequence. Everything else — the packed layouts,
+// the task DAG, A′, the map from source entries to factor slots — is
+// derived from the factor's pattern, once per pattern, by the value
+// sequence or on the plan's first Refactor.
 type Plan struct {
-	inner *order.Plan
+	method Method
+	perm   []int // input row → row of the plan's triangular system
 
-	// vals is the plan's copy-on-write value-epoch sequence: the numeric
-	// side of the factor, swapped atomically by Refactor while every piece
-	// of symbolic work (packs, permutation, task DAG, packed layout
-	// indices) stays shared across epochs — and with the plans derived
-	// from this one (IC0).
+	// vals is the plan's copy-on-write value-epoch sequence: the factor,
+	// whose values Refactor swaps atomically, and every layout derived
+	// from it — per pattern (packed-layout indices, task DAG, A′'s
+	// indices), shared across epochs and with the plans derived from this
+	// one (IC0), and per epoch (the values gathered into them).
 	vals *solve.Values
 
-	// origRowPtr/origCol reference the pattern of the matrix the plan was
-	// built from, so Refactor can map input-order values onto the permuted
-	// factor. Nil for derived plans (IC0 factors), whose values are
-	// computed rather than copied.
-	origRowPtr []int
-	origCol    []int
+	// derived marks a plan whose values are computed from another's (an
+	// IC0 factor) rather than copied from a source matrix: it refuses
+	// Refactor and WriteSnapshot.
+	derived bool
 
-	// refactorMu serialises Refactor calls and guards valMap, the lazily
-	// built map from input CSR entry to factor value slot (-1 for entries
-	// landing above the diagonal after permutation). Slots fit int32:
-	// checkFactorSize bounds the factor's entry count.
+	// refactorMu serialises Refactor calls and guards slots, the lazily
+	// derived map from source CSR entry to factor value slot (-1 for
+	// entries landing above the diagonal after permutation). Slots fit
+	// int32: checkFactorSize bounds the factor's entry count.
 	refactorMu sync.Mutex
-	valMap     []int32
-
-	// lazyMu guards the lazily built caches below; Plans are documented as
-	// safe for concurrent solving, so lazy construction must be too.
-	lazyMu   sync.Mutex
-	aSym     *sparse.CSR32 // plan-ordered symmetric matrix A′ at value epoch aSymSeq
-	aSymSeq  uint64        // the epoch aSym's values were gathered from
-	aSymRows *solve.SpMV   // A′'s row chunks, built with its pattern
-	dag      *csrk.TaskDAG // dependency DAG the solvers schedule over
+	slots      []int32
 
 	// shared is the plan's own persistent Solver, built on first
 	// default-option Solve/SolveUpper so repeated solves reuse its
 	// preallocated scheduling state.
 	sharedOnce sync.Once
 	shared     *Solver
-}
-
-func newPlan(inner *order.Plan) *Plan {
-	return &Plan{inner: inner, vals: solve.NewValues(inner.S)}
 }
 
 // structure returns the current value epoch's structure: the shared
@@ -294,45 +286,6 @@ func (p *Plan) sharedSolver() *Solver {
 	return p.shared
 }
 
-// taskDAG returns (building lazily, concurrency-safe) the plan's
-// dependency DAG for the point-to-point schedule: packs carved into
-// nnz-balanced super-row chunks, direct dependencies read off the matrix,
-// transitively sparsified so each task waits only on its direct
-// unsatisfied predecessors. Built once and shared by every Solver of the
-// plan.
-func (p *Plan) taskDAG() *csrk.TaskDAG {
-	p.lazyMu.Lock()
-	defer p.lazyMu.Unlock()
-	if p.dag == nil {
-		p.dag = order.BuildTaskDAG(p.inner.S, order.TaskDAGOptions{})
-	}
-	return p.dag
-}
-
-// symmetric returns A′ = L′ + L′ᵀ − D in plan order at the current value
-// epoch, and the row chunks its products are swept in. It is assembled
-// once from the packed shape, with no transpose, and its chunks are
-// carved with its pattern; after a Refactor only its values are gathered
-// again, onto the same pattern.
-func (p *Plan) symmetric() (*sparse.CSR32, *solve.SpMV) {
-	s, seq := p.vals.Snapshot()
-	p.lazyMu.Lock()
-	defer p.lazyMu.Unlock()
-	if p.aSym == nil || p.aSymSeq != seq {
-		sh, err := p.vals.Shape()
-		if err != nil {
-			// Build and ReadSnapshot refuse factors the packed layout
-			// cannot hold, and derived plans share their base's pattern.
-			panic(err)
-		}
-		p.aSym, p.aSymSeq = sh.Symmetric(s.L, p.aSym), seq
-		if p.aSymRows == nil {
-			p.aSymRows = solve.NewSpMV(p.aSym, runtime.GOMAXPROCS(0))
-		}
-	}
-	return p.aSym, p.aSymRows
-}
-
 // ApplySymmetric computes y = A′·x where A′ is the plan-ordered symmetric
 // matrix whose lower triangle the plan solves — the operator a
 // preconditioned-CG iteration multiplies by. The caller and up to
@@ -344,7 +297,7 @@ func (p *Plan) ApplySymmetric(y, x []float64) error {
 	if n := p.N(); len(y) != n || len(x) != n {
 		return dimErr(len(y), len(x), n)
 	}
-	a, rows := p.symmetric()
+	a, rows := p.vals.Symmetric()
 	return rows.Apply(a, y, x)
 }
 
@@ -387,15 +340,15 @@ func (p *Plan) checkDim(v []float64) error {
 // over the factor L̂. IC(0) keeps the pattern of tril(A′), which is L′'s,
 // so the factor is numeric work only: it is computed on L′'s pattern and
 // shares all of the plan's symbolic state — pattern arrays, permutation,
-// pack and super-row boundaries, task DAG and packed-layout indices.
+// pack and super-row boundaries, and every layout derived from the
+// pattern (task DAG, packed-layout indices, A′'s indices).
 // Solving with the returned plan applies the triangular sweeps of the
 // preconditioner M = L̂·L̂ᵀ, the setting that motivates the paper (§1).
 // AutoBoost shifts the diagonal if A′ is not positive definite enough
 // for IC(0); a factor value that still comes out NaN or infinite is
 // refused with ErrNonFinite.
 func (p *Plan) IC0() (*Plan, error) {
-	s := p.structure()
-	val, err := ichol.Factor(s.L, ichol.Options{AutoBoost: true})
+	val, err := ichol.Factor(p.structure().L, ichol.Options{AutoBoost: true})
 	if err != nil {
 		return nil, err
 	}
@@ -403,9 +356,7 @@ func (p *Plan) IC0() (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stsk: ic0 factor refused: %w", err)
 	}
-	inner := *p.inner
-	inner.S = vals.Structure()
-	return &Plan{inner: &inner, vals: vals, dag: p.taskDAG()}, nil
+	return &Plan{method: p.method, perm: p.perm, vals: vals, derived: true}, nil
 }
 
 // Build runs the ordering pipeline for the given method. The ordering
@@ -414,6 +365,12 @@ func (p *Plan) IC0() (*Plan, error) {
 // read by NewSolver instead. A factor whose dimension or stored-entry
 // count does not fit 32-bit indices is refused with ErrTooLarge, and one
 // holding a NaN or infinite value with ErrNonFinite.
+//
+// The plan keeps no copy of m's pattern. The pipeline takes a
+// structurally symmetric matrix with a full diagonal and strictly sorted
+// rows, so m stores entry (i, j) exactly where (perm[i], perm[j]) is an
+// entry of L′ + L′ᵀ, and Refactor derives m's entry order from the
+// factor.
 func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	c := applyOptions(opts)
 	oo := order.Options{
@@ -431,14 +388,7 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	if err := checkFactorSize(p.S.L); err != nil {
 		return nil, err
 	}
-	plan := newPlan(p)
-	// Remember the source pattern so Refactor can map new input-order
-	// values onto the permuted factor. The ordering pipeline reads only
-	// the pattern, so a rebuilt plan on the same pattern is structurally
-	// identical — which is what makes Refactor equivalent to (and bitwise
-	// interchangeable with) a full rebuild.
-	plan.origRowPtr, plan.origCol = m.a.RowPtr, m.a.Col
-	return plan, nil
+	return &Plan{method: p.Method, perm: p.Perm, vals: solve.NewValues(p.S)}, nil
 }
 
 // Refactor replaces the plan's factor values with new ones for the same
@@ -449,7 +399,8 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 // pack partition, the task DAG, the permutations, the packed-layout
 // geometry — is reused, so Refactor costs O(nnz) instead of a rebuild,
 // and subsequent solves are bitwise identical to those of a plan freshly
-// built on the new values.
+// built on the new values. The plan's first Refactor also derives the
+// map from input entries to factor slots, once.
 //
 // The swap is atomic and lock-free for solvers: solves already dispatched
 // (including every member of an in-flight batch or block call) complete
@@ -468,20 +419,22 @@ func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 func (p *Plan) Refactor(values []float64) error {
 	p.refactorMu.Lock()
 	defer p.refactorMu.Unlock()
-	if p.origCol == nil {
+	if p.derived {
 		return fmt.Errorf("%w: plan derives its values (IC0 factor); refactor the base plan and call IC0 again", ErrSparsityMismatch)
 	}
-	if len(values) != len(p.origCol) {
-		return fmt.Errorf("%w: %d values for a pattern with %d stored entries", ErrSparsityMismatch, len(values), len(p.origCol))
+	l := p.structure().L // pattern arrays, shared by every epoch
+	if want := 2*len(l.Col) - l.N; len(values) != want {
+		return fmt.Errorf("%w: %d values for a pattern with %d stored entries", ErrSparsityMismatch, len(values), want)
 	}
-	if p.valMap == nil {
-		if err := p.buildValMap(); err != nil {
-			return err
+	if p.slots == nil {
+		sh, err := p.vals.Shape()
+		if err != nil {
+			return fmt.Errorf("stsk: refactor: %w", err)
 		}
+		p.slots = sourceSlots(l, sh, p.perm)
 	}
-	l := p.inner.S.L // pattern arrays, shared by every epoch
 	newVal := make([]float64, len(l.Val))
-	for k, idx := range p.valMap {
+	for k, idx := range p.slots {
 		if idx >= 0 {
 			newVal[idx] = values[k]
 		}
@@ -500,10 +453,8 @@ func (p *Plan) RefactorMatrix(m *Matrix) error {
 	if m == nil || m.a == nil {
 		return fmt.Errorf("%w: nil matrix", ErrSparsityMismatch)
 	}
-	if p.origCol != nil {
-		if m.a.N != p.N() || !slices.Equal(m.a.RowPtr, p.origRowPtr) || !slices.Equal(m.a.Col, p.origCol) {
-			return fmt.Errorf("%w: matrix pattern differs from the one the plan was built from", ErrSparsityMismatch)
-		}
+	if !isSourcePattern(m.a, p.structure().L, p.perm) {
+		return fmt.Errorf("%w: matrix pattern differs from the one the plan was built from", ErrSparsityMismatch)
 	}
 	return p.Refactor(m.a.Val)
 }
@@ -513,56 +464,103 @@ func (p *Plan) RefactorMatrix(m *Matrix) error {
 // to report which numeric version a solve ran against.
 func (p *Plan) ValuesVersion() uint64 { return p.vals.Version() }
 
-// buildValMap computes, for every stored entry (i, j) of the source
-// pattern, the index of its slot in the permuted lower factor L′ — or -1
-// when the permuted entry lands strictly above the diagonal (it is then
-// represented by its structural mirror). Called once under refactorMu.
-func (p *Plan) buildValMap() error {
-	perm := p.inner.Perm
-	l := p.inner.S.L
-	vm := make([]int32, len(p.origCol))
-	for i := 0; i+1 < len(p.origRowPtr); i++ {
-		pi := perm[i]
-		lo, hi := l.RowPtr[pi], l.RowPtr[pi+1]
-		cols := l.Col[lo:hi]
-		for k := p.origRowPtr[i]; k < p.origRowPtr[i+1]; k++ {
-			pj := perm[p.origCol[k]]
-			if pj > pi {
-				vm[k] = -1
-				continue
-			}
-			idx, ok := slices.BinarySearch(cols, pj)
-			if !ok {
-				return fmt.Errorf("%w: entry (%d,%d) has no slot in the plan's factor", ErrSparsityMismatch, i, p.origCol[k])
-			}
-			vm[k] = int32(lo + idx)
+// sourceSlots maps every stored entry (i, j) of the source matrix, in its
+// CSR order, to the slot of (perm[i], perm[j]) in the values of the lower
+// factor l — or to -1 where that entry lies above the diagonal and its
+// mirror carries the value. The source stores (i, j) exactly where
+// (perm[i], perm[j]) is on l + lᵀ (see Build), so its row i has one entry
+// per entry of row perm[i] of l and of lᵀ, and column j lists, by
+// symmetry, the rows of those entries of row perm[j]. One counting pass
+// over the source columns in ascending order deals each entry to its row
+// and so fills every row in ascending column order — CSR order — with no
+// sort, the way a CSR transpose does.
+func sourceSlots(l *sparse.CSR, sh *sparse.PackShape, perm []int) []int32 {
+	n := l.N
+	inv := sparse.InvertPermutation(perm)
+	next := make([]int, n+1) // next[i+1]: row i's length, then its fill cursor
+	for i, pi := range perm {
+		up, _ := sh.UpperRow(pi)
+		next[i+1] = l.RowPtr[pi+1] - l.RowPtr[pi] + len(up)
+	}
+	for i := 0; i < n; i++ {
+		next[i+1] += next[i]
+	}
+	slots := make([]int32, next[n])
+	for j, pj := range perm {
+		lo, diag := l.RowPtr[pj], l.RowPtr[pj+1]-1
+		for _, c := range l.Col[lo:diag] { // (perm[i], pj) above the diagonal
+			i := inv[c]
+			slots[next[i]] = -1
+			next[i]++
+		}
+		slots[next[j]] = int32(diag)
+		next[j]++
+		up, src := sh.UpperRow(pj)
+		for k, c := range up { // (perm[i], pj) below it: l's entry src[k]
+			i := inv[c]
+			slots[next[i]] = src[k]
+			next[i]++
 		}
 	}
-	p.valMap = vm
-	return nil
+	return slots
+}
+
+// isSourcePattern reports whether a, a matrix's well-formed CSR, has the
+// pattern of the source matrix of a plan with lower factor l and
+// permutation perm, entry for entry in CSR order. It counts a's entries
+// against those of l + lᵀ, checks every row strictly ascending, and finds
+// every permuted entry on l or its mirror: with no repeated entry the map
+// from a's entries to those of l + lᵀ is injective, so equal counts make
+// it onto and the patterns equal.
+func isSourcePattern(a, l *sparse.CSR, perm []int) bool {
+	n := l.N
+	if a.N != n || len(a.Col) != 2*len(l.Col)-n {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		prev := -1
+		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if j <= prev {
+				return false
+			}
+			prev = j
+			r, c := perm[i], perm[j]
+			if c > r {
+				r, c = c, r
+			}
+			if _, ok := slices.BinarySearch(l.Col[l.RowPtr[r]:l.RowPtr[r+1]], c); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Method returns the scheme this plan implements.
-func (p *Plan) Method() Method { return p.inner.Method }
+func (p *Plan) Method() Method { return p.method }
 
 // N returns the system dimension.
-func (p *Plan) N() int { return p.inner.S.L.N }
+func (p *Plan) N() int { return len(p.perm) }
 
 // NumPacks returns the number of parallel steps (synchronisation points).
-func (p *Plan) NumPacks() int { return p.inner.NumPacks }
+func (p *Plan) NumPacks() int { return p.structure().NumPacks() }
 
 // Permutation returns a copy of the row permutation (original index of the
 // input matrix → row of the plan's triangular system).
 func (p *Plan) Permutation() []int {
-	return append([]int(nil), p.inner.Perm...)
+	return append([]int(nil), p.perm...)
 }
 
 // PermuteVector maps a vector from the original index order into plan
 // order: out[perm[i]] = v[i].
-func (p *Plan) PermuteVector(v []float64) []float64 { return p.inner.PermuteRHS(v) }
+func (p *Plan) PermuteVector(v []float64) []float64 {
+	return (&order.Plan{Perm: p.perm}).PermuteRHS(v)
+}
 
 // UnpermuteVector maps a plan-order vector back to the original order.
-func (p *Plan) UnpermuteVector(v []float64) []float64 { return p.inner.UnpermuteSolution(v) }
+func (p *Plan) UnpermuteVector(v []float64) []float64 {
+	return (&order.Plan{Perm: p.perm}).UnpermuteSolution(v)
+}
 
 // RHSFor returns b = L′·x for a chosen solution x (in plan order), handy
 // for tests and demos.
@@ -607,7 +605,7 @@ type Stats struct {
 
 // Stats computes the parallelism measures of the plan.
 func (p *Plan) Stats() Stats {
-	st := metrics.Analyze(p.inner.S)
+	st := metrics.Analyze(p.structure())
 	return Stats{
 		NumPacks:        st.NumPacks,
 		Rows:            st.Rows,
@@ -642,10 +640,10 @@ func (p *Plan) Simulate(machineName string, cores int) (SimResult, error) {
 		return SimResult{}, fmt.Errorf("stsk: unknown machine %q (have %v)", machineName, MachineNames())
 	}
 	chunk := 1
-	if !p.inner.Method.UsesSuperRows() {
+	if !p.method.UsesSuperRows() {
 		chunk = 32
 	}
-	res, err := cachesim.Simulate(p.inner.S, topo, cachesim.Options{Cores: cores, Chunk: chunk, Repeats: 2})
+	res, err := cachesim.Simulate(p.structure(), topo, cachesim.Options{Cores: cores, Chunk: chunk, Repeats: 2})
 	if err != nil {
 		return SimResult{}, err
 	}
