@@ -175,14 +175,13 @@ func BenchmarkApplySymmetric(b *testing.B) {
 	})
 }
 
-// --- Multi-RHS engine comparison (the batched-solve acceptance bench) ---
+// --- Multi-RHS engine comparison ---
 //
 // BenchmarkMultiRHSGrid3D drives 32 right-hand sides through one STS-3
-// plan on a grid3d matrix four ways: the paper's barrier reference runner
-// (goroutines spawned per solve, CSR kernel), the pooled Solver
-// (the caller and the idle helpers sweeping the task DAG per RHS), the
-// batched path (one goroutine sweeps each RHS start to finish, RHSs
-// pipelined through the pack levels), and the panel kernels. b.ReportMetric publishes
+// plan on a grid3d matrix three ways: the paper's barrier reference
+// runner (goroutines spawned per solve, CSR kernel), the pooled Solver
+// (the caller and the idle helpers sweeping the task DAG per RHS), and
+// one block call (four 8-wide panels). b.ReportMetric publishes
 // solves/sec, so the comparison reads straight off
 // `go test -bench MultiRHS`.
 func BenchmarkMultiRHSGrid3D(b *testing.B) {
@@ -245,31 +244,10 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		}
 		perRHS(b, time.Since(start))
 	})
-	// batched: width-1 panels, so each RHS is one whole-panel job swept
-	// start to finish by one worker.
-	batchSolver := plan.NewSolver(WithWorkers(workers), WithBlockWidth(1))
-	defer batchSolver.Close()
-	b.Run("batched", func(b *testing.B) {
-		X := make([][]float64, nrhs)
-		for r := range X {
-			X[r] = make([]float64, plan.N())
-		}
-		b.ReportAllocs()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if err := batchSolver.SolveBlockInto(ctx, X, B); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perRHS(b, time.Since(start))
-	})
-	// pooled-block is the panel-kernel acceptance variant: same helpers,
-	// same packed layout, but the 32 right-hand sides travel as four 8-wide
+	// pooled-block is the panel acceptance variant: same solver, same
+	// packed layout, but the 32 right-hand sides travel as four 8-wide
 	// row-major panels, so the matrix (indices and values) is loaded four
-	// times instead of 32 — the per-RHS throughput must be ≥ batched.
-	// Width pinned to 8, the acceptance width (also the default).
-	blockSolver := plan.NewSolver(WithWorkers(workers), WithBlockWidth(8))
-	defer blockSolver.Close()
+	// times instead of 32 — the per-RHS throughput must be ≥ pooled.
 	b.Run("pooled-block", func(b *testing.B) {
 		X := make([][]float64, nrhs)
 		for r := range X {
@@ -278,7 +256,7 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if err := blockSolver.SolveBlockInto(ctx, X, B); err != nil {
+			if err := solver.SolveBlockInto(ctx, X, B); err != nil {
 				b.Fatal(err)
 			}
 		}

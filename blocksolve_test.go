@@ -67,11 +67,12 @@ func TestSolveBlockBitwiseCorpus(t *testing.T) {
 	}
 }
 
-// TestSolveBlockWidthOption drives one batch through every WithBlockWidth
-// setting: carving the batch into different panels must never change a
-// bit, and SolveUpperBlock must match the scalar SolveUpper the same way.
-// BlockWidth reports each setting rounded down to a kernel width.
-func TestSolveBlockWidthOption(t *testing.T) {
+// TestSolveBlockCarvings solves one 9-column batch, forward and
+// backward, as calls of w columns for every w from 1 to 9, so the batch
+// is carved into every mix of single cooperative panels and multi-panel
+// calls: no carving may change a bit against the scalar Solve and
+// SolveUpper.
+func TestSolveBlockCarvings(t *testing.T) {
 	ctx := context.Background()
 	mat := &Matrix{a: testmat.TriMesh(14)}
 	p, err := Build(mat, STS3)
@@ -79,44 +80,34 @@ func TestSolveBlockWidthOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 9)
-	for _, tc := range []struct{ width, kernel int }{{1, 1}, {2, 2}, {3, 2}, {4, 4}, {5, 4}, {8, 8}, {64, 8}} {
-		width := tc.width
-		s := p.NewSolver(WithWorkers(3), WithBlockWidth(width))
-		if got := s.BlockWidth(); got != tc.kernel {
-			t.Errorf("width %d: BlockWidth() = %d, want %d", width, got, tc.kernel)
-		}
-		X, err := s.SolveBlock(ctx, B)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		for r := range X {
-			for i := range X[r] {
-				if X[r][i] != want[r][i] {
-					t.Fatalf("width %d: column %d differs at %d", width, r, i)
-				}
-			}
-		}
-		s.Close()
-	}
 	s := p.NewSolver(WithWorkers(3))
 	defer s.Close()
-	if got := s.BlockWidth(); got != 8 {
-		t.Errorf("default BlockWidth() = %d, want 8", got)
-	}
 	wantU := make([][]float64, len(B))
 	for r := range B {
 		if wantU[r], err = s.SolveUpper(B[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	XU, err := s.SolveUpperBlock(ctx, B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range XU {
-		for i := range XU[r] {
-			if XU[r][i] != wantU[r][i] {
-				t.Fatalf("upper: column %d differs at %d", r, i)
+	for w := 1; w <= len(B); w++ {
+		for lo := 0; lo < len(B); lo += w {
+			hi := min(lo+w, len(B))
+			X, err := s.SolveBlock(ctx, B[lo:hi])
+			if err != nil {
+				t.Fatalf("calls of %d: %v", w, err)
+			}
+			XU, err := s.SolveUpperBlock(ctx, B[lo:hi])
+			if err != nil {
+				t.Fatalf("upper calls of %d: %v", w, err)
+			}
+			for r := range X {
+				for i := range X[r] {
+					if X[r][i] != want[lo+r][i] {
+						t.Fatalf("calls of %d: column %d differs at %d", w, lo+r, i)
+					}
+					if XU[r][i] != wantU[lo+r][i] {
+						t.Fatalf("upper calls of %d: column %d differs at %d", w, lo+r, i)
+					}
+				}
 			}
 		}
 	}
@@ -204,10 +195,10 @@ func TestSolveBlockValidation(t *testing.T) {
 	}
 }
 
-// TestSolveBlockConcurrent hammers one Solver with concurrent panel
-// batches from many goroutines — the -race gate for the shared panel
-// scratch pool and the serialised cooperative sweeps — at 8 and 1
-// columns per panel.
+// TestSolveBlockConcurrent hammers one Solver with concurrent block
+// calls of 1 to 9 columns from many goroutines — single cooperative
+// panels and multi-panel calls side by side — the -race gate for the
+// shared panel scratch pool and the cooperative sweeps.
 func TestSolveBlockConcurrent(t *testing.T) {
 	ctx := context.Background()
 	mat := &Matrix{a: testmat.TriMesh(14)}
@@ -216,34 +207,32 @@ func TestSolveBlockConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 9)
-	for _, width := range []int{8, 1} {
-		s := p.NewSolver(WithWorkers(4), WithBlockWidth(width))
-		var wg sync.WaitGroup
-		for g := 0; g < 6; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for it := 0; it < 4; it++ {
-					k := 1 + (g+it)%len(B)
-					X, err := s.SolveBlock(ctx, B[:k])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for r := range X {
-						for i := range X[r] {
-							if X[r][i] != want[r][i] {
-								t.Errorf("concurrent block: column %d differs at %d", r, i)
-								return
-							}
+	s := p.NewSolver(WithWorkers(4))
+	defer s.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 8; it++ {
+				k := 1 + (g+it)%len(B)
+				X, err := s.SolveBlock(ctx, B[:k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for r := range X {
+					for i := range X[r] {
+						if X[r][i] != want[r][i] {
+							t.Errorf("concurrent block: column %d differs at %d", r, i)
+							return
 						}
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
-		s.Close()
+			}
+		}(g)
 	}
+	wg.Wait()
 }
 
 // TestSolveBlockSteadyStateAllocs asserts the acceptance criterion that

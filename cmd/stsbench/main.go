@@ -7,8 +7,8 @@
 //	stsbench -experiment all            # the full evaluation
 //	stsbench -experiment fig9 -scale 20000
 //	stsbench -experiment solvebench     # wall-clock method × schedule matrix plus
-//	                                    # the multi-RHS blocksolve cells (batched
-//	                                    # vs panel widths 2/4/8, per-RHS solves/s);
+//	                                    # the multi-RHS blocksolve cells (32 RHS as
+//	                                    # calls of 1/2/4/8 columns, per-RHS solves/s);
 //	                                    # machine-readable copy in BENCH_stsk.json
 //	stsbench -list
 //

@@ -34,9 +34,8 @@ func testPlan(t *testing.T, class string, n, rowsPerSuper int) *Plan {
 // flight.
 func TestSolveBatchCtxCancelledLeavesSolverReusable(t *testing.T) {
 	plan := testPlan(t, "grid2d", 500, 8)
-	B, want := manufactured(t, plan, 8, 71)
-	// Width-1 panels: every right-hand side is its own dispatch.
-	solver := plan.NewSolver(WithWorkers(2), WithBlockWidth(1))
+	B, want := manufactured(t, plan, 9, 71) // panels of 8 and 1
+	solver := plan.NewSolver(WithWorkers(2))
 	defer solver.Close()
 
 	// Deterministic: the context is dead before dispatch begins.

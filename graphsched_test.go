@@ -38,8 +38,8 @@ func manufacturedRHS(p *Plan, nrhs int) ([][]float64, [][]float64) {
 
 // TestGraphScheduleBitwiseAllMethods is the facade acceptance gate: for
 // all four methods on grid3d and trimesh, graph-scheduled solves — single
-// and as width-1 whole panels — must equal Plan.SolveSequential bit for
-// bit.
+// and as a multi-panel call of 4, 2 and 1 columns — must equal
+// Plan.SolveSequential bit for bit.
 func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 	for _, class := range []string{"grid3d", "trimesh"} {
 		mat, err := Generate(class, 3000)
@@ -51,8 +51,8 @@ func TestGraphScheduleBitwiseAllMethods(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", class, m, err)
 			}
-			B, want := manufacturedRHS(p, 4)
-			s := p.NewSolver(WithWorkers(4), WithBlockWidth(1))
+			B, want := manufacturedRHS(p, 7)
+			s := p.NewSolver(WithWorkers(4))
 			for r := range B {
 				x, err := s.Solve(B[r])
 				if err != nil {
@@ -93,7 +93,7 @@ func TestGraphScheduleConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	B, want := manufacturedRHS(p, 6)
-	s := p.NewSolver(WithWorkers(4), WithBlockWidth(2))
+	s := p.NewSolver(WithWorkers(4))
 	defer s.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -166,7 +166,7 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	B, _ := manufacturedRHS(p, 8)
+	B, _ := manufacturedRHS(p, 7) // panels of 4, 2 and 1
 	X := make([][]float64, len(B))
 	for i := range X {
 		X[i] = make([]float64, p.N())
@@ -178,8 +178,8 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		name string
 		s    *Solver
 	}{
-		{"one-worker", p.NewSolver(WithWorkers(1), WithBlockWidth(1))},
-		{"graph", p.NewSolver(WithWorkers(4), WithBlockWidth(1))},
+		{"one-worker", p.NewSolver(WithWorkers(1))},
+		{"graph", p.NewSolver(WithWorkers(4))},
 	} {
 		for i := 0; i < 3; i++ { // warm pools, scratch, lazy transpose
 			if err := tc.s.SolveInto(x, B[0]); err != nil {

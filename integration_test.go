@@ -138,40 +138,3 @@ func dotf(a, b []float64) float64 {
 	}
 	return s
 }
-
-func TestBuildOrderingOptionExtensions(t *testing.T) {
-	mat, err := Generate("trimesh", 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k4, err := Build(mat, STS3, WithRowsPerSuper(8), WithLevels(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sloan, err := Build(mat, STS3, WithRowsPerSuper(8), WithSloanInPack())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Plan{k4, sloan} {
-		xTrue := sparseOnes(p.N())
-		b := p.RHSFor(xTrue)
-		x, err := p.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := p.Residual(x, b); r > 1e-9 {
-			t.Fatalf("residual %g", r)
-		}
-	}
-	if _, err := Build(mat, CSRLS, WithLevels(4)); err == nil {
-		t.Fatal("row-level method accepted Levels=4")
-	}
-}
-
-func sparseOnes(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}

@@ -25,8 +25,8 @@ type SolveBenchResult struct {
 	Method       string  `json:"method"`
 	Schedule     string  `json:"schedule"`
 	Workers      int     `json:"workers"`
-	Width        int     `json:"width,omitempty"` // blocksolve cells: RHS panel width (1 = scalar batched)
-	NRHS         int     `json:"nrhs,omitempty"`  // blocksolve cells: batch size per op
+	Width        int     `json:"width,omitempty"` // blocksolve cells: columns per call, one panel
+	NRHS         int     `json:"nrhs,omitempty"`  // blocksolve cells: right-hand sides per op
 	NsPerOp      float64 `json:"ns_per_op"`
 	SolvesPerSec float64 `json:"solves_per_sec"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
@@ -72,9 +72,10 @@ func solveBenchMatrix(class string, n int) (*sparse.CSR, error) {
 // engine), the paper's barrier pairing (the solve.Barrier reference
 // runner: fresh goroutines and the CSR kernel per solve), and the
 // engine's cooperative sweep over the task DAG ("graph") — plus the
-// multi-RHS blocksolve cells: a 32-RHS batch driven through whole-panel
-// jobs of width 1 ("batched") and the blocked panel kernels at widths 2,
-// 4 and 8, reported as per-RHS throughput and steady-state allocations. A human-readable table goes to r.Out; the
+// multi-RHS blocksolve cells ("block"): the same 32 right-hand sides
+// solved as 32/w calls of w columns for w = 1, 2, 4 and 8, each call one
+// w-wide panel swept cooperatively, reported as per-RHS throughput and
+// steady-state allocations. A human-readable table goes to r.Out; the
 // returned report is what stsbench serialises to BENCH_stsk.json.
 func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 	workers := runtime.GOMAXPROCS(0)
@@ -134,13 +135,14 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 	return report, nil
 }
 
-// measureBlockSolve times a 32-RHS batch through the block path at the
-// given panel width on a persistent engine (width 1 measures whole-panel
-// jobs of one vector each, the baseline the panels amortise against).
-// Reported ns/op and solves/s are per right-hand side.
+// measureBlockSolve times 32 right-hand sides solved as 32/width block
+// calls of width columns on a persistent engine: each call is one
+// width-wide panel swept cooperatively over the task DAG, so width 1 is
+// the one-vector baseline the panels amortise against. Reported ns/op
+// and solves/s are per right-hand side.
 func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int) (SolveBenchResult, error) {
 	const nrhs = 32
-	e, err := solve.NewEngine(solve.NewValues(st), solve.Options{Workers: workers, Graph: dag, BlockWidth: width})
+	e, err := solve.NewEngine(solve.NewValues(st), solve.Options{Workers: workers, Graph: dag})
 	if err != nil {
 		return SolveBenchResult{}, err
 	}
@@ -158,7 +160,14 @@ func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int
 	}
 	//stsk:allow-background (benchmark loop: there is no caller request to inherit from)
 	ctx := context.Background()
-	run := func() error { return e.SolveBlockIntoCtx(ctx, X, B, width) }
+	run := func() error {
+		for lo := 0; lo < nrhs; lo += width {
+			if err := e.SolveBlockIntoCtx(ctx, X[lo:lo+width], B[lo:lo+width]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := 0; i < 3; i++ { // warm pools and panel scratch
 		if err := run(); err != nil {
 			return SolveBenchResult{}, err
@@ -180,12 +189,8 @@ func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int
 	// Everything per right-hand side (including allocations), so the
 	// blocksolve cells compare directly against the scalar schedule rows.
 	perRHS := float64(elapsed.Nanoseconds()) / float64(ops*nrhs)
-	sched := "block"
-	if width == 1 {
-		sched = "batched"
-	}
 	return SolveBenchResult{
-		Schedule:     sched,
+		Schedule:     "block",
 		Workers:      e.Workers(),
 		Width:        width,
 		NRHS:         nrhs,

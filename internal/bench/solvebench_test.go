@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,8 @@ func TestSolveBenchSmoke(t *testing.T) {
 	if want := 2 * 4 * 7; len(report.Results) != want {
 		t.Fatalf("got %d cells, want %d", len(report.Results), want)
 	}
-	var sawGraph, sawBlock bool
+	var sawGraph bool
+	widths := map[string][]int{} // matrix/method → its block cells' widths, in order
 	for _, res := range report.Results {
 		if res.NsPerOp <= 0 || res.SolvesPerSec <= 0 {
 			t.Fatalf("%s/%s/%s: non-positive timing %v", res.Matrix, res.Method, res.Schedule, res)
@@ -44,14 +46,20 @@ func TestSolveBenchSmoke(t *testing.T) {
 				t.Fatalf("graph cell %s/%s missing DAG size", res.Matrix, res.Method)
 			}
 		case "block":
-			sawBlock = true
-			if res.Width < 2 || res.NRHS != 32 {
-				t.Fatalf("block cell has width %d nrhs %d", res.Width, res.NRHS)
+			if res.NRHS != 32 {
+				t.Fatalf("block cell has nrhs %d, want 32", res.NRHS)
 			}
+			key := res.Matrix + "/" + res.Method
+			widths[key] = append(widths[key], res.Width)
 		}
 	}
-	if !sawGraph || !sawBlock {
-		t.Fatalf("missing schedule families: graph=%v block=%v", sawGraph, sawBlock)
+	if !sawGraph || len(widths) != 2*4 {
+		t.Fatalf("missing cells: graph=%v, block cells for %d matrix/method pairs, want 8", sawGraph, len(widths))
+	}
+	for key, ws := range widths {
+		if !slices.Equal(ws, []int{1, 2, 4, 8}) {
+			t.Fatalf("%s: block cells have widths %v, want [1 2 4 8]", key, ws)
+		}
 	}
 	if !strings.Contains(buf.String(), "grid3d") {
 		t.Fatal("human-readable table missing matrix rows")

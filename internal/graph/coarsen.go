@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"stsk/internal/sparse"
 )
@@ -54,7 +55,7 @@ func CoarsenContiguous(m *sparse.CSR, rowsPerSuper int) *Partition {
 	if rowsPerSuper < 1 {
 		rowsPerSuper = 1
 	}
-	meanRow := (m.NNZ() + m.N - 1) / maxInt(m.N, 1)
+	meanRow := (m.NNZ() + m.N - 1) / max(m.N, 1)
 	budget := meanRow * rowsPerSuper
 	p := &Partition{Membership: make([]int, m.N)}
 	cur, rows, nnz := 0, 0, 0
@@ -79,110 +80,23 @@ func CoarsenContiguous(m *sparse.CSR, rowsPerSuper int) *Partition {
 // fine vertices. This is G2 (and recursively G3, ...) of the paper.
 func CoarseGraph(g *Graph, p *Partition) *Graph {
 	adjSets := make([][]int, p.NumParts)
-	stamp := make([]int, p.NumParts)
-	for i := range stamp {
-		stamp[i] = -1
-	}
 	for v := 0; v < g.N; v++ {
 		pv := p.Membership[v]
 		for _, u := range g.Neighbors(v) {
-			pu := p.Membership[u]
-			if pu == pv {
-				continue
+			if pu := p.Membership[u]; pu != pv {
+				adjSets[pv] = append(adjSets[pv], pu)
 			}
-			// Dedup within this (pv, pu) by stamping per source part pass.
-			adjSets[pv] = append(adjSets[pv], pu)
 		}
 	}
 	coarse := &Graph{N: p.NumParts, Ptr: make([]int, p.NumParts+1)}
-	for part := 0; part < p.NumParts; part++ {
-		lst := adjSets[part]
-		lst = dedupSorted(lst)
-		adjSets[part] = lst
-		coarse.Ptr[part+1] = coarse.Ptr[part] + len(lst)
+	for part, lst := range adjSets {
+		slices.Sort(lst)
+		adjSets[part] = slices.Compact(lst)
+		coarse.Ptr[part+1] = coarse.Ptr[part] + len(adjSets[part])
 	}
 	coarse.Adj = make([]int, coarse.Ptr[p.NumParts])
 	for part := 0; part < p.NumParts; part++ {
 		copy(coarse.Adj[coarse.Ptr[part]:], adjSets[part])
 	}
 	return coarse
-}
-
-func dedupSorted(a []int) []int {
-	if len(a) == 0 {
-		return a
-	}
-	insertionSort(a)
-	out := a[:1]
-	for _, x := range a[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func insertionSort(a []int) {
-	// Neighbour lists per part are short; insertion sort avoids the
-	// sort.Ints interface overhead in this hot coarsening path.
-	if len(a) > 64 {
-		quickSortInts(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
-func quickSortInts(a []int) {
-	for len(a) > 64 {
-		pivot := a[len(a)/2]
-		lo, hi := 0, len(a)-1
-		for lo <= hi {
-			for a[lo] < pivot {
-				lo++
-			}
-			for a[hi] > pivot {
-				hi--
-			}
-			if lo <= hi {
-				a[lo], a[hi] = a[hi], a[lo]
-				lo++
-				hi--
-			}
-		}
-		if hi < len(a)-lo {
-			quickSortInts(a[:hi+1])
-			a = a[lo:]
-		} else {
-			quickSortInts(a[lo:])
-			a = a[:hi+1]
-		}
-	}
-	insertionSortSmall(a)
-}
-
-func insertionSortSmall(a []int) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -22,7 +22,7 @@ func TestEngineSolveBlockBitwise(t *testing.T) {
 				e := newEngine(t, p, workers)
 				for k := 1; k <= len(B); k++ {
 					X := make2d(k, ent.A.N)
-					if err := e.SolveBlockIntoCtx(context.Background(), X, B[:k], 0); err != nil {
+					if err := e.SolveBlockIntoCtx(context.Background(), X, B[:k]); err != nil {
 						t.Fatalf("%s/%v/w%d/k=%d: %v", ent.Name, m, workers, k, err)
 					}
 					for r := 0; r < k; r++ {
@@ -35,28 +35,36 @@ func TestEngineSolveBlockBitwise(t *testing.T) {
 	}
 }
 
-// TestEngineSolveBlockWidths drives the same panel through every
-// configured width, including widths that round down and width 1 (panel
-// disabled): results must stay bitwise identical regardless of how the
-// batch is carved into panels.
+// TestEngineSolveBlockWidths solves one 16-column batch, forward and
+// backward, under every carving: as calls of w columns for each panel
+// width w (each call one cooperative w-wide panel), as a call of 15
+// (panels of 8, 4, 2 and 1) plus one of 1, and whole (two panels of 8).
+// Results must stay bitwise identical however the batch is carved.
 func TestEngineSolveBlockWidths(t *testing.T) {
 	a := testmat.TriMesh(12)
 	p := planFor(t, a, order.STS3)
-	B, want := randomRHS(p, 9, 5)
+	B, want := randomRHS(p, 16, 5)
+	wantU := make([][]float64, len(B))
+	for r := range B {
+		wantU[r] = upperRef(t, p.S, B[r])
+	}
 	e := newEngine(t, p, 3)
 	defer e.Close()
-	X := make2d(len(B), a.N)
-	for _, width := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64} {
-		for i := range X {
-			for j := range X[i] {
-				X[i][j] = 0
+	ctx := context.Background()
+	for _, w := range []int{1, 2, 4, 8, 15, 16} {
+		X, XU := make2d(len(B), a.N), make2d(len(B), a.N)
+		for lo := 0; lo < len(B); lo += w {
+			hi := min(lo+w, len(B))
+			if err := e.SolveBlockIntoCtx(ctx, X[lo:hi], B[lo:hi]); err != nil {
+				t.Fatalf("calls of %d: %v", w, err)
+			}
+			if err := e.SolveUpperBlockIntoCtx(ctx, XU[lo:hi], B[lo:hi]); err != nil {
+				t.Fatalf("upper calls of %d: %v", w, err)
 			}
 		}
-		if err := e.SolveBlockIntoCtx(context.Background(), X, B, width); err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
 		for r := range X {
-			assertBitwise(t, "width", X[r], want[r])
+			assertBitwise(t, "forward", X[r], want[r])
+			assertBitwise(t, "backward", XU[r], wantU[r])
 		}
 	}
 }
@@ -76,7 +84,7 @@ func TestEngineSolveUpperBlockBitwise(t *testing.T) {
 			e := newEngine(t, p, workers)
 			for _, k := range []int{2, 4, 5, 8, 9} {
 				X := make2d(k, ent.A.N)
-				if err := e.SolveUpperBlockIntoCtx(context.Background(), X, B[:k], 0); err != nil {
+				if err := e.SolveUpperBlockIntoCtx(context.Background(), X, B[:k]); err != nil {
 					t.Fatalf("%s/w%d/k=%d: %v", ent.Name, workers, k, err)
 				}
 				for r := range X {
@@ -100,7 +108,7 @@ func TestEngineSolveBlockInPlace(t *testing.T) {
 	for r := range B {
 		aliased[r] = append([]float64(nil), B[r]...)
 	}
-	if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased, 0); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased); err != nil {
 		t.Fatal(err)
 	}
 	for r := range aliased {
@@ -139,10 +147,8 @@ func TestEngineBlockValidation(t *testing.T) {
 			name string
 			call func(X, B [][]float64) error
 		}{
-			{"block", func(X, B [][]float64) error { return e.SolveBlockIntoCtx(ctx, X, B, 0) }},
-			{"upper-block", func(X, B [][]float64) error { return e.SolveUpperBlockIntoCtx(ctx, X, B, 0) }},
-			{"batch", func(X, B [][]float64) error { return e.SolveBlockIntoCtx(ctx, X, B, 1) }},
-			{"upper-batch", func(X, B [][]float64) error { return e.SolveUpperBlockIntoCtx(ctx, X, B, 1) }},
+			{"block", func(X, B [][]float64) error { return e.SolveBlockIntoCtx(ctx, X, B) }},
+			{"upper-block", func(X, B [][]float64) error { return e.SolveUpperBlockIntoCtx(ctx, X, B) }},
 		} {
 			err := path.call(tc.X, tc.B)
 			if !errors.Is(err, ErrDimension) {
@@ -151,11 +157,11 @@ func TestEngineBlockValidation(t *testing.T) {
 		}
 	}
 	e.Close()
-	if err := e.SolveBlockIntoCtx(ctx, good(), good(), 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("block after close: %v, want ErrClosed", err)
+	if err := e.SolveBlockIntoCtx(ctx, good()[:2], good()[:2]); !errors.Is(err, ErrClosed) {
+		t.Errorf("one-panel block after close: %v, want ErrClosed", err)
 	}
-	if err := e.SolveBlockIntoCtx(ctx, good(), good(), 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("whole-panel block after close: %v, want ErrClosed", err)
+	if err := e.SolveBlockIntoCtx(ctx, good(), good()); !errors.Is(err, ErrClosed) {
+		t.Errorf("multi-panel block after close: %v, want ErrClosed", err)
 	}
 }
 
@@ -170,10 +176,10 @@ func TestEngineBlockCtxCancelled(t *testing.T) {
 	X := make2d(len(B), a.N)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.SolveBlockIntoCtx(ctx, X, B, 0); !errors.Is(err, context.Canceled) {
+	if err := e.SolveBlockIntoCtx(ctx, X, B); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled block: %v, want context.Canceled", err)
 	}
-	if err := e.SolveBlockIntoCtx(context.Background(), X, B, 0); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), X, B); err != nil {
 		t.Fatal(err)
 	}
 	for r := range X {
@@ -196,12 +202,12 @@ func TestEngineBlockSteadyStateAllocs(t *testing.T) {
 	// 8 and 4, each swept by one worker.
 	for _, k := range []int{8, 12} {
 		for i := 0; i < 3; i++ { // warm panel scratch and the pool
-			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k], 0); err != nil {
+			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k], 0); err != nil {
+			if err := e.SolveBlockIntoCtx(ctx, X[:k], B[:k]); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -210,26 +216,14 @@ func TestEngineBlockSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPanelWidthSplit pins the panel carving: greedy widest-first with
-// remainder columns falling to the scalar kernel.
+// TestPanelWidthSplit pins the panel carving: greedy widest-first over
+// the kernel widths 8, 4, 2 and 1.
 func TestPanelWidthSplit(t *testing.T) {
-	for _, tc := range []struct {
-		rem, width, want int
-	}{
-		{9, 8, 8}, {8, 8, 8}, {7, 8, 4}, {3, 8, 2}, {2, 8, 2}, {1, 8, 1},
-		{7, 4, 4}, {3, 4, 2}, {5, 2, 2}, {1, 2, 1}, {4, 1, 1},
+	for _, tc := range []struct{ rem, want int }{
+		{1, 1}, {2, 2}, {3, 2}, {4, 4}, {5, 4}, {6, 4}, {7, 4}, {8, 8}, {9, 8},
 	} {
-		if got := panelWidth(tc.rem, tc.width); got != tc.want {
-			t.Errorf("panelWidth(%d, %d) = %d, want %d", tc.rem, tc.width, got, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		w, fallback, want int
-	}{
-		{0, 8, 8}, {0, 4, 4}, {1, 8, 1}, {2, 8, 2}, {3, 8, 2}, {5, 8, 4}, {9, 8, 8}, {64, 8, 8},
-	} {
-		if got := normalizeBlockWidth(tc.w, tc.fallback); got != tc.want {
-			t.Errorf("normalizeBlockWidth(%d, %d) = %d, want %d", tc.w, tc.fallback, got, tc.want)
+		if got := panelWidth(tc.rem); got != tc.want {
+			t.Errorf("panelWidth(%d) = %d, want %d", tc.rem, got, tc.want)
 		}
 	}
 }

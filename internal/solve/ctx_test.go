@@ -20,11 +20,11 @@ func TestEngineBatchCtxPreCancelled(t *testing.T) {
 	p := planFor(t, gen.Grid2D(20, 20), order.STS3)
 	e := newEngine(t, p, 2)
 	defer e.Close()
-	B, want := randomRHS(p, 4, 5)
+	B, want := randomRHS(p, 3, 5) // panels of 2 and 1
 	X := make2d(len(B), p.S.L.N)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.SolveBlockIntoCtx(ctx, X, B, 1); !errors.Is(err, context.Canceled) {
+	if err := e.SolveBlockIntoCtx(ctx, X, B); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// No job was dispatched, so no solution vector may have been touched.
@@ -36,7 +36,7 @@ func TestEngineBatchCtxPreCancelled(t *testing.T) {
 		}
 	}
 	// The engine stays fully usable.
-	if err := e.SolveBlockIntoCtx(context.Background(), X, B, 1); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), X, B); err != nil {
 		t.Fatal(err)
 	}
 	for i := range X {
@@ -77,10 +77,10 @@ func TestEngineDimensionSentinel(t *testing.T) {
 	if err := e.SolveUpperIntoCtx(ctx, short, full); !errors.Is(err, ErrDimension) {
 		t.Fatalf("upper short x: %v", err)
 	}
-	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{short}, 0); !errors.Is(err, ErrDimension) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{short}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("batch short rhs: %v", err)
 	}
-	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{full, full}, 0); !errors.Is(err, ErrDimension) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{full}, [][]float64{full, full}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("batch length mismatch: %v", err)
 	}
 	if _, err := Sequential(p.S, short); !errors.Is(err, ErrDimension) {
@@ -98,7 +98,7 @@ func TestEngineClosedSentinel(t *testing.T) {
 	if err := e.SolveIntoCtx(ctx, x, b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("coop after close: %v", err)
 	}
-	if err := e.SolveBlockIntoCtx(ctx, [][]float64{x, x}, [][]float64{b, b}, 1); !errors.Is(err, ErrClosed) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{x, x, x}, [][]float64{b, b, b}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after close: %v", err)
 	}
 }

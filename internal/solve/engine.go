@@ -40,13 +40,6 @@ type Options struct {
 	// Values.TaskDAG; a DAG passed in, such as a finer carving of the same
 	// structure, must fit it. A one-worker engine uses none.
 	Graph *csrk.TaskDAG
-	// BlockWidth is the default panel width of the blocked multi-vector
-	// solves (SolveBlockIntoCtx and SolveUpperBlockIntoCtx): right-hand
-	// sides are grouped into row-major panels of up to this many columns
-	// and the matrix is traversed once per panel instead of once per
-	// vector. 0 selects the widest unrolled kernel (8); widths round down
-	// to {8, 4, 2}; 1 disables panelling.
-	BlockWidth int
 }
 
 // Engine is the one executor of the solve layer: the kernels, the
@@ -85,7 +78,7 @@ type Engine struct {
 	closed atomic.Bool
 
 	// Steady-state allocation elimination: per-call run state (one run
-	// per call in flight) and row-major n×maxBlockWidth panel scratch are
+	// per call in flight) and row-major n×MaxPanelWidth panel scratch are
 	// pooled per engine, so warm solves stop allocating. The pools are
 	// typed (pool.go) so the //stsk:noalloc paths never convert through
 	// `any`.
@@ -115,7 +108,6 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	opts.BlockWidth = normalizeBlockWidth(opts.BlockWidth, maxBlockWidth)
 	if opts.Workers > 1 {
 		if opts.Graph == nil {
 			opts.Graph = v.TaskDAG()
@@ -134,16 +126,13 @@ func NewEngine(v *Values, opts Options) (*Engine, error) {
 	}
 	e.graphRuns.fresh = func() *graphRun { return newGraphRun(opts.Graph) }
 	e.panelRuns.fresh = func() *panelRun { return new(panelRun) }
-	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, n*maxBlockWidth); return &buf }
+	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, n*MaxPanelWidth); return &buf }
 	helpers.grow(opts.Workers)
 	return e, nil
 }
 
 // Workers returns the most goroutines one call is swept by.
 func (e *Engine) Workers() int { return e.opts.Workers }
-
-// BlockWidth returns the default panel width of block solves.
-func (e *Engine) BlockWidth() int { return e.opts.BlockWidth }
 
 // Values returns the engine's value-epoch sequence.
 func (e *Engine) Values() *Values { return e.vals }
@@ -179,11 +168,7 @@ func (e *Engine) solveOne(ctx context.Context, x, b []float64, reverse bool) err
 	if len(b) != e.n || len(x) != e.n {
 		return fmt.Errorf("%w: vector lengths %d/%d, want %d", ErrDimension, len(x), len(b), e.n)
 	}
-	pk, err := e.pin(ctx, reverse)
-	if err != nil {
-		return err
-	}
-	return e.panelSolve(ctx, pk, x, b, 1, reverse)
+	return e.panelSolve(ctx, e.pin(ctx, reverse), x, b, 1, reverse)
 }
 
 // pin loads the live value epoch — once per call — and returns the packed
@@ -191,19 +176,18 @@ func (e *Engine) solveOne(ctx context.Context, x, b []float64, reverse bool) err
 // epoch's first use.
 //
 //stsk:noalloc
-func (e *Engine) pin(ctx context.Context, reverse bool) (*sparse.Packed, error) {
+func (e *Engine) pin(ctx context.Context, reverse bool) *sparse.Packed {
 	tr := trace.FromContext(ctx)
 	p0 := trace.Now()
 	ep := e.vals.Current()
 	var pk *sparse.Packed
-	var err error
 	if reverse {
-		pk, err = ep.packedUpper()
+		pk = ep.packedUpper()
 	} else {
 		pk = ep.packed()
 	}
 	tr.Observe(trace.StageEpochPin, p0, trace.Now())
-	return pk, err
+	return pk
 }
 
 // admit refuses a call before any of its work starts: a dead context

@@ -11,35 +11,29 @@ import (
 	"stsk/internal/trace"
 )
 
-// maxBlockWidth is the widest panel the blocked kernels unroll for, and
-// the size the pooled panel scratch is provisioned at.
-const maxBlockWidth = 8
-
 // SolveBlockIntoCtx solves L′xᵢ = bᵢ for every right-hand side of B with
-// the blocked multi-vector kernels: the right-hand sides are grouped into
-// row-major panels of up to width columns and the matrix is traversed
-// once per panel — each (col, val) pair loaded once and applied across
-// all panel columns — instead of once per vector. A call that forms a
-// single panel is swept cooperatively over the task DAG by the caller and
-// the idle helpers; a call that forms several panels pipelines them, each
-// participant claiming whole panels and sweeping each start to finish.
-// Either way each panel column is bitwise identical to a scalar solve of
-// that column. X[i] may alias B[i].
+// the panel kernel: the right-hand sides are carved greedily into
+// row-major panels of 8, 4, 2 and 1 columns (panelWidth) and the matrix
+// is traversed once per panel — each (col, val) pair loaded once and
+// applied across all panel columns — instead of once per vector. A call
+// that forms a single panel is swept cooperatively over the task DAG by
+// the caller and the idle helpers; a call that forms several panels
+// pipelines them, each participant claiming whole panels and sweeping
+// each start to finish. Either way each panel column is bitwise
+// identical to a scalar solve of that column. X[i] may alias B[i].
 //
-// width 0 selects the engine's configured BlockWidth; widths are rounded
-// down to the unrolled kernel widths {8, 4, 2}, with remainder columns
-// falling back to the scalar kernel. Cancellation is checked before each
-// panel is claimed, returning ctx.Err() with the remaining panels
-// unsolved; the engine stays fully usable.
-func (e *Engine) SolveBlockIntoCtx(ctx context.Context, X, B [][]float64, width int) error {
-	return e.block(ctx, X, B, width, false)
+// Cancellation is checked before each panel is claimed, returning
+// ctx.Err() with the remaining panels unsolved; the engine stays fully
+// usable.
+func (e *Engine) SolveBlockIntoCtx(ctx context.Context, X, B [][]float64) error {
+	return e.block(ctx, X, B, false)
 }
 
 // SolveUpperBlockIntoCtx solves L′ᵀxᵢ = bᵢ for every right-hand side with
-// the blocked backward-substitution kernels, with the same panel and
-// cancellation semantics as SolveBlockIntoCtx.
-func (e *Engine) SolveUpperBlockIntoCtx(ctx context.Context, X, B [][]float64, width int) error {
-	return e.block(ctx, X, B, width, true)
+// backward substitution, with the same panel and cancellation semantics
+// as SolveBlockIntoCtx.
+func (e *Engine) SolveUpperBlockIntoCtx(ctx context.Context, X, B [][]float64) error {
+	return e.block(ctx, X, B, true)
 }
 
 // checkPanelDims validates a solution/right-hand-side batch eagerly: the
@@ -60,7 +54,7 @@ func (e *Engine) checkPanelDims(X, B [][]float64) error {
 }
 
 // block carves the right-hand sides into panels and solves them. A call
-// that fits one panel (or one scalar column) is swept cooperatively over
+// that is one panel (1, 2, 4 or 8 columns) is swept cooperatively over
 // the task DAG; a call that carves into several is swept panel by panel
 // (panels) — each panel start-to-finish by one participant, distinct
 // panels pipelining through the pack levels with no barriers. The value
@@ -69,25 +63,21 @@ func (e *Engine) checkPanelDims(X, B [][]float64) error {
 // warm block solves allocate nothing.
 //
 //stsk:noalloc
-func (e *Engine) block(ctx context.Context, X, B [][]float64, width int, reverse bool) error {
+func (e *Engine) block(ctx context.Context, X, B [][]float64, reverse bool) error {
 	if err := e.checkPanelDims(X, B); err != nil {
 		return err
 	}
 	if len(B) == 0 {
 		return nil
 	}
-	pk, err := e.pin(ctx, reverse)
-	if err != nil {
-		return err
-	}
-	width = normalizeBlockWidth(width, e.opts.BlockWidth)
+	pk := e.pin(ctx, reverse)
 	if len(B) == 1 {
 		return e.panelSolve(ctx, pk, X[0], B[0], 1, reverse)
 	}
-	if kw := panelWidth(len(B), width); kw == len(B) {
+	if panelWidth(len(B)) == len(B) {
 		return e.coopPanel(ctx, pk, X, B, reverse)
 	}
-	return e.panels(ctx, pk, X, B, width, reverse)
+	return e.panels(ctx, pk, X, B, reverse)
 }
 
 // coopPanel runs one multi-column panel cooperatively: pack the columns
@@ -117,16 +107,16 @@ func (e *Engine) coopPanel(ctx context.Context, pk *sparse.Packed, X, B [][]floa
 // sweeps under a dead one.
 //
 //stsk:noalloc
-func (e *Engine) panels(ctx context.Context, pk *sparse.Packed, X, B [][]float64, width int, reverse bool) error {
+func (e *Engine) panels(ctx context.Context, pk *sparse.Packed, X, B [][]float64, reverse bool) error {
 	if err := e.admit(ctx); err != nil {
 		return err
 	}
 	count := 0
 	for rem := len(B); rem > 0; count++ {
-		rem -= panelWidth(rem, width)
+		rem -= panelWidth(rem)
 	}
 	r := e.panelRuns.Get()
-	r.e, r.ctx, r.pk, r.X, r.B, r.width, r.reverse = e, ctx, pk, X, B, width, reverse
+	r.e, r.ctx, r.pk, r.X, r.B, r.reverse = e, ctx, pk, X, B, reverse
 	r.next.Store(0)
 	err := cooperate(trace.FromContext(ctx), job{panel: r, done: &r.completion}, min(e.opts.Workers, count)-1)
 	r.e, r.ctx, r.pk, r.X, r.B = nil, nil, nil, nil, nil
@@ -146,7 +136,6 @@ type panelRun struct {
 	ctx     context.Context
 	pk      *sparse.Packed
 	X, B    [][]float64
-	width   int
 	reverse bool
 
 	next atomic.Int64 // first column no participant has claimed
@@ -166,7 +155,7 @@ func (r *panelRun) runShare() {
 		if int(lo) >= len(r.B) {
 			return
 		}
-		kw := panelWidth(len(r.B)-int(lo), r.width)
+		kw := panelWidth(len(r.B) - int(lo))
 		if r.next.CompareAndSwap(lo, lo+int64(kw)) {
 			if err := r.sweep(int(lo), kw); err != nil {
 				r.fail(err)
@@ -211,34 +200,4 @@ func (e *Engine) sweepPanel(pk *sparse.Packed, xs, bs [][]float64, reverse bool)
 	sweepRows(pk, buf, buf, kw, 0, n, reverse)
 	sparse.UnpackPanel(xs, buf)
 	e.panelPool.Put(bufp)
-}
-
-// normalizeBlockWidth resolves a requested panel width: non-positive
-// means the engine default, and any width is rounded down to the widths
-// the kernels unroll.
-func normalizeBlockWidth(w, fallback int) int {
-	if w <= 0 {
-		w = fallback
-	}
-	switch {
-	case w >= 8:
-		return 8
-	case w >= 4:
-		return 4
-	case w >= 2:
-		return 2
-	}
-	return 1
-}
-
-// panelWidth picks the widest kernel width ≤ width that the remaining
-// column count fills; the last columns of a batch fall through to 1 (the
-// scalar kernel).
-func panelWidth(rem, width int) int {
-	for w := width; w > 1; w >>= 1 {
-		if rem >= w {
-			return w
-		}
-	}
-	return 1
 }

@@ -53,12 +53,12 @@ func solveUpperVec(e *Engine, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// solveBatch solves every right-hand side of B as its own width-1 panel:
-// with more than one vector that is the whole-panel path, one worker
-// sweeping each vector start to finish.
+// solveBatch solves B in one block call into fresh vectors: a batch of
+// other than 1, 2, 4 or 8 columns carves into several panels, each swept
+// start to finish by one participant.
 func solveBatch(e *Engine, B [][]float64) ([][]float64, error) {
 	X := make2d(len(B), e.n)
-	if err := e.SolveBlockIntoCtx(context.Background(), X, B, 1); err != nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), X, B); err != nil {
 		return nil, err
 	}
 	return X, nil
@@ -131,8 +131,9 @@ func TestEngineSolveMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
-// TestEngineSolveBatchBitwise drives the whole-panel path with width-1
-// panels — one worker per vector — including X[i] aliasing B[i].
+// TestEngineSolveBatchBitwise drives the multi-panel path — 16 columns
+// as two 8-wide panels, one worker per panel — including X[i] aliasing
+// B[i].
 func TestEngineSolveBatchBitwise(t *testing.T) {
 	for _, m := range order.Methods() {
 		a := gen.Grid3D(7, 7, 7)
@@ -152,7 +153,7 @@ func TestEngineSolveBatchBitwise(t *testing.T) {
 		for r := range B {
 			aliased[r] = append([]float64(nil), B[r]...)
 		}
-		if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased, 1); err != nil {
+		if err := e.SolveBlockIntoCtx(context.Background(), aliased, aliased); err != nil {
 			t.Fatal(err)
 		}
 		for r := range aliased {
@@ -180,12 +181,13 @@ func TestEngineUpperMatchesUpperSolver(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitwise(t, m.String()+"/coop", x, want)
-		X := make2d(2, a.N)
-		if err := e.SolveUpperBlockIntoCtx(context.Background(), X, [][]float64{b, b}, 1); err != nil {
+		X := make2d(3, a.N) // panels of 2 and 1
+		if err := e.SolveUpperBlockIntoCtx(context.Background(), X, [][]float64{b, b, b}); err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, m.String()+"/whole", X[0], want)
-		assertBitwise(t, m.String()+"/whole", X[1], want)
+		for r := range X {
+			assertBitwise(t, m.String()+"/whole", X[r], want)
+		}
 		e.Close()
 	}
 }
@@ -255,7 +257,7 @@ func TestEngineConcurrentSolves(t *testing.T) {
 func TestEngineCloseRacingSolves(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
-	B, _ := randomRHS(p, 2, 3)
+	B, _ := randomRHS(p, 3, 3)
 	for trial := 0; trial < 20; trial++ {
 		e := newEngine(t, p, 4)
 		var wg sync.WaitGroup
@@ -334,7 +336,7 @@ func TestEngineClosed(t *testing.T) {
 	if _, err := solveVec(e, b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("solve after close: %v, want ErrClosed", err)
 	}
-	if _, err := solveBatch(e, [][]float64{b, b}); !errors.Is(err, ErrClosed) {
+	if _, err := solveBatch(e, [][]float64{b, b, b}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after close: %v, want ErrClosed", err)
 	}
 }
@@ -347,7 +349,7 @@ func TestEngineBadLengths(t *testing.T) {
 	if _, err := solveVec(e, make([]float64, 3)); err == nil {
 		t.Fatal("short rhs accepted")
 	}
-	if err := e.SolveBlockIntoCtx(context.Background(), [][]float64{make([]float64, a.N)}, nil, 0); err == nil {
+	if err := e.SolveBlockIntoCtx(context.Background(), [][]float64{make([]float64, a.N)}, nil); err == nil {
 		t.Fatal("mismatched batch lengths accepted")
 	}
 	if _, err := solveBatch(e, [][]float64{make([]float64, 2)}); err == nil {

@@ -33,7 +33,11 @@ type Values struct {
 	pat *pattern // shared by every epoch and every derived sequence
 }
 
-// NewValues wraps a structure as epoch 0 of a value sequence.
+// NewValues wraps a structure as epoch 0 of a value sequence. The
+// structure must have passed csrk.Build's checks — in particular no zero
+// diagonal, which every sweep divides by: neither NewValues nor the
+// sweeps check again, while Swap and Derive check every later value
+// array.
 func NewValues(s *csrk.Structure) *Values {
 	return NewValuesVersion(s, 0)
 }
@@ -41,7 +45,8 @@ func NewValues(s *csrk.Structure) *Values {
 // NewValuesVersion wraps a structure as epoch seq of a value sequence —
 // the snapshot-reload path, where a deserialized plan must resume the
 // epoch numbering the serialized plan had reached so version reporting
-// stays monotone across a warm restart.
+// stays monotone across a warm restart. The structure must meet
+// NewValues' precondition.
 func NewValuesVersion(s *csrk.Structure, seq uint64) *Values {
 	v := &Values{pat: new(pattern)}
 	v.cur.Store(&epoch{seq: seq, s: s, pat: v.pat})
@@ -220,7 +225,6 @@ type epoch struct {
 
 	upperOnce sync.Once
 	upk       *sparse.Packed // L′ᵀ, built on the first backward sweep
-	upperErr  error
 
 	symOnce sync.Once
 	sym     *sparse.CSR32 // A′, built on the first product
@@ -245,20 +249,10 @@ func (ep *epoch) packed() *sparse.Packed {
 }
 
 // packedUpper returns the epoch's packed transpose L′ᵀ for backward
-// sweeps, gathering its values on first use and refusing a zero
-// diagonal, which the backward sweep would divide by.
-func (ep *epoch) packedUpper() (*sparse.Packed, error) {
-	ep.upperOnce.Do(func() {
-		lo := ep.packed()
-		for i, d := range lo.Diag {
-			if d == 0 {
-				ep.upperErr = fmt.Errorf("solve: zero diagonal at transposed row %d", i)
-				return
-			}
-		}
-		ep.upk = ep.shape().Upper(ep.s.L.Val, lo.Diag)
-	})
-	return ep.upk, ep.upperErr
+// sweeps, gathering its values on first use.
+func (ep *epoch) packedUpper() *sparse.Packed {
+	ep.upperOnce.Do(func() { ep.upk = ep.shape().Upper(ep.s.L.Val, ep.packed().Diag) })
+	return ep.upk
 }
 
 // symmetric returns the epoch's A′, gathering its values on first use.

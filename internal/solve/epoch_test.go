@@ -167,11 +167,12 @@ func TestEngineSeesSwappedValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitwise(t, "post-swap coop", x, wantNew)
-		X, err := solveBatch(e, [][]float64{B[r], B[r]})
+		X, err := solveBatch(e, [][]float64{B[r], B[r], B[r]}) // panels of 2 and 1
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, "post-swap whole panel", X[1], wantNew)
+		assertBitwise(t, "post-swap 2-wide panel", X[1], wantNew)
+		assertBitwise(t, "post-swap 1-wide panel", X[2], wantNew)
 	}
 	// The upper path re-derives the transpose for the new epoch.
 	gotU, err := solveUpperVec(e, B[0])

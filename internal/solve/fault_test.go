@@ -48,7 +48,7 @@ func TestCoopSolveContainsPanic(t *testing.T) {
 	B, _ := randomRHS(p, 4, 5)
 
 	withFaults(t, "engine.job:panic", 1)
-	err := e.SolveBlockIntoCtx(context.Background(), make2d(len(B), a.N), B, 0)
+	err := e.SolveBlockIntoCtx(context.Background(), make2d(len(B), a.N), B)
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from panicking coop panel solve, got %v", err)
 	}
@@ -90,13 +90,14 @@ func TestBatchSolveContainsPanicPerMember(t *testing.T) {
 	p := planFor(t, a, order.STS3)
 	e := newEngine(t, p, 4)
 	defer e.Close()
-	B, _ := randomRHS(p, 8, 11)
+	B, _ := randomRHS(p, 7, 11)
 	X := make2d(len(B), a.N)
 
-	// Panic on every whole-panel job: the call must complete (counters
-	// fire) and report ErrInternal instead of deadlocking on a dead member.
+	// Panic on every panel of a call carved into 4 + 2 + 1 columns: the
+	// call must complete (counters fire) and report ErrInternal instead of
+	// deadlocking on a dead member.
 	withFaults(t, "engine.job:panic", 1)
-	err := e.SolveBlockIntoCtx(context.Background(), X, B, 1)
+	err := e.SolveBlockIntoCtx(context.Background(), X, B)
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from panicking batch, got %v", err)
 	}
@@ -111,11 +112,11 @@ func TestBatchSolvePartialPanicSparesMates(t *testing.T) {
 	B, want := randomRHS(p, 16, 13)
 	X := make2d(len(B), a.N)
 
-	// Exactly one of the eight 2-wide panels panics; the call reports the
-	// failure, every other panel's completion still fires, and exactly
-	// the failed panel's two columns are left unsolved.
-	withFaults(t, "engine.job:panic:after=3,count=1", 1)
-	err := e.SolveBlockIntoCtx(context.Background(), X, B, 2)
+	// Exactly one of the two 8-wide panels panics; the call reports the
+	// failure, the other panel's completion still fires, and exactly the
+	// failed panel's eight columns are left unsolved.
+	withFaults(t, "engine.job:panic:after=1,count=1", 1)
+	err := e.SolveBlockIntoCtx(context.Background(), X, B)
 	if !errors.Is(err, panicsafe.ErrInternal) {
 		t.Fatalf("want ErrInternal from partially panicking batch, got %v", err)
 	}
@@ -126,8 +127,8 @@ func TestBatchSolvePartialPanicSparesMates(t *testing.T) {
 			solved++
 		}
 	}
-	if solved != len(B)-2 {
-		t.Fatalf("%d of %d columns solved, want all but the failed panel's 2", solved, len(B))
+	if solved != len(B)-8 {
+		t.Fatalf("%d of %d columns solved, want all but the failed panel's 8", solved, len(B))
 	}
 	afterFaults(t, e, p)
 }

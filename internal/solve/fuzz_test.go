@@ -119,7 +119,7 @@ func FuzzTriangularSolve(f *testing.F) {
 		for i := range X {
 			X[i] = make([]float64, a.N)
 		}
-		if err := e.SolveBlockIntoCtx(context.Background(), X, B, 0); err != nil {
+		if err := e.SolveBlockIntoCtx(context.Background(), X, B); err != nil {
 			t.Fatal(err)
 		}
 		for r := range B {
@@ -203,9 +203,10 @@ func assertPackedEqual(t *testing.T, label string, got, want *sparse.Packed) {
 // FuzzPackedRoundTrip converts fuzzed lower-triangular factors to the
 // compact 32-bit layout and back through the kernels: the shape-packed
 // layouts of L and Lᵀ must equal the reference packers' bit for bit (and
-// the shape's symmetric assembly SymmetrizePattern's), and the packed
-// scalar and block kernels must match the oracles — solveRows forward,
-// sparse.BackwardSubstitution backward — bit for bit.
+// the shape's symmetric assembly SymmetrizePattern's), and sweepRows
+// must match the oracles — solveRows forward, sparse.BackwardSubstitution
+// backward — bit for bit on one vector and on panels of every kernel
+// width.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add([]byte{5})
 	f.Add([]byte{17, 0, 1, 2, 0, 3, 9, 9, 1, 4})
@@ -245,7 +246,7 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		want := make([]float64, n)
 		solveRows(l.RowPtr, l.Col, l.Val, want, b, 0, n)
 		got := make([]float64, n)
-		solvePackedRows(pk, got, b, 0, n)
+		sweepRows(pk, got, b, 1, 0, n, false)
 		assertBitwise(t, "packed-forward", got, want)
 
 		wantU, err := sparse.BackwardSubstitution(u, b)
@@ -253,39 +254,40 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		gotU := make([]float64, n)
-		solvePackedUpperRows(upk, gotU, b, 0, n)
+		sweepRows(upk, gotU, b, 1, 0, n, true)
 		assertBitwise(t, "packed-backward", gotU, wantU)
 
-		// Block kernels against the scalar per-column oracle results, on a
-		// width-4 panel, forward and backward.
-		const kw = 4
-		panelB := make([]float64, n*kw)
-		for j := 0; j < kw; j++ {
-			for i := 0; i < n; i++ {
-				panelB[i*kw+j] = b[i] * float64(j+1)
-			}
-		}
-		packedX := make([]float64, n*kw)
-		solvePackedRowsBlock(pk, packedX, panelB, kw, 0, n)
-		packedU := make([]float64, n*kw)
-		solvePackedUpperRowsBlock(upk, packedU, panelB, kw, 0, n)
-		for j := 0; j < kw; j++ {
-			colB := make([]float64, n)
-			for i := 0; i < n; i++ {
-				colB[i] = panelB[i*kw+j]
-			}
-			colX := make([]float64, n)
-			solveRows(l.RowPtr, l.Col, l.Val, colX, colB, 0, n)
-			colU, err := sparse.BackwardSubstitution(u, colB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if packedX[i*kw+j] != colX[i] {
-					t.Fatalf("panel column %d row %d: %v, want bitwise %v", j, i, packedX[i*kw+j], colX[i])
+		// Panels of width 2, 4 and 8 against the per-column oracle
+		// results, forward and backward.
+		for _, kw := range []int{2, 4, 8} {
+			panelB := make([]float64, n*kw)
+			for j := 0; j < kw; j++ {
+				for i := 0; i < n; i++ {
+					panelB[i*kw+j] = b[i] * float64(j+1)
 				}
-				if packedU[i*kw+j] != colU[i] {
-					t.Fatalf("upper panel column %d row %d: %v, want bitwise %v", j, i, packedU[i*kw+j], colU[i])
+			}
+			packedX := make([]float64, n*kw)
+			sweepRows(pk, packedX, panelB, kw, 0, n, false)
+			packedU := make([]float64, n*kw)
+			sweepRows(upk, packedU, panelB, kw, 0, n, true)
+			for j := 0; j < kw; j++ {
+				colB := make([]float64, n)
+				for i := 0; i < n; i++ {
+					colB[i] = panelB[i*kw+j]
+				}
+				colX := make([]float64, n)
+				solveRows(l.RowPtr, l.Col, l.Val, colX, colB, 0, n)
+				colU, err := sparse.BackwardSubstitution(u, colB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if packedX[i*kw+j] != colX[i] {
+						t.Fatalf("width %d panel column %d row %d: %v, want bitwise %v", kw, j, i, packedX[i*kw+j], colX[i])
+					}
+					if packedU[i*kw+j] != colU[i] {
+						t.Fatalf("width %d upper panel column %d row %d: %v, want bitwise %v", kw, j, i, packedU[i*kw+j], colU[i])
+					}
 				}
 			}
 		}

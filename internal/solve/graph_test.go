@@ -208,7 +208,7 @@ func TestGraphConcurrentSolves(t *testing.T) {
 func TestGraphCloseRacingSolves(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
-	B, _ := randomRHS(p, 2, 3)
+	B, _ := randomRHS(p, 3, 3)
 	for trial := 0; trial < 20; trial++ {
 		e := newEngine(t, p, 4)
 		var wg sync.WaitGroup
@@ -245,7 +245,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	testmat.SkipIfRace(t)
 	a := gen.Grid3D(6, 6, 6)
 	p := planFor(t, a, order.STS3)
-	B, _ := randomRHS(p, 8, 41)
+	B, _ := randomRHS(p, 7, 41) // panels of 4, 2 and 1
 	X := make2d(len(B), p.S.L.N)
 	x := make([]float64, p.S.L.N)
 	ctx := t.Context()
@@ -258,7 +258,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		}{
 			{"SolveIntoCtx", func() error { return e.SolveIntoCtx(ctx, x, B[0]) }},
 			{"SolveUpperIntoCtx", func() error { return e.SolveUpperIntoCtx(ctx, x, B[0]) }},
-			{"SolveBlockIntoCtx/width-1", func() error { return e.SolveBlockIntoCtx(ctx, X, B, 1) }},
+			{"SolveBlockIntoCtx/panels", func() error { return e.SolveBlockIntoCtx(ctx, X, B) }},
 		}
 		for i := 0; i < 3; i++ { // warm the pools and packed layouts
 			for _, c := range calls {

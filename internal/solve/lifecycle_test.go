@@ -20,7 +20,8 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 	p := planFor(t, a, order.STS3)
 	n := a.N
 	vec := func() []float64 { return make([]float64, n) }
-	batch := func() [][]float64 { return [][]float64{vec(), vec()} }
+	panel := func() [][]float64 { return [][]float64{vec(), vec()} }         // one 2-wide panel
+	panels := func() [][]float64 { return [][]float64{vec(), vec(), vec()} } // panels of 2 and 1
 	ctx := context.Background()
 
 	e := newEngine(t, p, 2)
@@ -47,11 +48,11 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 	}{
 		{"SolveIntoCtx", func() error { return e.SolveIntoCtx(ctx, vec(), vec()) }},
 		{"SolveUpperIntoCtx", func() error { return e.SolveUpperIntoCtx(ctx, vec(), vec()) }},
-		{"SolveBlockIntoCtx/one", func() error { return e.SolveBlockIntoCtx(ctx, [][]float64{vec()}, [][]float64{vec()}, 0) }},
-		{"SolveBlockIntoCtx/panel", func() error { return e.SolveBlockIntoCtx(ctx, batch(), batch(), 0) }},
-		{"SolveBlockIntoCtx/whole", func() error { return e.SolveBlockIntoCtx(ctx, batch(), batch(), 1) }},
-		{"SolveUpperBlockIntoCtx/panel", func() error { return e.SolveUpperBlockIntoCtx(ctx, batch(), batch(), 0) }},
-		{"SolveUpperBlockIntoCtx/whole", func() error { return e.SolveUpperBlockIntoCtx(ctx, batch(), batch(), 1) }},
+		{"SolveBlockIntoCtx/one", func() error { return e.SolveBlockIntoCtx(ctx, [][]float64{vec()}, [][]float64{vec()}) }},
+		{"SolveBlockIntoCtx/panel", func() error { return e.SolveBlockIntoCtx(ctx, panel(), panel()) }},
+		{"SolveBlockIntoCtx/whole", func() error { return e.SolveBlockIntoCtx(ctx, panels(), panels()) }},
+		{"SolveUpperBlockIntoCtx/panel", func() error { return e.SolveUpperBlockIntoCtx(ctx, panel(), panel()) }},
+		{"SolveUpperBlockIntoCtx/whole", func() error { return e.SolveUpperBlockIntoCtx(ctx, panels(), panels()) }},
 	}
 	for _, path := range paths {
 		if err := path.call(); !errors.Is(err, ErrClosed) {
@@ -73,13 +74,13 @@ func TestEngineLifecycleWorkerOneAfterClose(t *testing.T) {
 	if err := e.SolveIntoCtx(ctx, b, b); !errors.Is(err, ErrClosed) {
 		t.Errorf("one-worker SolveIntoCtx after Close: err = %v, want ErrClosed", err)
 	}
-	if err := e.SolveBlockIntoCtx(ctx, [][]float64{b, b}, [][]float64{b, b}, 0); !errors.Is(err, ErrClosed) {
+	if err := e.SolveBlockIntoCtx(ctx, [][]float64{b, b}, [][]float64{b, b}); !errors.Is(err, ErrClosed) {
 		t.Errorf("one-worker SolveBlockIntoCtx after Close: err = %v, want ErrClosed", err)
 	}
 }
 
 // TestEngineCloseVsInFlightBatch races Close against large dispatched
-// multi-panel calls — width-1 and width-8 whole panels: each must either
+// multi-panel calls — panels of 4, 2 and 1 columns, and of 8: each must either
 // complete fully (all solutions bitwise correct) or report ErrClosed —
 // never deadlock, never a partial success disguised as a full one.
 // Panels already handed to the pool finish.
@@ -92,8 +93,8 @@ func TestEngineCloseVsInFlightBatch(t *testing.T) {
 		X := make2d(len(B), a.N)
 		ctx := context.Background()
 		errc := make(chan error, 2)
-		go func() { errc <- e.SolveBlockIntoCtx(ctx, X, B, 1) }()
-		go func() { errc <- e.SolveBlockIntoCtx(ctx, make2d(len(B), a.N), B, 0) }()
+		go func() { errc <- e.SolveBlockIntoCtx(ctx, X[:7], B[:7]) }()
+		go func() { errc <- e.SolveBlockIntoCtx(ctx, make2d(len(B), a.N), B) }()
 		e.Close() // races the dispatch loops
 		err1, err2 := <-errc, <-errc
 		for _, err := range []error{err1, err2} {
@@ -103,7 +104,7 @@ func TestEngineCloseVsInFlightBatch(t *testing.T) {
 		}
 		if err1 == nil && err2 == nil {
 			// Close landed after both batches: results must be complete.
-			for i := range X {
+			for i := range X[:7] {
 				for j := range X[i] {
 					if X[i][j] != want[i][j] {
 						t.Fatalf("trial %d: successful batch has wrong bits at rhs %d index %d", trial, i, j)

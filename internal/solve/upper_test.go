@@ -56,8 +56,8 @@ func TestUpperSolverMatchesSequentialBackward(t *testing.T) {
 }
 
 // TestUpperSolverErrors: backward sweeps reject bad lengths with
-// ErrDimension, and a factor with a zero diagonal is refused when its
-// transpose is built, before any worker runs.
+// ErrDimension, and the zero diagonal they would divide by is refused
+// where a structure is built (csrk.Build), so no Values ever holds one.
 func TestUpperSolverErrors(t *testing.T) {
 	a := gen.Grid2D(6, 6)
 	p, err := order.Build(a, order.Options{Method: order.STS3, RowsPerSuper: 4})
@@ -75,13 +75,8 @@ func TestUpperSolverErrors(t *testing.T) {
 	}
 
 	l := &sparse.CSR{N: 2, RowPtr: []int{0, 1, 3}, Col: []int{0, 0, 1}, Val: []float64{0, 1, 1}}
-	bad, err := NewEngine(NewValues(&csrk.Structure{L: l, SuperPtr: []int{0, 2}, PackPtr: []int{0, 1}}), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	if _, err := solveUpperVec(bad, []float64{1, 1}); err == nil {
-		t.Fatal("zero diagonal accepted by the backward sweep")
+	if _, err := csrk.Build(l, []int{0, 2}, []int{0, 1}); err == nil {
+		t.Fatal("csrk.Build accepted a zero diagonal")
 	}
 }
 

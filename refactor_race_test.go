@@ -60,7 +60,7 @@ func TestRefactorRacingSolves(t *testing.T) {
 		t.Errorf("%s: rhs %d matches neither epoch oracle — torn solve", label, r)
 	}
 
-	solver := p.NewSolver(WithWorkers(4), WithBlockWidth(4))
+	solver := p.NewSolver(WithWorkers(4))
 	defer solver.Close()
 	ctx := t.Context()
 	var wg sync.WaitGroup

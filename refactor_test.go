@@ -39,7 +39,8 @@ func assertVecBitwise(t *testing.T, label string, got, want []float64) {
 }
 
 // TestRefactorMatchesRebuildBitwise is the tentpole property: for every
-// corpus matrix, method, worker count, and panel width, a chain of three
+// corpus matrix, method, worker count, and panel width (a batch of 1, 4
+// or 8 right-hand sides is one panel of that width), a chain of three
 // Refactor steps must leave the plan bitwise interchangeable with a plan
 // freshly built on the same values — across cooperative solves, blocked
 // panel solves, and the backward sweep.
@@ -89,8 +90,8 @@ func TestRefactorMatchesRebuildBitwise(t *testing.T) {
 				for _, workers := range workerCounts {
 					for _, kw := range widths {
 						label := ent.Name + "/" + method.String()
-						sr := p.NewSolver(WithWorkers(workers), WithBlockWidth(kw))
-						sf := fresh.NewSolver(WithWorkers(workers), WithBlockWidth(kw))
+						sr := p.NewSolver(WithWorkers(workers))
+						sf := fresh.NewSolver(WithWorkers(workers))
 						B := make([][]float64, kw)
 						want := make([][]float64, kw)
 						got := make([][]float64, kw)

@@ -63,7 +63,7 @@ func (r *solveReq) complete(err error) {
 // coalescer converts request concurrency into panel-kernel throughput for
 // one (solver, sweep-direction) key: concurrent single-RHS solve requests
 // queue into a bounded channel, and a dispatcher goroutine packs up to
-// width pending right-hand sides into one blocked panel solve
+// stsk.PanelWidth pending right-hand sides into one blocked panel solve
 // (Solver.SolveBlockInto) — so a burst of 32 requests rides the matrix
 // traversal eight at a time.
 //
@@ -74,7 +74,6 @@ func (r *solveReq) complete(err error) {
 type coalescer struct {
 	solver *stsk.Solver
 	upper  bool // backward sweeps (L′ᵀx = b) instead of forward
-	width  int  // max requests per panel
 	met    *Metrics
 
 	mu     sync.Mutex // guards closed vs enqueue
@@ -90,20 +89,19 @@ type coalescer struct {
 }
 
 // newCoalescer builds an unstarted coalescer whose panels are as wide as
-// the solver's block solves; call start to launch the dispatcher (tests
-// enqueue against an unstarted one for determinism).
+// the widest panel a block solve sweeps at once, stsk.PanelWidth; call
+// start to launch the dispatcher (tests enqueue against an unstarted one
+// for determinism).
 func newCoalescer(solver *stsk.Solver, upper bool, queueCap int, met *Metrics) *coalescer {
-	width := solver.BlockWidth()
 	return &coalescer{
 		solver: solver,
 		upper:  upper,
-		width:  width,
 		met:    met,
 		queue:  make(chan *solveReq, queueCap),
 		stop:   make(chan struct{}),
-		batch:  make([]*solveReq, 0, width),
-		xs:     make([][]float64, 0, width),
-		bs:     make([][]float64, 0, width),
+		batch:  make([]*solveReq, 0, stsk.PanelWidth),
+		xs:     make([][]float64, 0, stsk.PanelWidth),
+		bs:     make([][]float64, 0, stsk.PanelWidth),
 	}
 }
 
@@ -220,9 +218,9 @@ func (c *coalescer) run() {
 }
 
 // collect gathers a panel around the first request: whatever is already
-// queued, up to width. When the queue runs dry short of a full panel it
-// yields the processor once, so requests already runnable — the rest of
-// a burst — can enqueue before the panel is sealed. Requests whose
+// queued, up to stsk.PanelWidth. When the queue runs dry short of a full
+// panel it yields the processor once, so requests already runnable — the
+// rest of a burst — can enqueue before the panel is sealed. Requests whose
 // context is already dead are answered immediately and excluded, so one
 // cancelled client never occupies a panel slot.
 func (c *coalescer) collect(first *solveReq) []*solveReq {
@@ -232,7 +230,7 @@ func (c *coalescer) collect(first *solveReq) []*solveReq {
 		r.popNs = trace.Now()
 		if err := r.ctx.Err(); err != nil {
 			r.complete(err)
-		} else if batch = append(batch, r); len(batch) == c.width {
+		} else if batch = append(batch, r); len(batch) == stsk.PanelWidth {
 			return batch
 		}
 		if r = c.pop(); r == nil && !yielded {
@@ -302,12 +300,12 @@ func (c *coalescer) dispatchSafe(batch []*solveReq) {
 	c.dispatch(ctx, batch)
 }
 
-// dispatch solves one collected panel on the blocked kernels
-// (SolveBlockInto), one matrix traversal amortised over every member; a
-// singleton is a panel of width 1, which the engine sweeps with the
-// scalar kernel. Each member's solution is bitwise identical to
-// Plan.Solve — the panel kernels evaluate every row dot product in the
-// same order as the scalar path.
+// dispatch solves one collected batch with SolveBlockInto: one matrix
+// traversal per panel the batch carves into (8, 4, 2 and 1 columns,
+// widest first), amortised over its members; a singleton is a panel of
+// width 1. Each member's solution is bitwise identical to Plan.Solve —
+// the kernel evaluates every row dot product in the same order at every
+// panel width.
 //
 //stsk:noalloc
 func (c *coalescer) dispatch(ctx context.Context, batch []*solveReq) {
@@ -323,10 +321,10 @@ func (c *coalescer) dispatch(ctx context.Context, batch []*solveReq) {
 	}
 	// The panel runs under the panel-isolation context built by
 	// dispatchSafe: never cancelled — one member's death must not void its
-	// neighbours' work, and a panel is at most width solves deep so it
-	// completes promptly regardless — but carrying the leader's trace for
-	// engine-stage attribution. Members whose context died mid-panel
-	// simply find no reader on their buffered done channel.
+	// neighbours' work, and a panel is at most stsk.PanelWidth solves deep
+	// so it completes promptly regardless — but carrying the leader's
+	// trace for engine-stage attribution. Members whose context died
+	// mid-panel simply find no reader on their buffered done channel.
 	k0 := trace.Now()
 	var err error
 	if c.upper {

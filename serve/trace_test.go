@@ -262,7 +262,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 // bounds from below.
 func TestQueueWaitReconciliation(t *testing.T) {
 	ref := refPlan(t, "grid3d", 600, stsk.STS3)
-	solver := ref.NewSolver(stsk.WithBlockWidth(8))
+	solver := ref.NewSolver()
 	defer solver.Close()
 	met := &Metrics{}
 	c := newCoalescer(solver, false, 64, met)

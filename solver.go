@@ -9,6 +9,12 @@ import (
 	"stsk/internal/solve"
 )
 
+// PanelWidth is the widest panel a block solve sweeps in one matrix
+// traversal: a call's right-hand sides are carved greedily into panels
+// of 8, 4, 2 and 1 columns, so a batch of PanelWidth right-hand sides is
+// one panel.
+const PanelWidth = solve.MaxPanelWidth
+
 // Solver is a reusable solve engine over one Plan, with the scheduling
 // state preallocated — the "many solves per ordering" traffic shape that
 // motivates the paper (§4.1), amortised at runtime as well. It owns no
@@ -23,11 +29,11 @@ import (
 //     SolveUpperInto, SolveUpperIntoCtx, ApplySGSInto): one right-hand
 //     side swept cooperatively over the plan's task DAG.
 //   - Block solves (SolveBlock, SolveBlockInto, SolveUpperBlock,
-//     SolveUpperBlockInto): many right-hand sides grouped into panels of
-//     up to WithBlockWidth columns, each panel swept in one matrix
-//     traversal — cooperatively when the call is a single panel, each
-//     panel whole by one of the call's goroutines when it carves into
-//     several.
+//     SolveUpperBlockInto): many right-hand sides carved into panels of
+//     8, 4, 2 and 1 columns (at most PanelWidth), each panel swept in one
+//     matrix traversal — cooperatively when the call is a single panel,
+//     each panel whole by one of the call's goroutines when it carves
+//     into several.
 //   - Streaming solves (SolveSeq): vectors drawn one at a time from an
 //     iterator, each solved before the next is drawn.
 //
@@ -48,18 +54,18 @@ type Solver struct {
 
 // NewSolver builds a persistent solve engine for the plan. WithWorkers
 // fixes the most goroutines one call is swept by (GOMAXPROCS by default)
-// and WithBlockWidth the panel width of block solves for the solver's
-// lifetime; a solver with more than one worker schedules its cooperative
-// sweeps over the plan's task DAG, derived on the first such solver and
-// shared by all of them. The Solver starts no goroutines, so one that is
-// dropped without Close leaves nothing behind.
+// for the solver's lifetime; a solver with more than one worker
+// schedules its cooperative sweeps over the plan's task DAG, derived on
+// the first such solver and shared by all of them. The Solver starts no
+// goroutines, so one that is dropped without Close leaves nothing
+// behind.
 func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// Every solver of this plan binds to the plan's shared value-epoch
 	// sequence, so per-epoch derived state (the packed layouts of the
 	// factor and its transpose) is built once and shared by all of them —
 	// and a Plan.Refactor is picked up by every solver's next call.
 	c := applyOptions(opts)
-	eng, err := solve.NewEngine(p.vals, solve.Options{Workers: c.workers, BlockWidth: c.blockWidth})
+	eng, err := solve.NewEngine(p.vals, solve.Options{Workers: c.workers})
 	if err != nil {
 		// Build and ReadSnapshot refuse factors the packed kernels cannot
 		// index, and the DAG is the sequence's own: this cannot fail.
@@ -75,10 +81,6 @@ func (p *Plan) NewSolver(opts ...Option) *Solver {
 // Workers returns the most goroutines one of the solver's calls is swept
 // by.
 func (s *Solver) Workers() int { return s.eng.Workers() }
-
-// BlockWidth returns the panel width of the solver's block solves: the
-// WithBlockWidth setting rounded down to a kernel width, 8 by default.
-func (s *Solver) BlockWidth() int { return s.eng.BlockWidth() }
 
 // Plan returns the plan this solver is bound to.
 func (s *Solver) Plan() *Plan { return s.plan }
@@ -142,13 +144,12 @@ func (s *Solver) SolveUpperIntoCtx(ctx context.Context, x, b []float64) error {
 	return s.eng.SolveUpperIntoCtx(ctx, x, b)
 }
 
-// SolveBlock solves L′xᵢ = bᵢ for every right-hand side of xs with the
-// blocked multi-vector (panel) kernels and returns the solutions in
-// order. Where Solve walks the full matrix once per right-hand side,
-// SolveBlock groups the vectors into row-major panels of up to
-// WithBlockWidth columns (default 8) and sweeps each panel in a single
-// matrix traversal, loading each (col, val) pair once and applying it
-// across all panel columns. Index and value traffic per right-hand side
+// SolveBlock solves L′xᵢ = bᵢ for every right-hand side of xs panel by
+// panel and returns the solutions in order. Where Solve walks the full
+// matrix once per right-hand side, SolveBlock carves the vectors into
+// row-major panels of 8, 4, 2 and 1 columns (greedily, widest first)
+// and sweeps each panel in a single matrix traversal, loading each
+// (col, val) pair once and applying it across all panel columns. Index and value traffic per right-hand side
 // drops by the panel width, which is what bounds a cache-resident solve.
 // A call that is a single panel is swept cooperatively over the task
 // DAG; in a call of several panels each of the call's goroutines sweeps
@@ -169,7 +170,7 @@ func (s *Solver) SolveBlock(ctx context.Context, xs [][]float64) ([][]float64, e
 	for i := range X {
 		X[i] = make([]float64, s.plan.N())
 	}
-	if err := s.eng.SolveBlockIntoCtx(ctx, X, xs, 0); err != nil {
+	if err := s.eng.SolveBlockIntoCtx(ctx, X, xs); err != nil {
 		return nil, err
 	}
 	return X, nil
@@ -182,12 +183,12 @@ func (s *Solver) SolveBlockInto(ctx context.Context, X, B [][]float64) error {
 	if err := s.checkBatchPairs(X, B); err != nil {
 		return err
 	}
-	return s.eng.SolveBlockIntoCtx(ctx, X, B, 0)
+	return s.eng.SolveBlockIntoCtx(ctx, X, B)
 }
 
 // SolveUpperBlock solves the transposed system L′ᵀxᵢ = bᵢ for every
-// right-hand side with the blocked backward-substitution kernels, panels
-// swept in reverse — the multi-vector form of SolveUpper.
+// right-hand side by backward substitution, panels swept in reverse —
+// the multi-vector form of SolveUpper.
 func (s *Solver) SolveUpperBlock(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	if err := s.checkBatchDims(xs); err != nil {
 		return nil, err
@@ -196,7 +197,7 @@ func (s *Solver) SolveUpperBlock(ctx context.Context, xs [][]float64) ([][]float
 	for i := range X {
 		X[i] = make([]float64, s.plan.N())
 	}
-	if err := s.eng.SolveUpperBlockIntoCtx(ctx, X, xs, 0); err != nil {
+	if err := s.eng.SolveUpperBlockIntoCtx(ctx, X, xs); err != nil {
 		return nil, err
 	}
 	return X, nil
@@ -208,7 +209,7 @@ func (s *Solver) SolveUpperBlockInto(ctx context.Context, X, B [][]float64) erro
 	if err := s.checkBatchPairs(X, B); err != nil {
 		return err
 	}
-	return s.eng.SolveUpperBlockIntoCtx(ctx, X, B, 0)
+	return s.eng.SolveUpperBlockIntoCtx(ctx, X, B)
 }
 
 // checkDims validates a solution/right-hand-side pair at the facade.

@@ -27,10 +27,8 @@
 //	b := plan.RHSFor(xTrue)             // manufactured right-hand side b = L′·xTrue
 //	x, _ := plan.Solve(b)
 //
-// Every entry point takes the same functional options: Build reads the
-// ordering options (WithRowsPerSuper, WithLevels, WithSloanInPack), while
-// NewSolver and NewIC0 read the solver options (WithWorkers,
-// WithBlockWidth).
+// Every entry point takes the same functional options: Build reads
+// WithRowsPerSuper, while NewSolver and NewIC0 read WithWorkers.
 //
 // For repeated solves against the same plan — the iterative-solver traffic
 // the paper targets — create a Solver once and stream right-hand sides
@@ -359,12 +357,11 @@ func (p *Plan) IC0() (*Plan, error) {
 	return &Plan{method: p.method, perm: p.perm, vals: vals, derived: true}, nil
 }
 
-// Build runs the ordering pipeline for the given method. The ordering
-// options (WithRowsPerSuper, WithLevels, WithSloanInPack) tune the
-// pipeline beyond the method choice; solver options are ignored here and
-// read by NewSolver instead. A factor whose dimension or stored-entry
-// count does not fit 32-bit indices is refused with ErrTooLarge, and one
-// holding a NaN or infinite value with ErrNonFinite.
+// Build runs the ordering pipeline for the given method. WithRowsPerSuper
+// sets the super-row size; solver options are ignored here and read by
+// NewSolver instead. A factor whose dimension or stored-entry count does
+// not fit 32-bit indices is refused with ErrTooLarge, and one holding a
+// NaN or infinite value with ErrNonFinite.
 //
 // The plan keeps no copy of m's pattern. The pipeline takes a
 // structurally symmetric matrix with a full diagonal and strictly sorted
@@ -373,15 +370,7 @@ func (p *Plan) IC0() (*Plan, error) {
 // factor.
 func Build(m *Matrix, method Method, opts ...Option) (*Plan, error) {
 	c := applyOptions(opts)
-	oo := order.Options{
-		Method:       method,
-		RowsPerSuper: c.rowsPerSuper,
-		Levels:       c.levels,
-	}
-	if c.sloanInPack {
-		oo.InPackOrder = order.InPackSloan
-	}
-	p, err := order.Build(m.a, oo)
+	p, err := order.Build(m.a, order.Options{Method: method, RowsPerSuper: c.rowsPerSuper})
 	if err != nil {
 		return nil, err
 	}
