@@ -175,6 +175,79 @@ func BenchmarkApplySymmetric(b *testing.B) {
 	})
 }
 
+// BenchmarkValueUpdate times one numeric value update of a PCG caller on
+// the pcg-ic0 workload's plan (grid3d, n = 97,336, STS-3), alternating
+// the matrix's values ×4 and ×1 as that workload does, each update from
+// a freshly collected heap: Refactor alone, NewIC0 alone (the factor
+// over the task DAG, written straight into its packed layout), the first
+// IC0Preconditioner.Apply of the new factor (which gathers L̂ᵀ), and the
+// whole Update, all three in turn — what the workload's update_p50_ms
+// times. Run it with -cpu 1,2 to see the second worker's share.
+func BenchmarkValueUpdate(b *testing.B) {
+	mat, err := Generate("grid3d", 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := Build(mat, STS3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := [2][]float64{mat.Values(), mat.Values()}
+	for k := range vals[0] {
+		vals[0][k] *= 4
+	}
+	r := make([]float64, plan.N())
+	for i := range r {
+		r[i] = float64(i%7) - 3
+	}
+	z := make([]float64, plan.N())
+	ic, err := NewIC0(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { ic.Close() }()
+	// step runs one update; the timer runs only around the steps named
+	// by timed (Refactor, NewIC0, Apply).
+	step := func(b *testing.B, i int, timed [3]bool) {
+		b.StopTimer()
+		runtime.GC()
+		run := func(k int, f func() error) {
+			if timed[k] {
+				b.StartTimer()
+			}
+			if err := f(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+		}
+		run(0, func() error { return plan.Refactor(vals[i%2]) })
+		run(1, func() error {
+			ic.Close()
+			ic, err = NewIC0(plan)
+			return err
+		})
+		run(2, func() error { return ic.Apply(z, r) })
+		b.StartTimer()
+	}
+	for _, bc := range []struct {
+		name  string
+		timed [3]bool
+	}{
+		{"Refactor", [3]bool{true, false, false}},
+		{"IC0", [3]bool{false, true, false}},
+		{"FirstApply", [3]bool{false, false, true}},
+		{"Update", [3]bool{true, true, true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(b, i, bc.timed)
+			}
+		})
+	}
+}
+
 // --- Multi-RHS engine comparison ---
 //
 // BenchmarkMultiRHSGrid3D drives 32 right-hand sides through one STS-3
@@ -233,7 +306,13 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 	defer solver.Close()
 	b.Run("pooled", func(b *testing.B) {
 		x := make([]float64, plan.N())
+		// One untimed call fills the pools and packs the layouts, so the
+		// timed loop and its allocation columns show the steady state.
+		if err := solver.SolveInto(x, B[0]); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, rhs := range B {
@@ -253,7 +332,11 @@ func BenchmarkMultiRHSGrid3D(b *testing.B) {
 		for r := range X {
 			X[r] = make([]float64, plan.N())
 		}
+		if err := solver.SolveBlockInto(ctx, X, B); err != nil { // warm, untimed
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			if err := solver.SolveBlockInto(ctx, X, B); err != nil {

@@ -270,3 +270,190 @@ func TestIC0ConcurrentFirstSolves(t *testing.T) {
 		t.Fatal("base and factor built separate packed shapes")
 	}
 }
+
+// ic0Reference is Plan.IC0's outcome on the plan's live factor as the
+// sequential reference gives it: ichol.Factor's values with AutoBoost,
+// or its refusal — a non-finite factor as IC0 refuses it.
+func ic0Reference(p *Plan) ([]float64, error) {
+	want, err := ichol.Factor(p.structure().L, ichol.Options{AutoBoost: true})
+	if err == nil {
+		if nf := solve.CheckFinite(want); nf != nil {
+			return nil, fmt.Errorf("stsk: ic0 factor refused: %w", nf)
+		}
+	}
+	return want, err
+}
+
+// assertIC0 fails unless an IC(0) derivation's outcome (ic, err) is the
+// reference's: the same factor values bit for bit, or a refusal with the
+// same text and no plan.
+func assertIC0(t *testing.T, label string, ic *Plan, err error, want []float64, wantErr error) {
+	t.Helper()
+	if wantErr != nil || err != nil {
+		if wantErr == nil || err == nil || ic != nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: IC0 returned %v, the reference %v", label, err, wantErr)
+		}
+		return
+	}
+	assertVecBitwise(t, label, ic.structure().L.Val, want)
+}
+
+// TestNewIC0WorkersMatchReference: NewIC0 factors over the task DAG on
+// WithWorkers(w) goroutines, and for w = 1, 2 and 4 its factor equals
+// ichol.Factor's bit for bit — or refuses with its text — for the corpus
+// under every method (four rows per super-row, so the DAG has many
+// tasks), before and after a Refactor that flips signs. A trimesh whose
+// unshifted factorisation breaks down on a NaN pivot is one more case:
+// AutoBoost retries it at the first shift.
+func TestNewIC0WorkersMatchReference(t *testing.T) {
+	check := func(label string, p *Plan) {
+		t.Helper()
+		want, wantErr := ic0Reference(p)
+		for _, w := range []int{1, 2, 4} {
+			pc, err := NewIC0(p, WithWorkers(w))
+			var ic *Plan
+			if pc != nil {
+				ic = pc.Factor()
+				pc.Close()
+			}
+			assertIC0(t, fmt.Sprintf("%s/w=%d", label, w), ic, err, want, wantErr)
+		}
+	}
+	build := func(m *Matrix, method Method) *Plan {
+		t.Helper()
+		p, err := Build(m, method, WithRowsPerSuper(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, ent := range testmat.Corpus() {
+		m := &Matrix{a: ent.A}
+		for _, method := range Methods() {
+			label := ent.Name + "/" + method.String()
+			p := build(m, method)
+			check(label, p)
+			if err := p.Refactor(perturbValues(m.Values(), 3)); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			check(label+"/refactored", p)
+		}
+	}
+	tri, err := Generate("trimesh", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := build(tri, STS3)
+	vals, ok := ic0OverflowValues(tri.a, p.perm, 1e221)
+	if !ok {
+		t.Fatal("no overflow pattern in the plan's factor")
+	}
+	if err := p.Refactor(vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ichol.Factor(p.structure().L, ichol.Options{}); err == nil {
+		t.Fatal("the unshifted factorisation of the overflow values did not break down")
+	}
+	check("trimesh/overflow", p)
+}
+
+// TestIC0ConcurrentDerivations: IC(0) is derived on several goroutines
+// at once — Plan.IC0 and NewIC0 at two workers — while the base plan is
+// solved and refactored between two value sets. Each derivation pins one
+// epoch, so its factor must equal the reference factor of one of the two
+// value sets bit for bit, and its forward solve that factor's sequential
+// solve; every base solve must equal one value set's sequential solve.
+func TestIC0ConcurrentDerivations(t *testing.T) {
+	m := &Matrix{a: testmat.TriMesh(14)}
+	p, err := Build(m, STS3, WithRowsPerSuper(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := [2][]float64{m.Values(), m.Values()}
+	for k := range sets[1] {
+		sets[1][k] *= 2
+	}
+	b := manufacturedB(p, 3)
+	var ref, xBase, xIC [2][]float64
+	for s := 1; s >= 0; s-- {
+		if err := p.Refactor(sets[s]); err != nil {
+			t.Fatal(err)
+		}
+		if ref[s], err = ichol.Factor(p.structure().L, ichol.Options{AutoBoost: true}); err != nil {
+			t.Fatal(err)
+		}
+		if xBase[s], err = p.SolveSequential(b); err != nil {
+			t.Fatal(err)
+		}
+		l := p.structure().L
+		if xIC[s], err = sparse.ForwardSubstitution(&sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: ref[s]}, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matches := func(got []float64, want [2][]float64) bool {
+		return slices.Equal(got, want[0]) || slices.Equal(got, want[1])
+	}
+	const rounds = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	run := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if err := f(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	derive := func(viaNewIC0 bool) func() error {
+		return func() error {
+			var ic *Plan
+			var err error
+			if viaNewIC0 {
+				var pc *IC0Preconditioner
+				if pc, err = NewIC0(p, WithWorkers(2)); err == nil {
+					defer pc.Close()
+					ic = pc.Factor()
+				}
+			} else {
+				ic, err = p.IC0()
+			}
+			if err != nil {
+				return err
+			}
+			if !matches(ic.structure().L.Val, ref) {
+				return fmt.Errorf("a concurrent IC(0) factor matches neither value set's reference")
+			}
+			x, err := ic.Solve(b)
+			if err == nil && !matches(x, xIC) {
+				err = fmt.Errorf("a concurrent IC(0) factor's solve matches neither reference solve")
+			}
+			return err
+		}
+	}
+	for g := range 4 {
+		run(derive(g%2 == 1))
+	}
+	for range 2 {
+		run(func() error {
+			x, err := p.Solve(b)
+			if err == nil && !matches(x, xBase) {
+				err = fmt.Errorf("a base solve matches neither value set's sequential solve")
+			}
+			return err
+		})
+	}
+	step := 0
+	run(func() error {
+		step++
+		return p.Refactor(sets[step%2])
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -12,9 +12,20 @@
 // and allocates no index array, so a caller that already holds the
 // symbolic structure of tril(A) — a plan's permuted factor, its packs
 // and task DAG — reuses all of it for L.
+//
+// The package exports its pieces so that every factorisation runs one
+// arithmetic. Row is the kernel: it factors one row from the finished
+// rows that row reads, which are exactly the rows forward substitution's
+// row reads, so the task DAG that schedules a plan's sweeps schedules
+// the factorisation too (solve.Values.DeriveIC0 runs Row on the plan's
+// helpers over that DAG). Boost is the AutoBoost retry policy, which
+// retries a *Breakdown and nothing else. Factor runs Row over the rows
+// in order under Boost: it is the sequential reference every other
+// factorisation must equal bit for bit.
 package ichol
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -31,12 +42,29 @@ type Options struct {
 	AutoBoost bool
 }
 
+// Breakdown is the error of a pivot that comes out non-positive or NaN:
+// the matrix, as shifted, has no IC(0) factor. It is the one failure
+// AutoBoost retries.
+type Breakdown struct {
+	Pivot float64
+	Row   int
+}
+
+func (e *Breakdown) Error() string {
+	return fmt.Sprintf("ichol: pivot %g at row %d is not positive (consider AutoBoost)", e.Pivot, e.Row)
+}
+
 // Factor computes the IC(0) factor of the symmetric matrix whose lower
 // triangle is l: sorted rows, each ending with its diagonal entry (the
 // csrk invariant). It returns the factor's values on l's pattern, in
 // l.Val order; l itself is not modified. A row that does not end with its
 // diagonal is refused, and so is a pivot that comes out non-positive or
-// NaN unless AutoBoost rescues it.
+// NaN (a *Breakdown) unless AutoBoost rescues it.
+//
+// Factor is the sequential reference: it factors the rows in order, one
+// Row call each, and every other factorisation of the repository — the
+// task-parallel one of the solve layer — runs the same Row kernel under
+// the same Boost policy and must equal it bit for bit.
 func Factor(l *sparse.CSR, opts Options) ([]float64, error) {
 	for i := 0; i < l.N; i++ {
 		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
@@ -45,14 +73,38 @@ func Factor(l *sparse.CSR, opts Options) ([]float64, error) {
 		}
 	}
 	f := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: make([]float64, len(l.Val))}
-	shift := opts.Shift
-	for attempt := 0; ; attempt++ {
-		err := factorOnce(f, l.Val, shift)
-		if err == nil {
-			return f.Val, nil
+	err := Boost(l, opts, func(shift float64) error {
+		copy(f.Val, l.Val)
+		for i := 0; i < l.N; i++ {
+			if shift != 0 {
+				f.Val[l.RowPtr[i+1]-1] += shift
+			}
+			if err := Row(f, i); err != nil {
+				return err
+			}
 		}
-		if !opts.AutoBoost || attempt >= 20 {
-			return nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f.Val, nil
+}
+
+// Boost runs one factorisation attempt of the matrix whose lower
+// triangle is l at opts.Shift and, when AutoBoost is set and the attempt
+// breaks down, again at geometrically growing shifts: first 10⁻³ of the
+// largest diagonal magnitude (at least 1), then four times the last, up
+// to 20 retries. It returns the last attempt's error; an error that is
+// not a *Breakdown is returned at once. l supplies the diagonal the first
+// boosted shift is scaled by and is not modified.
+func Boost(l *sparse.CSR, opts Options, attempt func(shift float64) error) error {
+	shift := opts.Shift
+	for retry := 0; ; retry++ {
+		err := attempt(shift)
+		var bd *Breakdown
+		if err == nil || !opts.AutoBoost || retry >= 20 || !errors.As(err, &bd) {
+			return err
 		}
 		if shift == 0 {
 			shift = 1e-3 * maxDiag(l)
@@ -72,39 +124,54 @@ func maxDiag(l *sparse.CSR) float64 {
 	return d
 }
 
-// factorOnce factors a (the values of tril(A)) with the diagonal shifted
-// by shift into l, which holds the same pattern.
-func factorOnce(l *sparse.CSR, a []float64, shift float64) error {
-	copy(l.Val, a)
-	if shift != 0 {
-		for i := 0; i < l.N; i++ {
-			l.Val[l.RowPtr[i+1]-1] += shift
+// Row factors row i of l in place: the up-looking step of IC(0) over the
+// fixed pattern, one row at a time. On entry row i holds the (shifted)
+// values of tril(A), and every row its strictly lower entries name holds
+// its finished factor row — exactly the rows forward substitution's row i
+// reads, so any schedule that orders those rows before row i, such as a
+// plan's task DAG, gives the same bits as the sequential row loop. Row
+// i's strictly lower entries are updated left to right:
+//
+//	L[i,k] = (A[i,k] - Σ_{j<k} L[i,j]·L[k,j]) / L[k,k]
+//	L[i,i] = sqrt(A[i,i] - Σ_{j<i} L[i,j]²)
+//
+// A pivot that comes out non-positive or NaN is a *Breakdown, with row i
+// left partly factored.
+func Row(l *sparse.CSR, i int) error {
+	rp, col, val := l.RowPtr, l.Col, l.Val
+	lo, diag := rp[i], rp[i+1]-1
+	for kk := lo; kk < diag; kk++ {
+		k := col[kk]
+		// Σ_{j<k} L[i,j]·L[k,j]: the entries of row i before kk merged
+		// with row k's off-diagonals — sparseDot(l, i, k, k), summed in
+		// the same column order.
+		a, b, bEnd := lo, rp[k], rp[k+1]-1
+		dot := 0.0
+		for a < kk && b < bEnd {
+			switch ca, cb := col[a], col[b]; {
+			case ca < cb:
+				a++
+			case cb < ca:
+				b++
+			default:
+				dot += val[a] * val[b]
+				a++
+				b++
+			}
 		}
+		val[kk] = (val[kk] - dot) / val[bEnd]
 	}
-	// Up-looking factorisation over the fixed pattern. Row i's strictly
-	// lower entries are updated left to right:
-	//   L[i,k] = (A[i,k] - Σ_{j<k} L[i,j]·L[k,j]) / L[k,k]
-	//   L[i,i] = sqrt(A[i,i] - Σ_{j<i} L[i,j]²)
-	for i := 0; i < l.N; i++ {
-		rowLo, rowHi := l.RowPtr[i], l.RowPtr[i+1]
-		for kk := rowLo; kk < rowHi-1; kk++ {
-			k := l.Col[kk]
-			dot := sparseDot(l, i, k, k) // Σ_{j<k} L[i,j]·L[k,j]
-			dk := l.Val[l.RowPtr[k+1]-1]
-			l.Val[kk] = (l.Val[kk] - dot) / dk
-		}
-		sq := 0.0
-		for kk := rowLo; kk < rowHi-1; kk++ {
-			sq += l.Val[kk] * l.Val[kk]
-		}
-		pivot := l.Val[rowHi-1] - sq
-		// Negated so a NaN pivot — an overflow upstream turned into
-		// −Inf·0 — is a breakdown too, not a factor carrying NaN.
-		if !(pivot > 0) {
-			return fmt.Errorf("ichol: pivot %g at row %d is not positive (consider AutoBoost)", pivot, i)
-		}
-		l.Val[rowHi-1] = math.Sqrt(pivot)
+	sq := 0.0
+	for _, v := range val[lo:diag] {
+		sq += v * v
 	}
+	pivot := val[diag] - sq
+	// Negated so a NaN pivot — an overflow upstream turned into −Inf·0 —
+	// is a breakdown too, not a factor carrying NaN.
+	if !(pivot > 0) {
+		return &Breakdown{Pivot: pivot, Row: i}
+	}
+	val[diag] = math.Sqrt(pivot)
 	return nil
 }
 

@@ -213,3 +213,62 @@ func factorCSR(a *sparse.CSR, opts Options) (*sparse.CSR, error) {
 	}
 	return &sparse.CSR{N: tril.N, RowPtr: tril.RowPtr, Col: tril.Col, Val: val}, nil
 }
+
+// TestRowMatchesSparseDotReference: Row's merged dot products are
+// sparseDot's, term for term: the factor equals, bit for bit, a plain
+// up-looking loop that sums every L[i,j]·L[k,j] with sparseDot's cutoff
+// merge — on mesh classes and on random patterns whose rows share few
+// columns, boosted and not.
+func TestRowMatchesSparseDotReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mats := []*sparse.CSR{gen.Grid2D(9, 7), gen.Grid3D(5, 4, 3), gen.TriMesh(9, 9, 3)}
+	for range 20 {
+		n := 2 + rng.Intn(60)
+		coo := sparse.NewCOO(n, 8*n)
+		for i := 0; i < n; i++ {
+			coo.Add(i, i, 4+rng.Float64())
+		}
+		for e := 0; e < 3*n; e++ {
+			if i, j := rng.Intn(n), rng.Intn(n); i != j {
+				coo.AddSym(i, j, rng.Float64()-0.5)
+			}
+		}
+		mats = append(mats, coo.ToCSR())
+	}
+	for m, a := range mats {
+		l := a.Lower()
+		for _, shift := range []float64{0, 0.25} {
+			got, err := Factor(l, Options{Shift: shift})
+			want := append([]float64(nil), l.Val...)
+			f := &sparse.CSR{N: l.N, RowPtr: l.RowPtr, Col: l.Col, Val: want}
+			var wantErr error
+			for i := 0; i < l.N && wantErr == nil; i++ {
+				lo, diag := l.RowPtr[i], l.RowPtr[i+1]-1
+				for kk := lo; kk < diag; kk++ {
+					k := l.Col[kk]
+					want[kk] = (want[kk] - sparseDot(f, i, k, k)) / want[l.RowPtr[k+1]-1]
+				}
+				sq := 0.0
+				for kk := lo; kk < diag; kk++ {
+					sq += want[kk] * want[kk]
+				}
+				if pivot := want[diag] + shift - sq; pivot > 0 {
+					want[diag] = math.Sqrt(pivot)
+				} else {
+					wantErr = &Breakdown{Pivot: pivot, Row: i}
+				}
+			}
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("matrix %d shift %g: error %v, reference %v", m, shift, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("matrix %d shift %g: value %d is %v, reference %v", m, shift, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

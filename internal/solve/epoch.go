@@ -18,7 +18,7 @@ import (
 // RowPtr/Col index arrays, and what the pattern derives once (the packed
 // shape, the task DAG, A′'s index arrays and row chunks) — is shared by
 // every epoch and by every sequence derived from this one
-// (Derive); a numeric refactorization (Values.Swap) publishes a new
+// (DeriveIC0); a numeric refactorization (Values.Swap) publishes a new
 // epoch carrying only fresh value arrays.
 //
 // The hot path takes no locks: every solve dispatch loads the current
@@ -36,8 +36,8 @@ type Values struct {
 // NewValues wraps a structure as epoch 0 of a value sequence. The
 // structure must have passed csrk.Build's checks — in particular no zero
 // diagonal, which every sweep divides by: neither NewValues nor the
-// sweeps check again, while Swap and Derive check every later value
-// array.
+// sweeps check again, while Swap checks every later value array and an
+// IC(0) factor's diagonal is the square root of a positive pivot.
 func NewValues(s *csrk.Structure) *Values {
 	return NewValuesVersion(s, 0)
 }
@@ -102,10 +102,13 @@ func (v *Values) Symmetric() (*sparse.CSR32, *SpMV) {
 
 // Swap validates val as a complete value array for the factor's fixed
 // sparsity and publishes it as a new epoch. The check is all-or-nothing:
-// on a length mismatch (wrapped ErrDimension), a NaN or infinite value
-// (wrapped ErrNonFinite) or a zero diagonal nothing is published and
-// in-flight and future solves keep the old values. The new epoch packs
-// lazily, on the first solve that pins it.
+// on a length mismatch (wrapped ErrDimension) or a zero diagonal nothing
+// is published and in-flight and future solves keep the old values. The
+// new epoch packs lazily, on the first solve that pins it.
+//
+// val must hold no NaN or infinity (CheckFinite): Swap does not look
+// again at what its caller checked while writing val — Plan.Refactor
+// checks each value as it scatters it.
 //
 // Swap takes ownership of val; the caller must not modify it afterwards.
 // Concurrent Swap calls must be serialised by the caller (the stsk facade
@@ -124,33 +127,11 @@ func (v *Values) Swap(val []float64) error {
 	return nil
 }
 
-// Derive returns a new value sequence over this one's pattern, starting
-// at epoch 0 with val: a factor computed from the current values, such
-// as an incomplete-Cholesky factor. It shares everything symbolic — the
-// RowPtr/Col arrays, the super-row and pack boundaries, the packed
-// shape, the task DAG, A′'s index arrays — and runs Swap's checks on
-// val, publishing nothing on a refusal. The two sequences' later swaps
-// are independent.
-//
-// Derive takes ownership of val, like Swap.
-func (v *Values) Derive(val []float64) (*Values, error) {
-	cur := v.cur.Load()
-	if err := checkValues(cur.s.L, val); err != nil {
-		return nil, err
-	}
-	d := &Values{pat: v.pat}
-	d.cur.Store(&epoch{s: withValues(cur.s, val), pat: v.pat})
-	return d, nil
-}
-
-// checkValues is the value check of Swap and Derive: val must have one
-// entry per stored entry of l, all finite, with no zero diagonal.
+// checkValues is Swap's value check: val must have one entry per stored
+// entry of l, with no zero diagonal.
 func checkValues(l *sparse.CSR, val []float64) error {
 	if len(val) != len(l.Val) {
 		return fmt.Errorf("%w: %d values for a factor with %d stored entries", ErrDimension, len(val), len(l.Val))
-	}
-	if err := CheckFinite(val); err != nil {
-		return err
 	}
 	for i := 0; i < l.N; i++ {
 		if val[l.RowPtr[i+1]-1] == 0 {
@@ -176,10 +157,15 @@ func CheckFinite(val []float64) error {
 		// subtraction per value where math.IsNaN and math.IsInf take
 		// twice as long on a refactor's hot path.
 		if v-v != 0 {
-			return fmt.Errorf("%w: %v at stored entry %d", ErrNonFinite, v, k)
+			return nonFinite(v, k)
 		}
 	}
 	return nil
+}
+
+// nonFinite is the refusal of value v at stored entry k.
+func nonFinite(v float64, k int) error {
+	return fmt.Errorf("%w: %v at stored entry %d", ErrNonFinite, v, k)
 }
 
 // pattern holds what one factor pattern derives once, each part built by
@@ -221,7 +207,7 @@ type epoch struct {
 	pat *pattern
 
 	packOnce sync.Once
-	pk       *sparse.Packed // L′, built on the first pin
+	pk       *sparse.Packed // L′, built on the first pin or, for an IC(0) factor, by DeriveIC0
 
 	upperOnce sync.Once
 	upk       *sparse.Packed // L′ᵀ, built on the first backward sweep

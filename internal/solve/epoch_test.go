@@ -3,9 +3,9 @@ package solve
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
+	"stsk/internal/ichol"
 	"stsk/internal/order"
 	"stsk/internal/testmat"
 )
@@ -54,69 +54,49 @@ func TestValuesSwapContract(t *testing.T) {
 	}
 }
 
-// TestValuesDeriveContract: Derive runs Swap's checks (length, finite,
-// nonzero diagonal) and publishes nothing on a refusal; an accepted
-// derived sequence starts at epoch 0 on the base's pattern arrays and
-// packed shape, solves on its own values, and keeps them when the base
-// swaps.
+// TestValuesDeriveContract: DeriveIC0 publishes nothing on a refusal —
+// a breakdown with AutoBoost off returns no sequence and leaves the base
+// as it was — and an accepted derived sequence starts at epoch 0 with
+// ichol.Factor's values on the base's pattern arrays and packed shape,
+// its packed lower layout already built from those values, solves on its
+// own values, and keeps them when the base swaps.
 func TestValuesDeriveContract(t *testing.T) {
 	a := testmat.Grid3D(4)
 	p := planFor(t, a, order.STS3)
 	v := NewValues(p.S)
 	l := p.S.L
-	nnz := len(l.Val)
-	bad := map[string][]float64{
-		"short":         make([]float64, nnz-1),
-		"zero diagonal": make([]float64, nnz),
-		"NaN":           append([]float64{math.NaN()}, l.Val[1:]...),
-	}
-	for name, val := range bad {
-		if d, err := v.Derive(val); err == nil || d != nil {
-			t.Fatalf("%s: derive accepted", name)
-		}
-	}
-	if _, err := v.Derive(bad["short"]); !errors.Is(err, ErrDimension) {
-		t.Fatalf("short derive: %v, want ErrDimension", err)
-	}
-	if _, err := v.Derive(bad["NaN"]); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("NaN derive: %v, want ErrNonFinite", err)
-	}
-
-	halved := make([]float64, nnz)
-	for k, x := range l.Val {
-		halved[k] = x / 2
-	}
-	d, err := v.Derive(halved)
-	if err != nil {
+	indefinite := append([]float64(nil), l.Val...)
+	indefinite[l.RowPtr[6]-1] = -1 // row 5's diagonal
+	if err := v.Swap(indefinite); err != nil {
 		t.Fatal(err)
 	}
-	ds := d.Structure()
-	if d.Version() != 0 || &ds.L.Val[0] != &halved[0] {
-		t.Fatal("derived sequence does not start at epoch 0 on the given values")
+	var bd *ichol.Breakdown
+	if d, err := v.DeriveIC0(ichol.Options{}, 2); !errors.As(err, &bd) || d != nil {
+		t.Fatalf("derive of an indefinite matrix: %v, %v; want a breakdown and no sequence", d, err)
 	}
-	if &ds.L.RowPtr[0] != &l.RowPtr[0] || &ds.L.Col[0] != &l.Col[0] || &ds.SuperPtr[0] != &p.S.SuperPtr[0] || &ds.PackPtr[0] != &p.S.PackPtr[0] {
-		t.Fatal("derived sequence does not share the base's symbolic arrays")
-	}
-	e := newEngineVals(t, d, 2)
-	defer e.Close()
-	B, _ := randomRHS(p, 1, 5)
-	want, err := Sequential(ds, B[0])
-	if err != nil {
-		t.Fatal(err)
+	if v.Version() != 1 || &v.Structure().L.Val[0] != &indefinite[0] {
+		t.Fatal("a refused derive changed the base sequence")
 	}
 	if err := v.Swap(append([]float64(nil), l.Val...)); err != nil {
 		t.Fatal(err)
 	}
-	x, err := solveVec(e, B[0])
+
+	d, err := v.DeriveIC0(ichol.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitwise(t, "derived after base swap", x, want)
-	gotU, err := solveUpperVec(e, B[0])
+	want, err := ichol.Factor(l, ichol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitwise(t, "derived upper", gotU, upperRef(t, ds, B[0]))
+	ds := d.Structure()
+	assertBitwise(t, "derived values", ds.L.Val, want)
+	if d.Version() != 0 {
+		t.Fatal("derived sequence does not start at epoch 0")
+	}
+	if &ds.L.RowPtr[0] != &l.RowPtr[0] || &ds.L.Col[0] != &l.Col[0] || &ds.SuperPtr[0] != &p.S.SuperPtr[0] || &ds.PackPtr[0] != &p.S.PackPtr[0] {
+		t.Fatal("derived sequence does not share the base's symbolic arrays")
+	}
 	vs, err := v.Shape()
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +104,35 @@ func TestValuesDeriveContract(t *testing.T) {
 	if s, _ := d.Shape(); s != vs {
 		t.Fatal("derived sequence does not share the base's packed shape")
 	}
-	if pk, bpk := d.Current().packed(), v.Current().packed(); &pk.RowPtr[0] != &bpk.RowPtr[0] || &pk.Col[0] != &bpk.Col[0] {
+	pk := d.Current().pk // published with the epoch, before any solve pins it
+	if pk == nil {
+		t.Fatal("derived epoch published without its packed lower layout")
+	}
+	assertPackedEqual(t, "derived packed", pk, vs.Lower(want))
+	if bpk := v.Current().packed(); &pk.RowPtr[0] != &bpk.RowPtr[0] || &pk.Col[0] != &bpk.Col[0] {
 		t.Fatal("derived epoch's packed layout does not share the shape's indices")
 	}
+
+	e := newEngineVals(t, d, 2)
+	defer e.Close()
+	B, _ := randomRHS(p, 1, 5)
+	wantX, err := Sequential(ds, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Swap(append([]float64(nil), indefinite...)); err != nil {
+		t.Fatal(err)
+	}
+	x, err := solveVec(e, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "derived after base swap", x, wantX)
+	gotU, err := solveUpperVec(e, B[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "derived upper", gotU, upperRef(t, ds, B[0]))
 }
 
 // TestEngineSeesSwappedValues: an engine bound to a shared Values must

@@ -43,6 +43,12 @@ type graphRun struct {
 	kw      int
 	reverse bool
 
+	// fac, when set, makes the run an IC(0) factorisation: each task
+	// factors its rows (factorRun.rows) instead of sweeping them. A
+	// factor's row i reads exactly the rows forward substitution's row i
+	// reads, so the forward schedule orders it.
+	fac *factorRun
+
 	remaining []atomic.Int32 // per task: unfinished direct deps (succs when reverse)
 	slots     []atomic.Int32 // ready queue; a slot holds task id + 1
 	head      atomic.Int32   // next slot to consume
@@ -73,6 +79,13 @@ func newGraphRun(dag *csrk.TaskDAG) *graphRun {
 // to any helper, so plain stores suffice.
 func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool) {
 	g.pk, g.x, g.b, g.kw, g.reverse = pk, x, b, kw, reverse
+	g.arm()
+}
+
+// arm readies the ready queue and the dependency counters for one call,
+// in the run's direction: every root of the DAG (or, in reverse, every
+// sink) published, every other task waiting on its count.
+func (g *graphRun) arm() {
 	g.head.Store(0)
 	nt := g.dag.NumTasks()
 	for t := 0; t < nt; t++ {
@@ -81,7 +94,7 @@ func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool
 	tail := int32(0)
 	for t := 0; t < nt; t++ {
 		var deps int32
-		if reverse {
+		if g.reverse {
 			deps = g.dag.SuccPtr[t+1] - g.dag.SuccPtr[t]
 		} else {
 			deps = g.dag.PredPtr[t+1] - g.dag.PredPtr[t]
@@ -142,6 +155,10 @@ func (g *graphRun) runTask(t int32) {
 		}
 	}()
 	lo, hi := g.dag.TaskRows(int(t))
+	if g.fac != nil {
+		g.fac.rows(lo, hi)
+		return
+	}
 	sweepRows(g.pk, g.x, g.b, g.kw, lo, hi, g.reverse)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stsk/internal/gen"
+	"stsk/internal/ichol"
 	"stsk/internal/order"
 	"stsk/internal/testmat"
 )
@@ -126,7 +127,7 @@ func TestValuesTaskDAGPerPattern(t *testing.T) {
 	for k, x := range p.S.L.Val {
 		doubled[k] = 2 * x
 	}
-	d, err := v.Derive(doubled)
+	d, err := v.DeriveIC0(ichol.Options{AutoBoost: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"stsk/internal/faultinject"
 	"stsk/internal/gen"
+	"stsk/internal/ichol"
 	"stsk/internal/order"
 	"stsk/internal/panicsafe"
 	"stsk/internal/sparse"
@@ -209,7 +210,7 @@ func TestValuesSymmetricPerPattern(t *testing.T) {
 	for k, x := range p.S.L.Val {
 		doubled[k] = 2 * x
 	}
-	d, err := v.Derive(append([]float64(nil), doubled...))
+	d, err := v.DeriveIC0(ichol.Options{AutoBoost: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,12 +112,20 @@ func NewPackShape(l *CSR) (*PackShape, error) {
 	return s, nil
 }
 
+// NewLower returns the layout of L with fresh, zeroed values, for a
+// caller that computes the values row by row and writes each row's
+// off-diagonals into Val[RowPtr[i]:RowPtr[i+1]] and its diagonal into
+// Diag[i].
+func (s *PackShape) NewLower() *Packed {
+	return &Packed{N: s.n, RowPtr: s.lowerPtr, Col: s.lowerCol,
+		Val: make([]float64, len(s.lowerCol)), Diag: make([]float64, s.n)}
+}
+
 // Lower packs val, a value array on the shape's pattern in L.Val order,
 // into the layout of L: each row's off-diagonal values are copied as one
 // run, its diagonal into a fresh Diag.
 func (s *PackShape) Lower(val []float64) *Packed {
-	p := &Packed{N: s.n, RowPtr: s.lowerPtr, Col: s.lowerCol,
-		Val: make([]float64, len(s.lowerCol)), Diag: make([]float64, s.n)}
+	p := s.NewLower()
 	for i := 0; i < s.n; i++ {
 		// Row i starts i diagonals later in L.Val than in the packed array.
 		lo, hi := int(s.lowerPtr[i]), int(s.lowerPtr[i+1])

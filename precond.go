@@ -68,10 +68,14 @@ type IC0Preconditioner struct {
 // NewIC0 factors the plan's symmetric matrix with zero-fill incomplete
 // Cholesky (Plan.IC0, auto-boosting the diagonal when needed) and builds
 // a persistent Solver over the factor with the given scheduling options.
-// The factor shares the plan's symbolic state, so re-deriving the
-// preconditioner after a Plan.Refactor costs value work only.
+// WithWorkers bounds the factorisation as it bounds the Solver's calls:
+// the caller plus up to n−1 idle helpers factor the rows over the plan's
+// task DAG, and the factor is the same bit for bit at any n. The factor
+// shares the plan's symbolic state and comes with the packed layout its
+// forward sweeps read, so re-deriving the preconditioner after a
+// Plan.Refactor costs value work only.
 func NewIC0(p *Plan, opts ...Option) (*IC0Preconditioner, error) {
-	factor, err := p.IC0()
+	factor, err := p.ic0(applyOptions(opts).workers)
 	if err != nil {
 		return nil, err
 	}

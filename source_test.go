@@ -225,6 +225,44 @@ func TestRefactorReleasesBuildValues(t *testing.T) {
 	}
 }
 
+// TestIC0ReleasesBaseValues: an IC(0) factor computed on the helpers
+// keeps none of the base epoch's values reachable — not through the
+// factor plan, nor through the run a parked helper last swept — so a
+// Refactor of the base releases them while the factor lives on.
+func TestIC0ReleasesBaseValues(t *testing.T) {
+	m, err := Generate("grid3d", 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Build(m, STS3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := NewIC0(p, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	released := make(chan struct{})
+	runtime.AddCleanup(&p.structure().L.Val[0], func(ch chan struct{}) { close(ch) }, released)
+	if err := p.Refactor(perturbValues(m.Values(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; ; try++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(p)
+			runtime.KeepAlive(ic)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if try == 50 {
+			t.Fatal("the base epoch's values are still reachable after an IC(0) factorisation and a Refactor")
+		}
+	}
+}
+
 // TestDerivedStateConcurrentFirstUse: right after each Refactor, some
 // goroutines take the epoch's first products while others create
 // multi-worker Solvers and solve, and others derive IC(0) factors and

@@ -57,9 +57,11 @@
 package stsk
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -342,17 +344,34 @@ func (p *Plan) checkDim(v []float64) error {
 // pattern (task DAG, packed-layout indices, A′'s indices).
 // Solving with the returned plan applies the triangular sweeps of the
 // preconditioner M = L̂·L̂ᵀ, the setting that motivates the paper (§1).
+//
+// The factor is computed like a solve: the caller and up to
+// GOMAXPROCS−1 idle solve helpers factor the rows over the plan's task
+// DAG, which orders every row after the rows it reads, and write each
+// finished row straight into the packed layout the factor's forward
+// sweeps read. Every row runs the sequential factorisation's arithmetic,
+// so the factor is the same bit for bit at any worker count. NewIC0
+// takes a worker bound.
+//
 // AutoBoost shifts the diagonal if A′ is not positive definite enough
-// for IC(0); a factor value that still comes out NaN or infinite is
-// refused with ErrNonFinite.
-func (p *Plan) IC0() (*Plan, error) {
-	val, err := ichol.Factor(p.structure().L, ichol.Options{AutoBoost: true})
+// for IC(0): a pivot that comes out non-positive or NaN is retried at a
+// larger shift, and a refusal after the last shift names its row. A
+// factor value that comes out NaN or infinite after a positive pivot is
+// refused with ErrNonFinite, and a contained panic with ErrInternal. A
+// refusal returns no plan.
+func (p *Plan) IC0() (*Plan, error) { return p.ic0(0) }
+
+// ic0 is IC0 on at most workers goroutines; 0 means GOMAXPROCS.
+func (p *Plan) ic0(workers int) (*Plan, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	vals, err := p.vals.DeriveIC0(ichol.Options{AutoBoost: true}, workers)
+	if errors.Is(err, solve.ErrNonFinite) {
+		return nil, fmt.Errorf("stsk: ic0 factor refused: %w", err)
+	}
 	if err != nil {
 		return nil, err
-	}
-	vals, err := p.vals.Derive(val)
-	if err != nil {
-		return nil, fmt.Errorf("stsk: ic0 factor refused: %w", err)
 	}
 	return &Plan{method: p.method, perm: p.perm, vals: vals, derived: true}, nil
 }
@@ -422,11 +441,22 @@ func (p *Plan) Refactor(values []float64) error {
 		}
 		p.slots = sourceSlots(l, sh, p.perm)
 	}
+	// The scatter checks every value it writes: Swap does not look again.
 	newVal := make([]float64, len(l.Val))
+	finite := true
 	for k, idx := range p.slots {
 		if idx >= 0 {
-			newVal[idx] = values[k]
+			v := values[k]
+			if v-v != 0 { // NaN or ±Inf; see solve.CheckFinite
+				finite = false
+			}
+			newVal[idx] = v
 		}
+	}
+	if !finite {
+		// Name the factor's lowest non-finite entry, as a check of the
+		// whole array would.
+		return fmt.Errorf("stsk: refactor: %w", solve.CheckFinite(newVal))
 	}
 	if err := p.vals.Swap(newVal); err != nil {
 		return fmt.Errorf("stsk: refactor: %w", err)
