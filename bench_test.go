@@ -379,7 +379,7 @@ func BenchmarkWideDAGSchedules(b *testing.B) {
 		name    string
 		workers int // Solver pool size; 0 runs the barrier reference runner
 	}{
-		{"sequential", 1}, // one worker: the inline packed sweep
+		{"sequential", 1}, // one worker: the packed sweep as one task on the caller
 		{"barrier", 0},
 		{"graph", workers},
 	} {

@@ -51,7 +51,7 @@ func main() {
 		}
 		m = spec.Build(*n)
 	case *class != "":
-		m = buildClass(*class, *n)
+		m = gen.ByClass(*class, *n)
 		if m == nil {
 			fatal(fmt.Errorf("unknown class %q", *class))
 		}
@@ -70,31 +70,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "stsgen: n=%d nnz=%d -> %s\n", m.N, m.NNZ(), *out)
 }
 
-func buildClass(class string, n int) *sparse.CSR {
-	side2 := isqrt(n)
-	side3 := icbrt(n)
-	switch class {
-	case "grid2d":
-		return gen.Grid2D(side2, side2)
-	case "grid3d":
-		return gen.Grid3D(side3, side3, side3)
-	case "kkt3d":
-		return gen.KKT3D(side3, side3, side3)
-	case "fem3d":
-		s := icbrt(n / 2)
-		return gen.FEM3D(s, s, s, 2)
-	case "rgg":
-		return gen.RGG(n, gen.RGGDegree(n, 14), 21)
-	case "trimesh":
-		return gen.TriMesh(side2, side2, 7)
-	case "quaddual":
-		return gen.QuadDual(isqrt(n/2), isqrt(n/2), 4)
-	case "roadnet":
-		return gen.RoadNet(isqrt(n/7), isqrt(n/7), 3, 5, 3)
-	}
-	return nil
-}
-
 func writeTo(path string, m *sparse.CSR) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -102,28 +77,6 @@ func writeTo(path string, m *sparse.CSR) error {
 	}
 	defer f.Close()
 	return sparse.WriteMatrixMarket(f, m)
-}
-
-func isqrt(n int) int {
-	s := 1
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	if s < 2 {
-		s = 2
-	}
-	return s
-}
-
-func icbrt(n int) int {
-	s := 1
-	for (s+1)*(s+1)*(s+1) <= n {
-		s++
-	}
-	if s < 2 {
-		s = 2
-	}
-	return s
 }
 
 func fatal(err error) {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"stsk/internal/csrk"
 	"stsk/internal/gen"
 	"stsk/internal/order"
 	"stsk/internal/solve"
@@ -50,19 +49,8 @@ var benchMinDuration = 150 * time.Millisecond
 
 // solveBenchMatrix builds one wall-clock benchmark matrix near n rows.
 func solveBenchMatrix(class string, n int) (*sparse.CSR, error) {
-	switch class {
-	case "grid3d":
-		s := 2
-		for (s+1)*(s+1)*(s+1) <= n {
-			s++
-		}
-		return gen.Grid3D(s, s, s), nil
-	case "trimesh":
-		s := 2
-		for (s+1)*(s+1) <= n {
-			s++
-		}
-		return gen.TriMesh(s, s, 7), nil
+	if a := gen.ByClass(class, n); a != nil {
+		return a, nil
 	}
 	return nil, fmt.Errorf("bench: unknown solve-bench matrix class %q", class)
 }
@@ -100,10 +88,11 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: solvebench plan %s/%v: %w", class, m, err)
 			}
-			dag := order.BuildTaskDAG(p.S, order.TaskDAGOptions{})
+			v := solve.NewValues(p.S)
+			dag := v.TaskDAG()
 			rhs := sparse.RHSForSolution(p.S.L, make([]float64, p.S.L.N))
 			for _, lane := range []string{"sequential", "barrier", "graph"} {
-				res, err := measureLane(p, dag, rhs, lane, workers)
+				res, err := measureLane(p, v, rhs, lane, workers)
 				if err != nil {
 					return nil, err
 				}
@@ -119,7 +108,7 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 					class, m, lane, res.NsPerOp, res.SolvesPerSec, res.AllocsPerOp)
 			}
 			for _, width := range []int{1, 2, 4, 8} {
-				res, err := measureBlockSolve(p.S, dag, workers, width)
+				res, err := measureBlockSolve(v, workers, width)
 				if err != nil {
 					return nil, err
 				}
@@ -140,13 +129,14 @@ func (r *Runner) SolveBench() (*SolveBenchReport, error) {
 // width-wide panel swept cooperatively over the task DAG, so width 1 is
 // the one-vector baseline the panels amortise against. Reported ns/op
 // and solves/s are per right-hand side.
-func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int) (SolveBenchResult, error) {
+func measureBlockSolve(v *solve.Values, workers, width int) (SolveBenchResult, error) {
 	const nrhs = 32
-	e, err := solve.NewEngine(solve.NewValues(st), solve.Options{Workers: workers, Graph: dag})
+	e, err := solve.NewEngine(v, workers)
 	if err != nil {
 		return SolveBenchResult{}, err
 	}
 	defer e.Close()
+	st := v.Structure()
 	n := st.L.N
 	B := make([][]float64, nrhs)
 	X := make([][]float64, nrhs)
@@ -204,18 +194,17 @@ func measureBlockSolve(st *csrk.Structure, dag *csrk.TaskDAG, workers, width int
 // "graph" on a persistent engine of one and of workers goroutines, and
 // "barrier" on the solve.Barrier reference runner with the paper's
 // schedule pairing for the plan's method.
-func measureLane(p *order.Plan, dag *csrk.TaskDAG, rhs []float64, lane string, workers int) (SolveBenchResult, error) {
+func measureLane(p *order.Plan, v *solve.Values, rhs []float64, lane string, workers int) (SolveBenchResult, error) {
 	if lane == "barrier" {
 		opts := solve.DefaultsFor(p.Method.UsesSuperRows(), workers)
 		return measureSolve(p.S.L.N, workers, rhs, func(x, b []float64) error {
 			return solve.Barrier(x, p.S, b, opts)
 		})
 	}
-	opts := solve.Options{Workers: 1}
-	if lane == "graph" {
-		opts = solve.Options{Workers: workers, Graph: dag}
+	if lane != "graph" {
+		workers = 1
 	}
-	e, err := solve.NewEngine(solve.NewValues(p.S), opts)
+	e, err := solve.NewEngine(v, workers)
 	if err != nil {
 		return SolveBenchResult{}, err
 	}

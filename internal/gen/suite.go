@@ -167,3 +167,52 @@ func BySuiteID(specs []Spec, id string) *Spec {
 	}
 	return nil
 }
+
+// ByClass builds the matrix of one generator class at roughly n rows —
+// "grid2d", "grid3d", "kkt3d", "fem3d", "rgg", "trimesh", "quaddual" or
+// "roadnet" — and returns nil for any other name. An n below 16 is read
+// as 16. Grid sides are exact integer roots (rootSide), not PaperSuite's
+// float sizing, which stays as it is so the suite matrices keep their
+// shapes.
+func ByClass(class string, n int) *sparse.CSR {
+	n = max(n, 16)
+	side2, side3 := rootSide(n, 2), rootSide(n, 3)
+	switch class {
+	case "grid2d":
+		return Grid2D(side2, side2)
+	case "grid3d":
+		return Grid3D(side3, side3, side3)
+	case "kkt3d":
+		return KKT3D(side3, side3, side3)
+	case "fem3d":
+		s := rootSide(n/2, 3)
+		return FEM3D(s, s, s, 2)
+	case "rgg":
+		return RGG(n, RGGDegree(n, 14), 21)
+	case "trimesh":
+		return TriMesh(side2, side2, 7)
+	case "quaddual":
+		s := rootSide(n/2, 2)
+		return QuadDual(s, s, 4)
+	case "roadnet":
+		s := rootSide(n/7, 2)
+		return RoadNet(s, s, 3, 5, 3)
+	}
+	return nil
+}
+
+// rootSide returns the largest s ≥ 2 with s^dim ≤ n: the side of a
+// dim-dimensional grid of at most n points.
+func rootSide(n, dim int) int {
+	s := 2
+	for {
+		p := 1
+		for range dim {
+			p *= s + 1
+		}
+		if p > n {
+			return s
+		}
+		s++
+	}
+}

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 
 	"stsk/internal/csrk"
-	"stsk/internal/faultinject"
-	"stsk/internal/panicsafe"
 	"stsk/internal/sparse"
 	"stsk/internal/trace"
 )
@@ -30,18 +28,6 @@ var (
 	ErrNonFinite = errors.New("solve: non-finite factor value")
 )
 
-// Options configures an Engine.
-type Options struct {
-	// Workers is the most goroutines one call is swept by: the caller
-	// plus up to Workers−1 idle helpers; defaults to GOMAXPROCS.
-	Workers int
-	// Graph is the dependency DAG cooperative solves schedule point to
-	// point. Nil (the default) selects the value sequence's own,
-	// Values.TaskDAG; a DAG passed in, such as a finer carving of the same
-	// structure, must fit it. A one-worker engine uses none.
-	Graph *csrk.TaskDAG
-}
-
 // Engine is the one executor of the solve layer: the kernels, the
 // scheduling state they need preallocated, and one value-epoch sequence
 // — the "preprocessing amortised over many right-hand sides" setting of
@@ -52,16 +38,17 @@ type Options struct {
 // counts its encountering thread as a team member.
 //
 // Every solve is a row-major panel of k right-hand sides (k = 1 is one
-// vector). A call that forms a single panel is swept cooperatively: its
-// participants claim tasks of the plan's TaskDAG as their predecessors
-// finish (graphRun), so independent subtrees never synchronise. A call
-// that carves into several panels is swept panel by panel: each
-// participant claims whole panels off the call's column cursor
-// (panelRun) and sweeps each start to finish in row order, so distinct
-// panels pipeline through the pack levels side by side. Every row's dot
-// product runs in Sequential's order on either path, so all results are
-// bitwise identical to Sequential. Each call draws its run state from the
-// engine's pools, so concurrent calls on one engine run side by side.
+// vector), and every call is one graphRun on the helper set. A call that
+// forms a single panel is swept cooperatively: its participants claim
+// tasks of the plan's TaskDAG as their predecessors finish (sweepRun),
+// so independent subtrees never synchronise. A call that carves into
+// several panels is a DAG with no edges over its panels: each
+// participant claims whole panels (panelRun) and sweeps each start to
+// finish in row order, so distinct panels pipeline through the pack
+// levels side by side. Every row's dot product runs in Sequential's
+// order on either path, so all results are bitwise identical to
+// Sequential. Each call draws its run state from the engine's pools, so
+// concurrent calls on one engine run side by side.
 //
 // Each call pins the current value epoch exactly once and threads it
 // through the sweep, so Values.Swap (a numeric refactorization) never
@@ -71,68 +58,58 @@ type Options struct {
 // Engines are safe for concurrent use, including Close racing in-flight
 // solves: calls already started complete, later ones return ErrClosed.
 type Engine struct {
-	vals   *Values // the value-epoch sequence the kernels sweep
-	n      int     // system dimension
-	inline bool    // every call sweeps on its caller: one worker, or one super-row
-	opts   Options
-	closed atomic.Bool
+	vals    *Values       // the value-epoch sequence the kernels sweep
+	n       int           // system dimension
+	workers int           // most goroutines one call is swept by
+	dag     *csrk.TaskDAG // what one-panel calls run over (Values.schedule)
+	team    int           // helpers a one-panel call offers
+	closed  atomic.Bool
 
 	// Steady-state allocation elimination: per-call run state (one run
 	// per call in flight) and row-major n×MaxPanelWidth panel scratch are
 	// pooled per engine, so warm solves stop allocating. The pools are
 	// typed (pool.go) so the //stsk:noalloc paths never convert through
 	// `any`.
-	graphRuns pool[graphRun]
+	sweepRuns pool[sweepRun]
 	panelRuns pool[panelRun]
 	panelPool pool[[]float64]
 }
 
 // NewEngine builds an engine over a value-epoch sequence: every engine
 // over the same Values sees each Values.Swap, and the per-epoch packed
-// layouts are built once and shared among them. The engine starts no
-// goroutines of its own; it grows the process-wide helper set to
-// opts.Workers−1 if that is more than any engine asked for before.
+// layouts are built once and shared among them. workers is the most
+// goroutines one call is swept by — the caller plus up to workers−1 idle
+// helpers — and defaults to GOMAXPROCS when not positive. The engine
+// starts no goroutines of its own; it grows the process-wide helper set
+// to workers−1 if that is more than any engine asked for before.
 //
 // The factor must fit the packed layout's 32-bit indices (an error
 // wrapping sparse.ErrTooLarge otherwise). An engine of more than one
-// worker schedules over opts.Graph, or over v.TaskDAG() when that is
-// nil; a foreign DAG is an error, never a silent race.
+// worker schedules one-panel calls over v.TaskDAG(); one of one worker,
+// or over one super-row, over a single task its caller sweeps alone.
 //
 // The engine keeps no structure: it reads each call's values, and the
 // geometry they are swept in, off the epoch the call pins.
-func NewEngine(v *Values, opts Options) (*Engine, error) {
+func NewEngine(v *Values, workers int) (*Engine, error) {
 	s := v.Structure()
 	if err := sparse.CheckPackable(s.L); err != nil {
 		return nil, err
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Workers > 1 {
-		if opts.Graph == nil {
-			opts.Graph = v.TaskDAG()
-		} else if err := opts.Graph.Validate(s); err != nil {
-			// A DAG built for another structure would not respect this
-			// one's dependencies and would silently race dependent rows.
-			return nil, fmt.Errorf("solve: task DAG does not fit the structure: %w", err)
-		}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	n := s.L.N
-	e := &Engine{
-		vals:   v,
-		n:      n,
-		inline: opts.Workers == 1 || s.NumSuperRows() == 1,
-		opts:   opts,
-	}
-	e.graphRuns.fresh = func() *graphRun { return newGraphRun(opts.Graph) }
-	e.panelRuns.fresh = func() *panelRun { return new(panelRun) }
+	e := &Engine{vals: v, n: n, workers: workers}
+	e.dag, e.team = v.schedule(s, workers)
+	e.sweepRuns.fresh = func() *sweepRun { r := new(sweepRun); r.bind(e.dag, r); return r }
+	e.panelRuns.fresh = func() *panelRun { r := &panelRun{e: e}; r.bind(&r.panels, r); return r }
 	e.panelPool.fresh = func() *[]float64 { buf := make([]float64, n*MaxPanelWidth); return &buf }
-	helpers.grow(opts.Workers)
+	helpers.grow(workers)
 	return e, nil
 }
 
 // Workers returns the most goroutines one call is swept by.
-func (e *Engine) Workers() int { return e.opts.Workers }
+func (e *Engine) Workers() int { return e.workers }
 
 // Values returns the engine's value-epoch sequence.
 func (e *Engine) Values() *Values { return e.vals }
@@ -205,7 +182,7 @@ func (e *Engine) admit(ctx context.Context) error {
 }
 
 // panelSolve runs one cooperative sweep of the packed factor pk — scalar
-// when kw == 1, a row-major n×kw panel otherwise — over the task DAG.
+// when kw == 1, a row-major n×kw panel otherwise — over the engine's DAG.
 // Each task's rows apply their (col, val) entries across all kw panel
 // columns, so the matrix is traversed once per panel instead of once per
 // vector. X may alias B. Callers validate lengths (n·kw each) and pin the
@@ -216,35 +193,22 @@ func (e *Engine) panelSolve(ctx context.Context, pk *sparse.Packed, X, B []float
 	if err := e.admit(ctx); err != nil {
 		return err
 	}
-	tr := trace.FromContext(ctx)
-	if e.inline {
-		// Degenerate layouts sweep inline on the caller.
-		s0 := trace.Now()
-		err := e.localSweep(pk, X, B, kw, reverse)
-		tr.Observe(trace.StageSweep, s0, trace.Now())
-		return err
-	}
-	g := e.graphRuns.Get()
-	g.reset(pk, X, B, kw, reverse)
-	err := cooperate(tr, job{graph: g, done: &g.completion}, e.opts.Workers-1)
-	g.pk, g.x, g.b = nil, nil, nil
-	e.graphRuns.Put(g)
+	r := e.sweepRuns.Get()
+	r.pk, r.x, r.b, r.kw, r.reverse = pk, X, B, kw, reverse
+	err := cooperate(trace.FromContext(ctx), &r.graphRun, e.team)
+	r.pk, r.x, r.b = nil, nil, nil
+	e.sweepRuns.Put(r)
 	return err
 }
 
-// localSweep runs the degenerate (single worker or single super-row)
-// cooperative sweep on the caller's goroutine. It is the containment
-// boundary for that path — panelSolve is //stsk:noalloc and cannot hold
-// the recover closure itself.
-func (e *Engine) localSweep(pk *sparse.Packed, X, B []float64, kw int, reverse bool) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = panicsafe.AsError(p)
-		}
-	}()
-	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
-		return err
-	}
-	sweepRows(pk, X, B, kw, 0, e.n, reverse)
-	return nil
+// sweepRun is a one-panel call: task t solves its rows of the packed
+// factor across the panel's kw columns.
+type sweepRun struct {
+	graphRun
+	pk   *sparse.Packed // factor of the epoch pinned at dispatch (L′ᵀ when reverse)
+	x, b []float64      // row-major n×kw panels when kw > 1
+	kw   int
 }
+
+//stsk:noalloc
+func (r *sweepRun) rows(lo, hi int) { sweepRows(r.pk, r.x, r.b, r.kw, lo, hi, r.reverse) }

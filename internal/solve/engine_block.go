@@ -3,10 +3,8 @@ package solve
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
-	"stsk/internal/faultinject"
-	"stsk/internal/panicsafe"
+	"stsk/internal/csrk"
 	"stsk/internal/sparse"
 	"stsk/internal/trace"
 )
@@ -100,85 +98,63 @@ func (e *Engine) coopPanel(ctx context.Context, pk *sparse.Packed, X, B [][]floa
 	return err
 }
 
-// panels sweeps a call that carves into several panels: the caller and
-// up to Workers−1 idle helpers — never more participants than panels —
-// claim whole panels off the call's column cursor (panelRun). The
-// context is checked before the call is offered, so no helper ever
-// sweeps under a dead one.
+// panels sweeps a call that carves into several panels: its panels,
+// laid out as a DAG with no edges (panelRun.carve), are the tasks the
+// caller and up to Workers−1 idle helpers — never more participants than
+// panels — claim. The context is checked before the call is offered, so
+// no helper ever sweeps under a dead one.
 //
 //stsk:noalloc
 func (e *Engine) panels(ctx context.Context, pk *sparse.Packed, X, B [][]float64, reverse bool) error {
 	if err := e.admit(ctx); err != nil {
 		return err
 	}
-	count := 0
-	for rem := len(B); rem > 0; count++ {
-		rem -= panelWidth(rem)
-	}
 	r := e.panelRuns.Get()
-	r.e, r.ctx, r.pk, r.X, r.B, r.reverse = e, ctx, pk, X, B, reverse
-	r.next.Store(0)
-	err := cooperate(trace.FromContext(ctx), job{panel: r, done: &r.completion}, min(e.opts.Workers, count)-1)
-	r.e, r.ctx, r.pk, r.X, r.B = nil, nil, nil, nil, nil
+	r.carve(len(B))
+	r.ctx, r.pk, r.X, r.B, r.reverse = ctx, pk, X, B, reverse
+	err := cooperate(trace.FromContext(ctx), &r.graphRun, min(e.workers, r.panels.NumTasks())-1)
+	r.ctx, r.pk, r.X, r.B = nil, nil, nil, nil
 	e.panelRuns.Put(r)
 	return err
 }
 
-// panelRun is the shared state of one multi-panel call. Its participants
-// — the caller and the helpers that joined — claim whole panels off the
-// column cursor next, with panelWidth's greedy widest-first carving, and
-// sweep each start to finish on the epoch the caller pinned. Failures
-// are per panel: a panel whose sweep panics or meets an injected fault
-// is left unsolved and reported, and its mates are unharmed.
+// panelRun is a multi-panel call: task t sweeps panel t start to finish
+// on the epoch the caller pinned. The panels are carved greedily
+// widest-first (panelWidth) and laid out per call in the run's grow-only
+// arrays. Failures are per panel: a panel whose sweep panics, or whose
+// context has died, is left unsolved and reported, and its mates are
+// unharmed.
 type panelRun struct {
+	graphRun
 	e *Engine
-	//stsk:allow-ctx-field (call-scoped: observed between panels, cleared before the run is pooled)
-	ctx     context.Context
-	pk      *sparse.Packed
-	X, B    [][]float64
-	reverse bool
-
-	next atomic.Int64 // first column no participant has claimed
-	completion
+	//stsk:allow-ctx-field (call-scoped: observed before each panel, cleared before the run is pooled)
+	ctx    context.Context
+	pk     *sparse.Packed
+	X, B   [][]float64
+	panels csrk.TaskDAG // task t is columns [RowPtr[t], RowPtr[t+1]); no edges
 }
 
-// runShare is one participant's share of a multi-panel call: claim and
-// sweep the next panel until the columns run out or the context dies,
-// which leaves the remaining panels unsolved.
-func (r *panelRun) runShare() {
-	for {
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return
-		}
-		lo := r.next.Load()
-		if int(lo) >= len(r.B) {
-			return
-		}
-		kw := panelWidth(len(r.B) - int(lo))
-		if r.next.CompareAndSwap(lo, lo+int64(kw)) {
-			if err := r.sweep(int(lo), kw); err != nil {
-				r.fail(err)
-			}
-		}
+// carve lays a call of k columns out as panels, over the arrays of the
+// last call's.
+func (r *panelRun) carve(k int) {
+	bounds := append(r.panels.RowPtr[:0], 0)
+	for lo := 0; lo < k; {
+		lo += panelWidth(k - lo)
+		bounds = append(bounds, int32(lo))
 	}
+	independent(&r.panels, bounds)
 }
 
-// sweep is the panic-containment boundary of one panel, columns
-// [lo, lo+kw): a kernel panic (or an injected engine.job fault) becomes
-// a wrapped panicsafe.ErrInternal reported for the call, and this
-// participant goes on to the next panel.
-func (r *panelRun) sweep(lo, kw int) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = panicsafe.AsError(p)
-		}
-	}()
-	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
-		return err
+// rows sweeps the panel of columns [lo, hi) unless the call's context
+// has died, which leaves the panel unsolved and fails the call.
+//
+//stsk:noalloc
+func (r *panelRun) rows(lo, hi int) {
+	if err := r.ctx.Err(); err != nil {
+		r.fail(err)
+		return
 	}
-	r.e.sweepPanel(r.pk, r.X[lo:lo+kw], r.B[lo:lo+kw], r.reverse)
-	return nil
+	r.e.sweepPanel(r.pk, r.X[lo:hi], r.B[lo:hi], r.reverse)
 }
 
 // sweepPanel sweeps one panel of a multi-panel call: one sequential

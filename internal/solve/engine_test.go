@@ -24,15 +24,24 @@ func newEngine(t testing.TB, p *order.Plan, workers int) *Engine {
 	return newEngineVals(t, NewValues(p.S), workers)
 }
 
-// newEngineVals is newEngine over a shared value-epoch sequence.
+// newEngineVals is newEngine over a shared value-epoch sequence. Unless
+// the sequence's pattern has derived its task DAG already, it seeds it
+// with the fine carving first.
 func newEngineVals(t testing.TB, v *Values, workers int) *Engine {
 	t.Helper()
-	dag := order.BuildTaskDAG(v.Structure(), order.TaskDAGOptions{SplitPerPack: 4, MinTaskNNZ: 16})
-	e, err := NewEngine(v, Options{Workers: workers, Graph: dag})
+	seedTaskDAG(v, order.BuildTaskDAG(v.Structure(), order.TaskDAGOptions{SplitPerPack: 4, MinTaskNNZ: 16}))
+	e, err := NewEngine(v, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// seedTaskDAG makes dag the task DAG of v's pattern — the one every
+// engine and factorisation over the pattern schedules over — unless the
+// pattern has derived its own already.
+func seedTaskDAG(v *Values, dag *csrk.TaskDAG) {
+	v.pat.dagOnce.Do(func() { v.pat.dag = dag })
 }
 
 // solveVec solves L′x = b cooperatively into a fresh vector.
@@ -361,7 +370,7 @@ func TestEngineBadLengths(t *testing.T) {
 // index is refused at construction with sparse.ErrTooLarge.
 func TestNewEngineRefusesOversizeFactor(t *testing.T) {
 	s := &csrk.Structure{L: &sparse.CSR{N: math.MaxInt32}}
-	if _, err := NewEngine(NewValues(s), Options{Workers: 1}); !errors.Is(err, sparse.ErrTooLarge) {
+	if _, err := NewEngine(NewValues(s), 1); !errors.Is(err, sparse.ErrTooLarge) {
 		t.Fatalf("oversize factor: err = %v, want ErrTooLarge", err)
 	}
 }

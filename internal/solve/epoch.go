@@ -90,6 +90,17 @@ func (v *Values) TaskDAG() *csrk.TaskDAG {
 	return v.pat.taskDAG(v.Current().s)
 }
 
+// schedule returns what a call of up to workers goroutines over s runs
+// on: the pattern's task DAG and workers−1 helpers to offer it to, or,
+// for one worker or one super-row, one task and no helper — nobody could
+// share it, and the task DAG is not built.
+func (v *Values) schedule(s *csrk.Structure, workers int) (*csrk.TaskDAG, int) {
+	if workers > 1 && s.NumSuperRows() > 1 {
+		return v.pat.taskDAG(s), workers - 1
+	}
+	return oneTask(s.L.N), 0
+}
+
 // Symmetric returns A′ = L′ + L′ᵀ − D at the live epoch, in the order
 // of the factor's rows, and the row chunks its products are swept in.
 // A′'s index arrays and chunks are built once per pattern; each epoch

@@ -4,9 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stsk/internal/faultinject"
 	"stsk/internal/ichol"
-	"stsk/internal/panicsafe"
 	"stsk/internal/sparse"
 )
 
@@ -29,8 +27,8 @@ import (
 // into both the factor's values and its packed lower layout, checking
 // every value finite as it is written. Each row runs ichol.Factor's
 // arithmetic on the same inputs, so the factor is bitwise ichol.Factor's
-// at any worker count. One worker, or one super-row, factors inline on
-// the caller and builds no DAG.
+// at any worker count. One worker, or one super-row, is one task its
+// caller factors alone, and builds no DAG.
 //
 // opts follows ichol.Factor: a pivot that comes out non-positive or NaN
 // is an *ichol.Breakdown, which AutoBoost retries at a larger shift
@@ -49,23 +47,16 @@ func (v *Values) DeriveIC0(opts ichol.Options, workers int) (*Values, error) {
 		f:  &sparse.CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: make([]float64, len(a.Val))},
 		pk: cur.shape().NewLower(),
 	}
-	attempt := r.inline
-	if workers > 1 && cur.s.NumSuperRows() > 1 {
-		g := newGraphRun(v.pat.taskDAG(cur.s))
-		g.fac = r
-		helpers.grow(workers)
-		attempt = func() error {
-			g.arm()
-			if err := cooperate(nil, job{graph: g, done: &g.completion}, workers-1); err != nil {
-				return err
-			}
-			return r.err
-		}
-	}
+	dag, team := v.schedule(cur.s, workers)
+	r.bind(dag, r)
+	helpers.grow(team + 1)
 	err := ichol.Boost(a, opts, func(shift float64) error {
-		r.shift, r.err = shift, nil
+		r.shift, r.lowErr = shift, nil
 		r.low.Store(int64(a.N))
-		return attempt()
+		if err := cooperate(nil, &r.graphRun, team); err != nil {
+			return err
+		}
+		return r.lowErr
 	})
 	if err != nil {
 		return nil, err
@@ -77,18 +68,19 @@ func (v *Values) DeriveIC0(opts ichol.Options, workers int) (*Values, error) {
 	return d, nil
 }
 
-// factorRun is the shared state of one IC(0) factorisation attempt: the
-// matrix, the factor and its packed lower layout being written, the
-// attempt's shift, and its lowest failing row.
+// factorRun is one IC(0) factorisation: the matrix, the factor and its
+// packed lower layout being written, the attempt's shift, and its lowest
+// failing row. Task t factors its rows (rows).
 type factorRun struct {
+	graphRun
 	a     *sparse.CSR    // tril(A′): the base epoch's factor, read only
 	f     *sparse.CSR    // the factor, on a's pattern
 	pk    *sparse.Packed // the factor's packed lower layout
 	shift float64
 
-	low atomic.Int64 // lowest row that failed so far; a.N when none has
-	mu  sync.Mutex   // serialises failures
-	err error        // the failure of row low
+	low    atomic.Int64 // lowest row that failed so far; a.N when none has
+	lowMu  sync.Mutex   // serialises failures
+	lowErr error        // the failure of row low
 }
 
 // rows factors rows [lo, hi) in order: it copies their values of tril(A′),
@@ -128,25 +120,10 @@ func (r *factorRun) rows(lo, hi int) {
 
 // failAt records row i's failure if no lower row has failed.
 func (r *factorRun) failAt(i int, err error) {
-	r.mu.Lock()
+	r.lowMu.Lock()
 	if int64(i) < r.low.Load() {
 		r.low.Store(int64(i))
-		r.err = err
+		r.lowErr = err
 	}
-	r.mu.Unlock()
-}
-
-// inline is the attempt of a one-worker factorisation: every row on the
-// caller, with a solve's inline containment (localSweep).
-func (r *factorRun) inline() (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = panicsafe.AsError(p)
-		}
-	}()
-	if err := faultinject.Fire(faultinject.EngineJob); err != nil {
-		return err
-	}
-	r.rows(0, r.f.N)
-	return r.err
+	r.lowMu.Unlock()
 }

@@ -3,8 +3,11 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"stsk/internal/csrk"
 	"stsk/internal/faultinject"
 	"stsk/internal/gen"
 	"stsk/internal/order"
@@ -104,33 +107,94 @@ func TestBatchSolveContainsPanicPerMember(t *testing.T) {
 	afterFaults(t, e, p)
 }
 
-func TestBatchSolvePartialPanicSparesMates(t *testing.T) {
-	a := gen.Grid2D(12, 12)
-	p := planFor(t, a, order.STS3)
-	e := newEngine(t, p, 4)
-	defer e.Close()
-	B, want := randomRHS(p, 16, 13)
-	X := make2d(len(B), a.N)
+// markRun is a test call kind: each task counts a visit to every row of
+// its range, except the task whose range starts at row poison, which
+// panics first.
+type markRun struct {
+	graphRun
+	visits []atomic.Int32
+	poison int
+}
 
-	// Exactly one of the two 8-wide panels panics; the call reports the
-	// failure, the other panel's completion still fires, and exactly the
-	// failed panel's eight columns are left unsolved.
-	withFaults(t, "engine.job:panic:after=1,count=1", 1)
-	err := e.SolveBlockIntoCtx(context.Background(), X, B)
-	if !errors.Is(err, panicsafe.ErrInternal) {
-		t.Fatalf("want ErrInternal from partially panicking batch, got %v", err)
+func (r *markRun) rows(lo, hi int) {
+	if lo == r.poison {
+		panic("test: poisoned task")
 	}
-	solved := 0
-	for r := range X {
-		if X[r][0] == want[r][0] {
-			assertBitwise(t, "surviving panel column", X[r], want[r])
-			solved++
+	for i := lo; i < hi; i++ {
+		r.visits[i].Add(1)
+	}
+}
+
+// call runs one call of r over up to workers goroutines and requires
+// every row visited once, but for rows [badLo, badHi), which no task may
+// visit.
+func (r *markRun) call(t *testing.T, label string, workers, badLo, badHi int) error {
+	t.Helper()
+	for i := range r.visits {
+		r.visits[i].Store(0)
+	}
+	err := cooperate(nil, &r.graphRun, workers-1)
+	for i := range r.visits {
+		want := int32(1)
+		if i >= badLo && i < badHi {
+			want = 0
+		}
+		if got := r.visits[i].Load(); got != want {
+			t.Fatalf("%s: row %d visited %d times, want %d", label, i, got, want)
 		}
 	}
-	if solved != len(B)-8 {
-		t.Fatalf("%d of %d columns solved, want all but the failed panel's 8", solved, len(B))
+	return err
+}
+
+// TestGraphRunContainsTaskPanic: a task whose body panics fails its call
+// with ErrInternal and leaves exactly its own range undone, on every
+// shape of DAG a call runs over — a fine plan DAG (a task with
+// predecessors and successors panics), a DAG with no edges like a
+// product's chunks or a block call's panels (its mates are unharmed),
+// and the one task of a one-worker call — forward and in reverse, at 1,
+// 2 and 4 workers. The panicking task still completes, so nothing hangs,
+// and the same run then completes a clean call.
+func TestGraphRunContainsTaskPanic(t *testing.T) {
+	p := planFor(t, gen.Grid2D(16, 16), order.STS3)
+	n := p.S.L.N
+	fine := order.BuildTaskDAG(p.S, order.TaskDAGOptions{SplitPerPack: 4, MinTaskNNZ: 16})
+	mid := 0
+	for len(fine.Preds(mid)) == 0 || len(fine.Succs(mid)) == 0 {
+		mid++
 	}
-	afterFaults(t, e, p)
+	var flat csrk.TaskDAG
+	bounds := []int32{0}
+	for lo := 10; lo < n; lo += 10 {
+		bounds = append(bounds, int32(lo))
+	}
+	independent(&flat, append(bounds, int32(n)))
+	helpers.grow(4)
+	for _, tc := range []struct {
+		name string
+		dag  *csrk.TaskDAG
+		bad  int
+	}{
+		{"plan", fine, mid},
+		{"no-edges", &flat, flat.NumTasks() / 2},
+		{"one-task", oneTask(n), 0},
+	} {
+		badLo, badHi := tc.dag.TaskRows(tc.bad)
+		for _, reverse := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s/reverse=%v/w=%d", tc.name, reverse, workers)
+				r := &markRun{visits: make([]atomic.Int32, n), poison: badLo}
+				r.bind(tc.dag, r)
+				r.reverse = reverse
+				if err := r.call(t, label, workers, badLo, badHi); !errors.Is(err, panicsafe.ErrInternal) {
+					t.Fatalf("%s: %v, want ErrInternal", label, err)
+				}
+				r.poison = -1
+				if err := r.call(t, label+"/clean", workers, 0, 0); err != nil {
+					t.Fatalf("%s: clean call after the panic: %v", label, err)
+				}
+			}
+		}
+	}
 }
 
 func TestSwapInjectedFaultLeavesOldEpoch(t *testing.T) {
@@ -162,7 +226,7 @@ func TestSwapInjectedFaultLeavesOldEpoch(t *testing.T) {
 func TestDegenerateSolveContainsPanic(t *testing.T) {
 	a := gen.Grid2D(10, 10)
 	p := planFor(t, a, order.STS3)
-	e := newEngine(t, p, 1) // degenerate localSweep path
+	e := newEngine(t, p, 1) // one task, swept by the caller alone
 	defer e.Close()
 	B, _ := randomRHS(p, 1, 23)
 

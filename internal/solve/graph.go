@@ -8,46 +8,46 @@ import (
 	"stsk/internal/csrk"
 	"stsk/internal/faultinject"
 	"stsk/internal/panicsafe"
-	"stsk/internal/sparse"
 )
 
-// graphRun is the shared state of one cooperative solve: the
-// point-to-point replacement for the paper's barrier schedule (Barrier).
-// Instead of all workers meeting at a barrier after every pack, each
-// task (a contiguous super-row chunk of one pack, csrk.TaskDAG) carries an
-// atomic counter of unfinished direct predecessors. A worker finishing a
-// task decrements its successors' counters and publishes any task that
-// hits zero to a wait-free ready queue, then immediately claims the next
-// ready task — so independent subtrees of the dependency DAG flow through
-// the workers without ever synchronising with each other.
+// graphRun is the shared state of one call on the helper set, and the
+// only kind of run there is: the point-to-point replacement for the
+// paper's barrier schedule (Barrier). Instead of all workers meeting at a
+// barrier after every pack, each task (a contiguous super-row chunk of
+// one pack, csrk.TaskDAG) carries an atomic counter of unfinished direct
+// predecessors. A worker finishing a task decrements its successors'
+// counters and publishes any task that hits zero to a wait-free ready
+// queue, then immediately claims the next ready task — so independent
+// subtrees of the dependency DAG flow through the workers without ever
+// synchronising with each other.
 //
-// The ready queue is a fixed array of one slot per task: publishers claim
-// a slot with an atomic tail counter and store task+1 into it; consumers
+// The ready queue is an array of one slot per task: publishers claim a
+// slot with an atomic tail counter and store task+1 into it; consumers
 // claim slots in order with an atomic head counter and wait for their
 // slot's store. Every task is published exactly once (its counter reaches
-// zero exactly once; roots are published at reset), so a consumer holding
+// zero exactly once; roots are published at arm), so a consumer holding
 // slot h < NumTasks always gets a task eventually, and consumers beyond
 // NumTasks exit. Claiming is wait-free; waiting spins briefly and then
 // parks on a condition variable so an over-subscribed machine is not
 // burned by busy polling.
 //
+// Each call kind embeds a graphRun and is its own task body (taskBody):
+// rows of a packed sweep across a panel (sweepRun), whole panels of a
+// block call (panelRun), row chunks of A′ (spmvRun) and IC(0) rows
+// (factorRun). Sweeps and factorisations run over the plan's task DAG. A
+// product's chunks and a block call's panels are independent: a DAG with
+// no edges (independent), whose every task is a root, so the ready queue
+// hands them out in order as an atomic cursor would. A call one goroutine
+// sweeps — one worker, or one super-row — runs over one task (oneTask).
+//
 // Each row is computed by exactly one worker with the sequential kernel's
-// operation order, so results stay bitwise
-// identical to Sequential. A run's arrays are allocated when the
-// engine's pool has no run to hand out and reset per solve — steady-state
-// solves allocate nothing.
+// operation order, so results stay bitwise identical to Sequential. A
+// run's arrays grow when a call has more tasks than any before it and are
+// reset per call — steady-state calls allocate nothing.
 type graphRun struct {
 	dag     *csrk.TaskDAG
-	pk      *sparse.Packed // factor of the epoch pinned at dispatch (L′ᵀ when reverse)
-	x, b    []float64      // row-major n×kw panels when kw > 1
-	kw      int
-	reverse bool
-
-	// fac, when set, makes the run an IC(0) factorisation: each task
-	// factors its rows (factorRun.rows) instead of sweeping them. A
-	// factor's row i reads exactly the rows forward substitution's row i
-	// reads, so the forward schedule orders it.
-	fac *factorRun
+	body    taskBody // the call kind, bound once when the run is made
+	reverse bool     // run the DAG backward: a task waits on its successors
 
 	remaining []atomic.Int32 // per task: unfinished direct deps (succs when reverse)
 	slots     []atomic.Int32 // ready queue; a slot holds task id + 1
@@ -55,39 +55,63 @@ type graphRun struct {
 	tail      atomic.Int32   // next slot to publish
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond
 	sleepers atomic.Int32 // consumers parked (or about to park) on cond
 
-	// The helpers still sweeping and the first failure of the solve. A
+	// The helpers still sweeping and the first failure of the call. A
 	// failed task still completes (runTask recovers, work always calls
-	// complete), so successors are never stranded — the solve finishes
+	// complete), so successors are never stranded — the call finishes
 	// and reports.
-	completion
+	wg    sync.WaitGroup
+	errMu sync.Mutex
+	err   error
 }
 
-func newGraphRun(dag *csrk.TaskDAG) *graphRun {
-	g := &graphRun{
-		dag:       dag,
-		remaining: make([]atomic.Int32, dag.NumTasks()),
-		slots:     make([]atomic.Int32, dag.NumTasks()),
+// taskBody is what a call kind does with one task: the range [lo, hi)
+// its run's DAG gives the task — rows, or a block call's columns.
+type taskBody interface{ rows(lo, hi int) }
+
+// bind makes g a run of body's tasks over dag. Each run is bound once,
+// when its pool makes it, so no call converts a body to the interface.
+func (g *graphRun) bind(dag *csrk.TaskDAG, body taskBody) {
+	g.dag, g.body = dag, body
+	g.cond.L = &g.mu
+}
+
+// independent lays d out as a DAG with no edges whose task t is the
+// range [bounds[t], bounds[t+1]) — rows of a product or of a one-task
+// call, columns of a block call — reusing d's pointer array when it is
+// long enough. Its TaskPtr is bounds too: only its length, the task
+// count, is read.
+func independent(d *csrk.TaskDAG, bounds []int32) {
+	if cap(d.PredPtr) < len(bounds) {
+		d.PredPtr = make([]int32, len(bounds))
 	}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+	d.TaskPtr, d.RowPtr = bounds, bounds
+	d.PredPtr = d.PredPtr[:len(bounds)]
+	d.SuccPtr = d.PredPtr
 }
 
-// reset prepares the run for one solve. Called before the run is offered
-// to any helper, so plain stores suffice.
-func (g *graphRun) reset(pk *sparse.Packed, x, b []float64, kw int, reverse bool) {
-	g.pk, g.x, g.b, g.kw, g.reverse = pk, x, b, kw, reverse
-	g.arm()
+// oneTask is the DAG of one task over rows [0, n): a call its caller
+// sweeps alone, which no helper could share.
+func oneTask(n int) *csrk.TaskDAG {
+	d := new(csrk.TaskDAG)
+	independent(d, []int32{0, int32(n)})
+	return d
 }
 
 // arm readies the ready queue and the dependency counters for one call,
 // in the run's direction: every root of the DAG (or, in reverse, every
-// sink) published, every other task waiting on its count.
+// sink) published, every other task waiting on its count. cooperate
+// calls it before the run is offered to any helper, so plain stores
+// suffice.
 func (g *graphRun) arm() {
-	g.head.Store(0)
 	nt := g.dag.NumTasks()
+	if len(g.slots) < nt {
+		g.remaining = make([]atomic.Int32, nt)
+		g.slots = make([]atomic.Int32, nt)
+	}
+	g.head.Store(0)
 	for t := 0; t < nt; t++ {
 		g.slots[t].Store(0)
 	}
@@ -108,12 +132,20 @@ func (g *graphRun) arm() {
 	g.tail.Store(tail)
 }
 
-// runShare is every participant's entry into a graph solve — the
-// caller's and each joined helper's — and its outer panic-containment
-// boundary. An injected engine.job fault makes this participant bow out
-// before claiming anything — any subset of participants drains the ready
-// queue, so its mates finish the solve alone and the run reports the
-// failure.
+// fail records the first failure of the call.
+func (g *graphRun) fail(err error) {
+	g.errMu.Lock()
+	if g.err == nil {
+		g.err = err
+	}
+	g.errMu.Unlock()
+}
+
+// runShare is every participant's entry into a call — the caller's and
+// each joined helper's — and its outer panic-containment boundary. An
+// injected engine.job fault makes this participant bow out before
+// claiming anything — any subset of participants drains the ready queue,
+// so its mates finish the call alone and the run reports the failure.
 func (g *graphRun) runShare() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -127,8 +159,8 @@ func (g *graphRun) runShare() {
 	g.work()
 }
 
-// work is one worker's share of a graph solve: claim ready-queue slots in
-// order until the queue is exhausted, running each task and publishing the
+// work is one worker's share of a call: claim ready-queue slots in order
+// until the queue is exhausted, running each task and publishing the
 // successors it completes.
 //
 //stsk:noalloc
@@ -145,21 +177,17 @@ func (g *graphRun) work() {
 	}
 }
 
-// runTask is the per-task containment boundary: a kernel panic becomes a
-// recorded failure and the task still counts as complete, so successor
-// counters always reach zero and no worker parks forever in await.
+// runTask is the per-task containment boundary: a panic in the body
+// becomes a recorded failure and the task still counts as complete, so
+// successor counters always reach zero and no worker parks forever in
+// await.
 func (g *graphRun) runTask(t int32) {
 	defer func() {
 		if p := recover(); p != nil {
 			g.fail(panicsafe.AsError(p))
 		}
 	}()
-	lo, hi := g.dag.TaskRows(int(t))
-	if g.fac != nil {
-		g.fac.rows(lo, hi)
-		return
-	}
-	sweepRows(g.pk, g.x, g.b, g.kw, lo, hi, g.reverse)
+	g.body.rows(g.dag.TaskRows(int(t)))
 }
 
 // await returns the task published to slot h, spinning briefly and then
@@ -184,7 +212,7 @@ func (g *graphRun) await(h int32) int32 {
 }
 
 // complete publishes every task made ready by finishing t. The atomic
-// decrement chain orders the finished task's x writes before the
+// decrement chain orders the finished task's writes before the
 // successor's execution on whichever worker picks it up.
 //
 //stsk:noalloc

@@ -60,20 +60,27 @@ func TestGraphSolveUpperBitwise(t *testing.T) {
 	}
 }
 
-// TestGraphScheduleFallsBackWithoutDAG: an engine given no DAG falls
-// back to its value sequence's own. One of several workers sweeps bit
-// for bit like one given order.BuildTaskDAG's default carving, forward,
-// backward and in a multi-panel call; a one-worker engine sweeps inline,
-// equal to the sequential oracles.
+// TestGraphScheduleFallsBackWithoutDAG: an engine over a sequence whose
+// pattern has no task DAG yet derives the default one. One of several
+// workers schedules over order.BuildTaskDAG's default carving and sweeps
+// bit for bit, forward, backward and in a multi-panel call; a one-worker
+// engine runs one task, equal to the sequential oracles.
 func TestGraphScheduleFallsBackWithoutDAG(t *testing.T) {
 	p := planFor(t, gen.Grid2D(10, 10), order.STS3)
 	B, want := randomRHS(p, 3, 9)
 	wantU := upperRef(t, p.S, B[0])
 	dag := order.BuildTaskDAG(p.S, order.TaskDAGOptions{})
-	for _, opts := range []Options{{Workers: 3}, {Workers: 3, Graph: dag}, {Workers: 1}} {
-		e, err := NewEngine(NewValues(p.S), opts)
+	for _, workers := range []int{3, 1} {
+		e, err := NewEngine(NewValues(p.S), workers)
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		wantDAG := oneTask(p.S.L.N)
+		if workers > 1 {
+			wantDAG = dag
+		}
+		if !reflect.DeepEqual(e.dag, wantDAG) {
+			t.Fatalf("w=%d: the engine schedules over %d tasks, want %d", workers, e.dag.NumTasks(), wantDAG.NumTasks())
 		}
 		x, err := solveVec(e, B[0])
 		if err != nil {
@@ -99,11 +106,11 @@ func TestGraphScheduleFallsBackWithoutDAG(t *testing.T) {
 // TestValuesTaskDAGPerPattern: a value sequence derives one task DAG for
 // its pattern — order.BuildTaskDAG's default carving, built on first use
 // and kept across swaps — and shares it with the sequences derived from
-// it. A one-worker engine schedules over none and builds none.
+// it. A one-worker engine runs one task and builds none.
 func TestValuesTaskDAGPerPattern(t *testing.T) {
 	p := planFor(t, gen.Grid2D(12, 12), order.STS3)
 	v := NewValues(p.S)
-	e, err := NewEngine(v, Options{Workers: 1})
+	e, err := NewEngine(v, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +118,13 @@ func TestValuesTaskDAGPerPattern(t *testing.T) {
 	if v.pat.dag != nil {
 		t.Fatal("a one-worker engine built the task DAG")
 	}
-	e, err = NewEngine(v, Options{Workers: 2})
+	e, err = NewEngine(v, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	dag := v.pat.dag
-	if dag == nil || e.opts.Graph != dag {
+	if dag == nil || e.dag != dag {
 		t.Fatal("a two-worker engine does not schedule over the sequence's task DAG")
 	}
 	if !reflect.DeepEqual(dag, order.BuildTaskDAG(p.S, order.TaskDAGOptions{})) {
@@ -136,17 +143,6 @@ func TestValuesTaskDAGPerPattern(t *testing.T) {
 	}
 	if v.TaskDAG() != dag || d.TaskDAG() != dag {
 		t.Fatal("the task DAG is not shared across epochs and derived sequences")
-	}
-}
-
-// TestGraphScheduleRejectsForeignDAG: a DAG built for another structure
-// is refused rather than drive an out-of-bounds or racing schedule.
-func TestGraphScheduleRejectsForeignDAG(t *testing.T) {
-	small := planFor(t, gen.Grid2D(8, 8), order.STS3)
-	big := planFor(t, gen.Grid2D(12, 12), order.STS3)
-	dag := order.BuildTaskDAG(big.S, order.TaskDAGOptions{})
-	if _, err := NewEngine(NewValues(small.S), Options{Workers: 2, Graph: dag}); err == nil {
-		t.Fatal("foreign DAG accepted")
 	}
 }
 

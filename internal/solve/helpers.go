@@ -13,7 +13,7 @@ import (
 // Engine. A call is swept by its calling goroutine plus whichever helpers
 // are idle when it is offered, so the goroutine count follows the
 // largest Workers any engine asked for, not the number of plans.
-var helpers = helperSet{jobs: make(chan job)}
+var helpers = helperSet{runs: make(chan *graphRun)}
 
 // helperSet parks its helpers on an unbuffered channel. idle counts the
 // helpers parked (or on their way back to park) and not yet claimed.
@@ -21,68 +21,27 @@ type helperSet struct {
 	mu   sync.Mutex // serialises grow
 	n    int        // helpers started
 	idle atomic.Int32
-	jobs chan job
+	runs chan *graphRun
 }
 
-// job is one call's work, swept by the caller and by every helper that
-// joins it: a cooperative sweep of one panel over the task DAG, a
-// multi-panel call claimed panel by panel, or a sparse product claimed
-// chunk by chunk. Exactly one of graph, panel and spmv is set; done is
-// that run's completion.
-type job struct {
-	graph *graphRun
-	panel *panelRun
-	spmv  *spmvRun
-	done  *completion
-}
-
-// completion is what a call's participants share besides the work: the
-// helpers still sweeping, and the first failure any of them met.
-type completion struct {
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error
-}
-
-// fail records the first failure of the call.
-func (c *completion) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.mu.Unlock()
-}
-
-// cooperate sweeps one call: it offers j to up to n idle helpers, runs
-// the caller's own share, waits for every helper that joined, and
-// returns the call's first failure. Only then may the caller recycle the
-// run behind j.
+// cooperate sweeps one call: it arms g, offers it to up to n idle
+// helpers, runs the caller's own share, waits for every helper that
+// joined, and returns the call's first failure. Only then may the caller
+// recycle g.
 //
 //stsk:noalloc
-func cooperate(tr *trace.Trace, j job, n int) error {
+func cooperate(tr *trace.Trace, g *graphRun, n int) error {
+	g.arm()
 	d0 := trace.Now()
-	helpers.offer(j, n)
+	helpers.offer(g, n)
 	s0 := trace.Now()
 	tr.Observe(trace.StageDispatch, d0, s0)
-	j.run()
-	j.done.wg.Wait()
+	g.runShare()
+	g.wg.Wait()
 	tr.Observe(trace.StageSweep, s0, trace.Now())
-	err := j.done.err
-	j.done.err = nil
+	err := g.err
+	g.err = nil
 	return err
-}
-
-// run sweeps one participant's share. Every share is its own
-// panic-containment boundary, so run never panics.
-func (j job) run() {
-	switch {
-	case j.graph != nil:
-		j.graph.runShare()
-	case j.panel != nil:
-		j.panel.runShare()
-	default:
-		j.spmv.runShare()
-	}
 }
 
 // grow starts helpers until a call of the given worker count can have a
@@ -102,28 +61,28 @@ func (h *helperSet) grow(workers int) {
 // instant the previous one returns (the backward sweep of an IC(0)
 // application right after the forward one) already finds it.
 func (h *helperSet) loop() {
-	for j := range h.jobs {
-		j.run()
+	for g := range h.runs {
+		g.runShare()
 		h.idle.Add(1)
-		j.done.wg.Done()
+		g.wg.Done()
 	}
 }
 
-// offer hands j to up to n idle helpers. Each is claimed by a CAS on the
+// offer hands g to up to n idle helpers. Each is claimed by a CAS on the
 // idle count before the send, so the send goes only to a helper already
 // on its way to the channel: offer never waits for a busy helper, and a
 // call that finds none idle is swept by its caller alone.
 //
 //stsk:noalloc
-func (h *helperSet) offer(j job, n int) {
+func (h *helperSet) offer(g *graphRun, n int) {
 	for n > 0 {
 		idle := h.idle.Load()
 		if idle <= 0 {
 			return
 		}
 		if h.idle.CompareAndSwap(idle, idle-1) {
-			j.done.wg.Add(1)
-			h.jobs <- j
+			g.wg.Add(1)
+			h.runs <- g
 			n--
 		}
 	}

@@ -61,9 +61,9 @@ func TestEngineLifecycleAfterClose(t *testing.T) {
 	}
 }
 
-// TestEngineLifecycleWorkerOneAfterClose pins the degenerate layout: a
-// one-worker engine skips the pool entirely in panelSolve, so its closed
-// check is a separate code path from submit.
+// TestEngineLifecycleWorkerOneAfterClose pins the one-worker layout,
+// whose calls run as one task with no helper offered: after Close they
+// fail with ErrClosed like every other engine's.
 func TestEngineLifecycleWorkerOneAfterClose(t *testing.T) {
 	a := gen.Grid2D(8, 8)
 	p := planFor(t, a, order.STS3)

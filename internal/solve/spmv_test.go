@@ -35,11 +35,11 @@ func symmetricOf(t testing.TB, a *sparse.CSR) (*sparse.CSR32, *sparse.CSR) {
 // a team of workers, so small matrices take the multi-chunk path.
 func chunked(a *sparse.CSR32, rows, workers int) *SpMV {
 	m := NewSpMV(a, workers)
-	m.chunks = m.chunks[:1]
+	bounds := []int32{0}
 	for r := rows; r < a.N; r += rows {
-		m.chunks = append(m.chunks, int32(r))
+		bounds = append(bounds, int32(r))
 	}
-	m.chunks = append(m.chunks, int32(a.N))
+	independent(&m.chunks, append(bounds, int32(a.N)))
 	return m
 }
 
@@ -78,22 +78,26 @@ func TestSpMVMatchesMatVec(t *testing.T) {
 }
 
 // TestSpMVChunks: NewSpMV carves nnz/minChunkEntries non-empty chunks
-// covering every row once, so a matrix under two chunks' worth is one
-// chunk and sweeps inline.
+// covering every row once, with no edges between them, so a matrix under
+// two chunks' worth is one chunk its caller sweeps alone.
 func TestSpMVChunks(t *testing.T) {
 	for _, side := range []int{6, 12, 20, 30} {
 		a, _ := symmetricOf(t, testmat.Grid3D(side))
 		m := NewSpMV(a, 2)
 		want := max(1, len(a.Col)/minChunkEntries)
-		if got := len(m.chunks) - 1; got != want {
+		if got := m.chunks.NumTasks(); got != want {
 			t.Errorf("side %d (%d entries): %d chunks, want %d", side, len(a.Col), got, want)
 		}
-		if m.chunks[0] != 0 || int(m.chunks[len(m.chunks)-1]) != a.N {
-			t.Errorf("side %d: chunks %v do not span [0, %d]", side, m.chunks, a.N)
+		if m.chunks.NumEdges() != 0 {
+			t.Errorf("side %d: the chunks have %d edges, want none", side, m.chunks.NumEdges())
 		}
-		for c := 1; c < len(m.chunks); c++ {
-			if m.chunks[c] <= m.chunks[c-1] {
-				t.Fatalf("side %d: chunk %d is empty: %v", side, c-1, m.chunks)
+		chunks := m.chunks.RowPtr
+		if chunks[0] != 0 || int(chunks[len(chunks)-1]) != a.N {
+			t.Errorf("side %d: chunks %v do not span [0, %d]", side, chunks, a.N)
+		}
+		for c := 1; c < len(chunks); c++ {
+			if chunks[c] <= chunks[c-1] {
+				t.Fatalf("side %d: chunk %d is empty: %v", side, c-1, chunks)
 			}
 		}
 	}

@@ -277,8 +277,35 @@ func (r *Registry) finishTrace(tr *trace.Trace, plan string, err error) {
 	tr.Release()
 }
 
-// outcomeLabel classifies a solve error for trace records, mirroring the
-// metrics outcome counters.
+// countOutcome adds one finished Registry.Solve call to the outcome
+// counters, classified as its trace record is (outcomeLabel); took is
+// observed as its latency when it solved.
+func (m *Metrics) countOutcome(err error, took time.Duration) {
+	switch outcomeLabel(err) {
+	case "ok":
+		m.Solved.Add(1)
+		m.ObserveLatency(took)
+	case "cancelled":
+		m.Cancelled.Add(1)
+	case "rejected":
+		m.Rejected.Add(1)
+	case "shed", "degraded":
+		// Intentional brownout load shedding, not a malfunction: counted
+		// under its own metric so failure-rate alarms stay quiet while the
+		// controller is deliberately refusing work.
+		m.Degraded.Add(1)
+	case "panic":
+		// A kernel panic contained at an engine job boundary: failed,
+		// and counted separately so operators can alarm on it.
+		m.PanicsRecovered.Add(1)
+		m.Failed.Add(1)
+	default:
+		m.Failed.Add(1)
+	}
+}
+
+// outcomeLabel classifies a solve error, for trace records and the
+// outcome counters (countOutcome).
 func outcomeLabel(err error) string {
 	switch {
 	case err == nil:
@@ -505,27 +532,7 @@ func (r *Registry) Solve(ctx context.Context, name, variant string, upper bool, 
 	if owned != nil {
 		r.finishTrace(owned, name, err)
 	}
-	switch {
-	case err == nil:
-		r.met.Solved.Add(1)
-		r.met.ObserveLatency(time.Since(start))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.met.Cancelled.Add(1)
-	case errors.Is(err, ErrQueueFull):
-		r.met.Rejected.Add(1)
-	case errors.Is(err, ErrDegraded), errors.Is(err, ErrShed):
-		// Intentional brownout load shedding, not a malfunction: counted
-		// under its own metric so failure-rate alarms stay quiet while the
-		// controller is deliberately refusing work.
-		r.met.Degraded.Add(1)
-	case errors.Is(err, panicsafe.ErrInternal):
-		// A kernel panic contained at an engine job boundary: failed,
-		// and counted separately so operators can alarm on it.
-		r.met.PanicsRecovered.Add(1)
-		r.met.Failed.Add(1)
-	default:
-		r.met.Failed.Add(1)
-	}
+	r.met.countOutcome(err, time.Since(start))
 	return x, err
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"stsk"
+	"stsk/internal/panicsafe"
 )
 
 // refPlan builds a Plan identical to what the registry builds for a
@@ -311,5 +313,37 @@ func TestRegistryCloseDrains(t *testing.T) {
 	}
 	if _, err := reg.Register(PlanSpec{Name: "x", Class: "grid3d", N: 500}); !errors.Is(err, ErrDraining) {
 		t.Errorf("register after close: err = %v, want ErrDraining", err)
+	}
+}
+
+// TestSolveOutcomeClassifiedOnce: one classification, outcomeLabel,
+// feeds both a solve's trace outcome and its outcome counters, for every
+// sentinel a solve can end with; only a solved call observes its latency.
+func TestSolveOutcomeClassifiedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		err   error
+		label string
+		want  Snapshot
+	}{
+		{nil, "ok", Snapshot{Solved: 1}},
+		{context.Canceled, "cancelled", Snapshot{Cancelled: 1}},
+		{fmt.Errorf("solve: %w", context.DeadlineExceeded), "cancelled", Snapshot{Cancelled: 1}},
+		{ErrQueueFull, "rejected", Snapshot{Rejected: 1}},
+		{ErrShed, "shed", Snapshot{Degraded: 1}},
+		{ErrDegraded, "degraded", Snapshot{Degraded: 1}},
+		{panicsafe.AsError("kernel fault"), "panic", Snapshot{PanicsRecovered: 1, Failed: 1}},
+		{fmt.Errorf("%w: %q", ErrUnknownPlan, "nope"), "error", Snapshot{Failed: 1}},
+	} {
+		if got := outcomeLabel(tc.err); got != tc.label {
+			t.Errorf("%v: outcome %q, want %q", tc.err, got, tc.label)
+		}
+		var m Metrics
+		m.countOutcome(tc.err, time.Millisecond)
+		if got := m.Snapshot(); got != tc.want {
+			t.Errorf("%v: counters %+v, want %+v", tc.err, got, tc.want)
+		}
+		if got, want := m.latency.count.Load(), tc.want.Solved; got != want {
+			t.Errorf("%v: %d latencies observed, want %d", tc.err, got, want)
+		}
 	}
 }

@@ -160,12 +160,8 @@ func planFromImage(img *snapshot.Image) (*Plan, error) {
 	if len(img.Perm) != n {
 		return bad("permutation length %d for dimension %d", len(img.Perm), n)
 	}
-	seen := make([]bool, n)
-	for i, pi := range img.Perm {
-		if pi < 0 || pi >= n || seen[pi] {
-			return bad("permutation not a bijection at index %d", i)
-		}
-		seen[pi] = true
+	if err := sparse.CheckPermutation(img.Perm); err != nil {
+		return bad("%v", err)
 	}
 	// The plan resumes the serialized value-epoch sequence number.
 	return &Plan{method: method, perm: img.Perm, vals: solve.NewValuesVersion(s, img.ValueVersion)}, nil

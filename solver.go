@@ -65,10 +65,10 @@ func (p *Plan) NewSolver(opts ...Option) *Solver {
 	// factor and its transpose) is built once and shared by all of them —
 	// and a Plan.Refactor is picked up by every solver's next call.
 	c := applyOptions(opts)
-	eng, err := solve.NewEngine(p.vals, solve.Options{Workers: c.workers})
+	eng, err := solve.NewEngine(p.vals, c.workers)
 	if err != nil {
 		// Build and ReadSnapshot refuse factors the packed kernels cannot
-		// index, and the DAG is the sequence's own: this cannot fail.
+		// index: this cannot fail.
 		panic(err)
 	}
 	s := &Solver{plan: p, eng: eng}

@@ -146,31 +146,8 @@ func (m *Matrix) SetValues(vals []float64) error {
 // at roughly n rows. Classes: "grid2d", "grid3d", "kkt3d", "fem3d", "rgg",
 // "trimesh", "quaddual", "roadnet".
 func Generate(class string, n int) (*Matrix, error) {
-	if n < 16 {
-		n = 16
-	}
-	side2 := intSqrt(n)
-	side3 := intCbrt(n)
-	var a *sparse.CSR
-	switch class {
-	case "grid2d":
-		a = gen.Grid2D(side2, side2)
-	case "grid3d":
-		a = gen.Grid3D(side3, side3, side3)
-	case "kkt3d":
-		a = gen.KKT3D(side3, side3, side3)
-	case "fem3d":
-		s := intCbrt(n / 2)
-		a = gen.FEM3D(s, s, s, 2)
-	case "rgg":
-		a = gen.RGG(n, gen.RGGDegree(n, 14), 21)
-	case "trimesh":
-		a = gen.TriMesh(side2, side2, 7)
-	case "quaddual":
-		a = gen.QuadDual(intSqrt(n/2), intSqrt(n/2), 4)
-	case "roadnet":
-		a = gen.RoadNet(intSqrt(n/7), intSqrt(n/7), 3, 5, 3)
-	default:
+	a := gen.ByClass(class, n)
+	if a == nil {
 		return nil, fmt.Errorf("stsk: unknown matrix class %q", class)
 	}
 	return &Matrix{a: a}, nil
@@ -689,26 +666,4 @@ func checkFactorSize(l *sparse.CSR) error {
 		return fmt.Errorf("stsk: factor refused: %w", err)
 	}
 	return nil
-}
-
-func intSqrt(n int) int {
-	s := 1
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	if s < 2 {
-		s = 2
-	}
-	return s
-}
-
-func intCbrt(n int) int {
-	s := 1
-	for (s+1)*(s+1)*(s+1) <= n {
-		s++
-	}
-	if s < 2 {
-		s = 2
-	}
-	return s
 }
